@@ -1,0 +1,137 @@
+"""Max-min fuzzy automata: extended transitions and generated languages.
+
+The grade of a path is the min of its edge grades; the extended transition
+grade between two states is the max over all paths.  Generated languages
+are extracted up to an explicit horizon because cyclic automata generate
+infinite-support languages.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Mapping
+
+from .errors import FdesError
+from .events import EPSILON, Alphabet, EventId, EventString, render_event_string
+from .grades import ONE, ZERO, Grade, as_grade, meet
+from .language import FuzzyLanguage
+
+Transition = tuple[str, EventId, str]
+
+
+@dataclass(frozen=True)
+class FuzzyAutomaton:
+    """States, initial state, and a graded transition relation."""
+
+    states: frozenset[str]
+    alphabet: Alphabet
+    initial: str
+    transitions: Mapping[Transition, Grade]
+
+    def __post_init__(self):
+        object.__setattr__(self, "states", frozenset(self.states))
+        if self.initial not in self.states:
+            raise FdesError("UNKNOWN_STATE", f"initial state {self.initial!r} not in state set")
+        cleaned: dict[Transition, Grade] = {}
+        for (p, a, q), g in self.transitions.items():
+            if p not in self.states or q not in self.states:
+                raise FdesError("UNKNOWN_STATE", f"transition endpoint outside state set: {p!r} -{a}-> {q!r}")
+            if a not in self.alphabet.events:
+                raise FdesError("UNKNOWN_EVENT", f"transition event {a!r} not in alphabet")
+            g = as_grade(g)
+            if g > ZERO:
+                cleaned[(p, a, q)] = g
+        object.__setattr__(self, "transitions", cleaned)
+
+    def _check_state(self, state: str) -> str:
+        if state not in self.states:
+            raise FdesError("UNKNOWN_STATE", f"unknown state {state!r}")
+        return state
+
+
+def _step_map(aut: FuzzyAutomaton) -> dict[tuple[str, EventId], list[tuple[str, Grade]]]:
+    out: dict[tuple[str, EventId], list[tuple[str, Grade]]] = {}
+    for (p, a, q), g in sorted(aut.transitions.items()):
+        out.setdefault((p, a), []).append((q, g))
+    return out
+
+
+def _advance(
+    vec: dict[str, Grade], event: EventId, step: dict[tuple[str, EventId], list[tuple[str, Grade]]]
+) -> dict[str, Grade]:
+    nxt: dict[str, Grade] = {}
+    for state, g in vec.items():
+        for target, tg in step.get((state, event), ()):
+            reached = meet(g, tg)
+            if reached > nxt.get(target, ZERO):
+                nxt[target] = reached
+    return nxt
+
+
+def extended_transition(aut: FuzzyAutomaton, p: str, w: EventString, q: str) -> Grade:
+    """Max over paths from p to q along w of the min of edge grades.
+
+    The empty string reaches exactly the start state, at grade 1.
+    """
+    aut._check_state(p)
+    aut._check_state(q)
+    aut.alphabet.check_string(w)
+    step = _step_map(aut)
+    vec: dict[str, Grade] = {p: ONE}
+    for event in w:
+        vec = _advance(vec, event, step)
+        if not vec:
+            return ZERO
+    return vec.get(q, ZERO)
+
+
+def generated_language(aut: FuzzyAutomaton, horizon: int) -> FuzzyLanguage:
+    """Grades of all strings up to the horizon length.
+
+    Walks breadth first, carrying one state-possibility vector per live
+    string; strings whose vector empties are pruned, which is sound because
+    max-min grades never increase along extensions.
+    """
+    if horizon < 0:
+        raise FdesError("OUT_OF_RANGE", "horizon must be >= 0")
+    step = _step_map(aut)
+    events = sorted(aut.alphabet.events)
+    grades: dict[EventString, Grade] = {EPSILON: ONE}
+    frontier: dict[EventString, dict[str, Grade]] = {EPSILON: {aut.initial: ONE}}
+    for _ in range(horizon):
+        nxt_frontier: dict[EventString, dict[str, Grade]] = {}
+        for w, vec in frontier.items():
+            for event in events:
+                nxt = _advance(vec, event, step)
+                if nxt:
+                    extended = w + (event,)
+                    grades[extended] = max(nxt.values())
+                    nxt_frontier[extended] = nxt
+        if not nxt_frontier:
+            break
+        frontier = nxt_frontier
+    return FuzzyLanguage(aut.alphabet, grades)
+
+
+def automaton_from_language(language: FuzzyLanguage) -> FuzzyAutomaton:
+    """Automaton over the support whose generated language is the input.
+
+    States are the support strings themselves; each string steps to its
+    one-event extensions at the extension's grade.  Reading the result back
+    at horizon ``language.max_length()`` reproduces the input exactly.
+    """
+    if language.is_empty:
+        raise FdesError("EMPTY_LANGUAGE", "cannot build an automaton for the empty language")
+    states = {render_event_string(s) for s, _ in language.items()}
+    transitions: dict[Transition, Grade] = {}
+    for s, g in language.items():
+        if not s:
+            continue
+        parent = s[:-1]
+        transitions[(render_event_string(parent), s[-1], render_event_string(s))] = g
+    return FuzzyAutomaton(
+        states=frozenset(states),
+        alphabet=language.alphabet,
+        initial=render_event_string(EPSILON),
+        transitions=transitions,
+    )

@@ -1,0 +1,412 @@
+"""Command-line surface: batch checks, synthesis, and language operations.
+
+Exit codes partition outcomes exactly: 0 when the command succeeds or the
+checked property holds, 1 when a property fails or no solution exists,
+2 for usage and input errors.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+from . import approximation, oracle, predicates, synthesis
+from .automaton import generated_language
+from .errors import ConditionViolated, FdesError
+from .events import parse_event_string, render_event_string
+from .fdl import FdlDocument, emit_fdl, parse_documents, section_names
+from .grades import render_grade
+from .language import concatenation, intersection, is_sublanguage, union
+from .observation import Projection, natural_projection, project_language
+from .predicates import CheckReport
+
+_KIND_TABLES = {
+    "alphabet": "alphabets",
+    "sites": "sites",
+    "language": "languages",
+    "automaton": "automata",
+    "supervisor": "supervisors",
+}
+
+
+def _read(path: str) -> tuple[str, str]:
+    try:
+        return path, Path(path).read_text(encoding="utf-8")
+    except OSError as err:
+        raise FdesError("IO_ERROR", f"cannot read {path}: {err}") from None
+
+
+def _load(paths: list[str]) -> tuple[FdlDocument, dict[str, str]]:
+    texts = [_read(p) for p in paths]
+    return parse_documents(texts), dict(texts)
+
+
+def _pick(doc: FdlDocument, texts: dict[str, str], path: str, kind: str):
+    """The unique section of a kind inside one file, resolved in the merged doc."""
+    found = section_names(path, texts[path], kind)
+    if len(found) != 1:
+        names = ", ".join(found) or "none"
+        raise FdesError("SYNTAX_ERROR", f"{path}: expected exactly one {kind} section, found: {names}")
+    return found[0], getattr(doc, _KIND_TABLES[kind])[found[0]]
+
+
+def _sites_pair(doc: FdlDocument, alphabet):
+    _, decl = doc.single("sites")
+    site1 = (Projection(alphabet, decl.site1.observable), decl.site1.controllable)
+    site2 = (Projection(alphabet, decl.site2.observable), decl.site2.controllable)
+    return site1, site2
+
+
+def _witness_json(w: predicates.Witness) -> dict:
+    return {
+        "kind": w.kind,
+        "strings": [render_event_string(s) for s in w.strings],
+        "event": w.event,
+        "lhs": None if w.lhs is None else render_grade(w.lhs),
+        "rhs": None if w.rhs is None else render_grade(w.rhs),
+        "projection_class": [render_event_string(s) for s in w.projection_class],
+    }
+
+
+def _report_json(prop: str, report: CheckReport) -> str:
+    payload = {
+        "property": prop,
+        "holds": report.holds,
+        "witnesses": [_witness_json(w) for w in report.witnesses],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _witness_text(w: predicates.Witness) -> str:
+    parts = [f"witness {w.kind}:"]
+    parts.append("strings=(" + ", ".join(render_event_string(s) for s in w.strings) + ")")
+    if w.event is not None:
+        parts.append(f"event={w.event}")
+    if w.lhs is not None:
+        parts.append(f"lhs={render_grade(w.lhs)}")
+    if w.rhs is not None:
+        parts.append(f"rhs={render_grade(w.rhs)}")
+    if w.projection_class:
+        parts.append("class={" + ", ".join(render_event_string(s) for s in w.projection_class) + "}")
+    return " ".join(parts)
+
+
+def _print_report(prop: str, report: CheckReport, as_json: bool) -> int:
+    if as_json:
+        print(_report_json(prop, report))
+    else:
+        print(f"check {prop}: {'holds' if report.holds else 'fails'}")
+        for w in report.witnesses:
+            print(_witness_text(w))
+    return 0 if report.holds else 1
+
+
+def _language_doc(doc: FdlDocument, name: str, language) -> FdlDocument:
+    out = FdlDocument()
+    alphabet_name = doc.alphabet_name_of(language.alphabet)
+    out.alphabets[alphabet_name] = language.alphabet
+    out.languages[name] = language
+    return out
+
+
+def _supervisor_doc(doc: FdlDocument, supervisors: dict) -> FdlDocument:
+    out = FdlDocument()
+    for name, sup in supervisors.items():
+        alphabet = sup.projection.alphabet
+        out.alphabets[doc.alphabet_name_of(alphabet)] = alphabet
+        out.supervisors[name] = sup
+    return out
+
+
+def _write_out(text: str, out: str | None) -> None:
+    if out is None:
+        print(text, end="")
+    else:
+        Path(out).write_text(text, encoding="utf-8")
+
+
+def _cmd_validate(args) -> int:
+    doc, _ = _load(args.files)
+    for kind, table in _KIND_TABLES.items():
+        names = sorted(getattr(doc, table))
+        if names:
+            print(f"{kind}: {' '.join(names)}")
+    print("ok")
+    return 0
+
+
+def _cmd_check(args) -> int:
+    paths = [args.plant, args.spec] + ([args.sites] if args.sites else [])
+    doc, texts = _load(paths)
+    _, plant = _pick(doc, texts, args.plant, "language")
+    _, spec = _pick(doc, texts, args.spec, "language")
+    alphabet = plant.alphabet
+    if args.property == "controllable":
+        report = predicates.is_controllable(spec, plant)
+    elif args.property == "observable":
+        report = predicates.is_observable(spec, plant, natural_projection(alphabet))
+    elif args.property == "strongly-observable":
+        report = predicates.is_strongly_observable(spec, plant, natural_projection(alphabet))
+    elif args.property == "normal":
+        report = predicates.is_normal(spec, plant, natural_projection(alphabet))
+    else:
+        site1, site2 = _sites_pair(doc, alphabet)
+        report = predicates.is_coobservable(spec, plant, site1, site2)
+    return _print_report(args.property, report, args.json)
+
+
+def _cmd_synthesize(args) -> int:
+    paths = [args.plant, args.spec] + ([args.sites] if args.sites else [])
+    doc, texts = _load(paths)
+    _, plant = _pick(doc, texts, args.plant, "language")
+    _, spec = _pick(doc, texts, args.spec, "language")
+    alphabet = plant.alphabet
+    if args.mode == "central":
+        supervisor = synthesis.synthesize_central(
+            spec, plant, natural_projection(alphabet), force=args.force
+        )
+        out_doc = _supervisor_doc(doc, {"S": supervisor})
+    else:
+        site1, site2 = _sites_pair(doc, alphabet)
+        s1, s2 = synthesis.synthesize_decentralized(spec, plant, site1, site2, force=args.force)
+        out_doc = _supervisor_doc(doc, {"S1": s1, "S2": s2})
+    _write_out(emit_fdl(out_doc), args.out)
+    return 0
+
+
+def _cmd_closed_loop(args) -> int:
+    doc, texts = _load([args.plant] + args.supervisor)
+    _, plant = _pick(doc, texts, args.plant, "language")
+    supervisors = [doc.supervisors[name] for name in sorted(doc.supervisors)]
+    if len(supervisors) == 1:
+        result = synthesis.closed_loop_central(plant, supervisors[0])
+    elif len(supervisors) == 2:
+        result = synthesis.closed_loop_decentralized(plant, supervisors[0], supervisors[1])
+    else:
+        raise FdesError("SYNTAX_ERROR", "closed-loop needs one or two supervisor sections")
+    _write_out(emit_fdl(_language_doc(doc, "closed_loop", result)), args.out)
+    return 0
+
+
+def _cmd_extremal(args, which: str) -> int:
+    doc, texts = _load([args.plant, args.spec])
+    _, plant = _pick(doc, texts, args.plant, "language")
+    _, spec = _pick(doc, texts, args.spec, "language")
+    pr = natural_projection(plant.alphabet)
+    if which == "infimal-co":
+        result = approximation.infimal_co(spec, plant, pr)
+        name = "infimal_co"
+    else:
+        result = approximation.supremal_cn(spec, plant, pr)
+        name = "supremal_cn"
+    _write_out(emit_fdl(_language_doc(doc, name, result)), args.out)
+    return 0
+
+
+def _cmd_scp(args) -> int:
+    doc, texts = _load([args.plant, args.min, args.max])
+    _, plant = _pick(doc, texts, args.plant, "language")
+    _, minimal = _pick(doc, texts, args.min, "language")
+    _, legal = _pick(doc, texts, args.max, "language")
+    result = approximation.solve_scp(minimal, legal, plant, natural_projection(plant.alphabet))
+    if args.json:
+        payload = {
+            "solvable": result.solvable,
+            "infimal_co": {
+                render_event_string(s): render_grade(g) for s, g in result.infimal.items()
+            },
+        }
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    if result.solvable:
+        supervisor_text = emit_fdl(_supervisor_doc(doc, {"S": result.supervisor}))
+        if not args.json:
+            print("scp: solvable")
+            _write_out(supervisor_text, args.out)
+        elif args.out:
+            _write_out(supervisor_text, args.out)
+        return 0
+    if not args.json:
+        print("scp: no solution; the infimal controllable and observable "
+              "superlanguage of the minimal behavior exceeds the legal bound")
+        print(emit_fdl(_language_doc(doc, "infimal_co", result.infimal)), end="")
+    return 1
+
+
+def _cmd_lang(args) -> int:
+    doc, texts = _load(args.files)
+    languages = [_pick(doc, texts, path, "language")[1] for path in args.files]
+
+    def binary():
+        if len(languages) != 2:
+            raise FdesError("SYNTAX_ERROR", f"--op {args.op} needs two language files")
+        return languages[0], languages[1]
+
+    if args.op in ("union", "intersect", "concat"):
+        a, b = binary()
+        ops = {"union": union, "intersect": intersection, "concat": concatenation}
+        result = ops[args.op](a, b)
+        _write_out(emit_fdl(_language_doc(doc, "result", result)), args.out)
+        return 0
+    if args.op == "sublanguage":
+        a, b = binary()
+        verdict = is_sublanguage(a, b)
+        print("true" if verdict else "false")
+        return 0 if verdict else 1
+    if args.op == "project":
+        language = languages[0]
+        if args.observable:
+            observable = frozenset(args.observable.split(","))
+        else:
+            observable = language.alphabet.observable
+        pr = Projection(language.alphabet, observable)
+        result = project_language(pr, language)
+        out_doc = FdlDocument()
+        out_doc.alphabets["E_o"] = result.alphabet
+        out_doc.languages["result"] = result
+        _write_out(emit_fdl(out_doc), args.out)
+        return 0
+    if args.op == "grade":
+        if args.string is None:
+            raise FdesError("SYNTAX_ERROR", "--op grade needs --string")
+        s = parse_event_string(args.string)
+        print(render_grade(languages[0].grade(s)))
+        return 0
+    raise FdesError("SYNTAX_ERROR", f"unknown lang op {args.op!r}")
+
+
+def _cmd_gen(args) -> int:
+    doc, texts = _load([args.plant])
+    _, automaton = _pick(doc, texts, args.plant, "automaton")
+    result = generated_language(automaton, args.horizon)
+    _write_out(emit_fdl(_language_doc(doc, "generated", result)), args.out)
+    return 0
+
+
+def _cmd_oracle(args) -> int:
+    doc, texts = _load([args.plant, args.spec])
+    _, plant = _pick(doc, texts, args.plant, "language")
+    _, spec = _pick(doc, texts, args.spec, "language")
+    pr = natural_projection(plant.alphabet)
+    if args.op == "supervisor-exists":
+        exists = oracle.brute_supervisor_exists(spec, plant, pr, budget=args.budget)
+        print("true" if exists else "false")
+        return 0 if exists else 1
+    if args.op == "infimal-co":
+        result = oracle.brute_infimal_co(spec, plant, pr, budget=args.budget)
+        name = "oracle_infimal_co"
+    else:
+        result = oracle.brute_supremal_cn(spec, plant, pr, budget=args.budget)
+        name = "oracle_supremal_cn"
+    _write_out(emit_fdl(_language_doc(doc, name, result)), args.out)
+    return 0
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="fdes",
+        description="Supervisory control of fuzzy discrete-event systems "
+        "under partial observation, in exact rational arithmetic.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("validate", help="parse and validate FDL files")
+    p.add_argument("files", nargs="+")
+    p.set_defaults(func=_cmd_validate)
+
+    p = sub.add_parser("check", help="check a property of a specification against a plant")
+    p.add_argument(
+        "--property",
+        required=True,
+        choices=["controllable", "observable", "strongly-observable", "normal", "coobservable"],
+    )
+    p.add_argument("--plant", required=True)
+    p.add_argument("--spec", required=True)
+    p.add_argument("--sites")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=_cmd_check)
+
+    p = sub.add_parser("synthesize", help="synthesize a supervisor for a specification")
+    p.add_argument("--mode", required=True, choices=["central", "decentralized"])
+    p.add_argument("--plant", required=True)
+    p.add_argument("--spec", required=True)
+    p.add_argument("--sites")
+    p.add_argument("--force", action="store_true",
+                   help="emit the formula supervisor even when the preconditions fail")
+    p.add_argument("--out")
+    p.set_defaults(func=_cmd_synthesize)
+
+    p = sub.add_parser("closed-loop", help="compute the supervised behavior")
+    p.add_argument("--plant", required=True)
+    p.add_argument("--supervisor", required=True, action="append")
+    p.add_argument("--out")
+    p.set_defaults(func=_cmd_closed_loop)
+
+    p = sub.add_parser("infimal-co", help="least controllable and observable superlanguage")
+    p.add_argument("--plant", required=True)
+    p.add_argument("--spec", required=True)
+    p.add_argument("--out")
+    p.set_defaults(func=lambda a: _cmd_extremal(a, "infimal-co"))
+
+    p = sub.add_parser("supremal-cn", help="greatest controllable and normal sublanguage")
+    p.add_argument("--plant", required=True)
+    p.add_argument("--spec", required=True)
+    p.add_argument("--out")
+    p.set_defaults(func=lambda a: _cmd_extremal(a, "supremal-cn"))
+
+    p = sub.add_parser("scp", help="supervisor between minimal and legal bounds")
+    p.add_argument("--plant", required=True)
+    p.add_argument("--min", required=True)
+    p.add_argument("--max", required=True)
+    p.add_argument("--out")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=_cmd_scp)
+
+    p = sub.add_parser("lang", help="language algebra on FDL files")
+    p.add_argument("--op", required=True,
+                   choices=["union", "intersect", "concat", "sublanguage", "project", "grade"])
+    p.add_argument("files", nargs="+")
+    p.add_argument("--string", help="event string for --op grade")
+    p.add_argument("--observable", help="comma-separated events overriding --op project")
+    p.add_argument("--out")
+    p.set_defaults(func=_cmd_lang)
+
+    p = sub.add_parser("gen", help="extract the generated language of an automaton")
+    p.add_argument("--plant", required=True)
+    p.add_argument("--horizon", type=int, default=8)
+    p.add_argument("--out")
+    p.set_defaults(func=_cmd_gen)
+
+    p = sub.add_parser("oracle", help="brute-force reference computations")
+    p.add_argument("--op", required=True,
+                   choices=["infimal-co", "supremal-cn", "supervisor-exists"])
+    p.add_argument("--plant", required=True)
+    p.add_argument("--spec", required=True)
+    p.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
+    p.add_argument("--out")
+    p.set_defaults(func=_cmd_oracle)
+
+    return parser
+
+
+def run_command(argv: list[str]) -> int:
+    parser = _build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as err:
+        return 2 if err.code else 0
+    try:
+        return args.func(args)
+    except ConditionViolated as err:
+        print(f"refused: {err.message}", file=sys.stderr)
+        for w in err.report.witnesses:
+            print(_witness_text(w), file=sys.stderr)
+        return 1
+    except FdesError as err:
+        print(f"error[{err.code}]: {err}", file=sys.stderr)
+        return 2
+
+
+def main() -> None:
+    sys.exit(run_command(sys.argv[1:]))

@@ -1,0 +1,406 @@
+"""FDL, the line-oriented text format for alphabets, languages, automata,
+site specifications, and supervisors.
+
+One document may be assembled from several files; named sections of the
+same kind may repeat only when structurally identical, so emitted artifacts
+can carry their alphabet along and still merge with the source files.
+Emission is canonical: fixed section order, names sorted, strings sorted by
+(length, lexicographic), grades rendered as shortest exact decimals.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+from .automaton import FuzzyAutomaton
+from .errors import FdesError
+from .events import (
+    Alphabet,
+    EventString,
+    SiteSpec,
+    parse_event_string,
+    render_event_string,
+    string_key,
+)
+from .grades import Grade, parse_grade, render_grade
+from .language import FuzzyLanguage
+from .observation import Projection
+from .synthesis import FuzzySupervisor, make_supervisor
+
+_SECTION_KINDS = ("alphabet", "sites", "language", "automaton", "supervisor")
+
+
+@dataclass
+class SitesDecl:
+    """A named pair of site specifications bound to an alphabet."""
+
+    alphabet_name: str
+    site1: SiteSpec
+    site2: SiteSpec
+
+
+@dataclass
+class FdlDocument:
+    alphabets: dict[str, Alphabet] = field(default_factory=dict)
+    sites: dict[str, SitesDecl] = field(default_factory=dict)
+    languages: dict[str, FuzzyLanguage] = field(default_factory=dict)
+    automata: dict[str, FuzzyAutomaton] = field(default_factory=dict)
+    supervisors: dict[str, FuzzySupervisor] = field(default_factory=dict)
+
+    def single(self, kind: str):
+        """The unique entity of a kind, as (name, value); error otherwise."""
+        singular = {
+            "alphabets": "alphabet",
+            "sites": "sites",
+            "languages": "language",
+            "automata": "automaton",
+            "supervisors": "supervisor",
+        }[kind]
+        table = getattr(self, kind)
+        if len(table) != 1:
+            names = ", ".join(sorted(table)) or "none"
+            raise FdesError(
+                "SYNTAX_ERROR", f"expected exactly one {singular} section, found: {names}"
+            )
+        return next(iter(table.items()))
+
+    def alphabet_name_of(self, alphabet: Alphabet) -> str:
+        for name, value in sorted(self.alphabets.items()):
+            if value == alphabet:
+                return name
+        return "E"
+
+
+@dataclass
+class _RawSection:
+    kind: str
+    name: str
+    source: str
+    line: int
+    body: list[tuple[int, list[str]]]
+
+
+def _fail(source: str, line: int, message: str, code: str = "SYNTAX_ERROR"):
+    raise FdesError(code, message, location=f"{source}:{line}")
+
+
+def _split_sections(source: str, text: str) -> list[_RawSection]:
+    sections: list[_RawSection] = []
+    current: _RawSection | None = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("["):
+            if not line.endswith("]"):
+                _fail(source, lineno, "unterminated section header")
+            header = line[1:-1].split()
+            if len(header) != 2:
+                _fail(source, lineno, "section header must be [kind name]")
+            kind, name = header
+            if kind not in _SECTION_KINDS:
+                _fail(source, lineno, f"unknown section kind {kind!r}")
+            current = _RawSection(kind, name, source, lineno, [])
+            sections.append(current)
+            continue
+        if current is None:
+            _fail(source, lineno, "content before any section header")
+        current.body.append((lineno, line.split()))
+    return sections
+
+
+def _build_alphabet(section: _RawSection) -> Alphabet:
+    events: list[str] = []
+    controllable: list[str] = []
+    observable: list[str] = []
+    seen: set[str] = set()
+    for lineno, words in section.body:
+        key, payload = words[0], words[1:]
+        if key in seen:
+            _fail(section.source, lineno, f"duplicate {key!r} line")
+        seen.add(key)
+        if key == "events":
+            events = payload
+        elif key == "controllable":
+            controllable = payload
+        elif key == "observable":
+            observable = payload
+        else:
+            _fail(section.source, lineno, f"unknown alphabet line {key!r}")
+    try:
+        return Alphabet(frozenset(events), frozenset(controllable), frozenset(observable))
+    except FdesError as err:
+        raise FdesError(err.code, err.message, f"{section.source}:{section.line}") from None
+
+
+def _build_sites(section: _RawSection, alphabets: dict[str, Alphabet]) -> SitesDecl:
+    alphabet_name: str | None = None
+    parts: dict[tuple[str, str], list[str]] = {}
+    for lineno, words in section.body:
+        if words[0] == "alphabet":
+            if len(words) != 2:
+                _fail(section.source, lineno, "alphabet line takes one name")
+            alphabet_name = words[1]
+            continue
+        if words[0] != "site" or len(words) < 3 or words[1] not in ("1", "2"):
+            _fail(section.source, lineno, "expected: site 1|2 controllable|observable <events>")
+        if words[2] not in ("controllable", "observable"):
+            _fail(section.source, lineno, "expected: site 1|2 controllable|observable <events>")
+        key = (words[1], words[2])
+        if key in parts:
+            _fail(section.source, lineno, f"duplicate site {words[1]} {words[2]} line")
+        parts[key] = words[3:]
+    if alphabet_name is None:
+        _fail(section.source, section.line, "sites section needs an alphabet line")
+    if alphabet_name not in alphabets:
+        _fail(section.source, section.line, f"unknown alphabet {alphabet_name!r}")
+    alphabet = alphabets[alphabet_name]
+    site1 = SiteSpec(
+        frozenset(parts.get(("1", "controllable"), [])),
+        frozenset(parts.get(("1", "observable"), [])),
+    )
+    site2 = SiteSpec(
+        frozenset(parts.get(("2", "controllable"), [])),
+        frozenset(parts.get(("2", "observable"), [])),
+    )
+    try:
+        alphabet.with_sites(site1, site2)
+    except FdesError as err:
+        raise FdesError(err.code, err.message, f"{section.source}:{section.line}") from None
+    return SitesDecl(alphabet_name, site1, site2)
+
+
+def _build_language(section: _RawSection, alphabets: dict[str, Alphabet]) -> FuzzyLanguage:
+    alphabet: Alphabet | None = None
+    entries: dict[EventString, Grade] = {}
+    for lineno, words in section.body:
+        if words[0] == "alphabet":
+            if len(words) != 2:
+                _fail(section.source, lineno, "alphabet line takes one name")
+            if words[1] not in alphabets:
+                _fail(section.source, lineno, f"unknown alphabet {words[1]!r}")
+            alphabet = alphabets[words[1]]
+            continue
+        if len(words) != 2:
+            _fail(section.source, lineno, "expected: <string> <grade>")
+        try:
+            s = parse_event_string(words[0])
+            g = parse_grade(words[1])
+        except FdesError as err:
+            raise FdesError(err.code, err.message, f"{section.source}:{lineno}") from None
+        if s in entries:
+            _fail(section.source, lineno, f"duplicate string {words[0]}", "DUPLICATE_STRING")
+        entries[s] = g
+    if alphabet is None:
+        _fail(section.source, section.line, "language section needs an alphabet line")
+    try:
+        return FuzzyLanguage(alphabet, entries)
+    except FdesError as err:
+        raise FdesError(err.code, err.message, f"{section.source}:{section.line}") from None
+
+
+def _build_automaton(section: _RawSection, alphabets: dict[str, Alphabet]) -> FuzzyAutomaton:
+    alphabet: Alphabet | None = None
+    states: list[str] = []
+    initial: str | None = None
+    transitions: dict[tuple[str, str, str], Grade] = {}
+    for lineno, words in section.body:
+        key, payload = words[0], words[1:]
+        if key == "alphabet":
+            if len(payload) != 1 or payload[0] not in alphabets:
+                _fail(section.source, lineno, "alphabet line needs one known name")
+            alphabet = alphabets[payload[0]]
+        elif key == "states":
+            states.extend(payload)
+        elif key == "initial":
+            if len(payload) != 1:
+                _fail(section.source, lineno, "initial line takes one state")
+            initial = payload[0]
+        elif key == "trans":
+            if len(payload) != 4:
+                _fail(section.source, lineno, "expected: trans <from> <event> <to> <grade>")
+            try:
+                grade = parse_grade(payload[3])
+            except FdesError as err:
+                raise FdesError(err.code, err.message, f"{section.source}:{lineno}") from None
+            transitions[(payload[0], payload[1], payload[2])] = grade
+        else:
+            _fail(section.source, lineno, f"unknown automaton line {key!r}")
+    if alphabet is None or initial is None:
+        _fail(section.source, section.line, "automaton section needs alphabet and initial lines")
+    try:
+        return FuzzyAutomaton(frozenset(states), alphabet, initial, transitions)
+    except FdesError as err:
+        raise FdesError(err.code, err.message, f"{section.source}:{section.line}") from None
+
+
+def _build_supervisor(section: _RawSection, alphabets: dict[str, Alphabet]) -> FuzzySupervisor:
+    alphabet: Alphabet | None = None
+    observable: list[str] | None = None
+    controllable: list[str] | None = None
+    rows: dict[EventString, dict[str, Grade]] = {}
+    current_row: dict[str, Grade] | None = None
+    for lineno, words in section.body:
+        key, payload = words[0], words[1:]
+        if key == "alphabet" and current_row is None:
+            if len(payload) != 1 or payload[0] not in alphabets:
+                _fail(section.source, lineno, "alphabet line needs one known name")
+            alphabet = alphabets[payload[0]]
+        elif key == "observable" and current_row is None:
+            observable = payload
+        elif key == "controllable" and current_row is None:
+            controllable = payload
+        elif key == "obs":
+            if len(payload) != 1:
+                _fail(section.source, lineno, "obs line takes one observed string")
+            try:
+                observed = parse_event_string(payload[0])
+            except FdesError as err:
+                raise FdesError(err.code, err.message, f"{section.source}:{lineno}") from None
+            if observed in rows:
+                _fail(section.source, lineno, f"duplicate row {payload[0]}", "DUPLICATE_STRING")
+            current_row = {}
+            rows[observed] = current_row
+        elif key == "enable":
+            if current_row is None:
+                _fail(section.source, lineno, "enable line before any obs line")
+            if len(payload) != 2:
+                _fail(section.source, lineno, "expected: enable <event> <grade>")
+            try:
+                current_row[payload[0]] = parse_grade(payload[1])
+            except FdesError as err:
+                raise FdesError(err.code, err.message, f"{section.source}:{lineno}") from None
+        else:
+            _fail(section.source, lineno, f"unknown supervisor line {key!r}")
+    if alphabet is None or observable is None or controllable is None:
+        _fail(
+            section.source,
+            section.line,
+            "supervisor section needs alphabet, observable, and controllable lines",
+        )
+    try:
+        projection = Projection(alphabet, frozenset(observable))
+        return make_supervisor(projection, frozenset(controllable), rows)
+    except FdesError as err:
+        raise FdesError(err.code, err.message, f"{section.source}:{section.line}") from None
+
+
+def parse_documents(named_texts: list[tuple[str, str]]) -> FdlDocument:
+    """Parse and merge one document from (source name, text) pairs."""
+    sections: list[_RawSection] = []
+    for source, text in named_texts:
+        sections.extend(_split_sections(source, text))
+    doc = FdlDocument()
+    ordered = sorted(sections, key=lambda s: _SECTION_KINDS.index(s.kind))
+    builders = {
+        "alphabet": lambda s: _build_alphabet(s),
+        "sites": lambda s: _build_sites(s, doc.alphabets),
+        "language": lambda s: _build_language(s, doc.alphabets),
+        "automaton": lambda s: _build_automaton(s, doc.alphabets),
+        "supervisor": lambda s: _build_supervisor(s, doc.alphabets),
+    }
+    tables = {
+        "alphabet": "alphabets",
+        "sites": "sites",
+        "language": "languages",
+        "automaton": "automata",
+        "supervisor": "supervisors",
+    }
+    for section in ordered:
+        value = builders[section.kind](section)
+        table = getattr(doc, tables[section.kind])
+        if section.name in table:
+            if table[section.name] != value:
+                _fail(
+                    section.source,
+                    section.line,
+                    f"conflicting redefinition of {section.kind} {section.name!r}",
+                )
+            continue
+        table[section.name] = value
+    return doc
+
+
+def parse_fdl(text: str, source: str = "<fdl>") -> FdlDocument:
+    return parse_documents([(source, text)])
+
+
+def section_names(source: str, text: str, kind: str) -> list[str]:
+    """Names of all sections of one kind, in file order, without building."""
+    return [s.name for s in _split_sections(source, text) if s.kind == kind]
+
+
+def _word_line(*parts: str) -> str:
+    return " ".join(p for p in parts if p)
+
+
+def _emit_alphabet(name: str, alphabet: Alphabet) -> list[str]:
+    lines = [f"[alphabet {name}]", _word_line("events", " ".join(sorted(alphabet.events)))]
+    if alphabet.controllable:
+        lines.append("controllable " + " ".join(sorted(alphabet.controllable)))
+    if alphabet.observable:
+        lines.append("observable " + " ".join(sorted(alphabet.observable)))
+    return lines
+
+
+def _emit_sites(name: str, decl: SitesDecl) -> list[str]:
+    lines = [f"[sites {name}]", f"alphabet {decl.alphabet_name}"]
+    for i, site in ((1, decl.site1), (2, decl.site2)):
+        lines.append(_word_line(f"site {i} controllable", " ".join(sorted(site.controllable))))
+        lines.append(_word_line(f"site {i} observable", " ".join(sorted(site.observable))))
+    return lines
+
+
+def _emit_language(name: str, language: FuzzyLanguage, alphabet_name: str) -> list[str]:
+    lines = [f"[language {name}]", f"alphabet {alphabet_name}"]
+    for s, g in language.items():
+        lines.append(f"{render_event_string(s)} {render_grade(g)}")
+    return lines
+
+
+def _emit_automaton(name: str, automaton: FuzzyAutomaton, alphabet_name: str) -> list[str]:
+    lines = [
+        f"[automaton {name}]",
+        f"alphabet {alphabet_name}",
+        "states " + " ".join(sorted(automaton.states)),
+        f"initial {automaton.initial}",
+    ]
+    for (p, a, q), g in sorted(automaton.transitions.items()):
+        lines.append(f"trans {p} {a} {q} {render_grade(g)}")
+    return lines
+
+
+def _emit_supervisor(name: str, supervisor: FuzzySupervisor, alphabet_name: str) -> list[str]:
+    lines = [
+        f"[supervisor {name}]",
+        f"alphabet {alphabet_name}",
+        _word_line("observable", " ".join(sorted(supervisor.projection.observable))),
+        _word_line("controllable", " ".join(sorted(supervisor.controllables))),
+    ]
+    for observed in sorted(supervisor.table, key=string_key):
+        lines.append(f"obs {render_event_string(observed)}")
+        row = supervisor.table[observed]
+        for event in sorted(row):
+            lines.append(f"enable {event} {render_grade(row[event])}")
+    return lines
+
+
+def emit_fdl(doc: FdlDocument) -> str:
+    """Canonical text for a document; reparsing yields an equal document."""
+    blocks: list[list[str]] = []
+    for name in sorted(doc.alphabets):
+        blocks.append(_emit_alphabet(name, doc.alphabets[name]))
+    for name in sorted(doc.sites):
+        blocks.append(_emit_sites(name, doc.sites[name]))
+    for name in sorted(doc.languages):
+        language = doc.languages[name]
+        blocks.append(_emit_language(name, language, doc.alphabet_name_of(language.alphabet)))
+    for name in sorted(doc.automata):
+        automaton = doc.automata[name]
+        blocks.append(_emit_automaton(name, automaton, doc.alphabet_name_of(automaton.alphabet)))
+    for name in sorted(doc.supervisors):
+        supervisor = doc.supervisors[name]
+        blocks.append(
+            _emit_supervisor(name, supervisor, doc.alphabet_name_of(supervisor.projection.alphabet))
+        )
+    return "\n\n".join("\n".join(block) for block in blocks) + "\n"

@@ -1,0 +1,171 @@
+"""Finite-support fuzzy languages and their algebra.
+
+A fuzzy language maps event strings to membership grades.  Only strictly
+positive grades are stored.  A non-empty language grades the empty string
+at exactly 1 (P1) and grades never increase along extensions (P2), which
+makes the support prefix closed.  The empty language is the algebra's zero.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Iterator, Mapping
+
+from .errors import FdesError
+from .events import EPSILON, Alphabet, EventString, render_event_string, string_key
+from .grades import ONE, ZERO, Grade, as_grade, join, meet
+
+
+class FuzzyLanguage:
+    """Immutable association from event strings to positive grades."""
+
+    __slots__ = ("alphabet", "_grades", "_support")
+
+    def __init__(self, alphabet: Alphabet, grades: Mapping[EventString, Grade]):
+        positive: dict[EventString, Grade] = {}
+        for s, g in grades.items():
+            alphabet.check_string(s)
+            g = as_grade(g)
+            if g > ZERO:
+                positive[s] = g
+        if positive:
+            if positive.get(EPSILON) != ONE:
+                raise FdesError("P1_VIOLATION", "a non-empty language must grade eps at 1")
+            for s, g in positive.items():
+                if not s:
+                    continue
+                parent = s[:-1]
+                pg = positive.get(parent, ZERO)
+                if g > pg:
+                    raise FdesError(
+                        "P2_VIOLATION",
+                        f"grade of {render_event_string(s)} exceeds its prefix "
+                        f"{render_event_string(parent)} ({g} > {pg})",
+                    )
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "_grades", dict(sorted(positive.items(), key=lambda kv: string_key(kv[0]))))
+        object.__setattr__(self, "_support", tuple(sorted(positive, key=string_key)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FuzzyLanguage is immutable")
+
+    @property
+    def support(self) -> tuple[EventString, ...]:
+        """Strings with positive grade, sorted by (length, lexicographic)."""
+        return self._support
+
+    @property
+    def is_empty(self) -> bool:
+        return not self._grades
+
+    def grade(self, s: EventString) -> Grade:
+        """Stored grade, or 0 for strings outside the support."""
+        return self._grades.get(s, ZERO)
+
+    def items(self) -> Iterator[tuple[EventString, Grade]]:
+        return iter(self._grades.items())
+
+    def max_length(self) -> int:
+        return max((len(s) for s in self._support), default=0)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FuzzyLanguage):
+            return NotImplemented
+        return self.alphabet == other.alphabet and self._grades == other._grades
+
+    def __hash__(self):
+        return hash((self.alphabet, tuple(self._grades.items())))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{render_event_string(s)}:{g}" for s, g in self._grades.items())
+        return f"FuzzyLanguage({{{body}}})"
+
+
+def empty_language(alphabet: Alphabet) -> FuzzyLanguage:
+    return FuzzyLanguage(alphabet, {})
+
+
+def build_language(
+    alphabet: Alphabet,
+    entries: Mapping[EventString, Grade] | Iterable[tuple[EventString, Grade]],
+) -> FuzzyLanguage:
+    """Validating constructor; rejects duplicate strings in pair lists."""
+    if isinstance(entries, Mapping):
+        return FuzzyLanguage(alphabet, entries)
+    grades: dict[EventString, Grade] = {}
+    for s, g in entries:
+        s = tuple(s)
+        if s in grades:
+            raise FdesError("DUPLICATE_STRING", f"duplicate string {render_event_string(s)}")
+        grades[s] = g
+    return FuzzyLanguage(alphabet, grades)
+
+
+def _require_same_alphabet(a: FuzzyLanguage, b: FuzzyLanguage) -> None:
+    if a.alphabet != b.alphabet:
+        raise FdesError("ALPHABET_MISMATCH", "operands use different alphabets")
+
+
+def union(a: FuzzyLanguage, b: FuzzyLanguage) -> FuzzyLanguage:
+    """Pointwise join."""
+    _require_same_alphabet(a, b)
+    grades = dict(a.items())
+    for s, g in b.items():
+        grades[s] = join(grades.get(s, ZERO), g)
+    return FuzzyLanguage(a.alphabet, grades)
+
+
+def intersection(a: FuzzyLanguage, b: FuzzyLanguage) -> FuzzyLanguage:
+    """Pointwise meet."""
+    _require_same_alphabet(a, b)
+    grades = {s: meet(g, b.grade(s)) for s, g in a.items()}
+    return FuzzyLanguage(a.alphabet, grades)
+
+
+def concatenation(a: FuzzyLanguage, b: FuzzyLanguage) -> FuzzyLanguage:
+    """(AB)(w) = max over splits w = uv of min(A(u), B(v)).
+
+    Every string with a positive concatenation grade splits into a support
+    string of A followed by one of B, so iterating the two supports covers
+    all candidates; the running join over generating pairs equals the join
+    over all splits.
+    """
+    _require_same_alphabet(a, b)
+    grades: dict[EventString, Grade] = {}
+    for u, ga in a.items():
+        for v, gb in b.items():
+            w = u + v
+            grades[w] = join(grades.get(w, ZERO), meet(ga, gb))
+    return FuzzyLanguage(a.alphabet, grades)
+
+
+def is_sublanguage(a: FuzzyLanguage, b: FuzzyLanguage) -> bool:
+    """True iff a(s) <= b(s) pointwise (checked on supp(a))."""
+    _require_same_alphabet(a, b)
+    return all(g <= b.grade(s) for s, g in a.items())
+
+
+def prefix_close_repair(
+    alphabet: Alphabet,
+    entries: Mapping[EventString, Grade] | Iterable[tuple[EventString, Grade]],
+) -> FuzzyLanguage:
+    """Smallest valid language dominating the given entries.
+
+    Each prefix is raised to the join of the grades of all listed
+    extensions (including itself); eps is forced to 1 when anything
+    remains.  Valid inputs pass through unchanged.
+    """
+    pairs = entries.items() if isinstance(entries, Mapping) else entries
+    listed: dict[EventString, Grade] = {}
+    for s, g in pairs:
+        s = tuple(alphabet.check_string(tuple(s)))
+        g = as_grade(g)
+        if g > ZERO:
+            listed[s] = join(listed.get(s, ZERO), g)
+    repaired: dict[EventString, Grade] = {}
+    for s, g in listed.items():
+        for i in range(len(s) + 1):
+            prefix = s[:i]
+            repaired[prefix] = join(repaired.get(prefix, ZERO), g)
+    if repaired:
+        repaired[EPSILON] = ONE
+    return FuzzyLanguage(alphabet, repaired)

@@ -1,0 +1,438 @@
+"""Independent brute-force references for certifying the main algorithms.
+
+Everything here trades scale for trust: exhaustive enumeration over a
+finite grade lattice, a literal pairwise reading of the observability
+definitions, and classical set-based checkers for crisp instances.  The
+oracles certify the production code paths at desk scale only.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from typing import Callable, Iterator
+
+from .approximation import grade_lattice
+from .errors import FdesError
+from .events import EPSILON, Alphabet, EventId, EventString, string_key
+from .grades import ONE, ZERO, Grade, meet
+from .language import FuzzyLanguage, empty_language, intersection, union
+from .observation import Projection, project_string, projection_classes
+from .predicates import (
+    Site,
+    _require_spec_inside_plant,
+    _resolve_sites,
+    is_controllable,
+    is_normal,
+    is_observable,
+)
+from .synthesis import closed_loop_central, make_supervisor
+
+DEFAULT_BUDGET = 20_000
+
+
+@dataclass(frozen=True)
+class EnumerationSpec:
+    """Search space: a prefix-closed string universe and a grade lattice."""
+
+    alphabet: Alphabet
+    universe: tuple[EventString, ...]
+    lattice: tuple[Grade, ...]
+    budget: int = DEFAULT_BUDGET
+
+    def __post_init__(self):
+        universe = tuple(sorted(set(self.universe), key=string_key))
+        object.__setattr__(self, "universe", universe)
+        members = set(universe)
+        for s in universe:
+            self.alphabet.check_string(s)
+            if s and s[:-1] not in members:
+                raise FdesError("INVALID_ENUMERATION", "universe is not prefix closed")
+        lattice = tuple(sorted(set(self.lattice)))
+        object.__setattr__(self, "lattice", lattice)
+        if ZERO not in lattice or ONE not in lattice:
+            raise FdesError("INVALID_ENUMERATION", "lattice must contain 0 and 1")
+
+    def candidate_bound(self) -> int:
+        return len(self.lattice) ** len(self.universe)
+
+
+def _check_budget(count: int, budget: int) -> None:
+    if count > budget:
+        raise FdesError("BUDGET_EXCEEDED", f"enumeration of {count} candidates exceeds budget {budget}")
+
+
+def _assignments(
+    universe: tuple[EventString, ...],
+    lattice: tuple[Grade, ...],
+    lower: Callable[[EventString], Grade],
+    upper: Callable[[EventString], Grade],
+) -> Iterator[dict[EventString, Grade]]:
+    """All P1/P2-valid grade maps with lower <= g <= upper pointwise.
+
+    The universe is ordered parents-first, so each string's grade is capped
+    by its parent's; the all-zero map is emitted only when the lower bound
+    allows it.
+    """
+    if all(lower(s) == ZERO for s in universe):
+        yield {}
+    if not universe:
+        return
+    if lower(EPSILON) > ONE or upper(EPSILON) < ONE:
+        return
+    rest = [s for s in universe if s != EPSILON]
+
+    def extend(index: int, acc: dict[EventString, Grade]) -> Iterator[dict[EventString, Grade]]:
+        if index == len(rest):
+            yield dict(acc)
+            return
+        s = rest[index]
+        cap = meet(acc.get(s[:-1], ZERO), upper(s))
+        floor = lower(s)
+        for value in lattice:
+            if value > cap:
+                break
+            if value < floor:
+                continue
+            if value > ZERO:
+                acc[s] = value
+            yield from extend(index + 1, acc)
+            acc.pop(s, None)
+
+    yield from extend(0, {EPSILON: ONE})
+
+
+def enumerate_languages(spec: EnumerationSpec) -> Iterator[FuzzyLanguage]:
+    """Every valid language with support in the universe and lattice grades."""
+    _check_budget(spec.candidate_bound(), spec.budget)
+    for grades in _assignments(spec.universe, spec.lattice, lambda s: ZERO, lambda s: ONE):
+        yield FuzzyLanguage(spec.alphabet, grades)
+
+
+def brute_infimal_co(
+    spec: FuzzyLanguage,
+    plant: FuzzyLanguage,
+    pr: Projection,
+    budget: int = DEFAULT_BUDGET,
+) -> FuzzyLanguage:
+    """Pointwise meet of every controllable-and-observable language between
+    the spec and the plant, found by exhaustive search."""
+    _require_spec_inside_plant(spec, plant)
+    universe = tuple(s for s, _ in plant.items())
+    lattice = grade_lattice(spec, plant)
+    _check_budget(len(lattice) ** len(universe), budget)
+    result: FuzzyLanguage | None = None
+    for grades in _assignments(universe, lattice, spec.grade, plant.grade):
+        candidate = FuzzyLanguage(spec.alphabet, grades)
+        if not is_controllable(candidate, plant).holds:
+            continue
+        if not is_observable(candidate, plant, pr).holds:
+            continue
+        result = candidate if result is None else intersection(result, candidate)
+    assert result is not None  # the plant itself always qualifies
+    return result
+
+
+def brute_supremal_cn(
+    spec: FuzzyLanguage,
+    plant: FuzzyLanguage,
+    pr: Projection,
+    budget: int = DEFAULT_BUDGET,
+) -> FuzzyLanguage:
+    """Pointwise join of every controllable-and-normal sublanguage of the
+    spec, found by exhaustive search."""
+    _require_spec_inside_plant(spec, plant)
+    universe = tuple(s for s, _ in spec.items())
+    lattice = grade_lattice(spec, plant)
+    _check_budget(len(lattice) ** len(universe), budget)
+    result = empty_language(spec.alphabet)
+    for grades in _assignments(universe, lattice, lambda s: ZERO, spec.grade):
+        candidate = FuzzyLanguage(spec.alphabet, grades)
+        if not is_controllable(candidate, plant).holds:
+            continue
+        if not is_normal(candidate, plant, pr).holds:
+            continue
+        result = union(result, candidate)
+    return result
+
+
+def _cell_candidates(
+    spec: FuzzyLanguage,
+    pr: Projection,
+    observed: EventString,
+    event: EventId,
+    extra: tuple[Grade, ...],
+) -> tuple[Grade, ...]:
+    """Enable grades worth trying for one (observed string, event) cell.
+
+    Sound by a rounding argument: the closed loop combines an enable grade
+    only through meets against plant and prefix grades, and must reproduce
+    the spec's grades, so any achieving grade can be rounded down to the
+    largest value of {0, 1} and the spec's grades over the cell's class
+    without changing a single closed-loop grade.
+    """
+    values = {ZERO, ONE}
+    values.update(extra)
+    for s, _ in spec.items():
+        if project_string(pr, s) == observed:
+            grade = spec.grade(s + (event,))
+            if grade > ZERO:
+                values.add(grade)
+    return tuple(sorted(values))
+
+
+def brute_supervisor_exists(
+    spec: FuzzyLanguage,
+    plant: FuzzyLanguage,
+    pr: Projection,
+    budget: int = DEFAULT_BUDGET,
+    extra_grades: tuple[Grade, ...] = (),
+) -> bool:
+    """Exhaustively search supervisors whose closed loop equals the spec.
+
+    ``extra_grades`` widens every cell's candidate set; by the rounding
+    argument in ``_cell_candidates`` this can never change the verdict,
+    which the test suite spot checks with lattice midpoints.
+    """
+    _require_spec_inside_plant(spec, plant)
+    alphabet = spec.alphabet
+    observed = sorted({project_string(pr, s) for s, _ in plant.items()}, key=string_key)
+    cells = [(t, e) for t in observed for e in sorted(alphabet.controllable)]
+    options = [_cell_candidates(spec, pr, t, e, extra_grades) for t, e in cells]
+    count = 1
+    for values in options:
+        count *= len(values)
+    _check_budget(count, budget)
+    for choice in itertools.product(*options):
+        rows: dict[EventString, dict[EventId, Grade]] = {t: {} for t in observed}
+        for (t, e), grade in zip(cells, choice):
+            rows[t][e] = grade
+        supervisor = make_supervisor(pr, alphabet.controllable, rows)
+        if closed_loop_central(plant, supervisor) == spec:
+            return True
+    return False
+
+
+def brute_decentralized_exists(
+    spec: FuzzyLanguage,
+    plant: FuzzyLanguage,
+    site1: Site | None = None,
+    site2: Site | None = None,
+    budget: int = DEFAULT_BUDGET,
+) -> bool:
+    """Two-supervisor analog of the exhaustive achievability search."""
+    from .synthesis import closed_loop_decentralized
+
+    _require_spec_inside_plant(spec, plant)
+    alphabet = spec.alphabet
+    (pr1, ctrl1), (pr2, ctrl2) = _resolve_sites(alphabet, site1, site2)
+    sites = ((pr1, ctrl1), (pr2, ctrl2))
+    site_observed = []
+    cells = []
+    options = []
+    for pr, ctrl in sites:
+        observed = sorted({project_string(pr, s) for s, _ in plant.items()}, key=string_key)
+        site_observed.append(observed)
+        for t in observed:
+            for e in sorted(ctrl):
+                cells.append((len(site_observed) - 1, t, e))
+                options.append(_cell_candidates(spec, pr, t, e, ()))
+    count = 1
+    for values in options:
+        count *= len(values)
+    _check_budget(count, budget)
+    for choice in itertools.product(*options):
+        rows: list[dict[EventString, dict[EventId, Grade]]] = [
+            {t: {} for t in observed} for observed in site_observed
+        ]
+        for (index, t, e), grade in zip(cells, choice):
+            rows[index][t][e] = grade
+        s1 = make_supervisor(pr1, ctrl1, rows[0])
+        s2 = make_supervisor(pr2, ctrl2, rows[1])
+        if closed_loop_decentralized(plant, s1, s2) == spec:
+            return True
+    return False
+
+
+def _solution_interval(
+    spec: FuzzyLanguage, plant: FuzzyLanguage, s: EventString, event: EventId
+) -> tuple[Grade, bool]:
+    """Solutions x of spec(sa) = min(spec(s), plant(sa), x), as an interval.
+
+    Returns (low, open_top): the solution set is [low, 1] when the grade is
+    tight against min(spec(s), plant(sa)), else exactly {low}.
+    """
+    extended = s + (event,)
+    low = spec.grade(extended)
+    tight = low == meet(spec.grade(s), plant.grade(extended))
+    return low, tight
+
+
+def observable_pairwise(
+    spec: FuzzyLanguage,
+    plant: FuzzyLanguage,
+    pr: Projection,
+    controllables: frozenset | None = None,
+) -> bool:
+    """Literal pairwise reading of observability.
+
+    For each ordered same-class pair (s, s') and controllable event with
+    spec(sa) positive, some enable degree solving s's equation must also
+    solve s''s; with solution sets being points or up-closed intervals the
+    existential reduces to an interval intersection test.
+    """
+    _require_spec_inside_plant(spec, plant)
+    if controllables is None:
+        controllables = spec.alphabet.controllable
+    classes = projection_classes(pr, (s for s, _ in spec.items()))
+    for members in classes.values():
+        for event in sorted(controllables):
+            for s in members:
+                if spec.grade(s + (event,)) == ZERO:
+                    continue
+                s_low, s_tight = _solution_interval(spec, plant, s, event)
+                for s2 in members:
+                    low2, tight2 = _solution_interval(spec, plant, s2, event)
+                    if s_tight and tight2:
+                        continue
+                    if s_tight and not tight2 and low2 >= s_low:
+                        continue
+                    if tight2 and not s_tight and s_low >= low2:
+                        continue
+                    if not s_tight and not tight2 and s_low == low2:
+                        continue
+                    return False
+    return True
+
+
+def strongly_observable_direct(
+    spec: FuzzyLanguage,
+    plant: FuzzyLanguage,
+    pr: Projection,
+    controllables: frozenset | None = None,
+) -> bool:
+    """Literal reading of strong observability: every admissible x works.
+
+    The solution set for s is {low} or [low, 1]; since the partner's
+    equation is monotone in x it suffices to test the endpoint values.
+    """
+    _require_spec_inside_plant(spec, plant)
+    if controllables is None:
+        controllables = spec.alphabet.controllable
+    classes = projection_classes(pr, (s for s, _ in spec.items()))
+    for members in classes.values():
+        for event in sorted(controllables):
+            for s in members:
+                if spec.grade(s + (event,)) == ZERO:
+                    continue
+                s_low, s_tight = _solution_interval(spec, plant, s, event)
+                candidates = (s_low, ONE) if s_tight else (s_low,)
+                for s2 in members:
+                    s2a = s2 + (event,)
+                    for x in candidates:
+                        rhs = meet(meet(spec.grade(s2), plant.grade(s2a)), x)
+                        if spec.grade(s2a) != rhs:
+                            return False
+    return True
+
+
+def _erase(s: EventString, observable: frozenset) -> EventString:
+    return tuple(e for e in s if e in observable)
+
+
+def crisp_controllable(spec_supp: set, plant_supp: set, uncontrollable: frozenset) -> bool:
+    """Classical controllability on plain string sets."""
+    return all(
+        s + (e,) not in plant_supp or s + (e,) in spec_supp
+        for s in spec_supp
+        for e in uncontrollable
+    )
+
+
+def crisp_observable(
+    spec_supp: set, plant_supp: set, observable: frozenset, controllable: frozenset
+) -> bool:
+    """Classical observability on plain string sets."""
+    by_projection: dict[EventString, list[EventString]] = {}
+    for s in spec_supp:
+        by_projection.setdefault(_erase(s, observable), []).append(s)
+    for members in by_projection.values():
+        for e in controllable:
+            if any(s + (e,) in spec_supp for s in members):
+                for s2 in members:
+                    if s2 + (e,) in plant_supp and s2 + (e,) not in spec_supp:
+                        return False
+    return True
+
+
+def crisp_coobservable(
+    spec_supp: set,
+    plant_supp: set,
+    obs1: frozenset,
+    ctrl1: frozenset,
+    obs2: frozenset,
+    ctrl2: frozenset,
+) -> bool:
+    """Classical two-site co-observability on plain string sets."""
+    class1: dict[EventString, list[EventString]] = {}
+    class2: dict[EventString, list[EventString]] = {}
+    for s in spec_supp:
+        class1.setdefault(_erase(s, obs1), []).append(s)
+        class2.setdefault(_erase(s, obs2), []).append(s)
+    for s in spec_supp:
+        for e in ctrl1 | ctrl2:
+            extended = s + (e,)
+            if extended not in plant_supp or extended in spec_supp:
+                continue
+            seen1 = any(t + (e,) in spec_supp for t in class1[_erase(s, obs1)])
+            seen2 = any(t + (e,) in spec_supp for t in class2[_erase(s, obs2)])
+            if e in ctrl1 and e in ctrl2:
+                if seen1 and seen2:
+                    return False
+            elif e in ctrl1:
+                if seen1:
+                    return False
+            else:
+                if seen2:
+                    return False
+    return True
+
+
+def crisp_normal(spec_supp: set, plant_supp: set, observable: frozenset) -> bool:
+    """Classical normality: the spec equals the observation-consistent part
+    of the plant."""
+    projected = {_erase(s, observable) for s in spec_supp}
+    recovered = {s for s in plant_supp if _erase(s, observable) in projected}
+    return recovered == spec_supp
+
+
+def crisp_reference(
+    kind: str,
+    spec: FuzzyLanguage,
+    plant: FuzzyLanguage,
+    pr: Projection | None = None,
+    site1: Site | None = None,
+    site2: Site | None = None,
+) -> bool:
+    """Set-based verdict for {0,1}-valued languages, kept independent of the
+    graded code paths."""
+    for language in (spec, plant):
+        if any(g != ONE for _, g in language.items()):
+            raise FdesError("NOT_CRISP", "crisp reference needs {0,1}-valued languages")
+    spec_supp = set(spec.support)
+    plant_supp = set(plant.support)
+    alphabet = spec.alphabet
+    if kind == "controllability":
+        return crisp_controllable(spec_supp, plant_supp, alphabet.uncontrollable)
+    if kind == "observability":
+        observable = pr.observable if pr is not None else alphabet.observable
+        return crisp_observable(spec_supp, plant_supp, observable, alphabet.controllable)
+    if kind == "normality":
+        observable = pr.observable if pr is not None else alphabet.observable
+        return crisp_normal(spec_supp, plant_supp, observable)
+    if kind == "coobservability":
+        (pr1, ctrl1), (pr2, ctrl2) = _resolve_sites(alphabet, site1, site2)
+        return crisp_coobservable(
+            spec_supp, plant_supp, pr1.observable, ctrl1, pr2.observable, ctrl2
+        )
+    raise FdesError("MALFORMED_GRADE", f"unknown crisp reference kind: {kind!r}")
