@@ -1,11 +1,12 @@
 """Extremal approximation languages and the supervisory control problem.
 
-The pointwise-least controllable-and-observable superlanguage and the
-pointwise-greatest controllable-and-normal sublanguage are computed by
-monotone fixed-point sweeps.  Every assigned value is a meet or join of
-grades already present in the inputs, so iteration lives in the finite
-grade lattice of the instance and terminates.  Both procedures are
-validated against exhaustive search in the oracle module.
+The pointwise-least controllable-and-observable superlanguage is computed
+by one raising pass in length order, and the pointwise-greatest
+controllable-and-normal sublanguage by monotone lowering sweeps.  Every
+assigned value is a meet or join of grades already present in the
+inputs, so iteration lives in the finite grade lattice of the instance
+and terminates.  Both procedures are validated against exhaustive search
+in the oracle module.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FdesError
-from .events import EPSILON, EventString
-from .grades import ONE, ZERO, Grade, join_all, meet
+from .events import EPSILON, EventId, EventString
+from .grades import ONE, ZERO, Grade, join, join_all, meet
 from .language import FuzzyLanguage, is_sublanguage
-from .observation import Projection, projection_classes
+from .observation import Projection, project_string, projection_classes
 from .predicates import _require_spec_inside_plant
 from .synthesis import FuzzySupervisor, synthesize_central
 
@@ -35,73 +36,81 @@ def grade_lattice(*languages: FuzzyLanguage) -> tuple[Grade, ...]:
 def infimal_co(spec: FuzzyLanguage, plant: FuzzyLanguage, pr: Projection) -> FuzzyLanguage:
     """Least controllable and observable superlanguage of the spec.
 
-    Raising sweep from the spec: uncontrollable continuations are raised
-    to min(grade(s), plant(sa)), then each projection class's members are
-    raised to min(grade(s'), plant(s'a), x) with x the class join of the
-    current grades of the a-continuations.  Both repairs are forced in any
-    controllable-and-observable superlanguage, so the limit is a lower
-    bound of them all; at the fixed point it is itself controllable and
-    observable, hence the least one.
+    Two repairs raise grades, both forced in any controllable-and-observable
+    superlanguage: an uncontrollable continuation sa gets at least
+    min(grade(s), plant(sa)), and a controllable one at least
+    min(grade(s), plant(sa), x), with x the join of grade(ta) over the
+    members t of s's projection class.
+
+    No repair lifts x, since a repaired grade of ta is at most x itself.
+    So x is the spec's own join, read once per (class, controllable
+    event).  Each term of the repair is at least spec(sa), so the least
+    grade of sa is the repair's value, which depends only on the final
+    grade of s.  One pass over supp(plant) in (length, lexicographic)
+    order reaches every prefix before its extensions and sets each
+    string once, to its value in the least fixed point.  Strings outside
+    supp(plant) stay at 0, so classes are keyed by the projection of each
+    plant string.  The cost is O(|supp(plant)| + |supp(spec)|) dictionary
+    operations.
     """
     _require_spec_inside_plant(spec, plant)
     if spec.is_empty:
         return spec
-    alphabet = spec.alphabet
-    uncontrollable = sorted(alphabet.uncontrollable)
-    controllable = sorted(alphabet.controllable)
-    current: dict[EventString, Grade] = dict(spec.items())
-    changed = True
-    while changed:
-        changed = False
-        for s in sorted(current):
-            base = current[s]
-            for event in uncontrollable:
-                extended = s + (event,)
-                bound = plant.grade(extended)
-                if bound == ZERO:
-                    continue
-                target = meet(base, bound)
-                if current.get(extended, ZERO) < target:
-                    current[extended] = target
-                    changed = True
-        classes = projection_classes(pr, list(current))
-        for _, members in classes.items():
-            for event in controllable:
-                shared = join_all(current.get(t + (event,), ZERO) for t in members)
-                if shared == ZERO:
-                    continue
-                for s in members:
-                    extended = s + (event,)
-                    target = meet(meet(current[s], plant.grade(extended)), shared)
-                    if current.get(extended, ZERO) < target:
-                        current[extended] = target
-                        changed = True
-    return FuzzyLanguage(alphabet, current)
+    controllable = spec.alphabet.controllable
+    seen = {s: project_string(pr, s) for s in plant.support}
+    joins: dict[tuple[EventString, EventId], Grade] = {}
+    for s, g in spec.items():
+        if s and s[-1] in controllable:
+            key = (seen[s[:-1]], s[-1])
+            joins[key] = join(joins.get(key, ZERO), g)
+    current: dict[EventString, Grade] = {EPSILON: ONE}
+    for s, bound in plant.items():
+        if not s:
+            continue
+        parent, event = s[:-1], s[-1]
+        target = meet(current.get(parent, ZERO), bound)
+        if event in controllable:
+            target = meet(target, joins.get((seen[parent], event), ZERO))
+        if target > ZERO:
+            current[s] = target
+    return FuzzyLanguage(spec.alphabet, current)
 
 
 def supremal_cn(spec: FuzzyLanguage, plant: FuzzyLanguage, pr: Projection) -> FuzzyLanguage:
     """Greatest controllable and normal sublanguage of the spec.
 
-    Lowering sweep from the spec, three repairs per pass:
+    Lowering sweeps from the spec, three repairs per sweep:
 
-    * controllability: when min(grade(s), plant(sa)) > grade(sa) for an
-      uncontrollable a, grade(s) is lowered to grade(sa), the largest
-      value whose meet with plant(sa) stays within grade(sa);
-    * normality: when the class join met with plant(s) exceeds grade(s),
-      every class member above grade(s) is lowered to grade(s);
-    * prefix monotonicity, re-imposed in length order.
+    * controllability, longest string first, so that a lowering reaches
+      the prefixes it forces within the sweep: when
+      min(grade(s), plant(sa)) > grade(sa) for an uncontrollable a,
+      grade(s) is lowered to grade(sa), the largest value whose meet with
+      plant(sa) stays within grade(sa);
+    * normality, with one running join per class of supp(plant): when the
+      join met with plant(s) exceeds grade(s), every class member above
+      grade(s) is lowered to grade(s), so the join becomes exactly
+      grade(s).  The join only falls, so a class takes at most |lattice|
+      repairs per sweep;
+    * prefix monotonicity, shortest string first.
 
     Each lowering is forced in any controllable-and-normal sublanguage, so
-    the iterate stays above them all.  If the empty string's grade ever
-    drops below 1 no valid non-empty sublanguage fits, and the result is
-    the empty language.
+    the iterate stays above them all, and a sweep that changes nothing
+    ends at the greatest one.  If the empty string's grade ever drops
+    below 1 no valid non-empty sublanguage fits, and the result is the
+    empty language.
+
+    Strings only ever leave the iterate, so the string order is the
+    spec's, read once.  A sweep costs O(|supp(plant)| * (|E| + |lattice|));
+    every sweep but the last lowers some grade, which bounds their number
+    by |supp(spec)| * |lattice|, though a few sweeps are typical.
     """
     _require_spec_inside_plant(spec, plant)
     if spec.is_empty:
         return spec
     alphabet = spec.alphabet
     uncontrollable = sorted(alphabet.uncontrollable)
-    plant_classes = projection_classes(pr, (s for s, _ in plant.items()))
+    plant_classes = projection_classes(pr, plant.support)
+    order = spec.support
     current: dict[EventString, Grade] = dict(spec.items())
 
     def lower(s: EventString, value: Grade) -> None:
@@ -113,7 +122,7 @@ def supremal_cn(spec: FuzzyLanguage, plant: FuzzyLanguage, pr: Projection) -> Fu
     changed = True
     while changed and current:
         changed = False
-        for s in sorted(current, key=lambda t: (len(t), t)):
+        for s in reversed(order):
             if s not in current:
                 continue
             for event in uncontrollable:
@@ -122,16 +131,17 @@ def supremal_cn(spec: FuzzyLanguage, plant: FuzzyLanguage, pr: Projection) -> Fu
                 if meet(current.get(s, ZERO), plant.grade(extended)) > have:
                     lower(s, have)
                     changed = True
-        for _, members in plant_classes.items():
+        for members in plant_classes.values():
+            class_join = join_all(current.get(t, ZERO) for t in members)
             for s in members:
                 have = current.get(s, ZERO)
-                class_join = join_all(current.get(t, ZERO) for t in members)
                 if meet(class_join, plant.grade(s)) > have:
                     for t in members:
                         if current.get(t, ZERO) > have:
                             lower(t, have)
-                            changed = True
-        for s in sorted(current, key=lambda t: (len(t), t)):
+                    class_join = have
+                    changed = True
+        for s in order:
             if not s or s not in current:
                 continue
             parent_grade = current.get(s[:-1], ZERO)

@@ -150,6 +150,12 @@ def is_strongly_observable(
     for s iff it holds for s', and (2) spec(sa) = spec(s'a).  A COND1
     witness carries the strict side's equation; a COND2 witness carries
     the two unequal grades.
+
+    Both conditions are equalities, so a class violates them iff some
+    eligible member differs from the first one.  The scan compares that
+    first member with each later one, O(|class|) per event, and reports
+    the first that differs, which is the first violating pair in member
+    order.
     """
     _require_spec_inside_plant(spec, plant)
     if controllables is None:
@@ -158,23 +164,20 @@ def is_strongly_observable(
     witnesses = []
     for _, members in classes.items():
         for event in sorted(controllables):
-            found = None
-            for i, s in enumerate(members):
-                if found:
-                    break
-                sa = s + (event,)
-                if plant.grade(sa) == ZERO:
-                    continue
-                tight_s = spec.grade(sa) == meet(spec.grade(s), plant.grade(sa))
-                for s2 in members[i + 1 :]:
-                    s2a = s2 + (event,)
-                    if plant.grade(s2a) == ZERO:
-                        continue
-                    tight_s2 = spec.grade(s2a) == meet(spec.grade(s2), plant.grade(s2a))
-                    if tight_s != tight_s2:
-                        strict = s2 if tight_s else s
-                        strict_a = strict + (event,)
-                        found = Witness(
+            eligible = (t for t in members if plant.grade(t + (event,)) != ZERO)
+            s = next(eligible, None)
+            if s is None:
+                continue
+            sa = s + (event,)
+            tight_s = spec.grade(sa) == meet(spec.grade(s), plant.grade(sa))
+            for s2 in eligible:
+                s2a = s2 + (event,)
+                tight_s2 = spec.grade(s2a) == meet(spec.grade(s2), plant.grade(s2a))
+                if tight_s != tight_s2:
+                    strict = s2 if tight_s else s
+                    strict_a = strict + (event,)
+                    witnesses.append(
+                        Witness(
                             STRONG_OBS_COND1,
                             strings=(s, s2),
                             event=event,
@@ -182,9 +185,11 @@ def is_strongly_observable(
                             rhs=meet(spec.grade(strict), plant.grade(strict_a)),
                             projection_class=tuple(members),
                         )
-                        break
-                    if spec.grade(sa) != spec.grade(s2a):
-                        found = Witness(
+                    )
+                    break
+                if spec.grade(sa) != spec.grade(s2a):
+                    witnesses.append(
+                        Witness(
                             STRONG_OBS_COND2,
                             strings=(s, s2),
                             event=event,
@@ -192,9 +197,8 @@ def is_strongly_observable(
                             rhs=spec.grade(s2a),
                             projection_class=tuple(members),
                         )
-                        break
-            if found:
-                witnesses.append(found)
+                    )
+                    break
     return CheckReport.failed(witnesses) if witnesses else CheckReport.passed()
 
 

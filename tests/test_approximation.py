@@ -1,15 +1,20 @@
 """Infimal/supremal approximations and the two-bound control problem."""
 
+import itertools
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from fdes import (
     Alphabet,
     FdesError,
+    FuzzyAutomaton,
+    FuzzyLanguage,
     closed_loop_central,
     empty_language,
+    generated_language,
     grade_lattice,
     infimal_co,
     is_controllable,
@@ -17,6 +22,7 @@ from fdes import (
     is_observable,
     is_sublanguage,
     natural_projection,
+    parse_fdl,
     solve_scp,
     supremal_cn,
     union,
@@ -172,3 +178,78 @@ def test_scp_preconditions():
     with pytest.raises(FdesError) as err:
         solve_scp(plant, spec, plant, pr)
     assert err.value.code == "PRECONDITION_CHAIN"
+
+
+# ---------------------------------------------------------------------------
+# Golden outputs of both fixed points on two seeded mid-size instances.  The
+# expected languages in tests/data/golden_*.fdl come from the earlier
+# implementations, which swept the whole support until nothing changed, so
+# any faster schedule must reproduce them exactly.
+
+DATA = Path(__file__).parent / "data"
+TENTHS = [F(k, 10) for k in range(1, 11)]
+
+
+def _spec_under(rng: random.Random, plant: FuzzyLanguage, noise: float) -> FuzzyLanguage:
+    """A spec capped per projection class, with a few strings pushed lower.
+
+    Strings in the class of eps keep their plant grade, so the supremal
+    sublanguage has room to stay non-empty.
+    """
+    observable = plant.alphabet.observable
+    caps = {(): F(1)}
+    grades = {(): F(1)}
+    for s, bound in plant.items():
+        if not s:
+            continue
+        seen = tuple(e for e in s if e in observable)
+        if seen not in caps:
+            caps[seen] = rng.choice(TENTHS[3:])
+        ceiling = min(grades.get(s[:-1], F(0)), bound, caps[seen])
+        if seen and rng.random() < noise:
+            ceiling = rng.choice([F(0)] + [g for g in TENTHS if g < ceiling])
+        if ceiling > 0:
+            grades[s] = ceiling
+    return FuzzyLanguage(plant.alphabet, grades)
+
+
+def blind_tree_instance():
+    """Full ternary tree of depth 5 with only a observable: the class of
+    the strings holding one a has 129 members."""
+    rng = random.Random(1)
+    alphabet = Alphabet({"a", "b", "c"}, controllable={"a", "b"}, observable={"a"})
+    grades = {(): F(1)}
+    for n in range(1, 6):
+        for s in itertools.product("abc", repeat=n):
+            grades[s] = min(grades[s[:-1]], rng.choice(TENTHS[4:]))
+    plant = FuzzyLanguage(alphabet, grades)
+    return alphabet, plant, _spec_under(rng, plant, 0.05)
+
+
+def cyclic_instance():
+    """A random four-state automaton unrolled to horizon 6 (521 strings)."""
+    rng = random.Random(2)
+    alphabet = Alphabet(
+        {"a", "b", "c", "d"}, controllable={"a", "b", "c"}, observable={"a", "b", "d"}
+    )
+    states = ["q0", "q1", "q2", "q3"]
+    transitions = {
+        (p, e, q): rng.choice(TENTHS)
+        for p in states
+        for e in "abcd"
+        for q in states
+        if rng.random() < 0.3
+    }
+    plant = generated_language(FuzzyAutomaton(frozenset(states), alphabet, "q0", transitions), 6)
+    return alphabet, plant, _spec_under(rng, plant, 0.05)
+
+
+@pytest.mark.parametrize(
+    "name, build", [("tree", blind_tree_instance), ("cyclic", cyclic_instance)]
+)
+def test_fixed_points_match_golden_outputs(name, build):
+    alphabet, plant, spec = build()
+    pr = natural_projection(alphabet)
+    expected = parse_fdl((DATA / f"golden_{name}.fdl").read_text()).languages
+    assert infimal_co(spec, plant, pr) == expected["infimal"]
+    assert supremal_cn(spec, plant, pr) == expected["supremal"]

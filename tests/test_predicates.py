@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from fdes import (
+    Alphabet,
     FdesError,
     empty_language,
     natural_projection,
@@ -15,6 +16,7 @@ from fdes.predicates import (
     CONTROLLABILITY,
     NORMALITY,
     OBSERVABILITY,
+    STRONG_OBS_COND1,
     STRONG_OBS_COND2,
     is_controllable,
     is_coobservable,
@@ -100,6 +102,27 @@ def test_strong_observability_witness_pair():
     assert w.strings == ((), ("a",))
     assert w.event == "b"
     assert (w.lhs, w.rhs) == (F(9, 10), F(7, 10))
+
+
+@pytest.mark.parametrize(
+    "last, kind, lhs, rhs",
+    [("0.4", STRONG_OBS_COND1, "0.4", "0.5"), ("0.5", STRONG_OBS_COND2, "0.6", "0.5")],
+)
+def test_strong_observability_witness_after_ineligible_members(last, kind, lhs, rhs):
+    # the class eps, u, u.u, u.u.u: the first two cannot continue with a in
+    # the plant, u.u.a is tight and only u.u.u.a departs from it
+    alphabet = Alphabet({"a", "u"}, controllable={"a"}, observable={"a"})
+    base = {"eps": "1", "u": "0.9", "u.u": "0.8", "u.u.u": "0.7", "u.u.a": "0.6"}
+    plant = lang(alphabet, {**base, "u.u.u.a": "0.5"})
+    spec = lang(alphabet, {**base, "u.u.u.a": last})
+    report = is_strongly_observable(spec, plant, natural_projection(alphabet))
+    assert len(report.witnesses) == 1
+    w = report.witnesses[0]
+    assert w.kind == kind
+    assert w.strings == (("u", "u"), ("u", "u", "u"))
+    assert w.event == "a"
+    assert (w.lhs, w.rhs) == (F(lhs), F(rhs))
+    assert w.projection_class == ((), ("u",), ("u", "u"), ("u", "u", "u"))
 
 
 def test_union_components_strongly_observable():
