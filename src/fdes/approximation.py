@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FdesError
-from .events import EPSILON, EventId, EventString
-from .grades import ONE, ZERO, Grade, join, join_all, meet
+from .events import EPSILON, EventString
+from .grades import ONE, ZERO, Grade, join_all, meet
 from .language import FuzzyLanguage, is_sublanguage
-from .observation import Projection, project_string, projection_classes
+from .observation import Projection, class_joins, project_string, projection_classes
 from .predicates import _require_spec_inside_plant
 from .synthesis import FuzzySupervisor, synthesize_central
 
@@ -58,11 +58,7 @@ def infimal_co(spec: FuzzyLanguage, plant: FuzzyLanguage, pr: Projection) -> Fuz
         return spec
     controllable = spec.alphabet.controllable
     seen = {s: project_string(pr, s) for s in plant.support}
-    joins: dict[tuple[EventString, EventId], Grade] = {}
-    for s, g in spec.items():
-        if s and s[-1] in controllable:
-            key = (seen[s[:-1]], s[-1])
-            joins[key] = join(joins.get(key, ZERO), g)
+    joins = class_joins(spec, seen, controllable)
     current: dict[EventString, Grade] = {EPSILON: ONE}
     for s, bound in plant.items():
         if not s:

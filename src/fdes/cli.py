@@ -16,20 +16,11 @@ from . import approximation, oracle, predicates, synthesis
 from .automaton import generated_language
 from .errors import ConditionViolated, FdesError
 from .events import parse_event_string, render_event_string
-from .fdl import FdlDocument, emit_fdl, parse_documents, section_names
+from .fdl import _SECTION_TABLES, FdlDocument, emit_fdl, parse_documents, section_names
 from .grades import render_grade
 from .language import concatenation, intersection, is_sublanguage, union
 from .observation import Projection, natural_projection, project_language
 from .predicates import CheckReport
-
-_KIND_TABLES = {
-    "alphabet": "alphabets",
-    "sites": "sites",
-    "language": "languages",
-    "automaton": "automata",
-    "supervisor": "supervisors",
-}
-
 
 def _read(path: str) -> tuple[str, str]:
     try:
@@ -49,14 +40,20 @@ def _pick(doc: FdlDocument, texts: dict[str, str], path: str, kind: str):
     if len(found) != 1:
         names = ", ".join(found) or "none"
         raise FdesError("SYNTAX_ERROR", f"{path}: expected exactly one {kind} section, found: {names}")
-    return found[0], getattr(doc, _KIND_TABLES[kind])[found[0]]
+    return found[0], getattr(doc, _SECTION_TABLES[kind])[found[0]]
+
+
+def _load_plant_spec(args, sites: str | None = None):
+    """Load --plant, --spec and the sites file if given; pick the two languages."""
+    doc, texts = _load([args.plant, args.spec] + ([sites] if sites else []))
+    _, plant = _pick(doc, texts, args.plant, "language")
+    _, spec = _pick(doc, texts, args.spec, "language")
+    return doc, plant, spec
 
 
 def _sites_pair(doc: FdlDocument, alphabet):
     _, decl = doc.single("sites")
-    site1 = (Projection(alphabet, decl.site1.observable), decl.site1.controllable)
-    site2 = (Projection(alphabet, decl.site2.observable), decl.site2.controllable)
-    return site1, site2
+    return [(Projection(alphabet, s.observable), s.controllable) for s in (decl.site1, decl.site2)]
 
 
 def _witness_json(w: predicates.Witness) -> dict:
@@ -129,7 +126,7 @@ def _write_out(text: str, out: str | None) -> None:
 
 def _cmd_validate(args) -> int:
     doc, _ = _load(args.files)
-    for kind, table in _KIND_TABLES.items():
+    for kind, table in _SECTION_TABLES.items():
         names = sorted(getattr(doc, table))
         if names:
             print(f"{kind}: {' '.join(names)}")
@@ -138,10 +135,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    paths = [args.plant, args.spec] + ([args.sites] if args.sites else [])
-    doc, texts = _load(paths)
-    _, plant = _pick(doc, texts, args.plant, "language")
-    _, spec = _pick(doc, texts, args.spec, "language")
+    doc, plant, spec = _load_plant_spec(args, args.sites)
     alphabet = plant.alphabet
     if args.property == "controllable":
         report = predicates.is_controllable(spec, plant)
@@ -152,16 +146,12 @@ def _cmd_check(args) -> int:
     elif args.property == "normal":
         report = predicates.is_normal(spec, plant, natural_projection(alphabet))
     else:
-        site1, site2 = _sites_pair(doc, alphabet)
-        report = predicates.is_coobservable(spec, plant, site1, site2)
+        report = predicates.is_coobservable(spec, plant, *_sites_pair(doc, alphabet))
     return _print_report(args.property, report, args.json)
 
 
 def _cmd_synthesize(args) -> int:
-    paths = [args.plant, args.spec] + ([args.sites] if args.sites else [])
-    doc, texts = _load(paths)
-    _, plant = _pick(doc, texts, args.plant, "language")
-    _, spec = _pick(doc, texts, args.spec, "language")
+    doc, plant, spec = _load_plant_spec(args, args.sites)
     alphabet = plant.alphabet
     if args.mode == "central":
         supervisor = synthesis.synthesize_central(
@@ -191,9 +181,7 @@ def _cmd_closed_loop(args) -> int:
 
 
 def _cmd_extremal(args, which: str) -> int:
-    doc, texts = _load([args.plant, args.spec])
-    _, plant = _pick(doc, texts, args.plant, "language")
-    _, spec = _pick(doc, texts, args.spec, "language")
+    doc, plant, spec = _load_plant_spec(args)
     pr = natural_projection(plant.alphabet)
     if which == "infimal-co":
         result = approximation.infimal_co(spec, plant, pr)
@@ -285,9 +273,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    doc, texts = _load([args.plant, args.spec])
-    _, plant = _pick(doc, texts, args.plant, "language")
-    _, spec = _pick(doc, texts, args.spec, "language")
+    doc, plant, spec = _load_plant_spec(args)
     pr = natural_projection(plant.alphabet)
     if args.op == "supervisor-exists":
         exists = oracle.brute_supervisor_exists(spec, plant, pr, budget=args.budget)

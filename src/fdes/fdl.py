@@ -27,7 +27,14 @@ from .language import FuzzyLanguage
 from .observation import Projection
 from .synthesis import FuzzySupervisor, make_supervisor
 
-_SECTION_KINDS = ("alphabet", "sites", "language", "automaton", "supervisor")
+# Section kind -> the FdlDocument table holding its sections, in build order.
+_SECTION_TABLES = {
+    "alphabet": "alphabets",
+    "sites": "sites",
+    "language": "languages",
+    "automaton": "automata",
+    "supervisor": "supervisors",
+}
 
 
 @dataclass
@@ -49,13 +56,7 @@ class FdlDocument:
 
     def single(self, kind: str):
         """The unique entity of a kind, as (name, value); error otherwise."""
-        singular = {
-            "alphabets": "alphabet",
-            "sites": "sites",
-            "languages": "language",
-            "automata": "automaton",
-            "supervisors": "supervisor",
-        }[kind]
+        singular = next(k for k, table in _SECTION_TABLES.items() if table == kind)
         table = getattr(self, kind)
         if len(table) != 1:
             names = ", ".join(sorted(table)) or "none"
@@ -84,6 +85,22 @@ def _fail(source: str, line: int, message: str, code: str = "SYNTAX_ERROR"):
     raise FdesError(code, message, location=f"{source}:{line}")
 
 
+class _located:
+    """Context manager: re-raise an FdesError from its body at source:line."""
+
+    __slots__ = ("source", "line")
+
+    def __init__(self, source: str, line: int):
+        self.source, self.line = source, line
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, err, traceback):
+        if isinstance(err, FdesError):
+            raise FdesError(err.code, err.message, f"{self.source}:{self.line}") from None
+
+
 def _split_sections(source: str, text: str) -> list[_RawSection]:
     sections: list[_RawSection] = []
     current: _RawSection | None = None
@@ -98,7 +115,7 @@ def _split_sections(source: str, text: str) -> list[_RawSection]:
             if len(header) != 2:
                 _fail(source, lineno, "section header must be [kind name]")
             kind, name = header
-            if kind not in _SECTION_KINDS:
+            if kind not in _SECTION_TABLES:
                 _fail(source, lineno, f"unknown section kind {kind!r}")
             current = _RawSection(kind, name, source, lineno, [])
             sections.append(current)
@@ -127,10 +144,8 @@ def _build_alphabet(section: _RawSection) -> Alphabet:
             observable = payload
         else:
             _fail(section.source, lineno, f"unknown alphabet line {key!r}")
-    try:
+    with _located(section.source, section.line):
         return Alphabet(frozenset(events), frozenset(controllable), frozenset(observable))
-    except FdesError as err:
-        raise FdesError(err.code, err.message, f"{section.source}:{section.line}") from None
 
 
 def _build_sites(section: _RawSection, alphabets: dict[str, Alphabet]) -> SitesDecl:
@@ -155,18 +170,14 @@ def _build_sites(section: _RawSection, alphabets: dict[str, Alphabet]) -> SitesD
     if alphabet_name not in alphabets:
         _fail(section.source, section.line, f"unknown alphabet {alphabet_name!r}")
     alphabet = alphabets[alphabet_name]
-    site1 = SiteSpec(
-        frozenset(parts.get(("1", "controllable"), [])),
-        frozenset(parts.get(("1", "observable"), [])),
+    site1, site2 = (
+        SiteSpec(
+            frozenset(parts.get((i, "controllable"), [])), frozenset(parts.get((i, "observable"), []))
+        )
+        for i in ("1", "2")
     )
-    site2 = SiteSpec(
-        frozenset(parts.get(("2", "controllable"), [])),
-        frozenset(parts.get(("2", "observable"), [])),
-    )
-    try:
+    with _located(section.source, section.line):
         alphabet.with_sites(site1, site2)
-    except FdesError as err:
-        raise FdesError(err.code, err.message, f"{section.source}:{section.line}") from None
     return SitesDecl(alphabet_name, site1, site2)
 
 
@@ -183,20 +194,16 @@ def _build_language(section: _RawSection, alphabets: dict[str, Alphabet]) -> Fuz
             continue
         if len(words) != 2:
             _fail(section.source, lineno, "expected: <string> <grade>")
-        try:
+        with _located(section.source, lineno):
             s = parse_event_string(words[0])
             g = parse_grade(words[1])
-        except FdesError as err:
-            raise FdesError(err.code, err.message, f"{section.source}:{lineno}") from None
         if s in entries:
             _fail(section.source, lineno, f"duplicate string {words[0]}", "DUPLICATE_STRING")
         entries[s] = g
     if alphabet is None:
         _fail(section.source, section.line, "language section needs an alphabet line")
-    try:
+    with _located(section.source, section.line):
         return FuzzyLanguage(alphabet, entries)
-    except FdesError as err:
-        raise FdesError(err.code, err.message, f"{section.source}:{section.line}") from None
 
 
 def _build_automaton(section: _RawSection, alphabets: dict[str, Alphabet]) -> FuzzyAutomaton:
@@ -219,19 +226,15 @@ def _build_automaton(section: _RawSection, alphabets: dict[str, Alphabet]) -> Fu
         elif key == "trans":
             if len(payload) != 4:
                 _fail(section.source, lineno, "expected: trans <from> <event> <to> <grade>")
-            try:
+            with _located(section.source, lineno):
                 grade = parse_grade(payload[3])
-            except FdesError as err:
-                raise FdesError(err.code, err.message, f"{section.source}:{lineno}") from None
             transitions[(payload[0], payload[1], payload[2])] = grade
         else:
             _fail(section.source, lineno, f"unknown automaton line {key!r}")
     if alphabet is None or initial is None:
         _fail(section.source, section.line, "automaton section needs alphabet and initial lines")
-    try:
+    with _located(section.source, section.line):
         return FuzzyAutomaton(frozenset(states), alphabet, initial, transitions)
-    except FdesError as err:
-        raise FdesError(err.code, err.message, f"{section.source}:{section.line}") from None
 
 
 def _build_supervisor(section: _RawSection, alphabets: dict[str, Alphabet]) -> FuzzySupervisor:
@@ -253,10 +256,8 @@ def _build_supervisor(section: _RawSection, alphabets: dict[str, Alphabet]) -> F
         elif key == "obs":
             if len(payload) != 1:
                 _fail(section.source, lineno, "obs line takes one observed string")
-            try:
+            with _located(section.source, lineno):
                 observed = parse_event_string(payload[0])
-            except FdesError as err:
-                raise FdesError(err.code, err.message, f"{section.source}:{lineno}") from None
             if observed in rows:
                 _fail(section.source, lineno, f"duplicate row {payload[0]}", "DUPLICATE_STRING")
             current_row = {}
@@ -266,10 +267,8 @@ def _build_supervisor(section: _RawSection, alphabets: dict[str, Alphabet]) -> F
                 _fail(section.source, lineno, "enable line before any obs line")
             if len(payload) != 2:
                 _fail(section.source, lineno, "expected: enable <event> <grade>")
-            try:
+            with _located(section.source, lineno):
                 current_row[payload[0]] = parse_grade(payload[1])
-            except FdesError as err:
-                raise FdesError(err.code, err.message, f"{section.source}:{lineno}") from None
         else:
             _fail(section.source, lineno, f"unknown supervisor line {key!r}")
     if alphabet is None or observable is None or controllable is None:
@@ -278,11 +277,9 @@ def _build_supervisor(section: _RawSection, alphabets: dict[str, Alphabet]) -> F
             section.line,
             "supervisor section needs alphabet, observable, and controllable lines",
         )
-    try:
+    with _located(section.source, section.line):
         projection = Projection(alphabet, frozenset(observable))
         return make_supervisor(projection, frozenset(controllable), rows)
-    except FdesError as err:
-        raise FdesError(err.code, err.message, f"{section.source}:{section.line}") from None
 
 
 def parse_documents(named_texts: list[tuple[str, str]]) -> FdlDocument:
@@ -291,7 +288,7 @@ def parse_documents(named_texts: list[tuple[str, str]]) -> FdlDocument:
     for source, text in named_texts:
         sections.extend(_split_sections(source, text))
     doc = FdlDocument()
-    ordered = sorted(sections, key=lambda s: _SECTION_KINDS.index(s.kind))
+    ordered = sorted(sections, key=lambda s: list(_SECTION_TABLES).index(s.kind))
     builders = {
         "alphabet": lambda s: _build_alphabet(s),
         "sites": lambda s: _build_sites(s, doc.alphabets),
@@ -299,16 +296,9 @@ def parse_documents(named_texts: list[tuple[str, str]]) -> FdlDocument:
         "automaton": lambda s: _build_automaton(s, doc.alphabets),
         "supervisor": lambda s: _build_supervisor(s, doc.alphabets),
     }
-    tables = {
-        "alphabet": "alphabets",
-        "sites": "sites",
-        "language": "languages",
-        "automaton": "automata",
-        "supervisor": "supervisors",
-    }
     for section in ordered:
         value = builders[section.kind](section)
-        table = getattr(doc, tables[section.kind])
+        table = getattr(doc, _SECTION_TABLES[section.kind])
         if section.name in table:
             if table[section.name] != value:
                 _fail(

@@ -72,14 +72,6 @@ def join(a: Grade, b: Grade) -> Grade:
     return a if a >= b else b
 
 
-def meet_all(values: Iterable[Grade], default: Grade = ONE) -> Grade:
-    out = default
-    for v in values:
-        if v < out:
-            out = v
-    return out
-
-
 def join_all(values: Iterable[Grade], default: Grade = ZERO) -> Grade:
     out = default
     for v in values:

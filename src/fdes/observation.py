@@ -8,11 +8,11 @@ finite-support language (see ``inverse_project_meet``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .errors import FdesError
 from .events import Alphabet, EventId, EventString, string_key
-from .grades import join, meet
+from .grades import ZERO, Grade, join, meet
 from .language import FuzzyLanguage
 
 
@@ -52,6 +52,28 @@ def projection_classes(
         t: sorted(members, key=string_key)
         for t, members in sorted(buckets.items(), key=lambda kv: string_key(kv[0]))
     }
+
+
+def class_joins(
+    language: FuzzyLanguage,
+    seen: Mapping[EventString, EventString],
+    events: Iterable[EventId],
+) -> dict[tuple[EventString, EventId], Grade]:
+    """The class join (P(s), a) -> max language(sa) over the strings s in ``seen``.
+
+    ``seen`` maps each class member to its projection, as the caller holds
+    it, so nothing is projected here.  Absent keys mean 0.  One pass over
+    supp(language).
+    """
+    events = frozenset(events)
+    joins: dict[tuple[EventString, EventId], Grade] = {}
+    for s, g in language.items():
+        if s and s[-1] in events:
+            observed = seen.get(s[:-1])
+            if observed is not None:
+                key = (observed, s[-1])
+                joins[key] = join(joins.get(key, ZERO), g)
+    return joins
 
 
 def observed_alphabet(pr: Projection) -> Alphabet:

@@ -9,24 +9,26 @@ oracles certify the production code paths at desk scale only.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .approximation import grade_lattice
 from .errors import FdesError
 from .events import EPSILON, Alphabet, EventId, EventString, string_key
 from .grades import ONE, ZERO, Grade, meet
 from .language import FuzzyLanguage, empty_language, intersection, union
-from .observation import Projection, project_string, projection_classes
+from .observation import Projection, project_string
 from .predicates import (
     Site,
     _require_spec_inside_plant,
     _resolve_sites,
+    _scan_setup,
     is_controllable,
     is_normal,
     is_observable,
 )
-from .synthesis import closed_loop_central, make_supervisor
+from .synthesis import _closed_loop, make_supervisor
 
 DEFAULT_BUDGET = 20_000
 
@@ -181,6 +183,37 @@ def _cell_candidates(
     return tuple(sorted(values))
 
 
+def _brute_sites_exist(
+    spec: FuzzyLanguage,
+    plant: FuzzyLanguage,
+    sites: Sequence[Site],
+    budget: int,
+    extra_grades: tuple[Grade, ...],
+) -> bool:
+    """Exhaustively search one supervisor per site for a joint closed loop
+    equal to the spec; every (site, observed string, event) cell ranges
+    over its ``_cell_candidates``."""
+    site_observed = []
+    cells = []
+    options = []
+    for index, (pr, ctrl) in enumerate(sites):
+        observed = sorted({project_string(pr, s) for s, _ in plant.items()}, key=string_key)
+        site_observed.append(observed)
+        for t in observed:
+            for e in sorted(ctrl):
+                cells.append((index, t, e))
+                options.append(_cell_candidates(spec, pr, t, e, extra_grades))
+    _check_budget(math.prod(map(len, options)), budget)
+    for choice in itertools.product(*options):
+        rows = [{t: {} for t in observed} for observed in site_observed]
+        for (index, t, e), grade in zip(cells, choice):
+            rows[index][t][e] = grade
+        supervisors = [make_supervisor(pr, ctrl, r) for (pr, ctrl), r in zip(sites, rows)]
+        if _closed_loop(plant, supervisors) == spec:
+            return True
+    return False
+
+
 def brute_supervisor_exists(
     spec: FuzzyLanguage,
     plant: FuzzyLanguage,
@@ -195,22 +228,8 @@ def brute_supervisor_exists(
     which the test suite spot checks with lattice midpoints.
     """
     _require_spec_inside_plant(spec, plant)
-    alphabet = spec.alphabet
-    observed = sorted({project_string(pr, s) for s, _ in plant.items()}, key=string_key)
-    cells = [(t, e) for t in observed for e in sorted(alphabet.controllable)]
-    options = [_cell_candidates(spec, pr, t, e, extra_grades) for t, e in cells]
-    count = 1
-    for values in options:
-        count *= len(values)
-    _check_budget(count, budget)
-    for choice in itertools.product(*options):
-        rows: dict[EventString, dict[EventId, Grade]] = {t: {} for t in observed}
-        for (t, e), grade in zip(cells, choice):
-            rows[t][e] = grade
-        supervisor = make_supervisor(pr, alphabet.controllable, rows)
-        if closed_loop_central(plant, supervisor) == spec:
-            return True
-    return False
+    sites = [(pr, spec.alphabet.controllable)]
+    return _brute_sites_exist(spec, plant, sites, budget, extra_grades)
 
 
 def brute_decentralized_exists(
@@ -221,37 +240,9 @@ def brute_decentralized_exists(
     budget: int = DEFAULT_BUDGET,
 ) -> bool:
     """Two-supervisor analog of the exhaustive achievability search."""
-    from .synthesis import closed_loop_decentralized
-
     _require_spec_inside_plant(spec, plant)
-    alphabet = spec.alphabet
-    (pr1, ctrl1), (pr2, ctrl2) = _resolve_sites(alphabet, site1, site2)
-    sites = ((pr1, ctrl1), (pr2, ctrl2))
-    site_observed = []
-    cells = []
-    options = []
-    for pr, ctrl in sites:
-        observed = sorted({project_string(pr, s) for s, _ in plant.items()}, key=string_key)
-        site_observed.append(observed)
-        for t in observed:
-            for e in sorted(ctrl):
-                cells.append((len(site_observed) - 1, t, e))
-                options.append(_cell_candidates(spec, pr, t, e, ()))
-    count = 1
-    for values in options:
-        count *= len(values)
-    _check_budget(count, budget)
-    for choice in itertools.product(*options):
-        rows: list[dict[EventString, dict[EventId, Grade]]] = [
-            {t: {} for t in observed} for observed in site_observed
-        ]
-        for (index, t, e), grade in zip(cells, choice):
-            rows[index][t][e] = grade
-        s1 = make_supervisor(pr1, ctrl1, rows[0])
-        s2 = make_supervisor(pr2, ctrl2, rows[1])
-        if closed_loop_decentralized(plant, s1, s2) == spec:
-            return True
-    return False
+    sites = _resolve_sites(spec.alphabet, site1, site2)
+    return _brute_sites_exist(spec, plant, sites, budget, ())
 
 
 def _solution_interval(
@@ -281,12 +272,9 @@ def observable_pairwise(
     solve s''s; with solution sets being points or up-closed intervals the
     existential reduces to an interval intersection test.
     """
-    _require_spec_inside_plant(spec, plant)
-    if controllables is None:
-        controllables = spec.alphabet.controllable
-    classes = projection_classes(pr, (s for s, _ in spec.items()))
+    events, classes = _scan_setup(spec, plant, pr, controllables)
     for members in classes.values():
-        for event in sorted(controllables):
+        for event in events:
             for s in members:
                 if spec.grade(s + (event,)) == ZERO:
                     continue
@@ -316,12 +304,9 @@ def strongly_observable_direct(
     The solution set for s is {low} or [low, 1]; since the partner's
     equation is monotone in x it suffices to test the endpoint values.
     """
-    _require_spec_inside_plant(spec, plant)
-    if controllables is None:
-        controllables = spec.alphabet.controllable
-    classes = projection_classes(pr, (s for s, _ in spec.items()))
+    events, classes = _scan_setup(spec, plant, pr, controllables)
     for members in classes.values():
-        for event in sorted(controllables):
+        for event in events:
             for s in members:
                 if spec.grade(s + (event,)) == ZERO:
                     continue

@@ -11,10 +11,11 @@ from dataclasses import dataclass
 
 from .errors import FdesError
 from .events import Alphabet, EventId, EventString
-from .grades import ZERO, Grade, join_all, meet
+from .grades import ZERO, Grade, meet
 from .language import FuzzyLanguage, is_sublanguage
 from .observation import (
     Projection,
+    class_joins,
     inverse_project_meet,
     project_language,
     project_string,
@@ -63,11 +64,25 @@ class CheckReport:
         return cls(False, tuple(witnesses))
 
 
+def _inverted(classes: dict[EventString, list[EventString]]) -> dict[EventString, EventString]:
+    """String -> projection, from the projection -> members map of the classes."""
+    return {s: observed for observed, members in classes.items() for s in members}
+
+
 def _require_spec_inside_plant(spec: FuzzyLanguage, plant: FuzzyLanguage) -> None:
     if spec.alphabet != plant.alphabet:
         raise FdesError("ALPHABET_MISMATCH", "specification and plant use different alphabets")
     if not is_sublanguage(spec, plant):
         raise FdesError("NOT_SUBLANGUAGE", "specification is not contained in the plant language")
+
+
+def _scan_setup(spec: FuzzyLanguage, plant: FuzzyLanguage, pr: Projection, controllables):
+    """Checked inputs of a class scan: the events to scan, sorted (E_c by
+    default), and the projection classes of supp(spec)."""
+    _require_spec_inside_plant(spec, plant)
+    if controllables is None:
+        controllables = spec.alphabet.controllable
+    return sorted(controllables), projection_classes(pr, (s for s, _ in spec.items()))
 
 
 def is_controllable(spec: FuzzyLanguage, plant: FuzzyLanguage) -> CheckReport:
@@ -109,14 +124,12 @@ def is_observable(
     member s' must then satisfy spec(s'a) = min(spec(s'), plant(s'a), x).
     The first violation per (class, event) is reported.
     """
-    _require_spec_inside_plant(spec, plant)
-    if controllables is None:
-        controllables = spec.alphabet.controllable
-    classes = projection_classes(pr, (s for s, _ in spec.items()))
+    events, classes = _scan_setup(spec, plant, pr, controllables)
+    joins = class_joins(spec, _inverted(classes), events)
     witnesses = []
-    for _, members in classes.items():
-        for event in sorted(controllables):
-            shared = join_all(spec.grade(t + (event,)) for t in members)
+    for observed, members in classes.items():
+        for event in events:
+            shared = joins.get((observed, event), ZERO)
             if shared == ZERO:
                 continue
             for s in members:
@@ -157,13 +170,10 @@ def is_strongly_observable(
     the first that differs, which is the first violating pair in member
     order.
     """
-    _require_spec_inside_plant(spec, plant)
-    if controllables is None:
-        controllables = spec.alphabet.controllable
-    classes = projection_classes(pr, (s for s, _ in spec.items()))
+    events, classes = _scan_setup(spec, plant, pr, controllables)
     witnesses = []
     for _, members in classes.items():
-        for event in sorted(controllables):
+        for event in events:
             eligible = (t for t in members if plant.grade(t + (event,)) != ZERO)
             s = next(eligible, None)
             if s is None:
@@ -232,9 +242,7 @@ def _resolve_sites(alphabet: Alphabet, site1: Site | None, site2: Site | None) -
     if site1 is None and site2 is None:
         if alphabet.sites is None:
             raise FdesError("SITE_COVER_VIOLATION", "no sites given and alphabet declares none")
-        s1, s2 = alphabet.sites
-        site1 = (Projection(alphabet, s1.observable), s1.controllable)
-        site2 = (Projection(alphabet, s2.observable), s2.controllable)
+        site1, site2 = ((Projection(alphabet, s.observable), s.controllable) for s in alphabet.sites)
     if site1 is None or site2 is None:
         raise FdesError("SITE_COVER_VIOLATION", "exactly two sites are required")
     for pr, _ in (site1, site2):
@@ -266,29 +274,24 @@ def is_coobservable(
     support = [s for s, _ in spec.items()]
     classes1 = projection_classes(pr1, support)
     classes2 = projection_classes(pr2, support)
-    joins1: dict[tuple[EventString, EventId], Grade] = {}
-    joins2: dict[tuple[EventString, EventId], Grade] = {}
+    seen1, seen2 = _inverted(classes1), _inverted(classes2)
+    joins1 = class_joins(spec, seen1, ctrl1)
+    joins2 = class_joins(spec, seen2, ctrl2)
+    events = sorted(ctrl1 | ctrl2)
     witnesses = []
-    seen: set[tuple[EventString, EventString, EventId]] = set()
+    reported: set[tuple[EventString, EventString, EventId]] = set()
     for s in support:
-        t1 = project_string(pr1, s)
-        t2 = project_string(pr2, s)
-        for event in sorted(ctrl1 | ctrl2):
-            if (t1, t2, event) in seen:
+        t1, t2 = seen1[s], seen2[s]
+        for event in events:
+            if (t1, t2, event) in reported:
                 continue
             in1 = event in ctrl1
             in2 = event in ctrl2
             rhs = meet(spec.grade(s), plant.grade(s + (event,)))
             if in1:
-                key = (t1, event)
-                if key not in joins1:
-                    joins1[key] = join_all(spec.grade(t + (event,)) for t in classes1[t1])
-                rhs = meet(rhs, joins1[key])
+                rhs = meet(rhs, joins1.get((t1, event), ZERO))
             if in2:
-                key = (t2, event)
-                if key not in joins2:
-                    joins2[key] = join_all(spec.grade(t + (event,)) for t in classes2[t2])
-                rhs = meet(rhs, joins2[key])
+                rhs = meet(rhs, joins2.get((t2, event), ZERO))
             lhs = spec.grade(s + (event,))
             if lhs != rhs:
                 if in1 and in2:
@@ -307,5 +310,5 @@ def is_coobservable(
                         projection_class=tuple(members),
                     )
                 )
-                seen.add((t1, t2, event))
+                reported.add((t1, t2, event))
     return CheckReport.failed(witnesses) if witnesses else CheckReport.passed()

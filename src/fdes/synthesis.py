@@ -1,22 +1,29 @@
 """Supervisor synthesis and closed-loop language computation.
 
 A supervisor maps each observed string to per-event enable grades; events
-it may not restrict are pinned to grade 1.  Synthesis follows the
-constructive recipe: a controllable event's enable grade after observation
-t is the join of the specification's grades over the continuations of all
-support strings the supervisor cannot distinguish from t.
+it may not restrict are pinned to grade 1.  Control is split into sites,
+each a (projection, controllable events) pair with one local supervisor.
+One row builder serves every site by the constructive recipe: a
+controllable event's enable grade after observation t is the join of the
+specification's grades over the continuations of all support strings the
+site cannot distinguish from t (``observation.class_joins``).  One sweep
+computes the closed loop, meeting every supervisor's enable grade, so the
+supervisors act conjunctively.  Central control is the one-site case,
+achievable iff the spec is controllable and observable; two sites need
+it controllable and co-observable.  The central and two-site functions
+are thin wrappers over these shared paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping, Sequence
 
 from .errors import ConditionViolated, FdesError
 from .events import EventId, EventString, render_event_string, string_key
-from .grades import ONE, ZERO, Grade, as_grade, join_all, meet
+from .grades import ONE, ZERO, Grade, as_grade, meet
 from .language import FuzzyLanguage, empty_language, is_sublanguage
-from .observation import Projection, project_string, projection_classes
+from .observation import Projection, class_joins, project_string
 from .predicates import (
     Site,
     _require_spec_inside_plant,
@@ -103,9 +110,74 @@ def make_supervisor(
     return FuzzySupervisor(projection, controllables, table)
 
 
-def _observed_domain(plant: FuzzyLanguage, pr: Projection) -> list[EventString]:
-    observed = {project_string(pr, s) for s, _ in plant.items()}
-    return sorted(observed, key=string_key)
+def _synthesize(
+    spec: FuzzyLanguage,
+    plant: FuzzyLanguage,
+    resolve_sites: Callable[[], Sequence[Site]],
+    force: bool,
+) -> list[FuzzySupervisor]:
+    """One formula supervisor per (projection, controllables) site.
+
+    ``resolve_sites()`` runs after the spec's own checks, which keeps each
+    wrapper's error order.  One site needs an observable spec, two a
+    co-observable one.  Rows cover every projection of supp(plant).
+    """
+    if spec.is_empty:
+        raise FdesError("EMPTY_SPEC", "cannot synthesize for the empty specification")
+    _require_spec_inside_plant(spec, plant)
+    sites = resolve_sites()
+    if not force:
+        if len(sites) == 1:
+            condition = ("observable", is_observable(spec, plant, *sites[0]))
+        else:
+            condition = ("co-observable", is_coobservable(spec, plant, *sites))
+        for name, report in (("controllable", is_controllable(spec, plant)), condition):
+            if not report.holds:
+                raise ConditionViolated(f"specification is not {name}", report)
+    events = spec.alphabet.events
+    supervisors = []
+    for pr, ctrl in sites:
+        seen = {s: project_string(pr, s) for s in plant.support}
+        joins = class_joins(spec, seen, ctrl)
+        rows = {
+            observed: {e: joins.get((observed, e), ZERO) if e in ctrl else ONE for e in events}
+            for observed in dict.fromkeys(seen.values())
+        }
+        supervisors.append(FuzzySupervisor(pr, ctrl, rows))
+    return supervisors
+
+
+def _closed_loop(plant: FuzzyLanguage, supervisors: Sequence[FuzzySupervisor]) -> FuzzyLanguage:
+    """The closed loop under all the supervisors at once: every enable grade is met in."""
+    for sup in supervisors:
+        if sup.projection.alphabet != plant.alphabet:
+            raise FdesError("ALPHABET_MISMATCH", "supervisor and plant use different alphabets")
+    if plant.is_empty:
+        return empty_language(plant.alphabet)
+    views = []
+    for sup in supervisors:
+        seen = {s: project_string(sup.projection, s) for s in plant.support}
+        missing = {observed for observed in seen.values() if observed not in sup.table}
+        if missing:
+            raise FdesError(
+                "SUPERVISOR_DOMAIN_GAP",
+                f"supervisor lacks a row for {render_event_string(min(missing, key=string_key))}",
+            )
+        views.append((seen, sup))
+    result: dict[EventString, Grade] = {}
+    for s, plant_grade in plant.items():
+        if not s:
+            result[s] = ONE
+            continue
+        parent, event = s[:-1], s[-1]
+        grade = meet(plant_grade, result.get(parent, ZERO))
+        if grade == ZERO:
+            continue
+        for seen, sup in views:
+            grade = meet(grade, sup.enable_grade(seen[parent], event))
+        if grade > ZERO:
+            result[s] = grade
+    return FuzzyLanguage(plant.alphabet, result)
 
 
 def synthesize_central(
@@ -121,29 +193,7 @@ def synthesize_central(
     failing report is raised; with ``force`` the formula supervisor is
     returned regardless (its closed loop then need not equal the spec).
     """
-    if spec.is_empty:
-        raise FdesError("EMPTY_SPEC", "cannot synthesize for the empty specification")
-    _require_spec_inside_plant(spec, plant)
-    if not force:
-        for name, report in (
-            ("controllable", is_controllable(spec, plant)),
-            ("observable", is_observable(spec, plant, pr)),
-        ):
-            if not report.holds:
-                raise ConditionViolated(f"specification is not {name}", report)
-    alphabet = spec.alphabet
-    classes = projection_classes(pr, (s for s, _ in spec.items()))
-    rows: dict[EventString, Row] = {}
-    for observed in _observed_domain(plant, pr):
-        members = classes.get(observed, [])
-        row: Row = {}
-        for event in alphabet.events:
-            if event in alphabet.controllable:
-                row[event] = join_all(spec.grade(t + (event,)) for t in members)
-            else:
-                row[event] = ONE
-        rows[observed] = row
-    return FuzzySupervisor(pr, alphabet.controllable, rows)
+    return _synthesize(spec, plant, lambda: [(pr, spec.alphabet.controllable)], force)[0]
 
 
 def closed_loop_central(plant: FuzzyLanguage, supervisor: FuzzySupervisor) -> FuzzyLanguage:
@@ -152,31 +202,7 @@ def closed_loop_central(plant: FuzzyLanguage, supervisor: FuzzySupervisor) -> Fu
     Evaluated over the plant support in length order; strings the plant
     excludes never enter the result, so the support stays finite.
     """
-    if supervisor.projection.alphabet != plant.alphabet:
-        raise FdesError("ALPHABET_MISMATCH", "supervisor and plant use different alphabets")
-    if plant.is_empty:
-        return empty_language(plant.alphabet)
-    pr = supervisor.projection
-    for observed in _observed_domain(plant, pr):
-        if observed not in supervisor.table:
-            raise FdesError(
-                "SUPERVISOR_DOMAIN_GAP",
-                f"supervisor lacks a row for {render_event_string(observed)}",
-            )
-    result: dict[EventString, Grade] = {}
-    for s, plant_grade in plant.items():
-        if not s:
-            result[s] = ONE
-            continue
-        parent, event = s[:-1], s[-1]
-        upstream = result.get(parent, ZERO)
-        if upstream == ZERO:
-            continue
-        enable = supervisor.enable_grade(project_string(pr, parent), event)
-        grade = meet(meet(plant_grade, enable), upstream)
-        if grade > ZERO:
-            result[s] = grade
-    return FuzzyLanguage(plant.alphabet, result)
+    return _closed_loop(plant, [supervisor])
 
 
 def synthesize_decentralized(
@@ -192,65 +218,14 @@ def synthesize_decentralized(
     supervisor restricts only its site's controllable events and observes
     through its site's projection.
     """
-    if spec.is_empty:
-        raise FdesError("EMPTY_SPEC", "cannot synthesize for the empty specification")
-    _require_spec_inside_plant(spec, plant)
-    resolved1, resolved2 = _resolve_sites(spec.alphabet, site1, site2)
-    if not force:
-        for name, report in (
-            ("controllable", is_controllable(spec, plant)),
-            ("co-observable", is_coobservable(spec, plant, resolved1, resolved2)),
-        ):
-            if not report.holds:
-                raise ConditionViolated(f"specification is not {name}", report)
-    supervisors = []
-    for pr, ctrl in (resolved1, resolved2):
-        classes = projection_classes(pr, (s for s, _ in spec.items()))
-        rows: dict[EventString, Row] = {}
-        for observed in _observed_domain(plant, pr):
-            members = classes.get(observed, [])
-            row: Row = {}
-            for event in spec.alphabet.events:
-                if event in ctrl:
-                    row[event] = join_all(spec.grade(t + (event,)) for t in members)
-                else:
-                    row[event] = ONE
-            rows[observed] = row
-        supervisors.append(FuzzySupervisor(pr, ctrl, rows))
-    return supervisors[0], supervisors[1]
+    return tuple(_synthesize(spec, plant, lambda: _resolve_sites(spec.alphabet, site1, site2), force))
 
 
 def closed_loop_decentralized(
     plant: FuzzyLanguage, s1: FuzzySupervisor, s2: FuzzySupervisor
 ) -> FuzzyLanguage:
     """Joint supervision: both supervisors' enable grades are met together."""
-    for sup in (s1, s2):
-        if sup.projection.alphabet != plant.alphabet:
-            raise FdesError("ALPHABET_MISMATCH", "supervisor and plant use different alphabets")
-    if plant.is_empty:
-        return empty_language(plant.alphabet)
-    for sup in (s1, s2):
-        for observed in _observed_domain(plant, sup.projection):
-            if observed not in sup.table:
-                raise FdesError(
-                    "SUPERVISOR_DOMAIN_GAP",
-                    f"supervisor lacks a row for {render_event_string(observed)}",
-                )
-    result: dict[EventString, Grade] = {}
-    for s, plant_grade in plant.items():
-        if not s:
-            result[s] = ONE
-            continue
-        parent, event = s[:-1], s[-1]
-        upstream = result.get(parent, ZERO)
-        if upstream == ZERO:
-            continue
-        enable1 = s1.enable_grade(project_string(s1.projection, parent), event)
-        enable2 = s2.enable_grade(project_string(s2.projection, parent), event)
-        grade = meet(meet(meet(plant_grade, enable1), enable2), upstream)
-        if grade > ZERO:
-            result[s] = grade
-    return FuzzyLanguage(plant.alphabet, result)
+    return _closed_loop(plant, [s1, s2])
 
 
 def verify_achieves(spec: FuzzyLanguage, achieved: FuzzyLanguage) -> bool:

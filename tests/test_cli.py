@@ -330,3 +330,26 @@ def test_outputs_are_byte_identical_across_runs(tmp_path):
             == 0
         )
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_closed_loop_rejects_three_supervisors(tmp_path, capsys):
+    first = tmp_path / "S.fdl"
+    assert (
+        run_command(
+            ["synthesize", "--mode", "central", "--plant", CENTRAL_PLANT, "--spec", CENTRAL_SPEC,
+             "--out", str(first)]
+        )
+        == 0
+    )
+    text = first.read_text()
+    more = tmp_path / "S23.fdl"
+    more.write_text(
+        text.replace("[supervisor S]", "[supervisor S2]")
+        + "\n"
+        + text.replace("[supervisor S]", "[supervisor S3]")
+    )
+    code = run_command(
+        ["closed-loop", "--plant", CENTRAL_PLANT, "--supervisor", str(first), "--supervisor", str(more)]
+    )
+    assert code == 2
+    assert "error[SYNTAX_ERROR]: closed-loop needs one or two supervisor sections" in capsys.readouterr().err

@@ -16,7 +16,17 @@ from fdes import (
     project_language,
     project_string,
 )
-from helpers import central_example, lang, random_lattice, random_plant, random_sublanguage
+from fdes.grades import join_all
+from fdes.observation import class_joins, projection_classes
+from helpers import (
+    central_example,
+    lang,
+    random_alphabet,
+    random_lattice,
+    random_plant,
+    random_projection,
+    random_sublanguage,
+)
 
 
 def test_project_string_erases_unobservable():
@@ -101,3 +111,23 @@ def test_randomized_projection_properties():
             image = project_string(pr, s)
             assert project_string(pr, image) == image
             assert len(image) <= len(s)
+
+
+def test_class_joins_match_brute_class_join():
+    rng = random.Random(3313)
+    for _ in range(200):
+        alphabet = random_alphabet(rng)
+        lattice = random_lattice(rng)
+        plant = random_plant(rng, alphabet, lattice)
+        spec = random_sublanguage(rng, plant, lattice)
+        pr = random_projection(rng, alphabet)
+        events = sorted(alphabet.events)
+        for language in (plant, spec):
+            classes = projection_classes(pr, language.support)
+            seen = {s: t for t, members in classes.items() for s in members}
+            joins = class_joins(spec, seen, events)
+            assert set(joins) <= {(t, a) for t in classes for a in events}
+            for t, members in classes.items():
+                for a in events:
+                    brute = join_all(spec.grade(s + (a,)) for s in members)
+                    assert joins.get((t, a), 0) == brute

@@ -152,3 +152,60 @@ def test_verify_achieves_is_exact():
     assert verify_achieves(spec, spec)
     assert not verify_achieves(spec, plant)
     assert verify_achieves(empty_language(alphabet), empty_language(alphabet))
+
+
+def _synthesize_central(spec, plant, force=False):
+    return [synthesize_central(spec, plant, natural_projection(spec.alphabet), force=force)]
+
+
+def _synthesize_two_sites(spec, plant, force=False):
+    site = (natural_projection(spec.alphabet), spec.alphabet.controllable)
+    return list(synthesize_decentralized(spec, plant, site, site, force=force))
+
+
+def _closed_loop_central(plant, supervisors):
+    return closed_loop_central(plant, *supervisors)
+
+
+def _closed_loop_two_sites(plant, supervisors):
+    return closed_loop_decentralized(plant, *supervisors)
+
+
+@pytest.mark.parametrize(
+    "synthesize, closed_loop",
+    [
+        pytest.param(_synthesize_central, _closed_loop_central, id="central"),
+        pytest.param(_synthesize_two_sites, _closed_loop_two_sites, id="decentralized"),
+    ],
+)
+def test_wrappers_share_error_paths(synthesize, closed_loop):
+    alphabet, plant, spec = central_example()
+    for args, code in (
+        ((empty_language(alphabet), plant), "EMPTY_SPEC"),
+        ((plant, spec), "NOT_SUBLANGUAGE"),
+    ):
+        with pytest.raises(FdesError) as err:
+            synthesize(*args)
+        assert err.value.code == code
+
+    union_alphabet, union_plant, k1, k2 = union_example()
+    merged = union(k1, k2)
+    with pytest.raises(ConditionViolated) as err:
+        synthesize(merged, union_plant)
+    assert err.value.code == "CONDITION_VIOLATED"
+    forced = synthesize(merged, union_plant, force=True)
+    assert closed_loop(union_plant, forced) != merged
+
+    supervisors = synthesize(spec, plant)
+    assert closed_loop(plant, supervisors) == spec
+    foreign = synthesize(union_plant, union_plant, force=True)
+    with pytest.raises(FdesError) as err:
+        closed_loop(plant, foreign)
+    assert err.value.code == "ALPHABET_MISMATCH"
+    gap = make_supervisor(natural_projection(alphabet), alphabet.controllable, {(): {}})
+    for broken in ([gap] + supervisors[1:], supervisors[:-1] + [gap]):
+        with pytest.raises(FdesError) as err:
+            closed_loop(plant, broken)
+        assert err.value.code == "SUPERVISOR_DOMAIN_GAP"
+        assert str(err.value) == "supervisor lacks a row for a"
+    assert closed_loop(empty_language(alphabet), [gap] * len(supervisors)).is_empty
