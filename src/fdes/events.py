@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import FdesError
 
@@ -16,6 +17,7 @@ EPSILON_TEXT = "eps"
 _IDENT = re.compile(r"^[A-Za-z0-9_]+$")
 
 
+@lru_cache(maxsize=4096)
 def check_event_id(name: str) -> EventId:
     """Validate an event identifier (letters, digits, underscore)."""
     if not _IDENT.match(name):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable
 
 from .errors import FdesError
@@ -22,13 +23,18 @@ _LITERAL = re.compile(r"^(?:[0-9]+(?:\.[0-9]+)?|[0-9]+/[0-9]+)$")
 
 
 def as_grade(value) -> Grade:
-    """Coerce an int/Fraction/str into a grade, enforcing 0 <= g <= 1."""
-    grade = Fraction(value)
-    if grade < ZERO or grade > ONE:
+    """Coerce an int/Fraction/str into a grade, enforcing 0 <= g <= 1;
+    a ``Fraction`` is kept as is."""
+    try:
+        grade = value if isinstance(value, Fraction) else Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise FdesError("MALFORMED_GRADE", f"not a grade: {value!r}") from None
+    if not 0 <= grade.numerator <= grade.denominator:
         raise FdesError("OUT_OF_RANGE", f"grade {grade} outside [0, 1]")
     return grade
 
 
+@lru_cache(maxsize=4096)
 def parse_grade(text: str) -> Grade:
     """Parse a decimal literal like ``0.8`` or a fraction like ``4/5``.
 

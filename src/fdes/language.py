@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Mapping
 
 from .errors import FdesError
-from .events import EPSILON, Alphabet, EventString, render_event_string, string_key
+from .events import EPSILON, Alphabet, EventString, render_event_string
 from .grades import ONE, ZERO, Grade, as_grade, join, meet
 
 
@@ -21,29 +21,34 @@ class FuzzyLanguage:
     __slots__ = ("alphabet", "_grades", "_support")
 
     def __init__(self, alphabet: Alphabet, grades: Mapping[EventString, Grade]):
+        events = alphabet.events
         positive: dict[EventString, Grade] = {}
         for s, g in grades.items():
-            alphabet.check_string(s)
+            if not events.issuperset(s):
+                alphabet.check_string(s)
             g = as_grade(g)
-            if g > ZERO:
+            if g.numerator:
                 positive[s] = g
         if positive:
             if positive.get(EPSILON) != ONE:
                 raise FdesError("P1_VIOLATION", "a non-empty language must grade eps at 1")
+            # meet and join return an input, so grades often share objects.
             for s, g in positive.items():
                 if not s:
                     continue
                 parent = s[:-1]
                 pg = positive.get(parent, ZERO)
-                if g > pg:
+                if g is not pg and g > pg:
                     raise FdesError(
                         "P2_VIOLATION",
                         f"grade of {render_event_string(s)} exceeds its prefix "
                         f"{render_event_string(parent)} ({g} > {pg})",
                     )
+        # Sorting by length keeps the lexicographic order within a length.
+        support = tuple(sorted(sorted(positive), key=len))
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "_grades", dict(sorted(positive.items(), key=lambda kv: string_key(kv[0]))))
-        object.__setattr__(self, "_support", tuple(sorted(positive, key=string_key)))
+        object.__setattr__(self, "_grades", {s: positive[s] for s in support})
+        object.__setattr__(self, "_support", support)
 
     def __setattr__(self, name, value):
         raise AttributeError("FuzzyLanguage is immutable")
@@ -88,11 +93,13 @@ def build_language(
     alphabet: Alphabet,
     entries: Mapping[EventString, Grade] | Iterable[tuple[EventString, Grade]],
 ) -> FuzzyLanguage:
-    """Validating constructor; rejects duplicate strings in pair lists."""
-    if isinstance(entries, Mapping):
-        return FuzzyLanguage(alphabet, entries)
+    """Validating constructor; rejects ``str`` keys, whose characters would
+    read as events, and duplicate strings in pair lists."""
+    pairs = entries.items() if isinstance(entries, Mapping) else entries
     grades: dict[EventString, Grade] = {}
-    for s, g in entries:
+    for s, g in pairs:
+        if isinstance(s, str):
+            raise FdesError("MALFORMED_EVENT", f"event string {s!r} must be a tuple of event ids")
         s = tuple(s)
         if s in grades:
             raise FdesError("DUPLICATE_STRING", f"duplicate string {render_event_string(s)}")

@@ -105,7 +105,8 @@ def medical_example():
 
 # ---------------------------------------------------------------------------
 # Random instance generation.  Everything is driven by an explicit
-# random.Random so suites are reproducible.
+# random.Random so suites are reproducible; sets are iterated sorted,
+# because their order follows the per-process string hash.
 
 GRADE_POOL = [
     F(1, 6),
@@ -135,7 +136,7 @@ def random_alphabet(
     events = rng.sample(EVENT_POOL, rng.randint(1, max_events))
     observable = {e for e in events if rng.random() < 0.6}
     if controllable_within_observable:
-        controllable = {e for e in observable if rng.random() < 0.7}
+        controllable = {e for e in sorted(observable) if rng.random() < 0.7}
     else:
         controllable = {e for e in events if rng.random() < 0.6}
     return Alphabet(frozenset(events), frozenset(controllable), frozenset(observable))
@@ -195,7 +196,7 @@ def random_sublanguage(
 
 
 def random_projection(rng: random.Random, alphabet: Alphabet) -> Projection:
-    observable = {e for e in alphabet.events if rng.random() < 0.6}
+    observable = {e for e in sorted(alphabet.events) if rng.random() < 0.6}
     return Projection(alphabet, frozenset(observable))
 
 
@@ -210,8 +211,8 @@ def random_supervisor(
 
     observed = {project_string(pr, s) for s, _ in plant.items()}
     rows = {
-        t: {e: rng.choice(lattice) for e in controllables}
-        for t in observed
+        t: {e: rng.choice(lattice) for e in sorted(controllables)}
+        for t in sorted(observed)
     }
     return make_supervisor(pr, controllables, rows)
 
@@ -219,14 +220,14 @@ def random_supervisor(
 def random_sites(rng: random.Random, alphabet: Alphabet):
     """Two (projection, controllables) pairs covering the controllable set."""
     ctrl1, ctrl2 = set(), set()
-    for e in alphabet.controllable:
+    for e in sorted(alphabet.controllable):
         bucket = rng.randint(0, 2)
         if bucket in (0, 2):
             ctrl1.add(e)
         if bucket in (1, 2):
             ctrl2.add(e)
-    obs1 = {e for e in alphabet.events if rng.random() < 0.6}
-    obs2 = {e for e in alphabet.events if rng.random() < 0.6}
+    obs1 = {e for e in sorted(alphabet.events) if rng.random() < 0.6}
+    obs2 = {e for e in sorted(alphabet.events) if rng.random() < 0.6}
     return (
         (Projection(alphabet, frozenset(obs1)), frozenset(ctrl1)),
         (Projection(alphabet, frozenset(obs2)), frozenset(ctrl2)),

@@ -86,6 +86,17 @@ def test_grade_errors_are_located():
     assert err.value.location.endswith(":7")
 
 
+def test_repeated_grade_literals_are_parsed_alike_and_located_per_line():
+    head = "[alphabet E]\nevents a b\n\n[language L]\nalphabet E\neps 1\n"
+    for body, line in (("a 0.9x\n", 7), ("a 0.9\nb 0.9x\n", 8)):
+        with pytest.raises(FdesError) as err:
+            parse_fdl(head + body)
+        assert err.value.code == "MALFORMED_GRADE"
+        assert err.value.location == f"<fdl>:{line}"
+    language = parse_fdl(head + "a 0.70\nb 0.7\n").languages["L"]
+    assert language.grade(("a",)) == language.grade(("b",)) == F(7, 10)
+
+
 def test_emit_round_trip_languages_and_alphabets():
     doc = load("central_plant.fdl", "central_spec.fdl")
     text = emit_fdl(doc)

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fdes import Alphabet, FdesError, SiteSpec, parse_event_string, render_event_string
+from fdes import (
+    Alphabet,
+    FdesError,
+    SiteSpec,
+    as_grade,
+    build_language,
+    parse_event_string,
+    render_event_string,
+)
 from fdes.grades import ONE, ZERO, join, meet, parse_grade, render_grade
 
 grades = st.fractions(min_value=0, max_value=1, max_denominator=20)
@@ -41,6 +49,15 @@ def test_parse_zero_denominator():
     with pytest.raises(FdesError) as err:
         parse_grade("1/0")
     assert err.value.code == "MALFORMED_GRADE"
+
+
+@pytest.mark.parametrize("bad", ["abc", None, float("nan"), "1/0", float("inf")])
+def test_malformed_grade_values_raise_fdes_errors(bad):
+    alphabet = Alphabet({"a"})
+    for check in (as_grade, lambda g: build_language(alphabet, {(): 1, ("a",): g})):
+        with pytest.raises(FdesError) as err:
+            check(bad)
+        assert err.value.code == "MALFORMED_GRADE"
 
 
 def test_meet_join_basics():

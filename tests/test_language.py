@@ -1,5 +1,6 @@
 """Fuzzy language validation and algebra."""
 
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -82,6 +83,41 @@ def test_build_rejects_duplicates():
     with pytest.raises(FdesError) as err:
         build_language(AB, [((), F(1)), (("a",), F(1, 2)), (("a",), F(1, 3))])
     assert err.value.code == "DUPLICATE_STRING"
+
+
+def test_build_rejects_str_keys_in_mappings_and_pair_lists():
+    for entries in ({(): 1, "a": F(1, 2)}, [((), 1), ("ab", F(1, 2))]):
+        with pytest.raises(FdesError) as err:
+            build_language(AB, entries)
+        assert err.value.code == "MALFORMED_EVENT"
+
+
+def test_build_reports_the_first_fault_in_input_order():
+    cases = [
+        ({(): 1, ("a",): F(3, 2), ("z",): F(1, 2)}, "OUT_OF_RANGE"),
+        ({(): 1, ("z",): F(1, 2), ("a",): F(3, 2)}, "UNKNOWN_EVENT"),
+        ({(): 1, ("z",): 2}, "UNKNOWN_EVENT"),
+    ]
+    for entries, code in cases:
+        with pytest.raises(FdesError) as err:
+            build_language(AB, entries)
+        assert err.value.code == code
+    with pytest.raises(FdesError) as err:
+        build_language(
+            AB,
+            {(): 1, ("a",): F(1, 2), ("b",): F(1, 3), ("b", "a"): F(1, 2), ("a", "b"): F(3, 4)},
+        )
+    assert err.value.message == "grade of b.a exceeds its prefix b (1/2 > 1/3)"
+
+
+def test_build_coerces_int_str_and_decimal_grades():
+    language = build_language(
+        AB, {(): 1, ("a",): "0.50", ("b",): Decimal("0.25"), ("a", "b"): "1/3", ("b", "b"): 0}
+    )
+    assert list(language.items()) == [
+        ((), F(1)), (("a",), F(1, 2)), (("b",), F(1, 4)), (("a", "b"), F(1, 3))
+    ]
+    assert all(type(g) is F for _, g in language.items())
 
 
 def test_zero_grades_are_dropped():

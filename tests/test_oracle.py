@@ -194,8 +194,8 @@ def test_crisp_degeneration_on_random_instances():
         )
         alphabet = Alphabet(
             alphabet.events,
-            frozenset(e for e in alphabet.events if rng.random() < 0.5),
-            frozenset(e for e in alphabet.events if rng.random() < 0.5),
+            frozenset(e for e in sorted(alphabet.events) if rng.random() < 0.5),
+            frozenset(e for e in sorted(alphabet.events) if rng.random() < 0.5),
         )
         plant = random_plant(rng, alphabet, crisp, max_support=8, max_len=3)
         from helpers import random_sublanguage

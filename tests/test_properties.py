@@ -5,7 +5,11 @@ The acceptance module re-runs the same checks in one large sweep; here
 they are split out so a failure names the broken law directly.
 """
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import theorems
 from helpers import random_sublanguage
@@ -89,3 +93,39 @@ def test_crisp_degeneration_agreement():
     rng = random.Random(111)
     for _ in range(INSTANCES):
         theorems.check_crisp_degeneration(rng)
+
+
+_DRAW_DIGEST = """
+import hashlib, random
+import helpers
+
+rng = random.Random(5)
+digest = hashlib.sha256()
+for i in range(50):
+    alphabet = helpers.random_alphabet(rng, controllable_within_observable=i % 2 == 1)
+    lattice = helpers.random_lattice(rng)
+    plant = helpers.random_plant(rng, alphabet, lattice)
+    pr = helpers.random_projection(rng, alphabet)
+    sites = helpers.random_sites(rng, alphabet)
+    supervisor = helpers.random_supervisor(rng, plant, pr, alphabet.controllable, lattice)
+    digest.update(repr((
+        sorted(alphabet.controllable), sorted(alphabet.observable), list(plant.items()),
+        sorted(pr.observable), [(sorted(p.observable), sorted(c)) for p, c in sites],
+        sorted((t, sorted(row.items())) for t, row in supervisor.table.items()),
+    )).encode())
+print(digest.hexdigest())
+"""
+
+
+def test_random_draws_do_not_depend_on_the_string_hash():
+    tests = Path(__file__).parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    digests = {
+        subprocess.run(
+            [sys.executable, "-c", _DRAW_DIGEST],
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed),
+            capture_output=True, text=True, check=True, timeout=60,
+        ).stdout
+        for hash_seed in ("1", "2")
+    }
+    assert len(digests) == 1
