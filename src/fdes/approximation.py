@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from .errors import FdesError
 from .events import EPSILON, EventString
-from .grades import ONE, ZERO, Grade, join_all, meet
-from .language import FuzzyLanguage, is_sublanguage
+from .grades import Grade
+from .language import FuzzyLanguage, is_sublanguage, ranked
 from .observation import Projection, class_joins, project_string, projection_classes
 from .predicates import _require_spec_inside_plant
 from .synthesis import FuzzySupervisor, synthesize_central
@@ -27,10 +27,7 @@ def grade_lattice(*languages: FuzzyLanguage) -> tuple[Grade, ...]:
 
     A finite totally ordered set is automatically closed under min/max.
     """
-    values = {ZERO, ONE}
-    for language in languages:
-        values.update(g for _, g in language.items())
-    return tuple(sorted(values))
+    return ranked(*languages)[0]
 
 
 def infimal_co(spec: FuzzyLanguage, plant: FuzzyLanguage, pr: Projection) -> FuzzyLanguage:
@@ -53,23 +50,23 @@ def infimal_co(spec: FuzzyLanguage, plant: FuzzyLanguage, pr: Projection) -> Fuz
     plant string.  The cost is O(|supp(plant)| + |supp(spec)|) dictionary
     operations.
     """
-    _require_spec_inside_plant(spec, plant)
-    if spec.is_empty:
+    lattice, S, P = _require_spec_inside_plant(spec, plant)
+    if not S:
         return spec
     controllable = spec.alphabet.controllable
-    seen = {s: project_string(pr, s) for s in plant.support}
-    joins = class_joins(spec, seen, controllable)
-    current: dict[EventString, Grade] = {EPSILON: ONE}
-    for s, bound in plant.items():
+    seen = {s: project_string(pr, s) for s in P}
+    joins = class_joins(S, seen, controllable)
+    current = {EPSILON: len(lattice) - 1}
+    for s, bound in P.items():
         if not s:
             continue
         parent, event = s[:-1], s[-1]
-        target = meet(current.get(parent, ZERO), bound)
+        target = min(current.get(parent, 0), bound)
         if event in controllable:
-            target = meet(target, joins.get((seen[parent], event), ZERO))
-        if target > ZERO:
+            target = min(target, joins.get((seen[parent], event), 0))
+        if target:
             current[s] = target
-    return FuzzyLanguage(spec.alphabet, current)
+    return FuzzyLanguage(spec.alphabet, {s: lattice[r] for s, r in current.items()})
 
 
 def supremal_cn(spec: FuzzyLanguage, plant: FuzzyLanguage, pr: Projection) -> FuzzyLanguage:
@@ -100,17 +97,16 @@ def supremal_cn(spec: FuzzyLanguage, plant: FuzzyLanguage, pr: Projection) -> Fu
     every sweep but the last lowers some grade, which bounds their number
     by |supp(spec)| * |lattice|, though a few sweeps are typical.
     """
-    _require_spec_inside_plant(spec, plant)
-    if spec.is_empty:
+    lattice, S, P = _require_spec_inside_plant(spec, plant)
+    if not S:
         return spec
-    alphabet = spec.alphabet
-    uncontrollable = sorted(alphabet.uncontrollable)
-    plant_classes = projection_classes(pr, plant.support)
+    uncontrollable = sorted(spec.alphabet.uncontrollable)
+    plant_classes = projection_classes(pr, P)
     order = spec.support
-    current: dict[EventString, Grade] = dict(spec.items())
+    current = dict(S)
 
-    def lower(s: EventString, value: Grade) -> None:
-        if value > ZERO:
+    def lower(s: EventString, value: int) -> None:
+        if value:
             current[s] = value
         else:
             current.pop(s, None)
@@ -123,31 +119,31 @@ def supremal_cn(spec: FuzzyLanguage, plant: FuzzyLanguage, pr: Projection) -> Fu
                 continue
             for event in uncontrollable:
                 extended = s + (event,)
-                have = current.get(extended, ZERO)
-                if meet(current.get(s, ZERO), plant.grade(extended)) > have:
+                have = current.get(extended, 0)
+                if min(current.get(s, 0), P.get(extended, 0)) > have:
                     lower(s, have)
                     changed = True
         for members in plant_classes.values():
-            class_join = join_all(current.get(t, ZERO) for t in members)
+            class_join = max([current.get(t, 0) for t in members])
             for s in members:
-                have = current.get(s, ZERO)
-                if meet(class_join, plant.grade(s)) > have:
+                have = current.get(s, 0)
+                if min(class_join, P[s]) > have:
                     for t in members:
-                        if current.get(t, ZERO) > have:
+                        if current.get(t, 0) > have:
                             lower(t, have)
                     class_join = have
                     changed = True
         for s in order:
             if not s or s not in current:
                 continue
-            parent_grade = current.get(s[:-1], ZERO)
+            parent_grade = current.get(s[:-1], 0)
             if current[s] > parent_grade:
                 lower(s, parent_grade)
                 changed = True
-        if current and current.get(EPSILON, ZERO) != ONE:
+        if current and current.get(EPSILON, 0) != len(lattice) - 1:
             current.clear()
             changed = False
-    return FuzzyLanguage(alphabet, current)
+    return FuzzyLanguage(spec.alphabet, {s: lattice[r] for s, r in current.items()})
 
 
 @dataclass(frozen=True)

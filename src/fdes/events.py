@@ -14,13 +14,13 @@ EventString = tuple[EventId, ...]
 EPSILON: EventString = ()
 EPSILON_TEXT = "eps"
 
-_IDENT = re.compile(r"^[A-Za-z0-9_]+$")
+_IDENT = re.compile(r"[A-Za-z0-9_]+")
 
 
 @lru_cache(maxsize=4096)
 def check_event_id(name: str) -> EventId:
     """Validate an event identifier (letters, digits, underscore)."""
-    if not _IDENT.match(name):
+    if not _IDENT.fullmatch(name):
         raise FdesError("MALFORMED_EVENT", f"bad event identifier: {name!r}")
     if name == EPSILON_TEXT:
         raise FdesError("MALFORMED_EVENT", f"{EPSILON_TEXT!r} is reserved for the empty string")

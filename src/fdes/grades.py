@@ -2,7 +2,10 @@
 
 Grades are plain ``fractions.Fraction`` values, which gives exact decimal
 parsing, canonical reduced form, and exact total order for free.  Nothing in
-this package ever compares grades through floats.
+this package ever compares grades through floats.  ``Fraction`` stays the
+public grade type; the predicates, fixed points, synthesis and closed loop
+run their hot loops on each grade's rank in the instance's lattice
+(``language.ranked``) and decode their results back to these grades.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ Grade = Fraction
 ZERO: Grade = Fraction(0)
 ONE: Grade = Fraction(1)
 
-_LITERAL = re.compile(r"^(?:[0-9]+(?:\.[0-9]+)?|[0-9]+/[0-9]+)$")
+_LITERAL = re.compile(r"[0-9]+(?:\.[0-9]+)?|[0-9]+/[0-9]+")
 
 
 def as_grade(value) -> Grade:
@@ -40,7 +43,7 @@ def parse_grade(text: str) -> Grade:
 
     Decimals are read exactly (``0.70`` and ``0.7`` yield the same grade).
     """
-    if not _LITERAL.match(text):
+    if not _LITERAL.fullmatch(text):
         raise FdesError("MALFORMED_GRADE", f"not a grade literal: {text!r}")
     try:
         grade = Fraction(text)

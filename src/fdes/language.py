@@ -145,10 +145,29 @@ def concatenation(a: FuzzyLanguage, b: FuzzyLanguage) -> FuzzyLanguage:
     return FuzzyLanguage(a.alphabet, grades)
 
 
+def ranked(*gradings) -> tuple:
+    """The grade lattice of the inputs and each input encoded on it.
+
+    Returns the sorted grades of every input (languages or other
+    ``.items()`` mappings to grades) plus 0 and 1, then each input as a
+    key -> rank dict: rank 0 is ZERO, the top rank ONE and ``lattice[r]``
+    decodes.  Grades combine only by min and max, which ranks preserve.
+    Each distinct grade object is hashed once, so every input is read
+    twice and must hold its grades; equal grades in distinct objects
+    still share a rank.
+    """
+    by_id = {id(g): g for grading in gradings for _, g in grading.items()}
+    lattice = tuple(sorted({ZERO, ONE, *by_id.values()}))
+    rank = {g: r for r, g in enumerate(lattice)}
+    code = {key: rank[g] for key, g in by_id.items()}
+    return lattice, *({k: code[id(g)] for k, g in grading.items()} for grading in gradings)
+
+
 def is_sublanguage(a: FuzzyLanguage, b: FuzzyLanguage) -> bool:
-    """True iff a(s) <= b(s) pointwise (checked on supp(a))."""
+    """True iff a(s) <= b(s) pointwise (checked on supp(a), on ranks)."""
     _require_same_alphabet(a, b)
-    return all(g <= b.grade(s) for s, g in a.items())
+    _, A, B = ranked(a, b)
+    return all(r <= B.get(s, 0) for s, r in A.items())
 
 
 def prefix_close_repair(

@@ -12,7 +12,7 @@ from typing import Iterable, Mapping
 
 from .errors import FdesError
 from .events import Alphabet, EventId, EventString, string_key
-from .grades import ZERO, Grade, join, meet
+from .grades import Grade, join, meet
 from .language import FuzzyLanguage
 
 
@@ -37,8 +37,9 @@ def natural_projection(alphabet: Alphabet) -> Projection:
 
 def project_string(pr: Projection, s: EventString) -> EventString:
     """Erase unobservable events."""
-    pr.alphabet.check_string(s)
-    return tuple(e for e in s if e in pr.observable)
+    if not pr.alphabet.events.issuperset(s):
+        pr.alphabet.check_string(s)
+    return tuple(filter(pr.observable.__contains__, s))
 
 
 def projection_classes(
@@ -55,15 +56,16 @@ def projection_classes(
 
 
 def class_joins(
-    language: FuzzyLanguage,
+    language,
     seen: Mapping[EventString, EventString],
     events: Iterable[EventId],
 ) -> dict[tuple[EventString, EventId], Grade]:
     """The class join (P(s), a) -> max language(sa) over the strings s in ``seen``.
 
-    ``seen`` maps each class member to its projection, as the caller holds
-    it, so nothing is projected here.  Absent keys mean 0.  One pass over
-    supp(language).
+    ``language`` is a ``FuzzyLanguage`` or any ``.items()`` mapping from
+    strings to positive grades or ranks.  ``seen`` maps each class member
+    to its projection, as the caller holds it, so nothing is projected
+    here.  Absent keys mean 0.  One pass over supp(language).
     """
     events = frozenset(events)
     joins: dict[tuple[EventString, EventId], Grade] = {}
@@ -72,7 +74,8 @@ def class_joins(
             observed = seen.get(s[:-1])
             if observed is not None:
                 key = (observed, s[-1])
-                joins[key] = join(joins.get(key, ZERO), g)
+                if g > joins.get(key, 0):
+                    joins[key] = g
     return joins
 
 

@@ -272,7 +272,7 @@ def observable_pairwise(
     solve s''s; with solution sets being points or up-closed intervals the
     existential reduces to an interval intersection test.
     """
-    events, classes = _scan_setup(spec, plant, pr, controllables)
+    *_, events, classes = _scan_setup(spec, plant, pr, controllables)
     for members in classes.values():
         for event in events:
             for s in members:
@@ -304,7 +304,7 @@ def strongly_observable_direct(
     The solution set for s is {low} or [low, 1]; since the partner's
     equation is monotone in x it suffices to test the endpoint values.
     """
-    events, classes = _scan_setup(spec, plant, pr, controllables)
+    *_, events, classes = _scan_setup(spec, plant, pr, controllables)
     for members in classes.values():
         for event in events:
             for s in members:

@@ -11,16 +11,9 @@ from dataclasses import dataclass
 
 from .errors import FdesError
 from .events import Alphabet, EventId, EventString
-from .grades import ZERO, Grade, meet
-from .language import FuzzyLanguage, is_sublanguage
-from .observation import (
-    Projection,
-    class_joins,
-    inverse_project_meet,
-    project_language,
-    project_string,
-    projection_classes,
-)
+from .grades import Grade
+from .language import FuzzyLanguage, ranked
+from .observation import Projection, class_joins, project_string, projection_classes
 
 CONTROLLABILITY = "CONTROLLABILITY"
 OBSERVABILITY = "OBSERVABILITY"
@@ -69,20 +62,24 @@ def _inverted(classes: dict[EventString, list[EventString]]) -> dict[EventString
     return {s: observed for observed, members in classes.items() for s in members}
 
 
-def _require_spec_inside_plant(spec: FuzzyLanguage, plant: FuzzyLanguage) -> None:
+def _require_spec_inside_plant(spec: FuzzyLanguage, plant: FuzzyLanguage) -> tuple:
+    """Check spec <= plant; return (lattice, spec, plant), both languages
+    as string -> rank dicts (``language.ranked``) for the caller's loops."""
     if spec.alphabet != plant.alphabet:
         raise FdesError("ALPHABET_MISMATCH", "specification and plant use different alphabets")
-    if not is_sublanguage(spec, plant):
+    lattice, S, P = ranked(spec, plant)
+    if any(r > P.get(s, 0) for s, r in S.items()):
         raise FdesError("NOT_SUBLANGUAGE", "specification is not contained in the plant language")
+    return lattice, S, P
 
 
 def _scan_setup(spec: FuzzyLanguage, plant: FuzzyLanguage, pr: Projection, controllables):
-    """Checked inputs of a class scan: the events to scan, sorted (E_c by
-    default), and the projection classes of supp(spec)."""
-    _require_spec_inside_plant(spec, plant)
+    """Checked inputs of a class scan: lattice, spec and plant ranks, the
+    events to scan, sorted (E_c by default), and the classes of supp(spec)."""
+    lattice, S, P = _require_spec_inside_plant(spec, plant)
     if controllables is None:
         controllables = spec.alphabet.controllable
-    return sorted(controllables), projection_classes(pr, (s for s, _ in spec.items()))
+    return lattice, S, P, sorted(controllables), projection_classes(pr, S)
 
 
 def is_controllable(spec: FuzzyLanguage, plant: FuzzyLanguage) -> CheckReport:
@@ -93,20 +90,20 @@ def is_controllable(spec: FuzzyLanguage, plant: FuzzyLanguage) -> CheckReport:
     rules out, satisfy the equation automatically, so scanning the support
     against positive plant continuations is complete.
     """
-    _require_spec_inside_plant(spec, plant)
+    lattice, S, P = _require_spec_inside_plant(spec, plant)
     uncontrollable = sorted(spec.alphabet.uncontrollable)
     witnesses = []
-    for s, g in spec.items():
+    for s, g in S.items():
         for event in uncontrollable:
             extended = s + (event,)
-            bound = plant.grade(extended)
-            if bound == ZERO:
+            bound = P.get(extended, 0)
+            if not bound:
                 continue
-            lhs = spec.grade(extended)
-            rhs = meet(g, bound)
+            lhs = S.get(extended, 0)
+            rhs = min(g, bound)
             if lhs != rhs:
                 witnesses.append(
-                    Witness(CONTROLLABILITY, strings=(s,), event=event, lhs=lhs, rhs=rhs)
+                    Witness(CONTROLLABILITY, (s,), event, lattice[lhs], lattice[rhs])
                 )
     return CheckReport.failed(witnesses) if witnesses else CheckReport.passed()
 
@@ -124,26 +121,22 @@ def is_observable(
     member s' must then satisfy spec(s'a) = min(spec(s'), plant(s'a), x).
     The first violation per (class, event) is reported.
     """
-    events, classes = _scan_setup(spec, plant, pr, controllables)
-    joins = class_joins(spec, _inverted(classes), events)
+    lattice, S, P, events, classes = _scan_setup(spec, plant, pr, controllables)
+    joins = class_joins(S, _inverted(classes), events)
     witnesses = []
     for observed, members in classes.items():
         for event in events:
-            shared = joins.get((observed, event), ZERO)
-            if shared == ZERO:
+            shared = joins.get((observed, event), 0)
+            if not shared:
                 continue
             for s in members:
-                lhs = spec.grade(s + (event,))
-                rhs = meet(meet(spec.grade(s), plant.grade(s + (event,))), shared)
+                sa = s + (event,)
+                lhs = S.get(sa, 0)
+                rhs = min(S[s], P.get(sa, 0), shared)
                 if lhs != rhs:
                     witnesses.append(
                         Witness(
-                            OBSERVABILITY,
-                            strings=(s,),
-                            event=event,
-                            lhs=lhs,
-                            rhs=rhs,
-                            projection_class=tuple(members),
+                            OBSERVABILITY, (s,), event, lattice[lhs], lattice[rhs], tuple(members)
                         )
                     )
                     break
@@ -170,45 +163,32 @@ def is_strongly_observable(
     the first that differs, which is the first violating pair in member
     order.
     """
-    events, classes = _scan_setup(spec, plant, pr, controllables)
+    lattice, S, P, events, classes = _scan_setup(spec, plant, pr, controllables)
     witnesses = []
     for _, members in classes.items():
         for event in events:
-            eligible = (t for t in members if plant.grade(t + (event,)) != ZERO)
+            eligible = (t for t in members if (t + (event,)) in P)
             s = next(eligible, None)
             if s is None:
                 continue
             sa = s + (event,)
-            tight_s = spec.grade(sa) == meet(spec.grade(s), plant.grade(sa))
+            tight_s = S.get(sa, 0) == min(S[s], P[sa])
             for s2 in eligible:
                 s2a = s2 + (event,)
-                tight_s2 = spec.grade(s2a) == meet(spec.grade(s2), plant.grade(s2a))
+                tight_s2 = S.get(s2a, 0) == min(S[s2], P[s2a])
                 if tight_s != tight_s2:
                     strict = s2 if tight_s else s
                     strict_a = strict + (event,)
-                    witnesses.append(
-                        Witness(
-                            STRONG_OBS_COND1,
-                            strings=(s, s2),
-                            event=event,
-                            lhs=spec.grade(strict_a),
-                            rhs=meet(spec.grade(strict), plant.grade(strict_a)),
-                            projection_class=tuple(members),
-                        )
-                    )
-                    break
-                if spec.grade(sa) != spec.grade(s2a):
-                    witnesses.append(
-                        Witness(
-                            STRONG_OBS_COND2,
-                            strings=(s, s2),
-                            event=event,
-                            lhs=spec.grade(sa),
-                            rhs=spec.grade(s2a),
-                            projection_class=tuple(members),
-                        )
-                    )
-                    break
+                    lhs, rhs = S.get(strict_a, 0), min(S[strict], P[strict_a])
+                    kind = STRONG_OBS_COND1
+                elif S.get(sa, 0) != S.get(s2a, 0):
+                    lhs, rhs, kind = S.get(sa, 0), S.get(s2a, 0), STRONG_OBS_COND2
+                else:
+                    continue
+                witnesses.append(
+                    Witness(kind, (s, s2), event, lattice[lhs], lattice[rhs], tuple(members))
+                )
+                break
     return CheckReport.failed(witnesses) if witnesses else CheckReport.passed()
 
 
@@ -219,21 +199,19 @@ def is_normal(spec: FuzzyLanguage, plant: FuzzyLanguage, pr: Projection) -> Chec
     pointwise on supp(plant); the recovered language always dominates the
     spec, so each witness shows where recovery overshoots.
     """
-    _require_spec_inside_plant(spec, plant)
-    recovered = inverse_project_meet(pr, project_language(pr, spec), plant)
+    lattice, S, P = _require_spec_inside_plant(spec, plant)
+    seen = {s: project_string(pr, s) for s in P}
+    observed: dict[EventString, int] = {}
+    for s, r in S.items():
+        if r > observed.get(seen[s], 0):
+            observed[seen[s]] = r
     witnesses = []
-    for s, _ in plant.items():
-        lhs = spec.grade(s)
-        rhs = recovered.grade(s)
+    for s, bound in P.items():
+        lhs = S.get(s, 0)
+        rhs = min(observed.get(seen[s], 0), bound)
         if lhs != rhs:
             witnesses.append(
-                Witness(
-                    NORMALITY,
-                    strings=(s,),
-                    lhs=lhs,
-                    rhs=rhs,
-                    projection_class=(project_string(pr, s),),
-                )
+                Witness(NORMALITY, (s,), None, lattice[lhs], lattice[rhs], (seen[s],))
             )
     return CheckReport.failed(witnesses) if witnesses else CheckReport.passed()
 
@@ -268,31 +246,30 @@ def is_coobservable(
     carry the first site's class for cases 1 and 2, the second site's for
     case 3, and report the first violation per (class pair, event).
     """
-    _require_spec_inside_plant(spec, plant)
-    alphabet = spec.alphabet
-    (pr1, ctrl1), (pr2, ctrl2) = _resolve_sites(alphabet, site1, site2)
-    support = [s for s, _ in spec.items()]
-    classes1 = projection_classes(pr1, support)
-    classes2 = projection_classes(pr2, support)
+    lattice, S, P = _require_spec_inside_plant(spec, plant)
+    (pr1, ctrl1), (pr2, ctrl2) = _resolve_sites(spec.alphabet, site1, site2)
+    classes1 = projection_classes(pr1, S)
+    classes2 = projection_classes(pr2, S)
     seen1, seen2 = _inverted(classes1), _inverted(classes2)
-    joins1 = class_joins(spec, seen1, ctrl1)
-    joins2 = class_joins(spec, seen2, ctrl2)
+    joins1 = class_joins(S, seen1, ctrl1)
+    joins2 = class_joins(S, seen2, ctrl2)
     events = sorted(ctrl1 | ctrl2)
     witnesses = []
     reported: set[tuple[EventString, EventString, EventId]] = set()
-    for s in support:
+    for s, g in S.items():
         t1, t2 = seen1[s], seen2[s]
         for event in events:
             if (t1, t2, event) in reported:
                 continue
             in1 = event in ctrl1
             in2 = event in ctrl2
-            rhs = meet(spec.grade(s), plant.grade(s + (event,)))
+            sa = s + (event,)
+            rhs = min(g, P.get(sa, 0))
             if in1:
-                rhs = meet(rhs, joins1.get((t1, event), ZERO))
+                rhs = min(rhs, joins1.get((t1, event), 0))
             if in2:
-                rhs = meet(rhs, joins2.get((t2, event), ZERO))
-            lhs = spec.grade(s + (event,))
+                rhs = min(rhs, joins2.get((t2, event), 0))
+            lhs = S.get(sa, 0)
             if lhs != rhs:
                 if in1 and in2:
                     kind, members = COOBS_CASE1, classes1[t1]
@@ -301,14 +278,7 @@ def is_coobservable(
                 else:
                     kind, members = COOBS_CASE3, classes2[t2]
                 witnesses.append(
-                    Witness(
-                        kind,
-                        strings=(s,),
-                        event=event,
-                        lhs=lhs,
-                        rhs=rhs,
-                        projection_class=tuple(members),
-                    )
+                    Witness(kind, (s,), event, lattice[lhs], lattice[rhs], tuple(members))
                 )
                 reported.add((t1, t2, event))
     return CheckReport.failed(witnesses) if witnesses else CheckReport.passed()

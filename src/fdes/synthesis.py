@@ -21,8 +21,8 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import ConditionViolated, FdesError
 from .events import EventId, EventString, render_event_string, string_key
-from .grades import ONE, ZERO, Grade, as_grade, meet
-from .language import FuzzyLanguage, empty_language, is_sublanguage
+from .grades import ONE, ZERO, Grade, as_grade
+from .language import FuzzyLanguage, empty_language, is_sublanguage, ranked
 from .observation import Projection, class_joins, project_string
 from .predicates import (
     Site,
@@ -101,7 +101,7 @@ def make_supervisor(
                 f"supervisor row grades events outside the alphabet: {', '.join(sorted(unknown))}",
             )
         row: Row = {}
-        for event in events:
+        for event in sorted(events):
             if event in sparse:
                 row[event] = as_grade(sparse[event])
             else:
@@ -124,7 +124,7 @@ def _synthesize(
     """
     if spec.is_empty:
         raise FdesError("EMPTY_SPEC", "cannot synthesize for the empty specification")
-    _require_spec_inside_plant(spec, plant)
+    lattice, S, P = _require_spec_inside_plant(spec, plant)
     sites = resolve_sites()
     if not force:
         if len(sites) == 1:
@@ -137,10 +137,10 @@ def _synthesize(
     events = spec.alphabet.events
     supervisors = []
     for pr, ctrl in sites:
-        seen = {s: project_string(pr, s) for s in plant.support}
-        joins = class_joins(spec, seen, ctrl)
+        seen = {s: project_string(pr, s) for s in P}
+        joins = class_joins(S, seen, ctrl)
         rows = {
-            observed: {e: joins.get((observed, e), ZERO) if e in ctrl else ONE for e in events}
+            observed: {e: lattice[joins.get((observed, e), 0)] if e in ctrl else ONE for e in events}
             for observed in dict.fromkeys(seen.values())
         }
         supervisors.append(FuzzySupervisor(pr, ctrl, rows))
@@ -154,7 +154,7 @@ def _closed_loop(plant: FuzzyLanguage, supervisors: Sequence[FuzzySupervisor]) -
             raise FdesError("ALPHABET_MISMATCH", "supervisor and plant use different alphabets")
     if plant.is_empty:
         return empty_language(plant.alphabet)
-    views = []
+    seens, tables = [], []
     for sup in supervisors:
         seen = {s: project_string(sup.projection, s) for s in plant.support}
         missing = {observed for observed in seen.values() if observed not in sup.table}
@@ -163,21 +163,26 @@ def _closed_loop(plant: FuzzyLanguage, supervisors: Sequence[FuzzySupervisor]) -
                 "SUPERVISOR_DOMAIN_GAP",
                 f"supervisor lacks a row for {render_event_string(min(missing, key=string_key))}",
             )
-        views.append((seen, sup))
-    result: dict[EventString, Grade] = {}
-    for s, plant_grade in plant.items():
+        seens.append(seen)
+        # Flattened to (observed, event) -> grade and ranked with the plant,
+        # so that the lattice holds the enable grades too.
+        tables.append({(t, e): g for t, row in sup.table.items() for e, g in row.items()})
+    lattice, P, *tables = ranked(plant, *tables)
+    views = list(zip(seens, tables))
+    result = {}
+    for s, bound in P.items():
         if not s:
-            result[s] = ONE
+            result[s] = bound
             continue
         parent, event = s[:-1], s[-1]
-        grade = meet(plant_grade, result.get(parent, ZERO))
-        if grade == ZERO:
+        grade = min(bound, result.get(parent, 0))
+        if not grade:
             continue
-        for seen, sup in views:
-            grade = meet(grade, sup.enable_grade(seen[parent], event))
-        if grade > ZERO:
+        for seen, table in views:
+            grade = min(grade, table[seen[parent], event])
+        if grade:
             result[s] = grade
-    return FuzzyLanguage(plant.alphabet, result)
+    return FuzzyLanguage(plant.alphabet, {s: lattice[r] for s, r in result.items()})
 
 
 def synthesize_central(

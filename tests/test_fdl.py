@@ -4,9 +4,12 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from fdes import FdesError, natural_projection, synthesize_central
-from fdes.fdl import emit_fdl, parse_documents, parse_fdl
+from fdes import Alphabet, FdesError, natural_projection, synthesize_central
+from fdes.fdl import FdlDocument, emit_fdl, parse_documents, parse_fdl
+from fdes.grades import parse_grade
 from helpers import central_example, medical_example
 
 DATA = Path(__file__).parent / "data"
@@ -173,3 +176,28 @@ enable a 0.5
     with pytest.raises(FdesError) as err:
         parse_fdl(text + "enable zz 0.5\n")
     assert err.value.code == "UNKNOWN_EVENT"
+
+
+def test_trailing_newlines_in_identifiers_and_grades_are_rejected():
+    with pytest.raises(FdesError) as err:
+        Alphabet({"a\n", "b"})
+    assert err.value.code == "MALFORMED_EVENT"
+    with pytest.raises(FdesError) as err:
+        parse_grade("0.5\n")
+    assert err.value.code == "MALFORMED_GRADE"
+
+
+event_names = st.text(alphabet="ab_9\n .", min_size=1, max_size=3)
+
+
+@given(st.sets(event_names, min_size=1, max_size=4), st.data())
+def test_every_accepted_alphabet_is_emitted_so_that_it_parses_back(names, data):
+    events = sorted(names)
+    controllable = data.draw(st.sets(st.sampled_from(events)))
+    observable = data.draw(st.sets(st.sampled_from(events)))
+    try:
+        alphabet = Alphabet(names, controllable=controllable, observable=observable)
+    except FdesError:
+        return
+    doc = FdlDocument(alphabets={"E": alphabet})
+    assert parse_fdl(emit_fdl(doc)).alphabets == {"E": alphabet}
