@@ -1,9 +1,9 @@
 """Extremal approximation languages and the supervisory control problem.
 
-The pointwise-least controllable-and-observable superlanguage is computed
-by one raising pass in length order, and the pointwise-greatest
-controllable-and-normal sublanguage by monotone lowering sweeps.  Every
-assigned value is a meet or join of grades already present in the
+The pointwise-least controllable-and-observable superlanguage is the
+closed loop of the spec's formula supervisor, and the pointwise-greatest
+controllable-and-normal sublanguage comes from monotone lowering sweeps.
+Every assigned value is a meet or join of grades already present in the
 inputs, so iteration lives in the finite grade lattice of the instance
 and terminates.  Both procedures are validated against exhaustive search
 in the oracle module.
@@ -19,7 +19,7 @@ from .grades import Grade
 from .language import FuzzyLanguage, is_sublanguage, ranked
 from .observation import Projection, class_joins, project_string, projection_classes
 from .predicates import _require_spec_inside_plant
-from .synthesis import FuzzySupervisor, synthesize_central
+from .synthesis import FuzzySupervisor, _sweep, synthesize_central
 
 
 def grade_lattice(*languages: FuzzyLanguage) -> tuple[Grade, ...]:
@@ -33,22 +33,18 @@ def grade_lattice(*languages: FuzzyLanguage) -> tuple[Grade, ...]:
 def infimal_co(spec: FuzzyLanguage, plant: FuzzyLanguage, pr: Projection) -> FuzzyLanguage:
     """Least controllable and observable superlanguage of the spec.
 
-    Two repairs raise grades, both forced in any controllable-and-observable
-    superlanguage: an uncontrollable continuation sa gets at least
-    min(grade(s), plant(sa)), and a controllable one at least
-    min(grade(s), plant(sa), x), with x the join of grade(ta) over the
-    members t of s's projection class.
+    It is the closed loop, under the plant, of the spec's formula
+    supervisor: after observation t, a controllable event a is enabled at
+    x, the join of spec(sa) over the support strings s with projection t,
+    and every other event at 1.  So sa gets min(grade(s), plant(sa)), met
+    with x when a is controllable.
 
-    No repair lifts x, since a repaired grade of ta is at most x itself.
-    So x is the spec's own join, read once per (class, controllable
-    event).  Each term of the repair is at least spec(sa), so the least
-    grade of sa is the repair's value, which depends only on the final
-    grade of s.  One pass over supp(plant) in (length, lexicographic)
-    order reaches every prefix before its extensions and sets each
-    string once, to its value in the least fixed point.  Strings outside
-    supp(plant) stay at 0, so classes are keyed by the projection of each
-    plant string.  The cost is O(|supp(plant)| + |supp(spec)|) dictionary
-    operations.
+    Both bounds are forced in any controllable-and-observable
+    superlanguage, whose class join is at least x, so by induction on
+    length it lies above the closed loop.  The closed loop is itself
+    controllable and observable, as under any supervisor, and contains
+    the spec, since each term of the meet is at least spec(sa).  The cost
+    is O(|supp(plant)| + |supp(spec)|) dictionary operations.
     """
     lattice, S, P = _require_spec_inside_plant(spec, plant)
     if not S:
@@ -56,16 +52,7 @@ def infimal_co(spec: FuzzyLanguage, plant: FuzzyLanguage, pr: Projection) -> Fuz
     controllable = spec.alphabet.controllable
     seen = {s: project_string(pr, s) for s in P}
     joins = class_joins(S, seen, controllable)
-    current = {EPSILON: len(lattice) - 1}
-    for s, bound in P.items():
-        if not s:
-            continue
-        parent, event = s[:-1], s[-1]
-        target = min(current.get(parent, 0), bound)
-        if event in controllable:
-            target = min(target, joins.get((seen[parent], event), 0))
-        if target:
-            current[s] = target
+    current = _sweep(P, [(seen, controllable, joins)])
     return FuzzyLanguage(spec.alphabet, {s: lattice[r] for s, r in current.items()})
 
 

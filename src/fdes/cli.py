@@ -16,7 +16,7 @@ from . import approximation, oracle, predicates, synthesis
 from .automaton import generated_language
 from .errors import ConditionViolated, FdesError
 from .events import parse_event_string, render_event_string
-from .fdl import _SECTION_TABLES, FdlDocument, emit_fdl, parse_documents, section_names
+from .fdl import _SECTION_TABLES, FdlDocument, emit_fdl, parse_documents
 from .grades import render_grade
 from .language import concatenation, intersection, is_sublanguage, union
 from .observation import Projection, natural_projection, project_language
@@ -25,29 +25,28 @@ from .predicates import CheckReport
 def _read(path: str) -> tuple[str, str]:
     try:
         return path, Path(path).read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise FdesError("IO_ERROR", f"cannot read {path}: {err}") from None
 
 
-def _load(paths: list[str]) -> tuple[FdlDocument, dict[str, str]]:
-    texts = [_read(p) for p in paths]
-    return parse_documents(texts), dict(texts)
+def _load(paths: list[str]) -> FdlDocument:
+    return parse_documents([_read(p) for p in paths])
 
 
-def _pick(doc: FdlDocument, texts: dict[str, str], path: str, kind: str):
+def _pick(doc: FdlDocument, path: str, kind: str):
     """The unique section of a kind inside one file, resolved in the merged doc."""
-    found = section_names(path, texts[path], kind)
+    found = [name for k, name in doc.file_sections[path] if k == kind]
     if len(found) != 1:
         names = ", ".join(found) or "none"
         raise FdesError("SYNTAX_ERROR", f"{path}: expected exactly one {kind} section, found: {names}")
-    return found[0], getattr(doc, _SECTION_TABLES[kind])[found[0]]
+    return getattr(doc, _SECTION_TABLES[kind])[found[0]]
 
 
 def _load_plant_spec(args, sites: str | None = None):
     """Load --plant, --spec and the sites file if given; pick the two languages."""
-    doc, texts = _load([args.plant, args.spec] + ([sites] if sites else []))
-    _, plant = _pick(doc, texts, args.plant, "language")
-    _, spec = _pick(doc, texts, args.spec, "language")
+    doc = _load([args.plant, args.spec] + ([sites] if sites else []))
+    plant = _pick(doc, args.plant, "language")
+    spec = _pick(doc, args.spec, "language")
     return doc, plant, spec
 
 
@@ -121,11 +120,14 @@ def _write_out(text: str, out: str | None) -> None:
     if out is None:
         print(text, end="")
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as err:
+            raise FdesError("IO_ERROR", f"cannot write {out}: {err}") from None
 
 
 def _cmd_validate(args) -> int:
-    doc, _ = _load(args.files)
+    doc = _load(args.files)
     for kind, table in _SECTION_TABLES.items():
         names = sorted(getattr(doc, table))
         if names:
@@ -167,8 +169,8 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_closed_loop(args) -> int:
-    doc, texts = _load([args.plant] + args.supervisor)
-    _, plant = _pick(doc, texts, args.plant, "language")
+    doc = _load([args.plant] + args.supervisor)
+    plant = _pick(doc, args.plant, "language")
     supervisors = [doc.supervisors[name] for name in sorted(doc.supervisors)]
     if len(supervisors) == 1:
         result = synthesis.closed_loop_central(plant, supervisors[0])
@@ -194,10 +196,10 @@ def _cmd_extremal(args, which: str) -> int:
 
 
 def _cmd_scp(args) -> int:
-    doc, texts = _load([args.plant, args.min, args.max])
-    _, plant = _pick(doc, texts, args.plant, "language")
-    _, minimal = _pick(doc, texts, args.min, "language")
-    _, legal = _pick(doc, texts, args.max, "language")
+    doc = _load([args.plant, args.min, args.max])
+    plant = _pick(doc, args.plant, "language")
+    minimal = _pick(doc, args.min, "language")
+    legal = _pick(doc, args.max, "language")
     result = approximation.solve_scp(minimal, legal, plant, natural_projection(plant.alphabet))
     if args.json:
         payload = {
@@ -223,8 +225,8 @@ def _cmd_scp(args) -> int:
 
 
 def _cmd_lang(args) -> int:
-    doc, texts = _load(args.files)
-    languages = [_pick(doc, texts, path, "language")[1] for path in args.files]
+    doc = _load(args.files)
+    languages = [_pick(doc, path, "language") for path in args.files]
 
     def binary():
         if len(languages) != 2:
@@ -265,8 +267,8 @@ def _cmd_lang(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    doc, texts = _load([args.plant])
-    _, automaton = _pick(doc, texts, args.plant, "automaton")
+    doc = _load([args.plant])
+    automaton = _pick(doc, args.plant, "automaton")
     result = generated_language(automaton, args.horizon)
     _write_out(emit_fdl(_language_doc(doc, "generated", result)), args.out)
     return 0

@@ -53,6 +53,8 @@ class FdlDocument:
     languages: dict[str, FuzzyLanguage] = field(default_factory=dict)
     automata: dict[str, FuzzyAutomaton] = field(default_factory=dict)
     supervisors: dict[str, FuzzySupervisor] = field(default_factory=dict)
+    # Source name -> (kind, name) of each of its sections, in file order.
+    file_sections: dict[str, list] = field(default_factory=dict, compare=False, repr=False)
 
     def single(self, kind: str):
         """The unique entity of a kind, as (name, value); error otherwise."""
@@ -284,10 +286,12 @@ def _build_supervisor(section: _RawSection, alphabets: dict[str, Alphabet]) -> F
 
 def parse_documents(named_texts: list[tuple[str, str]]) -> FdlDocument:
     """Parse and merge one document from (source name, text) pairs."""
+    doc = FdlDocument()
     sections: list[_RawSection] = []
     for source, text in named_texts:
-        sections.extend(_split_sections(source, text))
-    doc = FdlDocument()
+        split = _split_sections(source, text)
+        doc.file_sections[source] = [(s.kind, s.name) for s in split]
+        sections.extend(split)
     ordered = sorted(sections, key=lambda s: list(_SECTION_TABLES).index(s.kind))
     builders = {
         "alphabet": lambda s: _build_alphabet(s),

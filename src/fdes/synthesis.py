@@ -8,7 +8,8 @@ controllable event's enable grade after observation t is the join of the
 specification's grades over the continuations of all support strings the
 site cannot distinguish from t (``observation.class_joins``).  One sweep
 computes the closed loop, meeting every supervisor's enable grade, so the
-supervisors act conjunctively.  Central control is the one-site case,
+supervisors act conjunctively; ``approximation.infimal_co`` is the same
+sweep over the spec's own rows.  Central control is the one-site case,
 achievable iff the spec is controllable and observable; two sites need
 it controllable and co-observable.  The central and two-site functions
 are thin wrappers over these shared paths.
@@ -22,7 +23,7 @@ from typing import Callable, Mapping, Sequence
 from .errors import ConditionViolated, FdesError
 from .events import EventId, EventString, render_event_string, string_key
 from .grades import ONE, ZERO, Grade, as_grade
-from .language import FuzzyLanguage, empty_language, is_sublanguage, ranked
+from .language import FuzzyLanguage, ranked
 from .observation import Projection, class_joins, project_string
 from .predicates import (
     Site,
@@ -147,13 +148,35 @@ def _synthesize(
     return supervisors
 
 
+def _sweep(P: Mapping[EventString, int], views) -> dict[EventString, int]:
+    """The closed loop on ranks, one pass over the plant's ranks ``P`` in length order.
+
+    A view is (projection map, controllable events, (observed, event) ->
+    enable rank, absent meaning 0).  sa gets min(plant(sa), grade(s)), met
+    with the enable rank after s of every view that controls a.
+    """
+    result = {}
+    for s, bound in P.items():
+        if not s:
+            result[s] = bound
+            continue
+        parent, event = s[:-1], s[-1]
+        grade = min(bound, result.get(parent, 0))
+        if not grade:
+            continue
+        for seen, controllable, table in views:
+            if event in controllable:
+                grade = min(grade, table.get((seen[parent], event), 0))
+        if grade:
+            result[s] = grade
+    return result
+
+
 def _closed_loop(plant: FuzzyLanguage, supervisors: Sequence[FuzzySupervisor]) -> FuzzyLanguage:
     """The closed loop under all the supervisors at once: every enable grade is met in."""
     for sup in supervisors:
         if sup.projection.alphabet != plant.alphabet:
             raise FdesError("ALPHABET_MISMATCH", "supervisor and plant use different alphabets")
-    if plant.is_empty:
-        return empty_language(plant.alphabet)
     seens, tables = [], []
     for sup in supervisors:
         seen = {s: project_string(sup.projection, s) for s in plant.support}
@@ -164,25 +187,11 @@ def _closed_loop(plant: FuzzyLanguage, supervisors: Sequence[FuzzySupervisor]) -
                 f"supervisor lacks a row for {render_event_string(min(missing, key=string_key))}",
             )
         seens.append(seen)
-        # Flattened to (observed, event) -> grade and ranked with the plant,
-        # so that the lattice holds the enable grades too.
-        tables.append({(t, e): g for t, row in sup.table.items() for e, g in row.items()})
+        # Every other entry is 1.  Ranked with the plant, so the lattice holds them.
+        tables.append({(t, e): row[e] for t, row in sup.table.items() for e in sup.controllables})
     lattice, P, *tables = ranked(plant, *tables)
-    views = list(zip(seens, tables))
-    result = {}
-    for s, bound in P.items():
-        if not s:
-            result[s] = bound
-            continue
-        parent, event = s[:-1], s[-1]
-        grade = min(bound, result.get(parent, 0))
-        if not grade:
-            continue
-        for seen, table in views:
-            grade = min(grade, table[seen[parent], event])
-        if grade:
-            result[s] = grade
-    return FuzzyLanguage(plant.alphabet, {s: lattice[r] for s, r in result.items()})
+    views = [(seen, sup.controllables, table) for seen, sup, table in zip(seens, supervisors, tables)]
+    return FuzzyLanguage(plant.alphabet, {s: lattice[r] for s, r in _sweep(P, views).items()})
 
 
 def synthesize_central(
@@ -235,6 +244,4 @@ def closed_loop_decentralized(
 
 def verify_achieves(spec: FuzzyLanguage, achieved: FuzzyLanguage) -> bool:
     """Exact pointwise equality of the two languages."""
-    if spec.alphabet != achieved.alphabet:
-        return False
-    return is_sublanguage(spec, achieved) and is_sublanguage(achieved, spec)
+    return spec == achieved

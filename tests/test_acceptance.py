@@ -136,6 +136,7 @@ def test_criterion_5_theorem_suites():
         other = helpers.random_sublanguage(rng, plant, lattice)
         theorems.check_central_theorem(rng, alphabet, lattice, plant, pr)
         theorems.check_central_round_trip(spec, plant, pr)
+        theorems.check_infimal_co_is_formula_closed_loop(spec, plant, pr)
         theorems.check_decentralized_theorem(rng, alphabet, lattice, plant)
         theorems.check_identical_sites_reduce_to_central(spec, plant, pr)
         theorems.check_observability_implementations_agree(spec, plant, pr)

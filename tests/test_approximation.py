@@ -68,6 +68,25 @@ def test_infimal_co_trivial_cases():
     assert infimal_co(plant, plant, pr) == plant
 
 
+def test_infimal_co_checks_its_inputs_before_returning_an_empty_spec():
+    alphabet, plant, spec = central_example()
+    pr = natural_projection(alphabet)
+    other = Alphabet({"a"}, controllable={"a"}, observable={"a"})
+    empty = empty_language(alphabet)
+    cases = [
+        (empty_language(other), plant, "ALPHABET_MISMATCH"),
+        (lang(other, {"eps": "1", "a": "1"}), plant, "ALPHABET_MISMATCH"),
+        (spec, empty, "NOT_SUBLANGUAGE"),
+        (plant, spec, "NOT_SUBLANGUAGE"),
+    ]
+    for k, g, code in cases:
+        with pytest.raises(FdesError) as err:
+            infimal_co(k, g, pr)
+        assert err.value.code == code
+    assert infimal_co(empty, plant, pr) is empty
+    assert infimal_co(empty, empty, pr) is empty
+
+
 def test_supremal_cn_golden():
     alphabet, plant, spec = central_example()
     result = supremal_cn(spec, plant, natural_projection(alphabet))

@@ -353,3 +353,37 @@ def test_closed_loop_rejects_three_supervisors(tmp_path, capsys):
     )
     assert code == 2
     assert "error[SYNTAX_ERROR]: closed-loop needs one or two supervisor sections" in capsys.readouterr().err
+
+
+def test_unwritable_out_is_an_io_error(tmp_path, capsys):
+    for out in (tmp_path / "missing" / "x.fdl", tmp_path):
+        code = run_command(
+            ["infimal-co", "--plant", UNION_PLANT, "--spec", UNION_SPEC, "--out", str(out)]
+        )
+        assert code == 2
+        assert f"error[IO_ERROR]: cannot write {out}" in capsys.readouterr().err
+
+
+def test_non_utf8_input_is_an_io_error(tmp_path, capsys):
+    bad = tmp_path / "bad.fdl"
+    bad.write_bytes(b"[language L]\nalphabet E\neps 1\n\xff\n")
+    assert run_command(["validate", str(bad)]) == 2
+    assert f"error[IO_ERROR]: cannot read {bad}" in capsys.readouterr().err
+
+
+def test_each_file_must_hold_exactly_one_picked_section(tmp_path, capsys):
+    both = tmp_path / "both.fdl"
+    both.write_text(Path(CENTRAL_PLANT).read_text() + Path(CENTRAL_SPEC).read_text())
+    twice = tmp_path / "twice.fdl"
+    twice.write_text(Path(CENTRAL_SPEC).read_text() * 2)
+    cases = [
+        (["infimal-co", "--plant", CENTRAL_PLANT, "--spec", str(both)],
+         f"{both}: expected exactly one language section, found: L, K"),
+        (["infimal-co", "--plant", CENTRAL_PLANT, "--spec", str(twice)],
+         f"{twice}: expected exactly one language section, found: K, K"),
+        (["gen", "--plant", CENTRAL_PLANT],
+         f"{CENTRAL_PLANT}: expected exactly one automaton section, found: none"),
+    ]
+    for argv, message in cases:
+        assert run_command(argv) == 2
+        assert f"error[SYNTAX_ERROR]: {message}" in capsys.readouterr().err

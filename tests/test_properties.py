@@ -29,6 +29,11 @@ def test_central_supervisor_theorem():
         theorems.check_central_round_trip(spec, plant, pr)
 
 
+def test_infimal_co_is_formula_closed_loop():
+    for rng, (_, _, plant, spec, pr) in _instances(112):
+        theorems.check_infimal_co_is_formula_closed_loop(spec, plant, pr)
+
+
 def test_decentralized_supervisor_theorem():
     for rng, (alphabet, lattice, plant, _, _) in _instances(102):
         theorems.check_decentralized_theorem(rng, alphabet, lattice, plant)

@@ -147,11 +147,27 @@ def test_unrestricting_second_site_reduces_to_central():
     assert closed_loop_decentralized(plant, s1, s2) == closed_loop_central(plant, s1)
 
 
+def test_closed_loop_under_a_supervisor_of_some_controllable_events():
+    alphabet, plant, _ = central_example()
+    pr = natural_projection(alphabet)
+    rows = {(): {}, ("a",): {"c": F(1, 2)}, ("a", "b"): {}, ("a", "d"): {}}
+    supervisor = make_supervisor(pr, {"c"}, rows)
+    expected = lang(
+        alphabet,
+        {"eps": "1", "a": "0.9", "a.b": "0.8", "a.c": "0.5", "a.d": "0.8",
+         "a.c.b": "0.4", "a.c.d": "0.5"},
+    )
+    assert closed_loop_central(plant, supervisor) == expected
+
+
 def test_verify_achieves_is_exact():
     alphabet, plant, spec = central_example()
     assert verify_achieves(spec, spec)
     assert not verify_achieves(spec, plant)
+    assert not verify_achieves(plant, spec)
     assert verify_achieves(empty_language(alphabet), empty_language(alphabet))
+    other = Alphabet({"a"}, controllable={"a"}, observable={"a"})
+    assert not verify_achieves(empty_language(alphabet), empty_language(other))
 
 
 def _synthesize_central(spec, plant, force=False):

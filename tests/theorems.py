@@ -12,6 +12,7 @@ from fractions import Fraction as F
 from fdes import (
     closed_loop_central,
     closed_loop_decentralized,
+    infimal_co,
     intersection,
     inverse_project_meet,
     is_controllable,
@@ -68,6 +69,15 @@ def check_central_round_trip(spec, plant, pr):
     if is_controllable(spec, plant).holds and is_observable(spec, plant, pr).holds:
         achieved = closed_loop_central(plant, synthesize_central(spec, plant, pr))
         assert achieved == spec
+
+
+def check_infimal_co_is_formula_closed_loop(spec, plant, pr):
+    """The least controllable and observable superlanguage of a non-empty
+    spec is the closed loop of the spec's formula supervisor."""
+    if spec.is_empty:
+        return
+    supervisor = synthesize_central(spec, plant, pr, force=True)
+    assert infimal_co(spec, plant, pr) == closed_loop_central(plant, supervisor)
 
 
 def check_decentralized_theorem(rng, alphabet, lattice, plant):
