@@ -51,8 +51,7 @@ def infimal_co(spec: FuzzyLanguage, plant: FuzzyLanguage, pr: Projection) -> Fuz
         return spec
     controllable = spec.alphabet.controllable
     seen = {s: project_string(pr, s) for s in P}
-    joins = class_joins(S, seen, controllable)
-    current = _sweep(P, [(seen, controllable, joins)])
+    current = _sweep(P, [(seen, controllable, class_joins(S, seen, controllable))])
     return FuzzyLanguage(spec.alphabet, {s: lattice[r] for s, r in current.items()})
 
 

@@ -246,8 +246,8 @@ def _cmd_lang(args) -> int:
         return 0 if verdict else 1
     if args.op == "project":
         language = languages[0]
-        if args.observable:
-            observable = frozenset(args.observable.split(","))
+        if args.observable is not None:
+            observable = frozenset(e for e in args.observable.split(",") if e)
         else:
             observable = language.alphabet.observable
         pr = Projection(language.alphabet, observable)
@@ -260,7 +260,7 @@ def _cmd_lang(args) -> int:
     if args.op == "grade":
         if args.string is None:
             raise FdesError("SYNTAX_ERROR", "--op grade needs --string")
-        s = parse_event_string(args.string)
+        s = languages[0].alphabet.check_string(parse_event_string(args.string))
         print(render_grade(languages[0].grade(s)))
         return 0
     raise FdesError("SYNTAX_ERROR", f"unknown lang op {args.op!r}")

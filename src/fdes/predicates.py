@@ -3,6 +3,15 @@
 Every checker returns a ``CheckReport``; a report that fails carries one
 witness per violated equation, in deterministic (length, lexicographic)
 order, so golden outputs are byte stable.
+
+Controllability, observability and co-observability test one equation,
+the closed loop's (``_equation``, also run by ``synthesis._sweep``): sa
+gets min(spec(s), plant(sa)) met with the enable grade after s of each
+view controlling a, with no view for controllability (on E_uc) and the
+spec's class joins, one view or two, for the others (on E_c).  Grades
+combine only by min and max, so these checks and normality split into
+crisp ones: each holds iff it holds on every alpha-cut, the crisp
+language {s : grade(s) >= alpha}.  Strong observability does not split.
 """
 
 from __future__ import annotations
@@ -82,29 +91,45 @@ def _scan_setup(spec: FuzzyLanguage, plant: FuzzyLanguage, pr: Projection, contr
     return lattice, S, P, sorted(controllables), projection_classes(pr, S)
 
 
+def _equation(P: dict, grades: dict, views):
+    """The closed-loop equation's rhs as (string, rank), in the support order
+    of ``P``: plant(eps) for eps, and for sa, min(plant(sa), grades(s)) met
+    with the enable rank after s of each view that controls a.  A view is
+    (projection map covering supp(grades), controllable events, (observed,
+    event) -> enable rank, absent meaning 0).  ``grades`` is read as the
+    walk goes, so the closed loop can fill it from this."""
+    for s, rank in P.items():
+        if s:
+            parent, event = s[:-1], s[-1]
+            rank = min(rank, grades.get(parent, 0))
+            if rank:
+                for seen, controllable, joins in views:
+                    if event in controllable:
+                        rank = min(rank, joins.get((seen[parent], event), 0))
+        yield s, rank
+
+
+def _mismatches(S: dict, P: dict, views, events):
+    """(s, a, spec(sa), rhs) for each sa in supp(plant) with a in ``events``
+    where the spec's grade differs from the equation's rhs, in support order."""
+    for sa, rhs in _equation(P, S, views):
+        if sa and sa[-1] in events and S.get(sa, 0) != rhs:
+            yield sa[:-1], sa[-1], S.get(sa, 0), rhs
+
+
 def is_controllable(spec: FuzzyLanguage, plant: FuzzyLanguage) -> CheckReport:
     """Uncontrollable continuations cannot be trimmed below the plant.
 
     Requires spec(sa) = min(spec(s), plant(sa)) for every uncontrollable
-    event a.  Strings outside supp(spec), and extensions the plant itself
-    rules out, satisfy the equation automatically, so scanning the support
-    against positive plant continuations is complete.
+    event a: the closed-loop equation with no view.  Strings outside
+    supp(spec), and extensions the plant itself rules out, satisfy it
+    automatically, so scanning supp(plant) is complete.
     """
     lattice, S, P = _require_spec_inside_plant(spec, plant)
-    uncontrollable = sorted(spec.alphabet.uncontrollable)
-    witnesses = []
-    for s, g in S.items():
-        for event in uncontrollable:
-            extended = s + (event,)
-            bound = P.get(extended, 0)
-            if not bound:
-                continue
-            lhs = S.get(extended, 0)
-            rhs = min(g, bound)
-            if lhs != rhs:
-                witnesses.append(
-                    Witness(CONTROLLABILITY, (s,), event, lattice[lhs], lattice[rhs])
-                )
+    witnesses = [
+        Witness(CONTROLLABILITY, (s,), event, lattice[lhs], lattice[rhs])
+        for s, event, lhs, rhs in _mismatches(S, P, (), spec.alphabet.uncontrollable)
+    ]
     return CheckReport.failed(witnesses) if witnesses else CheckReport.passed()
 
 
@@ -118,28 +143,18 @@ def is_observable(
 
     For each class C of supp(spec) and controllable event a, the only
     candidate that can work is x = max over t in C of spec(ta): every
-    member s' must then satisfy spec(s'a) = min(spec(s'), plant(s'a), x).
-    The first violation per (class, event) is reported.
+    member s' must then satisfy spec(s'a) = min(spec(s'), plant(s'a), x),
+    the closed-loop equation with the class-join view.  The first
+    violation per (class, event) is reported, in (class, event) order.
     """
     lattice, S, P, events, classes = _scan_setup(spec, plant, pr, controllables)
-    joins = class_joins(S, _inverted(classes), events)
-    witnesses = []
-    for observed, members in classes.items():
-        for event in events:
-            shared = joins.get((observed, event), 0)
-            if not shared:
-                continue
-            for s in members:
-                sa = s + (event,)
-                lhs = S.get(sa, 0)
-                rhs = min(S[s], P.get(sa, 0), shared)
-                if lhs != rhs:
-                    witnesses.append(
-                        Witness(
-                            OBSERVABILITY, (s,), event, lattice[lhs], lattice[rhs], tuple(members)
-                        )
-                    )
-                    break
+    seen, ctrl = _inverted(classes), frozenset(events)
+    first: dict[tuple[EventString, EventId], Witness] = {}
+    for s, event, lhs, rhs in _mismatches(S, P, [(seen, ctrl, class_joins(S, seen, ctrl))], ctrl):
+        if (seen[s], event) not in first:
+            members = tuple(classes[seen[s]])
+            first[seen[s], event] = Witness(OBSERVABILITY, (s,), event, lattice[lhs], lattice[rhs], members)
+    witnesses = [first[key] for key in ((t, e) for t in classes for e in events) if key in first]
     return CheckReport.failed(witnesses) if witnesses else CheckReport.passed()
 
 
@@ -248,37 +263,16 @@ def is_coobservable(
     """
     lattice, S, P = _require_spec_inside_plant(spec, plant)
     (pr1, ctrl1), (pr2, ctrl2) = _resolve_sites(spec.alphabet, site1, site2)
-    classes1 = projection_classes(pr1, S)
-    classes2 = projection_classes(pr2, S)
+    classes1, classes2 = projection_classes(pr1, S), projection_classes(pr2, S)
     seen1, seen2 = _inverted(classes1), _inverted(classes2)
-    joins1 = class_joins(S, seen1, ctrl1)
-    joins2 = class_joins(S, seen2, ctrl2)
-    events = sorted(ctrl1 | ctrl2)
-    witnesses = []
-    reported: set[tuple[EventString, EventString, EventId]] = set()
-    for s, g in S.items():
+    views = [(seen1, ctrl1, class_joins(S, seen1, ctrl1)), (seen2, ctrl2, class_joins(S, seen2, ctrl2))]
+    first: dict[tuple[EventString, EventString, EventId], Witness] = {}
+    for s, event, lhs, rhs in _mismatches(S, P, views, ctrl1 | ctrl2):
         t1, t2 = seen1[s], seen2[s]
-        for event in events:
-            if (t1, t2, event) in reported:
-                continue
+        if (t1, t2, event) not in first:
             in1 = event in ctrl1
-            in2 = event in ctrl2
-            sa = s + (event,)
-            rhs = min(g, P.get(sa, 0))
-            if in1:
-                rhs = min(rhs, joins1.get((t1, event), 0))
-            if in2:
-                rhs = min(rhs, joins2.get((t2, event), 0))
-            lhs = S.get(sa, 0)
-            if lhs != rhs:
-                if in1 and in2:
-                    kind, members = COOBS_CASE1, classes1[t1]
-                elif in1:
-                    kind, members = COOBS_CASE2, classes1[t1]
-                else:
-                    kind, members = COOBS_CASE3, classes2[t2]
-                witnesses.append(
-                    Witness(kind, (s,), event, lattice[lhs], lattice[rhs], tuple(members))
-                )
-                reported.add((t1, t2, event))
+            kind = (COOBS_CASE1 if event in ctrl2 else COOBS_CASE2) if in1 else COOBS_CASE3
+            members = tuple(classes1[t1] if in1 else classes2[t2])
+            first[t1, t2, event] = Witness(kind, (s,), event, lattice[lhs], lattice[rhs], members)
+    witnesses = list(first.values())
     return CheckReport.failed(witnesses) if witnesses else CheckReport.passed()

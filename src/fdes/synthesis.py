@@ -6,13 +6,13 @@ each a (projection, controllable events) pair with one local supervisor.
 One row builder serves every site by the constructive recipe: a
 controllable event's enable grade after observation t is the join of the
 specification's grades over the continuations of all support strings the
-site cannot distinguish from t (``observation.class_joins``).  One sweep
-computes the closed loop, meeting every supervisor's enable grade, so the
-supervisors act conjunctively; ``approximation.infimal_co`` is the same
-sweep over the spec's own rows.  Central control is the one-site case,
-achievable iff the spec is controllable and observable; two sites need
-it controllable and co-observable.  The central and two-site functions
-are thin wrappers over these shared paths.
+site cannot distinguish from t (``observation.class_joins``).  The closed
+loop is ``predicates._equation`` swept once, meeting every supervisor's
+enable grade, so the supervisors act conjunctively.  The controllability
+and (co-)observability checks ask if the spec solves that equation with
+its own rows, so a non-empty spec is achievable iff it is the closed loop
+of its formula supervisors; for one site that loop is
+``approximation.infimal_co``.  Central control is the one-site case.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .language import FuzzyLanguage, ranked
 from .observation import Projection, class_joins, project_string
 from .predicates import (
     Site,
+    _equation,
     _require_spec_inside_plant,
     _resolve_sites,
     is_controllable,
@@ -149,26 +150,12 @@ def _synthesize(
 
 
 def _sweep(P: Mapping[EventString, int], views) -> dict[EventString, int]:
-    """The closed loop on ranks, one pass over the plant's ranks ``P`` in length order.
-
-    A view is (projection map, controllable events, (observed, event) ->
-    enable rank, absent meaning 0).  sa gets min(plant(sa), grade(s)), met
-    with the enable rank after s of every view that controls a.
-    """
+    """The closed loop on ranks: fills each string of the plant's ranks ``P``
+    with the rhs of ``predicates._equation`` over the grades filled so far."""
     result = {}
-    for s, bound in P.items():
-        if not s:
-            result[s] = bound
-            continue
-        parent, event = s[:-1], s[-1]
-        grade = min(bound, result.get(parent, 0))
-        if not grade:
-            continue
-        for seen, controllable, table in views:
-            if event in controllable:
-                grade = min(grade, table.get((seen[parent], event), 0))
-        if grade:
-            result[s] = grade
+    for s, rank in _equation(P, result, views):
+        if rank:
+            result[s] = rank
     return result
 
 

@@ -268,6 +268,27 @@ def test_lang_operations(tmp_path, capsys):
     assert run_command(["lang", "--op", "union", UNION_SPEC, UNION_PLANT]) == 0
 
 
+
+def test_lang_grade_rejects_events_outside_the_alphabet(capsys):
+    assert run_command(["lang", "--op", "grade", "--string", "zz", CENTRAL_PLANT]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error[UNKNOWN_EVENT]: event 'zz' not in alphabet" in captured.err
+    assert run_command(["lang", "--op", "grade", "--string", "a.b", CENTRAL_PLANT]) == 0
+    assert capsys.readouterr().out == "0.8\n"
+
+
+def test_lang_project_with_no_observable_events(capsys):
+    for observable in ("", ","):
+        argv = ["lang", "--op", "project", CENTRAL_PLANT, "--observable", observable]
+        assert run_command(argv) == 0
+        assert capsys.readouterr().out == (
+            "[alphabet E_o]\nevents\n\n[language result]\nalphabet E_o\neps 1\n"
+        )
+    assert run_command(["lang", "--op", "project", CENTRAL_PLANT, "--observable", "a,,b"]) == 0
+    out = capsys.readouterr().out
+    assert "events a b\n" in out and "a.b 0.8\n" in out
+
 def test_gen_command(tmp_path, capsys):
     aut = tmp_path / "machine.fdl"
     aut.write_text(

@@ -1,5 +1,6 @@
 """The five property checkers and their witnesses."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +12,8 @@ from fdes import (
     natural_projection,
     union,
 )
+from fdes.events import string_key
+from fdes.observation import project_string
 from fdes.predicates import (
     COOBS_CASE1,
     CONTROLLABILITY,
@@ -29,8 +32,10 @@ from helpers import (
     lang,
     medical_example,
     observable_not_strong_example,
+    random_sites,
     union_example,
 )
+from theorems import make_instance
 
 
 def test_controllable_golden_instance():
@@ -213,3 +218,54 @@ def test_witnesses_are_sorted_and_first_per_class():
     # one witness per (class, event) pair that fails
     keys = [(w.projection_class, w.event) for w in report.witnesses]
     assert len(keys) == len(set(keys))
+
+
+def test_observability_witnesses_follow_class_order_not_string_order():
+    # Class (b,) is reached only through u.b, so its violation (at u.b.u)
+    # comes after that of class (a, a) (at a.a) in string order, while
+    # its projection sorts first.
+    alphabet = Alphabet(
+        frozenset("abcu"), controllable=frozenset("c"), observable=frozenset("abc")
+    )
+    strings = ["eps", "a", "a.a", "a.a.u", "a.a.u.c", "u", "u.b", "u.b.c", "u.b.u"]
+    plant = lang(alphabet, {s: 1 for s in strings + ["a.a.c", "u.b.u.c"]})
+    spec = lang(alphabet, {s: 1 for s in strings})
+    report = is_observable(spec, plant, natural_projection(alphabet))
+    assert [(w.strings, w.event, w.projection_class) for w in report.witnesses] == [
+        ((("u", "b", "u"),), "c", (("u", "b"), ("u", "b", "u"))),
+        ((("a", "a"),), "c", (("a", "a"), ("a", "a", "u"))),
+    ]
+    assert [(w.lhs, w.rhs) for w in report.witnesses] == [(0, 1), (0, 1)]
+
+
+def test_witness_order_on_random_failing_specs():
+    """Controllability and co-observability witnesses come in (s, event)
+    order; observability witnesses in (class projection, event) order, at
+    most one per (class, event)."""
+    rng = random.Random(171)
+    longest = {"controllable": 0, "observable": 0, "coobservable": 0}
+    for _ in range(400):
+        alphabet, _, plant, spec, pr = make_instance(rng, max_support=20)
+        sites = random_sites(rng, alphabet)
+        reports = {
+            "controllable": is_controllable(spec, plant),
+            "coobservable": is_coobservable(spec, plant, *sites),
+        }
+        for name, report in reports.items():
+            keys = [(string_key(w.strings[0]), w.event) for w in report.witnesses]
+            assert keys == sorted(set(keys)), name
+            longest[name] = max(longest[name], len(keys))
+        for controllables in (None, alphabet.events):
+            report = is_observable(spec, plant, pr, controllables)
+            keys = [
+                (string_key(project_string(pr, w.strings[0])), w.event)
+                for w in report.witnesses
+            ]
+            assert keys == sorted(set(keys))
+            for w in report.witnesses:
+                assert w.strings[0] in w.projection_class
+                assert {project_string(pr, t) for t in w.projection_class} == {
+                    project_string(pr, w.strings[0])
+                }
+            longest["observable"] = max(longest["observable"], len(keys))
+    assert min(longest.values()) >= 3

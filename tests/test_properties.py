@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 import theorems
-from helpers import random_sublanguage
+from helpers import random_sites, random_sublanguage
 
 INSTANCES = 80
 
@@ -98,6 +98,12 @@ def test_crisp_degeneration_agreement():
     rng = random.Random(111)
     for _ in range(INSTANCES):
         theorems.check_crisp_degeneration(rng)
+
+
+def test_alpha_cut_decomposition():
+    for rng, (alphabet, lattice, plant, spec, pr) in _instances(117):
+        sites = random_sites(rng, alphabet)
+        theorems.check_alpha_cut_decomposition(lattice, plant, spec, pr, sites)
 
 
 _DRAW_DIGEST = """

@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction as F
 
 from fdes import (
+    FuzzyLanguage,
     closed_loop_central,
     closed_loop_decentralized,
     infimal_co,
@@ -23,12 +24,13 @@ from fdes import (
     is_sublanguage,
     natural_projection,
     project_language,
+    supremal_cn,
     synthesize_central,
     synthesize_decentralized,
     union,
     verify_achieves,
 )
-from fdes.grades import ZERO, meet
+from fdes.grades import ONE, ZERO, meet
 from fdes.observation import projection_classes
 from fdes.oracle import (
     crisp_reference,
@@ -204,3 +206,33 @@ def check_crisp_degeneration(rng):
         crisp_reference("coobservability", spec, plant, site1=site1, site2=site2)
         == is_coobservable(spec, plant, site1, site2).holds
     )
+
+
+def alpha_cut(language, alpha):
+    """The crisp language of grade 1 on {s : grade(s) >= alpha}."""
+    return FuzzyLanguage(language.alphabet, {s: ONE for s, g in language.items() if g >= alpha})
+
+
+def check_alpha_cut_decomposition(lattice, plant, spec, pr, sites):
+    """Grades combine only by min and max, so the predicates split by
+    alpha-cut: controllability, observability, normality and
+    co-observability each hold iff the crisp reference holds on every cut,
+    and each cut of infimal_co is the infimal_co of that level's cuts.
+    supremal_cn is only bounded: each of its cuts lies inside the
+    supremal_cn of the cuts.  Strong observability does not split (its
+    COND1 is an equivalence between two equalities, which cuts do not
+    preserve), so nothing is asserted for it."""
+    site1, site2 = sites
+    fuzzy = {
+        "controllability": is_controllable(spec, plant).holds,
+        "observability": is_observable(spec, plant, pr).holds,
+        "normality": is_normal(spec, plant, pr).holds,
+        "coobservability": is_coobservable(spec, plant, site1, site2).holds,
+    }
+    lower, upper = infimal_co(spec, plant, pr), supremal_cn(spec, plant, pr)
+    cuts = [(a, alpha_cut(spec, a), alpha_cut(plant, a)) for a in lattice if a > ZERO]
+    for kind, holds in fuzzy.items():
+        assert holds == all(crisp_reference(kind, k, g, pr, site1, site2) for _, k, g in cuts), kind
+    for a, spec_cut, plant_cut in cuts:
+        assert alpha_cut(lower, a) == infimal_co(spec_cut, plant_cut, pr)
+        assert set(alpha_cut(upper, a).support) <= set(supremal_cn(spec_cut, plant_cut, pr).support)
