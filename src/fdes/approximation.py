@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FdesError
-from .events import EPSILON, EventString
 from .grades import Grade
 from .language import FuzzyLanguage, is_sublanguage, ranked
-from .observation import Projection, class_joins, project_string, projection_classes
+from .observation import Projection, class_joins, projection_ids
 from .predicates import _require_spec_inside_plant
 from .synthesis import FuzzySupervisor, _sweep, synthesize_central
 
@@ -46,13 +45,12 @@ def infimal_co(spec: FuzzyLanguage, plant: FuzzyLanguage, pr: Projection) -> Fuz
     the spec, since each term of the meet is at least spec(sa).  The cost
     is O(|supp(plant)| + |supp(spec)|) dictionary operations.
     """
-    lattice, S, P = _require_spec_inside_plant(spec, plant)
-    if not S:
+    lattice, index, S, P = _require_spec_inside_plant(spec, plant)
+    if spec.is_empty:
         return spec
-    controllable = spec.alphabet.controllable
-    seen = {s: project_string(pr, s) for s in P}
-    current = _sweep(P, [(seen, controllable, class_joins(S, seen, controllable))])
-    return FuzzyLanguage(spec.alphabet, {s: lattice[r] for s, r in current.items()})
+    controllable, proj = spec.alphabet.controllable, projection_ids(index, pr)[0]
+    view = (proj, controllable, class_joins(index, S, proj, controllable))
+    return index.decode(lattice, _sweep(index, P, [view]))
 
 
 def supremal_cn(spec: FuzzyLanguage, plant: FuzzyLanguage, pr: Projection) -> FuzzyLanguage:
@@ -78,58 +76,55 @@ def supremal_cn(spec: FuzzyLanguage, plant: FuzzyLanguage, pr: Projection) -> Fu
     below 1 no valid non-empty sublanguage fits, and the result is the
     empty language.
 
-    Strings only ever leave the iterate, so the string order is the
-    spec's, read once.  A sweep costs O(|supp(plant)| * (|E| + |lattice|));
+    The sweeps run on the ids of supp(plant) (``language.Index``): the
+    uncontrollable children of each string, the members of each class and
+    the spec's strings, the only ones that can stay, are id lists built
+    once.  A sweep costs O(|supp(plant)| * (|E| + |lattice|));
     every sweep but the last lowers some grade, which bounds their number
     by |supp(spec)| * |lattice|, though a few sweeps are typical.
     """
-    lattice, S, P = _require_spec_inside_plant(spec, plant)
-    if not S:
+    lattice, index, S, P = _require_spec_inside_plant(spec, plant)
+    if spec.is_empty:
         return spec
-    uncontrollable = sorted(spec.alphabet.uncontrollable)
-    plant_classes = projection_classes(pr, P)
-    order = spec.support
-    current = dict(S)
-
-    def lower(s: EventString, value: int) -> None:
-        if value:
-            current[s] = value
-        else:
-            current.pop(s, None)
-
+    parent, event, uncontrollable = index.parent, index.event, spec.alphabet.uncontrollable
+    proj, observed = projection_ids(index, pr)
+    # Each id's plant children by uncontrollable events, in event order,
+    # and each class's members in support order.
+    children: list[list[int]] = [[] for _ in P]
+    classes: list[list[int]] = [[] for _ in observed]
+    for i, c in enumerate(proj):
+        classes[c].append(i)
+        if event[i] in uncontrollable:
+            children[parent[i]].append(i)
+    order = [i for i, r in enumerate(S) if r]
+    current = S[:]
     changed = True
-    while changed and current:
+    while changed:
         changed = False
         for s in reversed(order):
-            if s not in current:
-                continue
-            for event in uncontrollable:
-                extended = s + (event,)
-                have = current.get(extended, 0)
-                if min(current.get(s, 0), P.get(extended, 0)) > have:
-                    lower(s, have)
+            for sa in children[s]:
+                have = current[sa]
+                if min(current[s], P[sa]) > have:
+                    current[s] = have
                     changed = True
-        for members in plant_classes.values():
-            class_join = max([current.get(t, 0) for t in members])
+        for members in classes:
+            class_join = max([current[t] for t in members])
             for s in members:
-                have = current.get(s, 0)
+                have = current[s]
                 if min(class_join, P[s]) > have:
                     for t in members:
-                        if current.get(t, 0) > have:
-                            lower(t, have)
+                        if current[t] > have:
+                            current[t] = have
                     class_join = have
                     changed = True
-        for s in order:
-            if not s or s not in current:
-                continue
-            parent_grade = current.get(s[:-1], 0)
-            if current[s] > parent_grade:
-                lower(s, parent_grade)
+        for s in order[1:]:
+            if current[s] > current[parent[s]]:
+                current[s] = current[parent[s]]
                 changed = True
-        if current and current.get(EPSILON, 0) != len(lattice) - 1:
-            current.clear()
+        if current[0] != len(lattice) - 1:
+            current = [0] * len(P)
             changed = False
-    return FuzzyLanguage(spec.alphabet, {s: lattice[r] for s, r in current.items()})
+    return index.decode(lattice, current)
 
 
 @dataclass(frozen=True)

@@ -228,24 +228,25 @@ def _cmd_lang(args) -> int:
     doc = _load(args.files)
     languages = [_pick(doc, path, "language") for path in args.files]
 
-    def binary():
-        if len(languages) != 2:
-            raise FdesError("SYNTAX_ERROR", f"--op {args.op} needs two language files")
-        return languages[0], languages[1]
+    def operands(count: int):
+        if len(languages) != count:
+            need = "needs two language files" if count == 2 else "takes one language file"
+            raise FdesError("SYNTAX_ERROR", f"--op {args.op} {need}")
+        return languages
 
     if args.op in ("union", "intersect", "concat"):
-        a, b = binary()
+        a, b = operands(2)
         ops = {"union": union, "intersect": intersection, "concat": concatenation}
         result = ops[args.op](a, b)
         _write_out(emit_fdl(_language_doc(doc, "result", result)), args.out)
         return 0
     if args.op == "sublanguage":
-        a, b = binary()
+        a, b = operands(2)
         verdict = is_sublanguage(a, b)
         print("true" if verdict else "false")
         return 0 if verdict else 1
     if args.op == "project":
-        language = languages[0]
+        (language,) = operands(1)
         if args.observable is not None:
             observable = frozenset(e for e in args.observable.split(",") if e)
         else:
@@ -260,8 +261,9 @@ def _cmd_lang(args) -> int:
     if args.op == "grade":
         if args.string is None:
             raise FdesError("SYNTAX_ERROR", "--op grade needs --string")
-        s = languages[0].alphabet.check_string(parse_event_string(args.string))
-        print(render_grade(languages[0].grade(s)))
+        (language,) = operands(1)
+        s = language.alphabet.check_string(parse_event_string(args.string))
+        print(render_grade(language.grade(s)))
         return 0
     raise FdesError("SYNTAX_ERROR", f"unknown lang op {args.op!r}")
 

@@ -15,9 +15,11 @@ from dataclasses import dataclass, field
 from .automaton import FuzzyAutomaton
 from .errors import FdesError
 from .events import (
+    EPSILON_TEXT,
     Alphabet,
     EventString,
     SiteSpec,
+    check_event_id,
     parse_event_string,
     render_event_string,
     string_key,
@@ -186,6 +188,7 @@ def _build_sites(section: _RawSection, alphabets: dict[str, Alphabet]) -> SitesD
 def _build_language(section: _RawSection, alphabets: dict[str, Alphabet]) -> FuzzyLanguage:
     alphabet: Alphabet | None = None
     entries: dict[EventString, Grade] = {}
+    parsed: dict[str, EventString] = {}  # string text -> event string
     for lineno, words in section.body:
         if words[0] == "alphabet":
             if len(words) != 2:
@@ -197,7 +200,13 @@ def _build_language(section: _RawSection, alphabets: dict[str, Alphabet]) -> Fuz
         if len(words) != 2:
             _fail(section.source, lineno, "expected: <string> <grade>")
         with _located(section.source, lineno):
-            s = parse_event_string(words[0])
+            # x.y.z is the parsed x.y plus one event; anything else parses whole.
+            head, _, last = words[0].rpartition(".")
+            if last and head in parsed and head != EPSILON_TEXT:
+                s = parsed[head] + (check_event_id(last),)
+            else:
+                s = parse_event_string(words[0])
+            parsed[words[0]] = s
             g = parse_grade(words[1])
         if s in entries:
             _fail(section.source, lineno, f"duplicate string {words[0]}", "DUPLICATE_STRING")

@@ -4,8 +4,9 @@ Grades are plain ``fractions.Fraction`` values, which gives exact decimal
 parsing, canonical reduced form, and exact total order for free.  Nothing in
 this package ever compares grades through floats.  ``Fraction`` stays the
 public grade type; the predicates, fixed points, synthesis and closed loop
-run their hot loops on each grade's rank in the instance's lattice
-(``language.ranked``) and decode their results back to these grades.
+run their hot loops on each grade's rank in the instance's lattice, held
+in lists over the ids of the plant's support (``language.Index``), and
+decode their results back to these grades.
 """
 
 from __future__ import annotations

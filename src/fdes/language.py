@@ -145,6 +145,14 @@ def concatenation(a: FuzzyLanguage, b: FuzzyLanguage) -> FuzzyLanguage:
     return FuzzyLanguage(a.alphabet, grades)
 
 
+def _codes(gradings) -> tuple:
+    """The sorted grades of the gradings plus 0 and 1, and id(grade) -> rank."""
+    by_id = {id(g): g for grading in gradings for _, g in grading.items()}
+    lattice = tuple(sorted({ZERO, ONE, *by_id.values()}))
+    rank = {g: r for r, g in enumerate(lattice)}
+    return lattice, {key: rank[g] for key, g in by_id.items()}
+
+
 def ranked(*gradings) -> tuple:
     """The grade lattice of the inputs and each input encoded on it.
 
@@ -156,11 +164,47 @@ def ranked(*gradings) -> tuple:
     twice and must hold its grades; equal grades in distinct objects
     still share a rank.
     """
-    by_id = {id(g): g for grading in gradings for _, g in grading.items()}
-    lattice = tuple(sorted({ZERO, ONE, *by_id.values()}))
-    rank = {g: r for r, g in enumerate(lattice)}
-    code = {key: rank[g] for key, g in by_id.items()}
+    lattice, code = _codes(gradings)
     return lattice, *({k: code[id(g)] for k, g in grading.items()} for grading in gradings)
+
+
+class Index:
+    """supp(plant) numbered in support order, for loops on ints: string i is
+    ``strings[i]``, ``parent[i]`` its parent's id (eps, id 0, is its own)
+    and ``event[i]`` its last event (None for eps).  A parent's id is below
+    its children's, and the children of one parent ascend by event."""
+
+    __slots__ = ("plant", "strings", "ids", "parent", "event")
+
+    def __init__(self, plant: FuzzyLanguage):
+        self.plant, self.strings = plant, plant.support
+        self.ids = ids = dict(zip(self.strings, range(len(self.strings))))
+        self.parent = [ids[s[:-1]] for s in self.strings]
+        self.event = [s[-1] if s else None for s in self.strings]
+
+    def ranked(self, *gradings) -> tuple:
+        """``ranked`` of the plant and the gradings on the ids: the plant and
+        each language become rank lists over them, 0 where a string is absent
+        (None if one lies outside supp(plant)); other mappings stay dicts."""
+        lattice, code = _codes((self.plant, *gradings))
+        encoded = [[code[id(g)] for _, g in self.plant.items()]]
+        for grading in gradings:
+            if not isinstance(grading, FuzzyLanguage):
+                encoded.append({k: code[id(g)] for k, g in grading.items()})
+                continue
+            ranks = [0] * len(self.strings)
+            try:
+                for s, g in grading.items():
+                    ranks[self.ids[s]] = code[id(g)]
+            except KeyError:
+                ranks = None
+            encoded.append(ranks)
+        return lattice, *encoded
+
+    def decode(self, lattice: tuple, ranks: list) -> FuzzyLanguage:
+        """Decode a rank list over the ids into a language of the plant's alphabet."""
+        grades = {s: lattice[r] for s, r in zip(self.strings, ranks) if r}
+        return FuzzyLanguage(self.plant.alphabet, grades)
 
 
 def is_sublanguage(a: FuzzyLanguage, b: FuzzyLanguage) -> bool:

@@ -3,17 +3,22 @@
 The lifted inverse projection has infinite support on its own, so it is
 never materialized alone: every use fuses it with a meet against a
 finite-support language (see ``inverse_project_meet``).
+
+The checks, fixed points and synthesis project no string: over the ids
+of an indexed support (``language.Index``), ``projection_ids`` derives
+each string's class from its parent's, and ``class_joins`` keys the class
+joins by (class id, event).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import FdesError
-from .events import Alphabet, EventId, EventString, string_key
-from .grades import Grade, join, meet
-from .language import FuzzyLanguage
+from .events import EPSILON, Alphabet, EventId, EventString, string_key
+from .grades import join, meet
+from .language import FuzzyLanguage, Index
 
 
 @dataclass(frozen=True)
@@ -55,27 +60,46 @@ def projection_classes(
     }
 
 
-def class_joins(
-    language,
-    seen: Mapping[EventString, EventString],
-    events: Iterable[EventId],
-) -> dict[tuple[EventString, EventId], Grade]:
-    """The class join (P(s), a) -> max language(sa) over the strings s in ``seen``.
+def projection_ids(
+    index: Index, pr: Projection, scope: Iterable[EventString] | None = None
+) -> tuple[list[int], list[EventString]]:
+    """Each id's projection class and each class's observed string.
 
-    ``language`` is a ``FuzzyLanguage`` or any ``.items()`` mapping from
-    strings to positive grades or ranks.  ``seen`` maps each class member
-    to its projection, as the caller holds it, so nothing is projected
-    here.  Absent keys mean 0.  One pass over supp(language).
+    Classes are numbered as they first appear in support order: an id
+    keeps its parent's class when its event is unobservable and otherwise
+    steps from it by one event, so no string is projected.  Raises as
+    ``project_string`` on the ``scope`` strings (default: the index's).
     """
-    events = frozenset(events)
-    joins: dict[tuple[EventString, EventId], Grade] = {}
-    for s, g in language.items():
-        if s and s[-1] in events:
-            observed = seen.get(s[:-1])
-            if observed is not None:
-                key = (observed, s[-1])
-                if g > joins.get(key, 0):
-                    joins[key] = g
+    if not pr.alphabet.events.issuperset(index.event[1:]):
+        for s in index.strings if scope is None else scope:
+            project_string(pr, s)
+    if not index.strings:
+        return [], []
+    observable = pr.observable
+    proj, observed, step = [0], [EPSILON], {}
+    for p, e in zip(index.parent[1:], index.event[1:]):
+        c = proj[p]
+        if e in observable:
+            key = (c, e)
+            c = step.get(key)
+            if c is None:
+                c = step[key] = len(observed)
+                observed.append(observed[key[0]] + (e,))
+        proj.append(c)
+    return proj, observed
+
+
+def class_joins(index: Index, ranks: list[int], proj: list[int], events) -> dict:
+    """The class join (class, a) -> max ranks[i] over the ids i of s.a, s in
+    the class; ``proj`` gives each id's class (``projection_ids``).  Absent
+    keys mean 0.  One pass over the ids."""
+    events, parent, event = frozenset(events), index.parent, index.event
+    joins: dict[tuple[int, EventId], int] = {}
+    for i, r in enumerate(ranks):
+        if r and event[i] in events:
+            key = (proj[parent[i]], event[i])
+            if r > joins.get(key, 0):
+                joins[key] = r
     return joins
 
 

@@ -12,17 +12,22 @@ spec's class joins, one view or two, for the others (on E_c).  Grades
 combine only by min and max, so these checks and normality split into
 crisp ones: each holds iff it holds on every alpha-cut, the crisp
 language {s : grade(s) >= alpha}.  Strong observability does not split.
+
+Each check numbers supp(plant) once (``language.Index``) and runs on
+rank lists over its ids, projection classes included
+(``observation.projection_ids``); strings are decoded only for witnesses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from operator import gt
 
 from .errors import FdesError
-from .events import Alphabet, EventId, EventString
+from .events import Alphabet, EventId, EventString, string_key
 from .grades import Grade
-from .language import FuzzyLanguage, ranked
-from .observation import Projection, class_joins, project_string, projection_classes
+from .language import FuzzyLanguage, Index
+from .observation import Projection, class_joins, projection_ids
 
 CONTROLLABILITY = "CONTROLLABILITY"
 OBSERVABILITY = "OBSERVABILITY"
@@ -66,55 +71,65 @@ class CheckReport:
         return cls(False, tuple(witnesses))
 
 
-def _inverted(classes: dict[EventString, list[EventString]]) -> dict[EventString, EventString]:
-    """String -> projection, from the projection -> members map of the classes."""
-    return {s: observed for observed, members in classes.items() for s in members}
-
-
 def _require_spec_inside_plant(spec: FuzzyLanguage, plant: FuzzyLanguage) -> tuple:
-    """Check spec <= plant; return (lattice, spec, plant), both languages
-    as string -> rank dicts (``language.ranked``) for the caller's loops."""
+    """Check spec <= plant; return (lattice, index, S, P): supp(plant)
+    numbered by ``language.Index``, and both languages as rank lists over
+    its ids for the caller's loops."""
     if spec.alphabet != plant.alphabet:
         raise FdesError("ALPHABET_MISMATCH", "specification and plant use different alphabets")
-    lattice, S, P = ranked(spec, plant)
-    if any(r > P.get(s, 0) for s, r in S.items()):
+    index = Index(plant)
+    lattice, P, S = index.ranked(spec)
+    if S is None or any(map(gt, S, P)):
         raise FdesError("NOT_SUBLANGUAGE", "specification is not contained in the plant language")
-    return lattice, S, P
+    return lattice, index, S, P
 
 
 def _scan_setup(spec: FuzzyLanguage, plant: FuzzyLanguage, pr: Projection, controllables):
-    """Checked inputs of a class scan: lattice, spec and plant ranks, the
-    events to scan, sorted (E_c by default), and the classes of supp(spec)."""
-    lattice, S, P = _require_spec_inside_plant(spec, plant)
+    """Checked inputs of a class scan: lattice, index, spec and plant ranks,
+    the events to scan, sorted (E_c by default), and ``projection_ids``."""
+    lattice, index, S, P = _require_spec_inside_plant(spec, plant)
     if controllables is None:
         controllables = spec.alphabet.controllable
-    return lattice, S, P, sorted(controllables), projection_classes(pr, S)
+    return lattice, index, S, P, sorted(controllables), *projection_ids(index, pr, spec.support)
 
 
-def _equation(P: dict, grades: dict, views):
-    """The closed-loop equation's rhs as (string, rank), in the support order
-    of ``P``: plant(eps) for eps, and for sa, min(plant(sa), grades(s)) met
-    with the enable rank after s of each view that controls a.  A view is
-    (projection map covering supp(grades), controllable events, (observed,
-    event) -> enable rank, absent meaning 0).  ``grades`` is read as the
-    walk goes, so the closed loop can fill it from this."""
-    for s, rank in P.items():
-        if s:
-            parent, event = s[:-1], s[-1]
-            rank = min(rank, grades.get(parent, 0))
-            if rank:
-                for seen, controllable, joins in views:
-                    if event in controllable:
-                        rank = min(rank, joins.get((seen[parent], event), 0))
-        yield s, rank
+def _members(index: Index, S: list, proj: list, classes) -> dict:
+    """The supp(spec) members of each of the given classes, in support order."""
+    members: dict[int, list] = {c: [] for c in classes}
+    if members:
+        for s, r, c in zip(index.strings, S, proj):
+            if r and c in members:
+                members[c].append(s)
+    return {c: tuple(strings) for c, strings in members.items()}
 
 
-def _mismatches(S: dict, P: dict, views, events):
-    """(s, a, spec(sa), rhs) for each sa in supp(plant) with a in ``events``
-    where the spec's grade differs from the equation's rhs, in support order."""
-    for sa, rhs in _equation(P, S, views):
-        if sa and sa[-1] in events and S.get(sa, 0) != rhs:
-            yield sa[:-1], sa[-1], S.get(sa, 0), rhs
+def _equation(index: Index, P: list, grades: list, views):
+    """The closed-loop equation's rhs as (id, rank), in support order, for
+    each sa in supp(plant) but eps: min(plant(sa), grades(s)) met with the
+    enable rank after s of each view that controls a.  A view is (each
+    id's class, controllable events, (class, event) -> enable rank, absent
+    meaning 0).  ``grades`` is a rank list over the ids, read as the walk
+    goes, so the closed loop can fill it from this."""
+    parent, event = index.parent, index.event
+    for i in range(1, len(P)):
+        p = parent[i]
+        rank = min(P[i], grades[p])
+        if rank:
+            e = event[i]
+            for proj, controllable, joins in views:
+                if e in controllable:
+                    rank = min(rank, joins.get((proj[p], e), 0))
+        yield i, rank
+
+
+def _mismatches(index: Index, S: list, P: list, views, events):
+    """(id of sa, spec(sa), rhs) for each sa in supp(plant) with a in
+    ``events`` where the spec's grade differs from the equation's rhs, in
+    support order."""
+    event = index.event
+    for i, rhs in _equation(index, P, S, views):
+        if S[i] != rhs and event[i] in events:
+            yield i, S[i], rhs
 
 
 def is_controllable(spec: FuzzyLanguage, plant: FuzzyLanguage) -> CheckReport:
@@ -125,10 +140,11 @@ def is_controllable(spec: FuzzyLanguage, plant: FuzzyLanguage) -> CheckReport:
     supp(spec), and extensions the plant itself rules out, satisfy it
     automatically, so scanning supp(plant) is complete.
     """
-    lattice, S, P = _require_spec_inside_plant(spec, plant)
+    lattice, index, S, P = _require_spec_inside_plant(spec, plant)
+    strings, parent, event = index.strings, index.parent, index.event
     witnesses = [
-        Witness(CONTROLLABILITY, (s,), event, lattice[lhs], lattice[rhs])
-        for s, event, lhs, rhs in _mismatches(S, P, (), spec.alphabet.uncontrollable)
+        Witness(CONTROLLABILITY, (strings[parent[i]],), event[i], lattice[lhs], lattice[rhs])
+        for i, lhs, rhs in _mismatches(index, S, P, (), spec.alphabet.uncontrollable)
     ]
     return CheckReport.failed(witnesses) if witnesses else CheckReport.passed()
 
@@ -145,16 +161,21 @@ def is_observable(
     candidate that can work is x = max over t in C of spec(ta): every
     member s' must then satisfy spec(s'a) = min(spec(s'), plant(s'a), x),
     the closed-loop equation with the class-join view.  The first
-    violation per (class, event) is reported, in (class, event) order.
+    violation per (class, event) is reported, in (class, event) order,
+    classes ordered by their observed strings.
     """
-    lattice, S, P, events, classes = _scan_setup(spec, plant, pr, controllables)
-    seen, ctrl = _inverted(classes), frozenset(events)
-    first: dict[tuple[EventString, EventId], Witness] = {}
-    for s, event, lhs, rhs in _mismatches(S, P, [(seen, ctrl, class_joins(S, seen, ctrl))], ctrl):
-        if (seen[s], event) not in first:
-            members = tuple(classes[seen[s]])
-            first[seen[s], event] = Witness(OBSERVABILITY, (s,), event, lattice[lhs], lattice[rhs], members)
-    witnesses = [first[key] for key in ((t, e) for t in classes for e in events) if key in first]
+    lattice, index, S, P, events, proj, observed = _scan_setup(spec, plant, pr, controllables)
+    ctrl, parent, event = frozenset(events), index.parent, index.event
+    first: dict[tuple[int, EventId], tuple] = {}
+    for i, lhs, rhs in _mismatches(index, S, P, [(proj, ctrl, class_joins(index, S, proj, ctrl))], ctrl):
+        first.setdefault((proj[parent[i]], event[i]), (i, lhs, rhs))
+    members = _members(index, S, proj, {c for c, _ in first})
+    witnesses = [
+        Witness(OBSERVABILITY, (index.strings[parent[i]],), e, lattice[lhs], lattice[rhs], members[c])
+        for (c, e), (i, lhs, rhs) in sorted(
+            first.items(), key=lambda w: (string_key(observed[w[0][0]]), w[0][1])
+        )
+    ]
     return CheckReport.failed(witnesses) if witnesses else CheckReport.passed()
 
 
@@ -176,34 +197,33 @@ def is_strongly_observable(
     eligible member differs from the first one.  The scan compares that
     first member with each later one, O(|class|) per event, and reports
     the first that differs, which is the first violating pair in member
-    order.
+    order.  The plant children s.a of one class and event ascend with s.
     """
-    lattice, S, P, events, classes = _scan_setup(spec, plant, pr, controllables)
-    witnesses = []
-    for _, members in classes.items():
-        for event in events:
-            eligible = (t for t in members if (t + (event,)) in P)
-            s = next(eligible, None)
-            if s is None:
+    lattice, index, S, P, events, proj, observed = _scan_setup(spec, plant, pr, controllables)
+    strings, parent, event, ctrl = index.strings, index.parent, index.event, frozenset(events)
+    eligible: dict[tuple[int, EventId], list[int]] = {}
+    for i in range(1, len(P)):
+        if S[parent[i]] and event[i] in ctrl:
+            eligible.setdefault((proj[parent[i]], event[i]), []).append(i)
+    found = []
+    for c, e in sorted(eligible, key=lambda key: (string_key(observed[key[0]]), key[1])):
+        sa, *later = eligible[c, e]
+        s = parent[sa]
+        tight_s = S[sa] == min(S[s], P[sa])
+        for s2a in later:
+            s2 = parent[s2a]
+            tight_s2 = S[s2a] == min(S[s2], P[s2a])
+            if tight_s != tight_s2:
+                strict, strict_a = (s2, s2a) if tight_s else (s, sa)
+                lhs, rhs, kind = S[strict_a], min(S[strict], P[strict_a]), STRONG_OBS_COND1
+            elif S[sa] != S[s2a]:
+                lhs, rhs, kind = S[sa], S[s2a], STRONG_OBS_COND2
+            else:
                 continue
-            sa = s + (event,)
-            tight_s = S.get(sa, 0) == min(S[s], P[sa])
-            for s2 in eligible:
-                s2a = s2 + (event,)
-                tight_s2 = S.get(s2a, 0) == min(S[s2], P[s2a])
-                if tight_s != tight_s2:
-                    strict = s2 if tight_s else s
-                    strict_a = strict + (event,)
-                    lhs, rhs = S.get(strict_a, 0), min(S[strict], P[strict_a])
-                    kind = STRONG_OBS_COND1
-                elif S.get(sa, 0) != S.get(s2a, 0):
-                    lhs, rhs, kind = S.get(sa, 0), S.get(s2a, 0), STRONG_OBS_COND2
-                else:
-                    continue
-                witnesses.append(
-                    Witness(kind, (s, s2), event, lattice[lhs], lattice[rhs], tuple(members))
-                )
-                break
+            found.append((c, Witness(kind, (strings[s], strings[s2]), e, lattice[lhs], lattice[rhs])))
+            break
+    members = _members(index, S, proj, {c for c, _ in found})
+    witnesses = [replace(w, projection_class=members[c]) for c, w in found]
     return CheckReport.failed(witnesses) if witnesses else CheckReport.passed()
 
 
@@ -214,19 +234,18 @@ def is_normal(spec: FuzzyLanguage, plant: FuzzyLanguage, pr: Projection) -> Chec
     pointwise on supp(plant); the recovered language always dominates the
     spec, so each witness shows where recovery overshoots.
     """
-    lattice, S, P = _require_spec_inside_plant(spec, plant)
-    seen = {s: project_string(pr, s) for s in P}
-    observed: dict[EventString, int] = {}
-    for s, r in S.items():
-        if r > observed.get(seen[s], 0):
-            observed[seen[s]] = r
+    lattice, index, S, P = _require_spec_inside_plant(spec, plant)
+    proj, observed = projection_ids(index, pr)
+    top = [0] * len(observed)
+    for c, r in zip(proj, S):
+        if r > top[c]:
+            top[c] = r
     witnesses = []
-    for s, bound in P.items():
-        lhs = S.get(s, 0)
-        rhs = min(observed.get(seen[s], 0), bound)
+    for s, c, lhs, bound in zip(index.strings, proj, S, P):
+        rhs = min(top[c], bound)
         if lhs != rhs:
             witnesses.append(
-                Witness(NORMALITY, (s,), None, lattice[lhs], lattice[rhs], (seen[s],))
+                Witness(NORMALITY, (s,), None, lattice[lhs], lattice[rhs], (observed[c],))
             )
     return CheckReport.failed(witnesses) if witnesses else CheckReport.passed()
 
@@ -261,18 +280,20 @@ def is_coobservable(
     carry the first site's class for cases 1 and 2, the second site's for
     case 3, and report the first violation per (class pair, event).
     """
-    lattice, S, P = _require_spec_inside_plant(spec, plant)
+    lattice, index, S, P = _require_spec_inside_plant(spec, plant)
     (pr1, ctrl1), (pr2, ctrl2) = _resolve_sites(spec.alphabet, site1, site2)
-    classes1, classes2 = projection_classes(pr1, S), projection_classes(pr2, S)
-    seen1, seen2 = _inverted(classes1), _inverted(classes2)
-    views = [(seen1, ctrl1, class_joins(S, seen1, ctrl1)), (seen2, ctrl2, class_joins(S, seen2, ctrl2))]
-    first: dict[tuple[EventString, EventString, EventId], Witness] = {}
-    for s, event, lhs, rhs in _mismatches(S, P, views, ctrl1 | ctrl2):
-        t1, t2 = seen1[s], seen2[s]
-        if (t1, t2, event) not in first:
-            in1 = event in ctrl1
-            kind = (COOBS_CASE1 if event in ctrl2 else COOBS_CASE2) if in1 else COOBS_CASE3
-            members = tuple(classes1[t1] if in1 else classes2[t2])
-            first[t1, t2, event] = Witness(kind, (s,), event, lattice[lhs], lattice[rhs], members)
-    witnesses = list(first.values())
+    parent, event = index.parent, index.event
+    proj1, proj2 = projection_ids(index, pr1)[0], projection_ids(index, pr2)[0]
+    views = [(p, ctrl, class_joins(index, S, p, ctrl)) for p, ctrl in ((proj1, ctrl1), (proj2, ctrl2))]
+    first: dict[tuple[int, int, EventId], tuple] = {}
+    for i, lhs, rhs in _mismatches(index, S, P, views, ctrl1 | ctrl2):
+        first.setdefault((proj1[parent[i]], proj2[parent[i]], event[i]), (i, lhs, rhs))
+    members1 = _members(index, S, proj1, {t1 for t1, _, e in first if e in ctrl1})
+    members2 = _members(index, S, proj2, {t2 for _, t2, e in first if e not in ctrl1})
+    witnesses = []
+    for (t1, t2, e), (i, lhs, rhs) in first.items():
+        in1 = e in ctrl1
+        kind = (COOBS_CASE1 if e in ctrl2 else COOBS_CASE2) if in1 else COOBS_CASE3
+        members = members1[t1] if in1 else members2[t2]
+        witnesses.append(Witness(kind, (index.strings[parent[i]],), e, lattice[lhs], lattice[rhs], members))
     return CheckReport.failed(witnesses) if witnesses else CheckReport.passed()

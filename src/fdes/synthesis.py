@@ -23,8 +23,8 @@ from typing import Callable, Mapping, Sequence
 from .errors import ConditionViolated, FdesError
 from .events import EventId, EventString, render_event_string, string_key
 from .grades import ONE, ZERO, Grade, as_grade
-from .language import FuzzyLanguage, ranked
-from .observation import Projection, class_joins, project_string
+from .language import FuzzyLanguage, Index
+from .observation import Projection, class_joins, projection_ids
 from .predicates import (
     Site,
     _equation,
@@ -126,7 +126,7 @@ def _synthesize(
     """
     if spec.is_empty:
         raise FdesError("EMPTY_SPEC", "cannot synthesize for the empty specification")
-    lattice, S, P = _require_spec_inside_plant(spec, plant)
+    lattice, index, S, P = _require_spec_inside_plant(spec, plant)
     sites = resolve_sites()
     if not force:
         if len(sites) == 1:
@@ -139,23 +139,22 @@ def _synthesize(
     events = spec.alphabet.events
     supervisors = []
     for pr, ctrl in sites:
-        seen = {s: project_string(pr, s) for s in P}
-        joins = class_joins(S, seen, ctrl)
+        proj, observed = projection_ids(index, pr)
+        joins = class_joins(index, S, proj, ctrl)
         rows = {
-            observed: {e: lattice[joins.get((observed, e), 0)] if e in ctrl else ONE for e in events}
-            for observed in dict.fromkeys(seen.values())
+            t: {e: lattice[joins.get((c, e), 0)] if e in ctrl else ONE for e in events}
+            for c, t in enumerate(observed)
         }
         supervisors.append(FuzzySupervisor(pr, ctrl, rows))
     return supervisors
 
 
-def _sweep(P: Mapping[EventString, int], views) -> dict[EventString, int]:
-    """The closed loop on ranks: fills each string of the plant's ranks ``P``
+def _sweep(index: Index, P: list[int], views) -> list[int]:
+    """The closed loop on ranks: fills a rank list over the ids of ``index``
     with the rhs of ``predicates._equation`` over the grades filled so far."""
-    result = {}
-    for s, rank in _equation(P, result, views):
-        if rank:
-            result[s] = rank
+    result = P[:1] + [0] * (len(P) - 1)
+    for i, rank in _equation(index, P, result, views):
+        result[i] = rank
     return result
 
 
@@ -164,21 +163,22 @@ def _closed_loop(plant: FuzzyLanguage, supervisors: Sequence[FuzzySupervisor]) -
     for sup in supervisors:
         if sup.projection.alphabet != plant.alphabet:
             raise FdesError("ALPHABET_MISMATCH", "supervisor and plant use different alphabets")
-    seens, tables = [], []
+    index = Index(plant)
+    projs, tables = [], []
     for sup in supervisors:
-        seen = {s: project_string(sup.projection, s) for s in plant.support}
-        missing = {observed for observed in seen.values() if observed not in sup.table}
+        proj, observed = projection_ids(index, sup.projection)
+        missing = [t for t in observed if t not in sup.table]
         if missing:
             raise FdesError(
                 "SUPERVISOR_DOMAIN_GAP",
                 f"supervisor lacks a row for {render_event_string(min(missing, key=string_key))}",
             )
-        seens.append(seen)
+        projs.append(proj)
         # Every other entry is 1.  Ranked with the plant, so the lattice holds them.
-        tables.append({(t, e): row[e] for t, row in sup.table.items() for e in sup.controllables})
-    lattice, P, *tables = ranked(plant, *tables)
-    views = [(seen, sup.controllables, table) for seen, sup, table in zip(seens, supervisors, tables)]
-    return FuzzyLanguage(plant.alphabet, {s: lattice[r] for s, r in _sweep(P, views).items()})
+        tables.append({(c, e): sup.table[t][e] for c, t in enumerate(observed) for e in sup.controllables})
+    lattice, P, *tables = index.ranked(*tables)
+    views = [(proj, sup.controllables, table) for proj, sup, table in zip(projs, supervisors, tables)]
+    return index.decode(lattice, _sweep(index, P, views))
 
 
 def synthesize_central(

@@ -1,0 +1,194 @@
+"""Literal and set-based references for the property checks.
+
+A pairwise reading of observability and strong observability, and the
+classical checkers on crisp (set) languages.  They share no loop with
+``fdes.predicates``, so the tests can hold the graded checks against
+them on desk-scale instances.
+"""
+
+from __future__ import annotations
+
+from fdes.errors import FdesError
+from fdes.events import EventId, EventString
+from fdes.grades import ONE, ZERO, Grade, meet
+from fdes.language import FuzzyLanguage
+from fdes.observation import Projection, projection_classes
+from fdes.predicates import Site, _resolve_sites, _scan_setup
+
+
+def _solution_interval(
+    spec: FuzzyLanguage, plant: FuzzyLanguage, s: EventString, event: EventId
+) -> tuple[Grade, bool]:
+    """Solutions x of spec(sa) = min(spec(s), plant(sa), x), as an interval.
+
+    Returns (low, open_top): the solution set is [low, 1] when the grade is
+    tight against min(spec(s), plant(sa)), else exactly {low}.
+    """
+    extended = s + (event,)
+    low = spec.grade(extended)
+    tight = low == meet(spec.grade(s), plant.grade(extended))
+    return low, tight
+
+
+def observable_pairwise(
+    spec: FuzzyLanguage,
+    plant: FuzzyLanguage,
+    pr: Projection,
+    controllables: frozenset | None = None,
+) -> bool:
+    """Literal pairwise reading of observability.
+
+    For each ordered same-class pair (s, s') and controllable event with
+    spec(sa) positive, some enable degree solving s's equation must also
+    solve s''s; with solution sets being points or up-closed intervals the
+    existential reduces to an interval intersection test.
+    """
+    events = _scan_setup(spec, plant, pr, controllables)[4]
+    for members in projection_classes(pr, spec.support).values():
+        for event in events:
+            for s in members:
+                if spec.grade(s + (event,)) == ZERO:
+                    continue
+                s_low, s_tight = _solution_interval(spec, plant, s, event)
+                for s2 in members:
+                    low2, tight2 = _solution_interval(spec, plant, s2, event)
+                    if s_tight and tight2:
+                        continue
+                    if s_tight and not tight2 and low2 >= s_low:
+                        continue
+                    if tight2 and not s_tight and s_low >= low2:
+                        continue
+                    if not s_tight and not tight2 and s_low == low2:
+                        continue
+                    return False
+    return True
+
+
+def strongly_observable_direct(
+    spec: FuzzyLanguage,
+    plant: FuzzyLanguage,
+    pr: Projection,
+    controllables: frozenset | None = None,
+) -> bool:
+    """Literal reading of strong observability: every admissible x works.
+
+    The solution set for s is {low} or [low, 1]; since the partner's
+    equation is monotone in x it suffices to test the endpoint values.
+    """
+    events = _scan_setup(spec, plant, pr, controllables)[4]
+    for members in projection_classes(pr, spec.support).values():
+        for event in events:
+            for s in members:
+                if spec.grade(s + (event,)) == ZERO:
+                    continue
+                s_low, s_tight = _solution_interval(spec, plant, s, event)
+                candidates = (s_low, ONE) if s_tight else (s_low,)
+                for s2 in members:
+                    s2a = s2 + (event,)
+                    for x in candidates:
+                        rhs = meet(meet(spec.grade(s2), plant.grade(s2a)), x)
+                        if spec.grade(s2a) != rhs:
+                            return False
+    return True
+
+
+def _erase(s: EventString, observable: frozenset) -> EventString:
+    return tuple(e for e in s if e in observable)
+
+
+def crisp_controllable(spec_supp: set, plant_supp: set, uncontrollable: frozenset) -> bool:
+    """Classical controllability on plain string sets."""
+    return all(
+        s + (e,) not in plant_supp or s + (e,) in spec_supp
+        for s in spec_supp
+        for e in uncontrollable
+    )
+
+
+def crisp_observable(
+    spec_supp: set, plant_supp: set, observable: frozenset, controllable: frozenset
+) -> bool:
+    """Classical observability on plain string sets."""
+    by_projection: dict[EventString, list[EventString]] = {}
+    for s in spec_supp:
+        by_projection.setdefault(_erase(s, observable), []).append(s)
+    for members in by_projection.values():
+        for e in controllable:
+            if any(s + (e,) in spec_supp for s in members):
+                for s2 in members:
+                    if s2 + (e,) in plant_supp and s2 + (e,) not in spec_supp:
+                        return False
+    return True
+
+
+def crisp_coobservable(
+    spec_supp: set,
+    plant_supp: set,
+    obs1: frozenset,
+    ctrl1: frozenset,
+    obs2: frozenset,
+    ctrl2: frozenset,
+) -> bool:
+    """Classical two-site co-observability on plain string sets."""
+    class1: dict[EventString, list[EventString]] = {}
+    class2: dict[EventString, list[EventString]] = {}
+    for s in spec_supp:
+        class1.setdefault(_erase(s, obs1), []).append(s)
+        class2.setdefault(_erase(s, obs2), []).append(s)
+    for s in spec_supp:
+        for e in ctrl1 | ctrl2:
+            extended = s + (e,)
+            if extended not in plant_supp or extended in spec_supp:
+                continue
+            seen1 = any(t + (e,) in spec_supp for t in class1[_erase(s, obs1)])
+            seen2 = any(t + (e,) in spec_supp for t in class2[_erase(s, obs2)])
+            if e in ctrl1 and e in ctrl2:
+                if seen1 and seen2:
+                    return False
+            elif e in ctrl1:
+                if seen1:
+                    return False
+            else:
+                if seen2:
+                    return False
+    return True
+
+
+def crisp_normal(spec_supp: set, plant_supp: set, observable: frozenset) -> bool:
+    """Classical normality: the spec equals the observation-consistent part
+    of the plant."""
+    projected = {_erase(s, observable) for s in spec_supp}
+    recovered = {s for s in plant_supp if _erase(s, observable) in projected}
+    return recovered == spec_supp
+
+
+def crisp_reference(
+    kind: str,
+    spec: FuzzyLanguage,
+    plant: FuzzyLanguage,
+    pr: Projection | None = None,
+    site1: Site | None = None,
+    site2: Site | None = None,
+) -> bool:
+    """Set-based verdict for {0,1}-valued languages, kept independent of the
+    graded code paths."""
+    for language in (spec, plant):
+        if any(g != ONE for _, g in language.items()):
+            raise FdesError("NOT_CRISP", "crisp reference needs {0,1}-valued languages")
+    spec_supp = set(spec.support)
+    plant_supp = set(plant.support)
+    alphabet = spec.alphabet
+    if kind == "controllability":
+        return crisp_controllable(spec_supp, plant_supp, alphabet.uncontrollable)
+    if kind == "observability":
+        observable = pr.observable if pr is not None else alphabet.observable
+        return crisp_observable(spec_supp, plant_supp, observable, alphabet.controllable)
+    if kind == "normality":
+        observable = pr.observable if pr is not None else alphabet.observable
+        return crisp_normal(spec_supp, plant_supp, observable)
+    if kind == "coobservability":
+        (pr1, ctrl1), (pr2, ctrl2) = _resolve_sites(alphabet, site1, site2)
+        return crisp_coobservable(
+            spec_supp, plant_supp, pr1.observable, ctrl1, pr2.observable, ctrl2
+        )
+    raise FdesError("MALFORMED_GRADE", f"unknown crisp reference kind: {kind!r}")

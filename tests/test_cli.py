@@ -249,23 +249,37 @@ def test_scp_json(capsys):
     assert payload["infimal_co"]["a.b"] == "0.7"
 
 
+def with_alphabet(tmp_path, path, alphabet_section):
+    """A copy of a language file that declares its own alphabet."""
+    copy = tmp_path / Path(path).name
+    copy.write_text(alphabet_section + "\n" + Path(path).read_text())
+    return str(copy)
+
+
 def test_lang_operations(tmp_path, capsys):
-    assert run_command(["lang", "--op", "grade", UNION_SPEC, UNION_PLANT, "--string", "a"]) == 0
+    union_spec = with_alphabet(tmp_path, UNION_SPEC, "[alphabet E2]\nevents a b\n")
+    assert run_command(["lang", "--op", "grade", union_spec, "--string", "a"]) == 0
     assert capsys.readouterr().out.strip() == "0.8"
     assert run_command(["lang", "--op", "sublanguage", UNION_SPEC, UNION_PLANT]) == 0
     assert run_command(["lang", "--op", "sublanguage", UNION_PLANT, UNION_SPEC]) == 1
-    assert run_command(["lang", "--op", "project", CENTRAL_SPEC, CENTRAL_PLANT]) == 0
+    central_spec = with_alphabet(
+        tmp_path, CENTRAL_SPEC, "[alphabet E]\nevents a b c d\ncontrollable a b c\nobservable a b d\n"
+    )
+    assert run_command(["lang", "--op", "project", central_spec]) == 0
     out = capsys.readouterr().out
     assert "a.d 0.7" in out
-    assert (
-        run_command(
-            ["lang", "--op", "project", CENTRAL_SPEC, CENTRAL_PLANT, "--observable", "a,b"]
-        )
-        == 0
-    )
+    assert run_command(["lang", "--op", "project", central_spec, "--observable", "a,b"]) == 0
     out = capsys.readouterr().out
     assert "a 0.7" in out and "a.d" not in out
     assert run_command(["lang", "--op", "union", UNION_SPEC, UNION_PLANT]) == 0
+
+
+def test_lang_unary_operations_take_one_file(capsys):
+    for op, extra in (("project", []), ("grade", ["--string", "a"])):
+        assert run_command(["lang", "--op", op, UNION_SPEC, UNION_PLANT, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error[SYNTAX_ERROR]: --op {op} takes one language file" in captured.err
 
 
 

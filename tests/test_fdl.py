@@ -201,3 +201,40 @@ def test_every_accepted_alphabet_is_emitted_so_that_it_parses_back(names, data):
         return
     doc = FdlDocument(alphabets={"E": alphabet})
     assert parse_fdl(emit_fdl(doc)).alphabets == {"E": alphabet}
+
+
+PREFIXED = "[alphabet E]\nevents a b\n\n[language L]\nalphabet E\neps 1\na 0.9\na.b 0.8\n"
+
+
+@pytest.mark.parametrize(
+    "line, code, message, lineno",
+    [
+        ("eps.a", "MALFORMED_EVENT", "'eps' is reserved for the empty string", 9),
+        ("a.", "MALFORMED_EVENT", "bad event string: 'a.'", 9),
+        ("a.b.", "MALFORMED_EVENT", "bad event string: 'a.b.'", 9),
+        ("a..b", "MALFORMED_EVENT", "bad event string: 'a..b'", 9),
+        ("a.b-c", "MALFORMED_EVENT", "bad event identifier: 'b-c'", 9),
+        ("a.eps", "MALFORMED_EVENT", "'eps' is reserved for the empty string", 9),
+        ("a.zz", "UNKNOWN_EVENT", "event 'zz' not in alphabet", 4),
+        ("b.a", "P2_VIOLATION", "grade of b.a exceeds its prefix b (1/2 > 0)", 4),
+    ],
+)
+def test_strings_resolved_from_their_prefix_line_fail_as_parsed_whole(line, code, message, lineno):
+    # Each string's prefix line (a, a.b, eps) is present except for b.a.
+    with pytest.raises(FdesError) as err:
+        parse_fdl(PREFIXED + f"{line} 0.5\n", "spec.fdl")
+    assert (err.value.code, err.value.message, err.value.location) == (
+        code, message, f"spec.fdl:{lineno}"
+    )
+
+
+def test_strings_parse_the_same_with_or_without_their_prefix_lines_first():
+    lines = ["eps 1", "a 0.9", "a.b 0.8", "a.b.a 0.5", "b 0.7", "b.b 0.6"]
+    head = "[alphabet E]\nevents a b\n\n[language L]\nalphabet E\n"
+    forward = parse_fdl(head + "\n".join(lines) + "\n").languages["L"]
+    backward = parse_fdl(head + "\n".join(reversed(lines)) + "\n").languages["L"]
+    assert forward == backward
+    assert dict(forward.items()) == {
+        (): 1, ("a",): F(9, 10), ("b",): F(7, 10), ("a", "b"): F(4, 5),
+        ("b", "b"): F(3, 5), ("a", "b", "a"): F(1, 2),
+    }

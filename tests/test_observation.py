@@ -16,8 +16,10 @@ from fdes import (
     project_language,
     project_string,
 )
+from fdes.events import string_key
 from fdes.grades import join_all
-from fdes.observation import class_joins, projection_classes
+from fdes.language import Index
+from fdes.observation import class_joins, projection_classes, projection_ids
 from helpers import (
     central_example,
     lang,
@@ -122,12 +124,16 @@ def test_class_joins_match_brute_class_join():
         spec = random_sublanguage(rng, plant, lattice)
         pr = random_projection(rng, alphabet)
         events = sorted(alphabet.events)
-        for language in (plant, spec):
-            classes = projection_classes(pr, language.support)
-            seen = {s: t for t, members in classes.items() for s in members}
-            joins = class_joins(spec, seen, events)
-            assert set(joins) <= {(t, a) for t in classes for a in events}
-            for t, members in classes.items():
+        index = Index(plant)
+        values, P, S = index.ranked(spec)
+        proj, observed = projection_ids(index, pr)
+        assert [observed[c] for c in proj] == [project_string(pr, s) for s in plant.support]
+        assert sorted(observed, key=string_key) == list(projection_classes(pr, plant.support))
+        for language, ranks in ((plant, P), (spec, S)):
+            joins = class_joins(index, ranks, proj, events)
+            assert set(joins) <= {(c, a) for c in range(len(observed)) for a in events}
+            for c, t in enumerate(observed):
+                members = [s for s in plant.support if project_string(pr, s) == t]
                 for a in events:
-                    brute = join_all(spec.grade(s + (a,)) for s in members)
-                    assert joins.get((t, a), 0) == brute
+                    brute = join_all(language.grade(s + (a,)) for s in members)
+                    assert values[joins.get((c, a), 0)] == brute

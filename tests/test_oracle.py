@@ -23,11 +23,10 @@ from fdes.oracle import (
     brute_infimal_co,
     brute_supervisor_exists,
     brute_supremal_cn,
-    crisp_reference,
     enumerate_languages,
-    observable_pairwise,
 )
 from helpers import central_example, lang, random_lattice, random_plant, union_example
+from references import crisp_reference, observable_pairwise
 
 AB = Alphabet({"a", "b"}, controllable={"a"}, observable={"b"})
 

@@ -238,6 +238,30 @@ def test_observability_witnesses_follow_class_order_not_string_order():
     assert [(w.lhs, w.rhs) for w in report.witnesses] == [(0, 1), (0, 1)]
 
 
+def test_witness_classes_follow_observed_strings_not_first_appearance():
+    # In support order class (b,) appears first, at b; class (a,) only at
+    # u.a.  Witnesses still come in the order of the observed strings.
+    alphabet = Alphabet(
+        frozenset("abcu"), controllable=frozenset("c"), observable=frozenset("abc")
+    )
+    strings = ["eps", "b", "u", "u.a", "u.b", "u.u", "u.u.a"]
+    plant = lang(alphabet, {**{s: 1 for s in strings}, **{f"{s}.c": "0.9" for s in strings[1:]}})
+    spec = lang(alphabet, {**{s: 1 for s in strings}, "b.c": "0.5", "u.b.c": "0.3",
+                           "u.a.c": "0.5", "u.u.a.c": "0.3"})
+    class_a, class_b = (("u", "a"), ("u", "u", "a")), (("b",), ("u", "b"))
+    pr = natural_projection(alphabet)
+    report = is_observable(spec, plant, pr)
+    assert [(w.kind, w.strings, w.event, w.lhs, w.rhs, w.projection_class) for w in report.witnesses] == [
+        (OBSERVABILITY, (("u", "u", "a"),), "c", F(3, 10), F(1, 2), class_a),
+        (OBSERVABILITY, (("u", "b"),), "c", F(3, 10), F(1, 2), class_b),
+    ]
+    report = is_strongly_observable(spec, plant, pr)
+    assert [(w.kind, w.strings, w.lhs, w.rhs, w.projection_class) for w in report.witnesses] == [
+        (STRONG_OBS_COND2, (("u", "a"), ("u", "u", "a")), F(1, 2), F(3, 10), class_a),
+        (STRONG_OBS_COND2, (("b",), ("u", "b")), F(1, 2), F(3, 10), class_b),
+    ]
+
+
 def test_witness_order_on_random_failing_specs():
     """Controllability and co-observability witnesses come in (s, event)
     order; observability witnesses in (class projection, event) order, at

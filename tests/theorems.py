@@ -32,13 +32,9 @@ from fdes import (
 )
 from fdes.grades import ONE, ZERO, meet
 from fdes.observation import projection_classes
-from fdes.oracle import (
-    crisp_reference,
-    observable_pairwise,
-    strongly_observable_direct,
-)
 
 import helpers
+from references import crisp_normal, crisp_reference, observable_pairwise, strongly_observable_direct
 
 
 def make_instance(rng, max_events=4, max_support=12, max_lattice=5):
@@ -161,8 +157,6 @@ def check_observable_controllable_implies_normal_when_ec_observable(spec, plant,
 
 def check_normal_support_is_crisp_normal(spec, plant, pr):
     if is_normal(spec, plant, pr).holds:
-        from fdes.oracle import crisp_normal
-
         assert crisp_normal(set(spec.support), set(plant.support), pr.observable)
 
 
