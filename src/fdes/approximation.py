@@ -12,21 +12,19 @@ in the oracle module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import gt
 
 from .errors import FdesError
 from .grades import Grade
-from .language import FuzzyLanguage, is_sublanguage, ranked
-from .observation import Projection, class_joins, projection_ids
-from .predicates import _require_spec_inside_plant
+from .language import FuzzyLanguage, Index, _codes
+from .observation import Projection, projection_ids
+from .predicates import _require_spec_inside_plant, _view
 from .synthesis import FuzzySupervisor, _sweep, synthesize_central
 
 
 def grade_lattice(*languages: FuzzyLanguage) -> tuple[Grade, ...]:
-    """All grades appearing in the inputs plus the bounds 0 and 1, sorted.
-
-    A finite totally ordered set is automatically closed under min/max.
-    """
-    return ranked(*languages)[0]
+    """All grades of the inputs plus 0 and 1, sorted: a chain, closed under min and max."""
+    return _codes(languages)[0]
 
 
 def infimal_co(spec: FuzzyLanguage, plant: FuzzyLanguage, pr: Projection) -> FuzzyLanguage:
@@ -48,9 +46,7 @@ def infimal_co(spec: FuzzyLanguage, plant: FuzzyLanguage, pr: Projection) -> Fuz
     lattice, index, S, P = _require_spec_inside_plant(spec, plant)
     if spec.is_empty:
         return spec
-    controllable, proj = spec.alphabet.controllable, projection_ids(index, pr)[0]
-    view = (proj, controllable, class_joins(index, S, proj, controllable))
-    return index.decode(lattice, _sweep(index, P, [view]))
+    return index.decode(lattice, _sweep(index, P, [_view(index, S, pr, None)[0]]))
 
 
 def supremal_cn(spec: FuzzyLanguage, plant: FuzzyLanguage, pr: Projection) -> FuzzyLanguage:
@@ -147,17 +143,18 @@ def solve_scp(
     plant: FuzzyLanguage,
     pr: Projection,
 ) -> ScpResult:
-    """Find a supervisor whose closed loop lies between the two bounds."""
+    """Find a supervisor whose closed loop lies between the two bounds; the
+    containments and ``infimal_co`` run on one indexed plant support."""
     if minimal.is_empty:
         raise FdesError("EMPTY_MIN_SPEC", "minimal acceptable behavior must be non-empty")
     if minimal.alphabet != legal.alphabet or legal.alphabet != plant.alphabet:
         raise FdesError("ALPHABET_MISMATCH", "all three languages must share an alphabet")
-    if not is_sublanguage(minimal, legal) or not is_sublanguage(legal, plant):
-        raise FdesError(
-            "PRECONDITION_CHAIN",
-            "need minimal <= legal <= plant containments",
-        )
-    approx = infimal_co(minimal, plant, pr)
-    if not is_sublanguage(approx, legal):
+    index = Index(plant)
+    lattice, P, M, L = index.ranked(minimal, legal)
+    if M is None or L is None or any(map(gt, M, L)) or any(map(gt, L, P)):
+        raise FdesError("PRECONDITION_CHAIN", "need minimal <= legal <= plant containments")
+    A = _sweep(index, P, [_view(index, M, pr, None)[0]])
+    approx = index.decode(lattice, A)
+    if any(map(gt, A, L)):
         return ScpResult(False, None, approx)
     return ScpResult(True, synthesize_central(approx, plant, pr), approx)

@@ -8,6 +8,7 @@ makes the support prefix closed.  The empty language is the algebra's zero.
 
 from __future__ import annotations
 
+from operator import gt
 from typing import Iterable, Iterator, Mapping
 
 from .errors import FdesError
@@ -146,26 +147,13 @@ def concatenation(a: FuzzyLanguage, b: FuzzyLanguage) -> FuzzyLanguage:
 
 
 def _codes(gradings) -> tuple:
-    """The sorted grades of the gradings plus 0 and 1, and id(grade) -> rank."""
+    """The sorted grades of the gradings plus 0 and 1, and id(grade) -> rank:
+    ``lattice[r]`` decodes, and ranks keep min and max.  Each grade object
+    is hashed once; equal grades in distinct objects share a rank."""
     by_id = {id(g): g for grading in gradings for _, g in grading.items()}
     lattice = tuple(sorted({ZERO, ONE, *by_id.values()}))
     rank = {g: r for r, g in enumerate(lattice)}
     return lattice, {key: rank[g] for key, g in by_id.items()}
-
-
-def ranked(*gradings) -> tuple:
-    """The grade lattice of the inputs and each input encoded on it.
-
-    Returns the sorted grades of every input (languages or other
-    ``.items()`` mappings to grades) plus 0 and 1, then each input as a
-    key -> rank dict: rank 0 is ZERO, the top rank ONE and ``lattice[r]``
-    decodes.  Grades combine only by min and max, which ranks preserve.
-    Each distinct grade object is hashed once, so every input is read
-    twice and must hold its grades; equal grades in distinct objects
-    still share a rank.
-    """
-    lattice, code = _codes(gradings)
-    return lattice, *({k: code[id(g)] for k, g in grading.items()} for grading in gradings)
 
 
 class Index:
@@ -183,9 +171,10 @@ class Index:
         self.event = [s[-1] if s else None for s in self.strings]
 
     def ranked(self, *gradings) -> tuple:
-        """``ranked`` of the plant and the gradings on the ids: the plant and
-        each language become rank lists over them, 0 where a string is absent
-        (None if one lies outside supp(plant)); other mappings stay dicts."""
+        """The grade lattice of the plant and the gradings (``_codes``), then
+        the plant and each language as rank lists over the ids, 0 where a
+        string is absent (None if one lies outside supp(plant)); other
+        mappings become key -> rank dicts.  Each input is read twice."""
         lattice, code = _codes((self.plant, *gradings))
         encoded = [[code[id(g)] for _, g in self.plant.items()]]
         for grading in gradings:
@@ -208,10 +197,10 @@ class Index:
 
 
 def is_sublanguage(a: FuzzyLanguage, b: FuzzyLanguage) -> bool:
-    """True iff a(s) <= b(s) pointwise (checked on supp(a), on ranks)."""
+    """True iff a(s) <= b(s) pointwise (on ranks over supp(b)'s ids)."""
     _require_same_alphabet(a, b)
-    _, A, B = ranked(a, b)
-    return all(r <= B.get(s, 0) for s, r in A.items())
+    _, B, A = Index(b).ranked(a)
+    return A is not None and not any(map(gt, A, B))
 
 
 def prefix_close_repair(

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from .approximation import grade_lattice
 from .errors import FdesError
 from .events import EPSILON, Alphabet, EventId, EventString, string_key
 from .grades import ONE, ZERO, Grade, meet
@@ -118,9 +117,8 @@ def brute_infimal_co(
 ) -> FuzzyLanguage:
     """Pointwise meet of every controllable-and-observable language between
     the spec and the plant, found by exhaustive search."""
-    _require_spec_inside_plant(spec, plant)
+    lattice = _require_spec_inside_plant(spec, plant)[0]
     universe = tuple(s for s, _ in plant.items())
-    lattice = grade_lattice(spec, plant)
     _check_budget(len(lattice) ** len(universe), budget)
     result: FuzzyLanguage | None = None
     for grades in _assignments(universe, lattice, spec.grade, plant.grade):
@@ -142,9 +140,8 @@ def brute_supremal_cn(
 ) -> FuzzyLanguage:
     """Pointwise join of every controllable-and-normal sublanguage of the
     spec, found by exhaustive search."""
-    _require_spec_inside_plant(spec, plant)
+    lattice = _require_spec_inside_plant(spec, plant)[0]
     universe = tuple(s for s, _ in spec.items())
-    lattice = grade_lattice(spec, plant)
     _check_budget(len(lattice) ** len(universe), budget)
     result = empty_language(spec.alphabet)
     for grades in _assignments(universe, lattice, lambda s: ZERO, spec.grade):

@@ -8,10 +8,12 @@ Controllability, observability and co-observability test one equation,
 the closed loop's (``_equation``, also run by ``synthesis._sweep``): sa
 gets min(spec(s), plant(sa)) met with the enable grade after s of each
 view controlling a, with no view for controllability (on E_uc) and the
-spec's class joins, one view or two, for the others (on E_c).  Grades
-combine only by min and max, so these checks and normality split into
-crisp ones: each holds iff it holds on every alpha-cut, the crisp
-language {s : grade(s) >= alpha}.  Strong observability does not split.
+spec's class joins, one view or two (``_view``), for the others (on E_c).
+Synthesis decides by the closed loop itself and runs these checks only
+to explain a refusal.  Grades combine only by min and max, so these
+checks and normality split into crisp ones: each holds iff it holds on
+every alpha-cut, the crisp language {s : grade(s) >= alpha}.  Strong
+observability does not split.
 
 Each check numbers supp(plant) once (``language.Index``) and runs on
 rank lists over its ids, projection classes included
@@ -84,13 +86,14 @@ def _require_spec_inside_plant(spec: FuzzyLanguage, plant: FuzzyLanguage) -> tup
     return lattice, index, S, P
 
 
-def _scan_setup(spec: FuzzyLanguage, plant: FuzzyLanguage, pr: Projection, controllables):
-    """Checked inputs of a class scan: lattice, index, spec and plant ranks,
-    the events to scan, sorted (E_c by default), and ``projection_ids``."""
-    lattice, index, S, P = _require_spec_inside_plant(spec, plant)
-    if controllables is None:
-        controllables = spec.alphabet.controllable
-    return lattice, index, S, P, sorted(controllables), *projection_ids(index, pr, spec.support)
+def _view(index: Index, S: list, pr: Projection, controllables, scope=None) -> tuple:
+    """A site's formula-supervisor view for ``_equation``: (each id's class,
+    the site's controllable events as a frozenset, E_c if None, the spec's
+    class joins), and each class's observed string.  ``scope`` is as in
+    ``projection_ids``."""
+    ctrl = frozenset(index.plant.alphabet.controllable if controllables is None else controllables)
+    proj, observed = projection_ids(index, pr, scope)
+    return (proj, ctrl, class_joins(index, S, proj, ctrl)), observed
 
 
 def _members(index: Index, S: list, proj: list, classes) -> dict:
@@ -164,10 +167,11 @@ def is_observable(
     violation per (class, event) is reported, in (class, event) order,
     classes ordered by their observed strings.
     """
-    lattice, index, S, P, events, proj, observed = _scan_setup(spec, plant, pr, controllables)
-    ctrl, parent, event = frozenset(events), index.parent, index.event
+    lattice, index, S, P = _require_spec_inside_plant(spec, plant)
+    (proj, ctrl, joins), observed = _view(index, S, pr, controllables, spec.support)
+    parent, event = index.parent, index.event
     first: dict[tuple[int, EventId], tuple] = {}
-    for i, lhs, rhs in _mismatches(index, S, P, [(proj, ctrl, class_joins(index, S, proj, ctrl))], ctrl):
+    for i, lhs, rhs in _mismatches(index, S, P, [(proj, ctrl, joins)], ctrl):
         first.setdefault((proj[parent[i]], event[i]), (i, lhs, rhs))
     members = _members(index, S, proj, {c for c, _ in first})
     witnesses = [
@@ -199,8 +203,10 @@ def is_strongly_observable(
     the first that differs, which is the first violating pair in member
     order.  The plant children s.a of one class and event ascend with s.
     """
-    lattice, index, S, P, events, proj, observed = _scan_setup(spec, plant, pr, controllables)
-    strings, parent, event, ctrl = index.strings, index.parent, index.event, frozenset(events)
+    lattice, index, S, P = _require_spec_inside_plant(spec, plant)
+    proj, observed = projection_ids(index, pr, spec.support)
+    ctrl = frozenset(spec.alphabet.controllable if controllables is None else controllables)
+    strings, parent, event = index.strings, index.parent, index.event
     eligible: dict[tuple[int, EventId], list[int]] = {}
     for i in range(1, len(P)):
         if S[parent[i]] and event[i] in ctrl:
@@ -250,6 +256,13 @@ def is_normal(spec: FuzzyLanguage, plant: FuzzyLanguage, pr: Projection) -> Chec
     return CheckReport.failed(witnesses) if witnesses else CheckReport.passed()
 
 
+def _require_site_alphabets(alphabet: Alphabet, sites):
+    """The sites, once each site projection is known to use ``alphabet``."""
+    if any(pr.alphabet != alphabet for pr, _ in sites):
+        raise FdesError("ALPHABET_MISMATCH", "site projection uses a different alphabet")
+    return sites
+
+
 def _resolve_sites(alphabet: Alphabet, site1: Site | None, site2: Site | None) -> tuple[Site, Site]:
     if site1 is None and site2 is None:
         if alphabet.sites is None:
@@ -257,9 +270,7 @@ def _resolve_sites(alphabet: Alphabet, site1: Site | None, site2: Site | None) -
         site1, site2 = ((Projection(alphabet, s.observable), s.controllable) for s in alphabet.sites)
     if site1 is None or site2 is None:
         raise FdesError("SITE_COVER_VIOLATION", "exactly two sites are required")
-    for pr, _ in (site1, site2):
-        if pr.alphabet != alphabet:
-            raise FdesError("ALPHABET_MISMATCH", "site projection uses a different alphabet")
+    _require_site_alphabets(alphabet, (site1, site2))
     if frozenset(site1[1]) | frozenset(site2[1]) != alphabet.controllable:
         raise FdesError("SITE_COVER_VIOLATION", "site controllable sets do not cover E_c")
     return site1, site2
@@ -281,10 +292,9 @@ def is_coobservable(
     case 3, and report the first violation per (class pair, event).
     """
     lattice, index, S, P = _require_spec_inside_plant(spec, plant)
-    (pr1, ctrl1), (pr2, ctrl2) = _resolve_sites(spec.alphabet, site1, site2)
+    views = [_view(index, S, pr, ctrl)[0] for pr, ctrl in _resolve_sites(spec.alphabet, site1, site2)]
+    (proj1, ctrl1, _), (proj2, ctrl2, _) = views
     parent, event = index.parent, index.event
-    proj1, proj2 = projection_ids(index, pr1)[0], projection_ids(index, pr2)[0]
-    views = [(p, ctrl, class_joins(index, S, p, ctrl)) for p, ctrl in ((proj1, ctrl1), (proj2, ctrl2))]
     first: dict[tuple[int, int, EventId], tuple] = {}
     for i, lhs, rhs in _mismatches(index, S, P, views, ctrl1 | ctrl2):
         first.setdefault((proj1[parent[i]], proj2[parent[i]], event[i]), (i, lhs, rhs))

@@ -8,10 +8,11 @@ controllable event's enable grade after observation t is the join of the
 specification's grades over the continuations of all support strings the
 site cannot distinguish from t (``observation.class_joins``).  The closed
 loop is ``predicates._equation`` swept once, meeting every supervisor's
-enable grade, so the supervisors act conjunctively.  The controllability
-and (co-)observability checks ask if the spec solves that equation with
-its own rows, so a non-empty spec is achievable iff it is the closed loop
-of its formula supervisors; for one site that loop is
+enable grade, so the supervisors act conjunctively.  That loop decides
+synthesis: a non-empty spec is achievable iff it is the closed loop of
+its formula supervisors, which by the existence theorems holds iff it is
+controllable and observable (one site) or co-observable (two sites).
+The checks run only to explain a refusal.  For one site the loop is
 ``approximation.infimal_co``.  Central control is the one-site case.
 """
 
@@ -24,12 +25,14 @@ from .errors import ConditionViolated, FdesError
 from .events import EventId, EventString, render_event_string, string_key
 from .grades import ONE, ZERO, Grade, as_grade
 from .language import FuzzyLanguage, Index
-from .observation import Projection, class_joins, projection_ids
+from .observation import Projection, projection_ids
 from .predicates import (
     Site,
     _equation,
+    _require_site_alphabets,
     _require_spec_inside_plant,
     _resolve_sites,
+    _view,
     is_controllable,
     is_coobservable,
     is_observable,
@@ -55,6 +58,7 @@ class FuzzySupervisor:
         alphabet = self.projection.alphabet
         if not self.controllables <= alphabet.events:
             raise FdesError("UNKNOWN_EVENT", "supervisor controls events outside the alphabet")
+        table: dict[EventString, Row] = {}
         for observed, row in self.table.items():
             for event in observed:
                 if event not in self.projection.observable:
@@ -67,14 +71,15 @@ class FuzzySupervisor:
                     "INVALID_SUPERVISOR",
                     f"row {render_event_string(observed)} must grade every alphabet event",
                 )
-            for event, grade in row.items():
-                as_grade(grade)
+            table[observed] = {event: as_grade(grade) for event, grade in row.items()}
+            for event, grade in table[observed].items():
                 if event not in self.controllables and grade != ONE:
                     raise FdesError(
                         "INVALID_SUPERVISOR",
                         f"row {render_event_string(observed)} restricts {event!r}, "
                         "which this supervisor may not control",
                     )
+        object.__setattr__(self, "table", table)
 
     def enable_grade(self, observed: EventString, event: EventId) -> Grade:
         try:
@@ -102,13 +107,10 @@ def make_supervisor(
                 "UNKNOWN_EVENT",
                 f"supervisor row grades events outside the alphabet: {', '.join(sorted(unknown))}",
             )
-        row: Row = {}
-        for event in sorted(events):
-            if event in sparse:
-                row[event] = as_grade(sparse[event])
-            else:
-                row[event] = ZERO if event in controllables else ONE
-        table[tuple(observed)] = row
+        table[tuple(observed)] = {
+            e: sparse[e] if e in sparse else ZERO if e in controllables else ONE
+            for e in sorted(events)
+        }
     return FuzzySupervisor(projection, controllables, table)
 
 
@@ -121,26 +123,27 @@ def _synthesize(
     """One formula supervisor per (projection, controllables) site.
 
     ``resolve_sites()`` runs after the spec's own checks, which keeps each
-    wrapper's error order.  One site needs an observable spec, two a
-    co-observable one.  Rows cover every projection of supp(plant).
+    wrapper's error order.  Unless ``force`` is set, the spec must be the
+    closed loop of these supervisors, which holds iff it is controllable
+    and observable (one site) or co-observable (two); a refusal carries
+    the report of the first of those checks that fails.  Rows cover every
+    projection of supp(plant).
     """
     if spec.is_empty:
         raise FdesError("EMPTY_SPEC", "cannot synthesize for the empty specification")
     lattice, index, S, P = _require_spec_inside_plant(spec, plant)
     sites = resolve_sites()
-    if not force:
-        if len(sites) == 1:
-            condition = ("observable", is_observable(spec, plant, *sites[0]))
-        else:
-            condition = ("co-observable", is_coobservable(spec, plant, *sites))
-        for name, report in (("controllable", is_controllable(spec, plant)), condition):
-            if not report.holds:
-                raise ConditionViolated(f"specification is not {name}", report)
+    views = [_view(index, S, pr, ctrl) for pr, ctrl in sites]
+    if not force and _sweep(index, P, [view for view, _ in views]) != S:
+        name, report = "controllable", is_controllable(spec, plant)
+        if report.holds and len(sites) == 1:
+            name, report = "observable", is_observable(spec, plant, *sites[0])
+        elif report.holds:
+            name, report = "co-observable", is_coobservable(spec, plant, *sites)
+        raise ConditionViolated(f"specification is not {name}", report)
     events = spec.alphabet.events
     supervisors = []
-    for pr, ctrl in sites:
-        proj, observed = projection_ids(index, pr)
-        joins = class_joins(index, S, proj, ctrl)
+    for (pr, _), ((_, ctrl, joins), observed) in zip(sites, views):
         rows = {
             t: {e: lattice[joins.get((c, e), 0)] if e in ctrl else ONE for e in events}
             for c, t in enumerate(observed)
@@ -190,11 +193,13 @@ def synthesize_central(
     """Partial-observation supervisor achieving a controllable, observable spec.
 
     Rows cover every projection of the plant's support.  Unless ``force``
-    is set, controllability and observability are checked first and a
-    failing report is raised; with ``force`` the formula supervisor is
-    returned regardless (its closed loop then need not equal the spec).
+    is set, a spec its closed loop does not give back is refused with the
+    failing controllability or observability report; with ``force`` the
+    formula supervisor is returned regardless (its closed loop then need
+    not equal the spec).  The projection must use the spec's alphabet.
     """
-    return _synthesize(spec, plant, lambda: [(pr, spec.alphabet.controllable)], force)[0]
+    sites = [(pr, spec.alphabet.controllable)]
+    return _synthesize(spec, plant, lambda: _require_site_alphabets(spec.alphabet, sites), force)[0]
 
 
 def closed_loop_central(plant: FuzzyLanguage, supervisor: FuzzySupervisor) -> FuzzyLanguage:

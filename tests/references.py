@@ -13,7 +13,7 @@ from fdes.events import EventId, EventString
 from fdes.grades import ONE, ZERO, Grade, meet
 from fdes.language import FuzzyLanguage
 from fdes.observation import Projection, projection_classes
-from fdes.predicates import Site, _resolve_sites, _scan_setup
+from fdes.predicates import Site, _require_spec_inside_plant, _resolve_sites
 
 
 def _solution_interval(
@@ -43,7 +43,8 @@ def observable_pairwise(
     solve s''s; with solution sets being points or up-closed intervals the
     existential reduces to an interval intersection test.
     """
-    events = _scan_setup(spec, plant, pr, controllables)[4]
+    _require_spec_inside_plant(spec, plant)
+    events = sorted(spec.alphabet.controllable if controllables is None else controllables)
     for members in projection_classes(pr, spec.support).values():
         for event in events:
             for s in members:
@@ -75,7 +76,8 @@ def strongly_observable_direct(
     The solution set for s is {low} or [low, 1]; since the partner's
     equation is monotone in x it suffices to test the endpoint values.
     """
-    events = _scan_setup(spec, plant, pr, controllables)[4]
+    _require_spec_inside_plant(spec, plant)
+    events = sorted(spec.alphabet.controllable if controllables is None else controllables)
     for members in projection_classes(pr, spec.support).values():
         for event in events:
             for s in members:

@@ -29,6 +29,19 @@ def test_central_supervisor_theorem():
         theorems.check_central_round_trip(spec, plant, pr)
 
 
+def test_synthesis_refuses_iff_a_check_fails():
+    outcomes = set()
+    for rng, (alphabet, _, plant, spec, pr) in _instances(118):
+        sites = random_sites(rng, alphabet)
+        outcomes.update(theorems.check_synthesis_refuses_iff_a_check_fails(spec, plant, pr, sites))
+    assert outcomes == {
+        None,
+        "specification is not controllable",
+        "specification is not observable",
+        "specification is not co-observable",
+    }
+
+
 def test_infimal_co_is_formula_closed_loop():
     for rng, (_, _, plant, spec, pr) in _instances(112):
         theorems.check_infimal_co_is_formula_closed_loop(spec, plant, pr)

@@ -15,7 +15,7 @@ from fdes import (
     grade_lattice,
 )
 from fdes.grades import ONE, ZERO, join_all, meet
-from fdes.language import ranked
+from fdes.language import Index
 from fdes.observation import project_string
 from fdes.predicates import (
     COOBS_CASE1,
@@ -57,10 +57,12 @@ def test_equal_grades_in_distinct_objects_share_one_rank():
     left = FuzzyLanguage(alphabet, {(): ONE, ("a",): half})
     right = FuzzyLanguage(alphabet, {(): F(1), ("a",): F(1, 3), ("b",): other_half})
     assert left.grade(("a",)) is half and right.grade(("b",)) is other_half
-    lattice, L, R = ranked(left, right)
+    index = Index(right)
+    assert index.strings == ((), ("a",), ("b",))
+    lattice, R, L = index.ranked(left)
     assert lattice == (0, F(1, 3), F(1, 2), 1)
-    assert L == {(): 3, ("a",): 2}
-    assert R == {(): 3, ("a",): 1, ("b",): 2}
+    assert L == [3, 2, 0]
+    assert R == [3, 1, 2]
 
 
 def test_lattice_is_bounded_and_sorted_and_decoding_inverts_encoding():
@@ -70,16 +72,19 @@ def test_lattice_is_bounded_and_sorted_and_decoding_inverts_encoding():
         lattice = random_lattice(rng)
         plant = random_plant(rng, alphabet, lattice)
         spec = copied(random_sublanguage(rng, plant, lattice))
-        values, P, S = ranked(plant, spec)
+        index = Index(plant)
+        values, P, S = index.ranked(spec)
         assert values[0] == 0 and values[-1] == 1
         assert list(values) == sorted(set(values))
         assert values == grade_lattice(plant, spec)
         for language, codes in ((plant, P), (spec, S)):
-            assert list(codes) == list(language.support)
-            assert all(type(r) is int for r in codes.values())
-            assert {s: values[r] for s, r in codes.items()} == dict(language.items())
-    assert ranked(empty_language(Alphabet({"a"}))) == ((0, 1), {})
-    assert ranked({"a": F(1, 2), "b": ONE}) == ((0, F(1, 2), 1), {"a": 1, "b": 2})
+            assert len(codes) == len(index.strings)
+            assert all(type(r) is int for r in codes)
+            assert {s: values[r] for s, r in zip(index.strings, codes) if r} == dict(language.items())
+            assert index.decode(values, codes) == language
+    empty = Index(empty_language(Alphabet({"a"})))
+    assert empty.ranked() == ((0, 1), [])
+    assert empty.ranked({"a": F(1, 2), "b": ONE}) == ((0, F(1, 2), 1), [], {"a": 1, "b": 2})
 
 
 def class_join(spec, pr, s, event):

@@ -8,16 +8,23 @@ from fdes import (
     Alphabet,
     ConditionViolated,
     FdesError,
+    FdlDocument,
+    FuzzySupervisor,
+    Projection,
     closed_loop_central,
     closed_loop_decentralized,
+    emit_fdl,
     empty_language,
+    is_coobservable,
     make_supervisor,
     natural_projection,
+    solve_scp,
     synthesize_central,
     synthesize_decentralized,
     union,
     verify_achieves,
 )
+from fdes.language import Index
 from fdes.observation import project_string
 from helpers import central_example, lang, medical_example, union_example
 
@@ -225,3 +232,102 @@ def test_wrappers_share_error_paths(synthesize, closed_loop):
         assert err.value.code == "SUPERVISOR_DOMAIN_GAP"
         assert str(err.value) == "supervisor lacks a row for a"
     assert closed_loop(empty_language(alphabet), [gap] * len(supervisors)).is_empty
+
+
+def test_supervisor_holds_its_own_table_of_coerced_grades():
+    alphabet, plant, _ = central_example()
+    pr = natural_projection(alphabet)
+    sparse = {(): {"a": "0.5", "b": 0.25, "c": 1}, ("a",): {"c": "3/4"}, ("a", "b"): {}, ("a", "d"): {}}
+    exact = {t: {e: F(g) for e, g in row.items()} for t, row in sparse.items()}
+    reference = make_supervisor(pr, alphabet.controllable, exact)
+    given = {t: {e: str(g) for e, g in row.items()} for t, row in reference.table.items()}
+    supervisors = [
+        make_supervisor(pr, alphabet.controllable, sparse),
+        FuzzySupervisor(pr, alphabet.controllable, given),
+    ]
+    for supervisor in supervisors:
+        assert supervisor == reference
+        assert all(type(g) is F for row in supervisor.table.values() for g in row.values())
+        assert closed_loop_central(plant, supervisor) == closed_loop_central(plant, reference)
+        docs = [FdlDocument(alphabets={"E": alphabet}, supervisors={"S": s}) for s in (supervisor, reference)]
+        assert emit_fdl(docs[0]) == emit_fdl(docs[1])
+    given[()]["a"] = "0"
+    del given[("a", "d")]
+    sparse[()]["a"] = F(0)
+    assert supervisors == [reference, reference]
+    for build in (
+        lambda: make_supervisor(pr, alphabet.controllable, {(): {"a": "2"}}),
+        lambda: FuzzySupervisor(pr, alphabet.controllable, {(): {**reference.table[()], "a": "2"}}),
+    ):
+        with pytest.raises(FdesError) as err:
+            build()
+        assert err.value.code == "OUT_OF_RANGE"
+
+
+def test_synthesis_rejects_a_projection_over_another_alphabet():
+    alphabet, plant, spec = central_example()
+    other = Alphabet(alphabet.events, controllable={"a"}, observable=alphabet.events)
+    foreign, own = natural_projection(other), natural_projection(alphabet)
+    for force in (False, True):
+        for synthesize in (
+            lambda k, g: synthesize_central(k, g, foreign, force=force),
+            lambda k, g: synthesize_decentralized(
+                k, g, (foreign, alphabet.controllable), (own, frozenset()), force=force
+            ),
+        ):
+            for args, code in (
+                ((empty_language(alphabet), plant), "EMPTY_SPEC"),
+                ((plant, spec), "NOT_SUBLANGUAGE"),
+                ((spec, plant), "ALPHABET_MISMATCH"),
+            ):
+                with pytest.raises(FdesError) as err:
+                    synthesize(*args)
+                assert err.value.code == code
+            assert str(err.value) == "site projection uses a different alphabet"
+
+
+def test_site_controllable_sets_may_be_lists():
+    _, spec = medical_example()
+    union_alphabet, union_plant, k1, k2 = union_example()
+    merged, pr = union(k1, k2), natural_projection(union_alphabet)
+    for k, plant, sites in (
+        (spec, spec, [(Projection(spec.alphabet, s.observable), s.controllable) for s in spec.alphabet.sites]),
+        (merged, union_plant, [(pr, frozenset({"a"})), (pr, frozenset({"b"}))]),
+    ):
+        listed = [(site_pr, sorted(ctrl)) for site_pr, ctrl in sites]
+        assert is_coobservable(k, plant, *listed) == is_coobservable(k, plant, *sites)
+        for force in (False, True):
+            try:
+                expected = synthesize_decentralized(k, plant, *sites, force=force)
+            except ConditionViolated as error:
+                with pytest.raises(ConditionViolated) as err:
+                    synthesize_decentralized(k, plant, *listed, force=force)
+                assert (str(err.value), err.value.report) == (str(error), error.report)
+            else:
+                assert synthesize_decentralized(k, plant, *listed, force=force) == expected
+
+
+def test_checked_synthesis_and_scp_number_the_plant_support_once_each(monkeypatch):
+    built = []
+    init = Index.__init__
+
+    def counting_init(self, plant):
+        built.append(plant)
+        init(self, plant)
+
+    monkeypatch.setattr(Index, "__init__", counting_init)
+    alphabet, plant, spec = central_example()
+    pr = natural_projection(alphabet)
+    _, medical = medical_example()
+    union_alphabet, union_plant, k1, k2 = union_example()
+    merged = union(k1, k2)
+    for call, builds in (
+        (lambda: synthesize_central(spec, plant, pr), 1),
+        (lambda: synthesize_decentralized(medical, medical), 1),
+        (lambda: solve_scp(spec, plant, plant, pr), 2),
+        (lambda: solve_scp(spec, spec, plant, pr), 2),
+        (lambda: solve_scp(merged, merged, union_plant, natural_projection(union_alphabet)), 1),
+    ):
+        built.clear()
+        call()
+        assert len(built) == builds

@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction as F
 
 from fdes import (
+    ConditionViolated,
     FuzzyLanguage,
     closed_loop_central,
     closed_loop_decentralized,
@@ -67,6 +68,39 @@ def check_central_round_trip(spec, plant, pr):
     if is_controllable(spec, plant).holds and is_observable(spec, plant, pr).holds:
         achieved = closed_loop_central(plant, synthesize_central(spec, plant, pr))
         assert achieved == spec
+
+
+def check_synthesis_refuses_iff_a_check_fails(spec, plant, pr, sites):
+    """Checked synthesis decides by the closed loop of the formula
+    supervisors; by the existence theorems it refuses exactly when
+    controllability or (co-)observability fails, and the refusal carries
+    the message and report of the first failing check.  Returns the two
+    outcomes: the refusal message, or None."""
+    if spec.is_empty:
+        return []
+    controllable = is_controllable(spec, plant)
+    outcomes = []
+    for synthesize, name, condition in (
+        (lambda: synthesize_central(spec, plant, pr), "observable", is_observable(spec, plant, pr)),
+        (
+            lambda: synthesize_decentralized(spec, plant, *sites),
+            "co-observable",
+            is_coobservable(spec, plant, *sites),
+        ),
+    ):
+        expected = None
+        if not controllable.holds:
+            expected = ("specification is not controllable", controllable)
+        elif not condition.holds:
+            expected = (f"specification is not {name}", condition)
+        try:
+            synthesize()
+            refused = None
+        except ConditionViolated as error:
+            refused = (str(error), error.report)
+        assert refused == expected
+        outcomes.append(refused and refused[0])
+    return outcomes
 
 
 def check_infimal_co_is_formula_closed_loop(spec, plant, pr):
