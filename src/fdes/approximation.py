@@ -44,9 +44,8 @@ def infimal_co(spec: FuzzyLanguage, plant: FuzzyLanguage, pr: Projection) -> Fuz
     is O(|supp(plant)| + |supp(spec)|) dictionary operations.
     """
     lattice, index, S, P = _require_spec_inside_plant(spec, plant)
-    if spec.is_empty:
-        return spec
-    return index.decode(lattice, _sweep(index, P, [_view(index, S, pr, None)[0]]))
+    view = _view(index, S, pr, None)[0]
+    return spec if spec.is_empty else index.decode(lattice, _sweep(index, P, [view]))
 
 
 def supremal_cn(spec: FuzzyLanguage, plant: FuzzyLanguage, pr: Projection) -> FuzzyLanguage:
@@ -80,10 +79,10 @@ def supremal_cn(spec: FuzzyLanguage, plant: FuzzyLanguage, pr: Projection) -> Fu
     by |supp(spec)| * |lattice|, though a few sweeps are typical.
     """
     lattice, index, S, P = _require_spec_inside_plant(spec, plant)
+    proj, observed = projection_ids(index, pr)
     if spec.is_empty:
         return spec
     parent, event, uncontrollable = index.parent, index.event, spec.alphabet.uncontrollable
-    proj, observed = projection_ids(index, pr)
     # Each id's plant children by uncontrollable events, in event order,
     # and each class's members in support order.
     children: list[list[int]] = [[] for _ in P]
@@ -144,11 +143,11 @@ def solve_scp(
     pr: Projection,
 ) -> ScpResult:
     """Find a supervisor whose closed loop lies between the two bounds; the
-    containments and ``infimal_co`` run on one indexed plant support."""
+    containments and ``infimal_co`` run on one indexed plant support.  The
+    bounds and the projection must use the plant's alphabet, whatever the
+    answer (``Index.ranked``, ``observation.projection_ids``)."""
     if minimal.is_empty:
         raise FdesError("EMPTY_MIN_SPEC", "minimal acceptable behavior must be non-empty")
-    if minimal.alphabet != legal.alphabet or legal.alphabet != plant.alphabet:
-        raise FdesError("ALPHABET_MISMATCH", "all three languages must share an alphabet")
     index = Index(plant)
     lattice, P, M, L = index.ranked(minimal, legal)
     if M is None or L is None or any(map(gt, M, L)) or any(map(gt, L, P)):

@@ -226,7 +226,9 @@ def _cmd_scp(args) -> int:
 
 def _cmd_lang(args) -> int:
     doc = _load(args.files)
-    languages = [_pick(doc, path, "language") for path in args.files]
+    # A file without a language section only lends definitions, such as an alphabet.
+    files = [p for p in args.files if any(k == "language" for k, _ in doc.file_sections[p])]
+    languages = [_pick(doc, path, "language") for path in files]
 
     def operands(count: int):
         if len(languages) != count:

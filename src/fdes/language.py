@@ -174,13 +174,16 @@ class Index:
         """The grade lattice of the plant and the gradings (``_codes``), then
         the plant and each language as rank lists over the ids, 0 where a
         string is absent (None if one lies outside supp(plant)); other
-        mappings become key -> rank dicts.  Each input is read twice."""
+        mappings become key -> rank dicts.  Each input is read twice.  A
+        language over another alphabet is refused: every language of one
+        call lives over the plant's alphabet."""
         lattice, code = _codes((self.plant, *gradings))
         encoded = [[code[id(g)] for _, g in self.plant.items()]]
         for grading in gradings:
             if not isinstance(grading, FuzzyLanguage):
                 encoded.append({k: code[id(g)] for k, g in grading.items()})
                 continue
+            _require_same_alphabet(grading, self.plant)
             ranks = [0] * len(self.strings)
             try:
                 for s, g in grading.items():
@@ -198,7 +201,6 @@ class Index:
 
 def is_sublanguage(a: FuzzyLanguage, b: FuzzyLanguage) -> bool:
     """True iff a(s) <= b(s) pointwise (on ranks over supp(b)'s ids)."""
-    _require_same_alphabet(a, b)
     _, B, A = Index(b).ranked(a)
     return A is not None and not any(map(gt, A, B))
 

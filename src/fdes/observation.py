@@ -7,7 +7,9 @@ finite-support language (see ``inverse_project_meet``).
 The checks, fixed points and synthesis project no string: over the ids
 of an indexed support (``language.Index``), ``projection_ids`` derives
 each string's class from its parent's, and ``class_joins`` keys the class
-joins by (class id, event).
+joins by (class id, event).  As in the theory, one alphabet carries a
+whole call: ``projection_ids`` refuses a projection over any alphabet but
+the plant's, as ``Index.ranked`` refuses such a language.
 """
 
 from __future__ import annotations
@@ -60,19 +62,17 @@ def projection_classes(
     }
 
 
-def projection_ids(
-    index: Index, pr: Projection, scope: Iterable[EventString] | None = None
-) -> tuple[list[int], list[EventString]]:
+def projection_ids(index: Index, pr: Projection) -> tuple[list[int], list[EventString]]:
     """Each id's projection class and each class's observed string.
 
     Classes are numbered as they first appear in support order: an id
     keeps its parent's class when its event is unobservable and otherwise
-    steps from it by one event, so no string is projected.  Raises as
-    ``project_string`` on the ``scope`` strings (default: the index's).
+    steps from it by one event, so no string is projected.  A projection
+    over another alphabet than the plant's is refused, even for an empty
+    plant: P erases the unobservable events of the plant's own alphabet.
     """
-    if not pr.alphabet.events.issuperset(index.event[1:]):
-        for s in index.strings if scope is None else scope:
-            project_string(pr, s)
+    if pr.alphabet != index.plant.alphabet:
+        raise FdesError("ALPHABET_MISMATCH", "site projection uses a different alphabet")
     if not index.strings:
         return [], []
     observable = pr.observable

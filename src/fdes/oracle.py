@@ -16,8 +16,8 @@ from typing import Callable, Iterator, Sequence
 from .errors import FdesError
 from .events import EPSILON, Alphabet, EventId, EventString, string_key
 from .grades import ONE, ZERO, Grade, meet
-from .language import FuzzyLanguage, empty_language, intersection, union
-from .observation import Projection, project_string
+from .language import FuzzyLanguage, Index, empty_language, intersection, union
+from .observation import Projection, project_string, projection_ids
 from .predicates import (
     Site,
     _require_spec_inside_plant,
@@ -181,31 +181,33 @@ def _cell_candidates(
 
 def _brute_sites_exist(
     spec: FuzzyLanguage,
-    plant: FuzzyLanguage,
+    index: Index,
     sites: Sequence[Site],
     budget: int,
     extra_grades: tuple[Grade, ...],
 ) -> bool:
     """Exhaustively search one supervisor per site for a joint closed loop
     equal to the spec; every (site, observed string, event) cell ranges
-    over its ``_cell_candidates``."""
+    over its ``_cell_candidates``.  The observed strings are the classes
+    of the indexed plant (``projection_ids``, which refuses a projection
+    over another alphabet)."""
     site_observed = []
     cells = []
     options = []
-    for index, (pr, ctrl) in enumerate(sites):
-        observed = sorted({project_string(pr, s) for s, _ in plant.items()}, key=string_key)
+    for n, (pr, ctrl) in enumerate(sites):
+        observed = sorted(projection_ids(index, pr)[1], key=string_key)
         site_observed.append(observed)
         for t in observed:
             for e in sorted(ctrl):
-                cells.append((index, t, e))
+                cells.append((n, t, e))
                 options.append(_cell_candidates(spec, pr, t, e, extra_grades))
     _check_budget(math.prod(map(len, options)), budget)
     for choice in itertools.product(*options):
         rows = [{t: {} for t in observed} for observed in site_observed]
-        for (index, t, e), grade in zip(cells, choice):
-            rows[index][t][e] = grade
+        for (n, t, e), grade in zip(cells, choice):
+            rows[n][t][e] = grade
         supervisors = [make_supervisor(pr, ctrl, r) for (pr, ctrl), r in zip(sites, rows)]
-        if _closed_loop(plant, supervisors) == spec:
+        if _closed_loop(index.plant, supervisors) == spec:
             return True
     return False
 
@@ -223,9 +225,9 @@ def brute_supervisor_exists(
     argument in ``_cell_candidates`` this can never change the verdict,
     which the test suite spot checks with lattice midpoints.
     """
-    _require_spec_inside_plant(spec, plant)
+    index = _require_spec_inside_plant(spec, plant)[1]
     sites = [(pr, spec.alphabet.controllable)]
-    return _brute_sites_exist(spec, plant, sites, budget, extra_grades)
+    return _brute_sites_exist(spec, index, sites, budget, extra_grades)
 
 
 def brute_decentralized_exists(
@@ -236,6 +238,6 @@ def brute_decentralized_exists(
     budget: int = DEFAULT_BUDGET,
 ) -> bool:
     """Two-supervisor analog of the exhaustive achievability search."""
-    _require_spec_inside_plant(spec, plant)
+    index = _require_spec_inside_plant(spec, plant)[1]
     sites = _resolve_sites(spec.alphabet, site1, site2)
-    return _brute_sites_exist(spec, plant, sites, budget, ())
+    return _brute_sites_exist(spec, index, sites, budget, ())

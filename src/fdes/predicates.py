@@ -76,9 +76,8 @@ class CheckReport:
 def _require_spec_inside_plant(spec: FuzzyLanguage, plant: FuzzyLanguage) -> tuple:
     """Check spec <= plant; return (lattice, index, S, P): supp(plant)
     numbered by ``language.Index``, and both languages as rank lists over
-    its ids for the caller's loops."""
-    if spec.alphabet != plant.alphabet:
-        raise FdesError("ALPHABET_MISMATCH", "specification and plant use different alphabets")
+    its ids for the caller's loops.  ``Index.ranked`` refuses a spec over
+    another alphabet."""
     index = Index(plant)
     lattice, P, S = index.ranked(spec)
     if S is None or any(map(gt, S, P)):
@@ -86,13 +85,13 @@ def _require_spec_inside_plant(spec: FuzzyLanguage, plant: FuzzyLanguage) -> tup
     return lattice, index, S, P
 
 
-def _view(index: Index, S: list, pr: Projection, controllables, scope=None) -> tuple:
+def _view(index: Index, S: list, pr: Projection, controllables) -> tuple:
     """A site's formula-supervisor view for ``_equation``: (each id's class,
     the site's controllable events as a frozenset, E_c if None, the spec's
-    class joins), and each class's observed string.  ``scope`` is as in
-    ``projection_ids``."""
+    class joins), and each class's observed string.  ``projection_ids``
+    refuses a site projection over another alphabet than the plant's."""
     ctrl = frozenset(index.plant.alphabet.controllable if controllables is None else controllables)
-    proj, observed = projection_ids(index, pr, scope)
+    proj, observed = projection_ids(index, pr)
     return (proj, ctrl, class_joins(index, S, proj, ctrl)), observed
 
 
@@ -168,7 +167,7 @@ def is_observable(
     classes ordered by their observed strings.
     """
     lattice, index, S, P = _require_spec_inside_plant(spec, plant)
-    (proj, ctrl, joins), observed = _view(index, S, pr, controllables, spec.support)
+    (proj, ctrl, joins), observed = _view(index, S, pr, controllables)
     parent, event = index.parent, index.event
     first: dict[tuple[int, EventId], tuple] = {}
     for i, lhs, rhs in _mismatches(index, S, P, [(proj, ctrl, joins)], ctrl):
@@ -204,7 +203,7 @@ def is_strongly_observable(
     order.  The plant children s.a of one class and event ascend with s.
     """
     lattice, index, S, P = _require_spec_inside_plant(spec, plant)
-    proj, observed = projection_ids(index, pr, spec.support)
+    proj, observed = projection_ids(index, pr)
     ctrl = frozenset(spec.alphabet.controllable if controllables is None else controllables)
     strings, parent, event = index.strings, index.parent, index.event
     eligible: dict[tuple[int, EventId], list[int]] = {}
@@ -256,13 +255,6 @@ def is_normal(spec: FuzzyLanguage, plant: FuzzyLanguage, pr: Projection) -> Chec
     return CheckReport.failed(witnesses) if witnesses else CheckReport.passed()
 
 
-def _require_site_alphabets(alphabet: Alphabet, sites):
-    """The sites, once each site projection is known to use ``alphabet``."""
-    if any(pr.alphabet != alphabet for pr, _ in sites):
-        raise FdesError("ALPHABET_MISMATCH", "site projection uses a different alphabet")
-    return sites
-
-
 def _resolve_sites(alphabet: Alphabet, site1: Site | None, site2: Site | None) -> tuple[Site, Site]:
     if site1 is None and site2 is None:
         if alphabet.sites is None:
@@ -270,7 +262,6 @@ def _resolve_sites(alphabet: Alphabet, site1: Site | None, site2: Site | None) -
         site1, site2 = ((Projection(alphabet, s.observable), s.controllable) for s in alphabet.sites)
     if site1 is None or site2 is None:
         raise FdesError("SITE_COVER_VIOLATION", "exactly two sites are required")
-    _require_site_alphabets(alphabet, (site1, site2))
     if frozenset(site1[1]) | frozenset(site2[1]) != alphabet.controllable:
         raise FdesError("SITE_COVER_VIOLATION", "site controllable sets do not cover E_c")
     return site1, site2

@@ -29,7 +29,6 @@ from .observation import Projection, projection_ids
 from .predicates import (
     Site,
     _equation,
-    _require_site_alphabets,
     _require_spec_inside_plant,
     _resolve_sites,
     _view,
@@ -162,10 +161,9 @@ def _sweep(index: Index, P: list[int], views) -> list[int]:
 
 
 def _closed_loop(plant: FuzzyLanguage, supervisors: Sequence[FuzzySupervisor]) -> FuzzyLanguage:
-    """The closed loop under all the supervisors at once: every enable grade is met in."""
-    for sup in supervisors:
-        if sup.projection.alphabet != plant.alphabet:
-            raise FdesError("ALPHABET_MISMATCH", "supervisor and plant use different alphabets")
+    """The closed loop under all the supervisors at once: every enable grade
+    is met in.  ``projection_ids`` refuses a supervisor observing through
+    another alphabet than the plant's, each just before its rows are read."""
     index = Index(plant)
     projs, tables = [], []
     for sup in supervisors:
@@ -196,10 +194,10 @@ def synthesize_central(
     is set, a spec its closed loop does not give back is refused with the
     failing controllability or observability report; with ``force`` the
     formula supervisor is returned regardless (its closed loop then need
-    not equal the spec).  The projection must use the spec's alphabet.
+    not equal the spec).  The projection, like the spec, must use the
+    plant's alphabet (``observation.projection_ids``).
     """
-    sites = [(pr, spec.alphabet.controllable)]
-    return _synthesize(spec, plant, lambda: _require_site_alphabets(spec.alphabet, sites), force)[0]
+    return _synthesize(spec, plant, lambda: [(pr, spec.alphabet.controllable)], force)[0]
 
 
 def closed_loop_central(plant: FuzzyLanguage, supervisor: FuzzySupervisor) -> FuzzyLanguage:

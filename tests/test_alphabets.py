@@ -1,0 +1,142 @@
+"""One alphabet per call: every language, projection, site and supervisor
+of a call must use the plant's alphabet, whatever the answer would be."""
+
+import pytest
+
+from fdes import (
+    Alphabet,
+    FdesError,
+    Projection,
+    closed_loop_central,
+    closed_loop_decentralized,
+    empty_language,
+    infimal_co,
+    is_controllable,
+    is_coobservable,
+    is_normal,
+    is_observable,
+    is_strongly_observable,
+    is_sublanguage,
+    make_supervisor,
+    natural_projection,
+    solve_scp,
+    supremal_cn,
+    synthesize_central,
+    synthesize_decentralized,
+    union,
+)
+from fdes.oracle import (
+    brute_decentralized_exists,
+    brute_infimal_co,
+    brute_supervisor_exists,
+    brute_supremal_cn,
+)
+from helpers import lang, union_example
+
+ALPHABET, PLANT, K1, K2 = union_example()
+OWN = natural_projection(ALPHABET)
+OWN_SUPERVISOR = synthesize_central(PLANT, PLANT, OWN)
+
+PROJECTION_MISMATCH = ("ALPHABET_MISMATCH", "site projection uses a different alphabet")
+LANGUAGE_MISMATCH = ("ALPHABET_MISMATCH", "operands use different alphabets")
+
+FOREIGN = {
+    # The same events under other controllable and observable sets.
+    "same-events": Projection(Alphabet({"a", "b"}, controllable={"a", "b"}, observable={"a"}), {"b"}),
+    "fewer-events": natural_projection(Alphabet({"a"}, controllable={"a"}, observable={"a"})),
+    "more-events": natural_projection(Alphabet({"a", "b", "c"}, controllable={"a", "b"}, observable={"b", "c"})),
+}
+
+# name -> (call(spec, plant, pr), error for an empty spec, error for a
+# spec outside the plant); an entry point that takes no spec has None.
+ENTRY_POINTS = {
+    "is_observable": (lambda k, g, pr: is_observable(k, g, pr), None, "NOT_SUBLANGUAGE"),
+    "is_strongly_observable": (lambda k, g, pr: is_strongly_observable(k, g, pr), None, "NOT_SUBLANGUAGE"),
+    "is_normal": (lambda k, g, pr: is_normal(k, g, pr), None, "NOT_SUBLANGUAGE"),
+    "is_coobservable-site1": (
+        lambda k, g, pr: is_coobservable(k, g, (pr, {"a"}), (OWN, {"b"})), None, "NOT_SUBLANGUAGE"
+    ),
+    "is_coobservable-site2": (
+        lambda k, g, pr: is_coobservable(k, g, (OWN, {"a"}), (pr, {"b"})), None, "NOT_SUBLANGUAGE"
+    ),
+    "infimal_co": (lambda k, g, pr: infimal_co(k, g, pr), None, "NOT_SUBLANGUAGE"),
+    "supremal_cn": (lambda k, g, pr: supremal_cn(k, g, pr), None, "NOT_SUBLANGUAGE"),
+    "solve_scp-unsolvable": (lambda k, g, pr: solve_scp(k, k, g, pr), "EMPTY_MIN_SPEC", "PRECONDITION_CHAIN"),
+    "solve_scp-solvable": (lambda k, g, pr: solve_scp(k, g, g, pr), "EMPTY_MIN_SPEC", "PRECONDITION_CHAIN"),
+    "synthesize_central": (lambda k, g, pr: synthesize_central(k, g, pr), "EMPTY_SPEC", "NOT_SUBLANGUAGE"),
+    "synthesize_central-force": (
+        lambda k, g, pr: synthesize_central(k, g, pr, force=True), "EMPTY_SPEC", "NOT_SUBLANGUAGE"
+    ),
+    "synthesize_decentralized": (
+        lambda k, g, pr: synthesize_decentralized(k, g, (pr, {"a"}), (OWN, {"b"})), "EMPTY_SPEC", "NOT_SUBLANGUAGE"
+    ),
+    "closed_loop_central": (
+        lambda k, g, pr: closed_loop_central(g, make_supervisor(pr, {"a"}, {})), None, None
+    ),
+    "closed_loop_decentralized": (
+        lambda k, g, pr: closed_loop_decentralized(g, OWN_SUPERVISOR, make_supervisor(pr, {"a"}, {})), None, None
+    ),
+    "brute_infimal_co": (lambda k, g, pr: brute_infimal_co(k, g, pr), None, "NOT_SUBLANGUAGE"),
+    "brute_supremal_cn": (lambda k, g, pr: brute_supremal_cn(k, g, pr), None, "NOT_SUBLANGUAGE"),
+    "brute_supervisor_exists": (lambda k, g, pr: brute_supervisor_exists(k, g, pr), None, "NOT_SUBLANGUAGE"),
+    "brute_decentralized_exists": (
+        lambda k, g, pr: brute_decentralized_exists(k, g, (OWN, {"a"}), (pr, {"b"})), None, "NOT_SUBLANGUAGE"
+    ),
+}
+
+
+def _error(call):
+    with pytest.raises(FdesError) as err:
+        call()
+    return err.value.code, str(err.value)
+
+
+@pytest.mark.parametrize("foreign", FOREIGN.values(), ids=FOREIGN)
+@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+def test_every_entry_point_refuses_a_projection_over_another_alphabet(entry, foreign):
+    call, empty_code, chain_code = entry
+    empty = empty_language(ALPHABET)
+    # The projection is checked after the spec's own checks: an empty spec
+    # where one is refused, a spec over another alphabet, a spec outside
+    # the plant.  An entry point without a spec checks only the projection.
+    cases = [
+        ((empty, PLANT), empty_code),
+        ((lang(foreign.alphabet, {"eps": "1", "a": "0.8"}), PLANT), chain_code and LANGUAGE_MISMATCH),
+        ((PLANT, K1), chain_code),
+        ((union(K1, K2), PLANT), None),
+        ((empty, empty), empty_code),
+    ]
+    for (spec, plant), expected in cases:
+        got = _error(lambda: call(spec, plant, foreign))
+        expected = expected or PROJECTION_MISMATCH
+        assert got == expected if isinstance(expected, tuple) else got[0] == expected
+
+
+@pytest.mark.parametrize("foreign", FOREIGN.values(), ids=FOREIGN)
+def test_solve_scp_refuses_a_foreign_projection_whether_or_not_solvable(foreign):
+    merged = union(K1, K2)
+    assert not solve_scp(merged, merged, PLANT, OWN).solvable
+    assert solve_scp(K1, PLANT, PLANT, OWN).solvable
+    for minimal, legal in ((merged, merged), (K1, PLANT)):
+        assert _error(lambda: solve_scp(minimal, legal, PLANT, foreign)) == PROJECTION_MISMATCH
+
+
+def test_a_language_over_another_alphabet_is_one_error_everywhere():
+    other = Alphabet({"a", "b"}, controllable={"a"}, observable={"b"})
+    foreign = lang(other, {"eps": "1", "a": "0.8"})
+    for call in (
+        lambda: is_controllable(foreign, PLANT),
+        lambda: is_sublanguage(foreign, PLANT),
+        lambda: is_sublanguage(K1, lang(other, {"eps": "1"})),
+        lambda: solve_scp(K1, lang(other, {"eps": "1", "a": "0.9"}), PLANT, OWN),
+        lambda: solve_scp(K1, PLANT, lang(other, {"eps": "1", "a": "0.9"}), OWN),
+        lambda: union(foreign, K1),
+    ):
+        assert _error(call) == LANGUAGE_MISMATCH
+
+
+def test_two_site_calls_check_the_cover_before_the_site_alphabets():
+    foreign = FOREIGN["same-events"]
+    for call in (is_coobservable, synthesize_decentralized, brute_decentralized_exists):
+        got = _error(lambda: call(K1, PLANT, (foreign, {"a"}), (OWN, set())))
+        assert got == ("SITE_COVER_VIOLATION", "site controllable sets do not cover E_c")

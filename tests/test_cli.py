@@ -283,6 +283,18 @@ def test_lang_unary_operations_take_one_file(capsys):
 
 
 
+def test_lang_reads_the_alphabet_from_a_file_without_a_language(tmp_path, capsys):
+    alphabet = tmp_path / "E2.fdl"
+    alphabet.write_text("[alphabet E2]\nevents a b\ncontrollable a b\nobservable b\n")
+    assert run_command(["lang", "--op", "grade", "--string", "a", str(alphabet), UNION_SPEC]) == 0
+    assert capsys.readouterr().out == "0.8\n"
+    assert run_command(["lang", "--op", "project", UNION_SPEC, str(alphabet)]) == 0
+    assert capsys.readouterr().out == (
+        "[alphabet E_o]\nevents b\ncontrollable b\nobservable b\n\n"
+        "[language result]\nalphabet E_o\neps 1\nb 0.7\n"
+    )
+
+
 def test_lang_grade_rejects_events_outside_the_alphabet(capsys):
     assert run_command(["lang", "--op", "grade", "--string", "zz", CENTRAL_PLANT]) == 2
     captured = capsys.readouterr()
