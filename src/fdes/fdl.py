@@ -86,23 +86,7 @@ class _RawSection:
 
 
 def _fail(source: str, line: int, message: str, code: str = "SYNTAX_ERROR"):
-    raise FdesError(code, message, location=f"{source}:{line}")
-
-
-class _located:
-    """Context manager: re-raise an FdesError from its body at source:line."""
-
-    __slots__ = ("source", "line")
-
-    def __init__(self, source: str, line: int):
-        self.source, self.line = source, line
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, kind, err, traceback):
-        if isinstance(err, FdesError):
-            raise FdesError(err.code, err.message, f"{self.source}:{self.line}") from None
+    raise FdesError(code, message, location=f"{source}:{line}") from None
 
 
 def _split_sections(source: str, text: str) -> list[_RawSection]:
@@ -148,8 +132,7 @@ def _build_alphabet(section: _RawSection) -> Alphabet:
             observable = payload
         else:
             _fail(section.source, lineno, f"unknown alphabet line {key!r}")
-    with _located(section.source, section.line):
-        return Alphabet(frozenset(events), frozenset(controllable), frozenset(observable))
+    return Alphabet(frozenset(events), frozenset(controllable), frozenset(observable))
 
 
 def _build_sites(section: _RawSection, alphabets: dict[str, Alphabet]) -> SitesDecl:
@@ -180,8 +163,7 @@ def _build_sites(section: _RawSection, alphabets: dict[str, Alphabet]) -> SitesD
         )
         for i in ("1", "2")
     )
-    with _located(section.source, section.line):
-        alphabet.with_sites(site1, site2)
+    alphabet.with_sites(site1, site2)
     return SitesDecl(alphabet_name, site1, site2)
 
 
@@ -189,17 +171,18 @@ def _build_language(section: _RawSection, alphabets: dict[str, Alphabet]) -> Fuz
     alphabet: Alphabet | None = None
     entries: dict[EventString, Grade] = {}
     parsed: dict[str, EventString] = {}  # string text -> event string
-    for lineno, words in section.body:
-        if words[0] == "alphabet":
+    lineno = section.line
+    try:
+        for lineno, words in section.body:
+            if words[0] == "alphabet":
+                if len(words) != 2:
+                    raise FdesError("SYNTAX_ERROR", "alphabet line takes one name")
+                if words[1] not in alphabets:
+                    raise FdesError("SYNTAX_ERROR", f"unknown alphabet {words[1]!r}")
+                alphabet = alphabets[words[1]]
+                continue
             if len(words) != 2:
-                _fail(section.source, lineno, "alphabet line takes one name")
-            if words[1] not in alphabets:
-                _fail(section.source, lineno, f"unknown alphabet {words[1]!r}")
-            alphabet = alphabets[words[1]]
-            continue
-        if len(words) != 2:
-            _fail(section.source, lineno, "expected: <string> <grade>")
-        with _located(section.source, lineno):
+                raise FdesError("SYNTAX_ERROR", "expected: <string> <grade>")
             # x.y.z is the parsed x.y plus one event; anything else parses whole.
             head, _, last = words[0].rpartition(".")
             if last and head in parsed and head != EPSILON_TEXT:
@@ -208,13 +191,14 @@ def _build_language(section: _RawSection, alphabets: dict[str, Alphabet]) -> Fuz
                 s = parse_event_string(words[0])
             parsed[words[0]] = s
             g = parse_grade(words[1])
-        if s in entries:
-            _fail(section.source, lineno, f"duplicate string {words[0]}", "DUPLICATE_STRING")
-        entries[s] = g
+            if s in entries:
+                raise FdesError("DUPLICATE_STRING", f"duplicate string {words[0]}")
+            entries[s] = g
+    except FdesError as err:
+        _fail(section.source, lineno, err.message, err.code)
     if alphabet is None:
         _fail(section.source, section.line, "language section needs an alphabet line")
-    with _located(section.source, section.line):
-        return FuzzyLanguage(alphabet, entries)
+    return FuzzyLanguage(alphabet, entries)
 
 
 def _build_automaton(section: _RawSection, alphabets: dict[str, Alphabet]) -> FuzzyAutomaton:
@@ -237,15 +221,16 @@ def _build_automaton(section: _RawSection, alphabets: dict[str, Alphabet]) -> Fu
         elif key == "trans":
             if len(payload) != 4:
                 _fail(section.source, lineno, "expected: trans <from> <event> <to> <grade>")
-            with _located(section.source, lineno):
+            try:
                 grade = parse_grade(payload[3])
+            except FdesError as err:
+                _fail(section.source, lineno, err.message, err.code)
             transitions[(payload[0], payload[1], payload[2])] = grade
         else:
             _fail(section.source, lineno, f"unknown automaton line {key!r}")
     if alphabet is None or initial is None:
         _fail(section.source, section.line, "automaton section needs alphabet and initial lines")
-    with _located(section.source, section.line):
-        return FuzzyAutomaton(frozenset(states), alphabet, initial, transitions)
+    return FuzzyAutomaton(frozenset(states), alphabet, initial, transitions)
 
 
 def _build_supervisor(section: _RawSection, alphabets: dict[str, Alphabet]) -> FuzzySupervisor:
@@ -254,43 +239,44 @@ def _build_supervisor(section: _RawSection, alphabets: dict[str, Alphabet]) -> F
     controllable: list[str] | None = None
     rows: dict[EventString, dict[str, Grade]] = {}
     current_row: dict[str, Grade] | None = None
-    for lineno, words in section.body:
-        key, payload = words[0], words[1:]
-        if key == "alphabet" and current_row is None:
-            if len(payload) != 1 or payload[0] not in alphabets:
-                _fail(section.source, lineno, "alphabet line needs one known name")
-            alphabet = alphabets[payload[0]]
-        elif key == "observable" and current_row is None:
-            observable = payload
-        elif key == "controllable" and current_row is None:
-            controllable = payload
-        elif key == "obs":
-            if len(payload) != 1:
-                _fail(section.source, lineno, "obs line takes one observed string")
-            with _located(section.source, lineno):
+    lineno = section.line
+    try:
+        for lineno, words in section.body:
+            key, payload = words[0], words[1:]
+            if key == "alphabet" and current_row is None:
+                if len(payload) != 1 or payload[0] not in alphabets:
+                    raise FdesError("SYNTAX_ERROR", "alphabet line needs one known name")
+                alphabet = alphabets[payload[0]]
+            elif key == "observable" and current_row is None:
+                observable = payload
+            elif key == "controllable" and current_row is None:
+                controllable = payload
+            elif key == "obs":
+                if len(payload) != 1:
+                    raise FdesError("SYNTAX_ERROR", "obs line takes one observed string")
                 observed = parse_event_string(payload[0])
-            if observed in rows:
-                _fail(section.source, lineno, f"duplicate row {payload[0]}", "DUPLICATE_STRING")
-            current_row = {}
-            rows[observed] = current_row
-        elif key == "enable":
-            if current_row is None:
-                _fail(section.source, lineno, "enable line before any obs line")
-            if len(payload) != 2:
-                _fail(section.source, lineno, "expected: enable <event> <grade>")
-            with _located(section.source, lineno):
+                if observed in rows:
+                    raise FdesError("DUPLICATE_STRING", f"duplicate row {payload[0]}")
+                current_row = {}
+                rows[observed] = current_row
+            elif key == "enable":
+                if current_row is None:
+                    raise FdesError("SYNTAX_ERROR", "enable line before any obs line")
+                if len(payload) != 2:
+                    raise FdesError("SYNTAX_ERROR", "expected: enable <event> <grade>")
                 current_row[payload[0]] = parse_grade(payload[1])
-        else:
-            _fail(section.source, lineno, f"unknown supervisor line {key!r}")
+            else:
+                raise FdesError("SYNTAX_ERROR", f"unknown supervisor line {key!r}")
+    except FdesError as err:
+        _fail(section.source, lineno, err.message, err.code)
     if alphabet is None or observable is None or controllable is None:
         _fail(
             section.source,
             section.line,
             "supervisor section needs alphabet, observable, and controllable lines",
         )
-    with _located(section.source, section.line):
-        projection = Projection(alphabet, frozenset(observable))
-        return make_supervisor(projection, frozenset(controllable), rows)
+    projection = Projection(alphabet, frozenset(observable))
+    return make_supervisor(projection, frozenset(controllable), rows)
 
 
 def parse_documents(named_texts: list[tuple[str, str]]) -> FdlDocument:
@@ -310,7 +296,14 @@ def parse_documents(named_texts: list[tuple[str, str]]) -> FdlDocument:
         "supervisor": lambda s: _build_supervisor(s, doc.alphabets),
     }
     for section in ordered:
-        value = builders[section.kind](section)
+        try:
+            value = builders[section.kind](section)
+        except FdesError as err:
+            if err.location:
+                raise
+            # Each builder locates the errors of its lines; the rest are
+            # faults of the whole section, reported at its header.
+            _fail(section.source, section.line, err.message, err.code)
         table = getattr(doc, _SECTION_TABLES[section.kind])
         if section.name in table:
             if table[section.name] != value:
@@ -356,8 +349,14 @@ def _emit_sites(name: str, decl: SitesDecl) -> list[str]:
 
 def _emit_language(name: str, language: FuzzyLanguage, alphabet_name: str) -> list[str]:
     lines = [f"[language {name}]", f"alphabet {alphabet_name}"]
+    # Grades are shared objects, so each is rendered once; a Fraction
+    # costs more to hash than to render, hence id(g) as the key.
+    rendered: dict[int, str] = {}
     for s, g in language.items():
-        lines.append(f"{render_event_string(s)} {render_grade(g)}")
+        text = rendered.get(id(g))
+        if text is None:
+            text = rendered[id(g)] = render_grade(g)
+        lines.append(f"{render_event_string(s)} {text}")
     return lines
 
 

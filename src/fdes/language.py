@@ -8,16 +8,24 @@ makes the support prefix closed.  The empty language is the algebra's zero.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from operator import gt
 from typing import Iterable, Iterator, Mapping
 
 from .errors import FdesError
-from .events import EPSILON, Alphabet, EventString, render_event_string
+from .events import EPSILON, Alphabet, EventString, render_event_string, string_key
 from .grades import ONE, ZERO, Grade, as_grade, join, meet
 
 
 class FuzzyLanguage:
-    """Immutable association from event strings to positive grades."""
+    """Immutable association from event strings to positive grades.
+
+    Every language from a user, a file or an automaton goes through the
+    constructor, which checks events, grades, P1 and P2 and sorts the
+    support.  Results built only from valid languages (pointwise min and
+    max, ``Index.decode``) keep P1, P2 and support order by construction,
+    so ``_valid`` stores them unchecked.
+    """
 
     __slots__ = ("alphabet", "_grades", "_support")
 
@@ -25,8 +33,15 @@ class FuzzyLanguage:
         events = alphabet.events
         positive: dict[EventString, Grade] = {}
         for s, g in grades.items():
+            if isinstance(s, str):
+                raise FdesError("MALFORMED_EVENT", f"event string {s!r} must be a tuple of event ids")
             if not events.issuperset(s):
                 alphabet.check_string(s)
+            # A positive Fraction within 1 is checked inline; as_grade coerces
+            # any other value, or raises with the one message per fault.
+            if g.__class__ is Fraction and 0 < g.numerator <= g.denominator:
+                positive[s] = g
+                continue
             g = as_grade(g)
             if g.numerator:
                 positive[s] = g
@@ -50,6 +65,16 @@ class FuzzyLanguage:
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "_grades", {s: positive[s] for s in support})
         object.__setattr__(self, "_support", support)
+
+    @classmethod
+    def _valid(cls, alphabet: Alphabet, grades: dict[EventString, Grade]) -> FuzzyLanguage:
+        """Trusted: ``grades`` holds positive grades of a valid language,
+        keyed in support order; it is stored as is, unchecked."""
+        language = object.__new__(cls)
+        object.__setattr__(language, "alphabet", alphabet)
+        object.__setattr__(language, "_grades", grades)
+        object.__setattr__(language, "_support", tuple(grades))
+        return language
 
     def __setattr__(self, name, value):
         raise AttributeError("FuzzyLanguage is immutable")
@@ -94,16 +119,16 @@ def build_language(
     alphabet: Alphabet,
     entries: Mapping[EventString, Grade] | Iterable[tuple[EventString, Grade]],
 ) -> FuzzyLanguage:
-    """Validating constructor; rejects ``str`` keys, whose characters would
-    read as events, and duplicate strings in pair lists."""
+    """The validating constructor over a mapping or a pair list, which
+    must not repeat a string.  Any iterable of events is a string; a
+    ``str`` is refused, not split into events."""
     pairs = entries.items() if isinstance(entries, Mapping) else entries
     grades: dict[EventString, Grade] = {}
     for s, g in pairs:
-        if isinstance(s, str):
-            raise FdesError("MALFORMED_EVENT", f"event string {s!r} must be a tuple of event ids")
-        s = tuple(s)
-        if s in grades:
-            raise FdesError("DUPLICATE_STRING", f"duplicate string {render_event_string(s)}")
+        if not isinstance(s, str):
+            s = tuple(s)
+            if s in grades:
+                raise FdesError("DUPLICATE_STRING", f"duplicate string {render_event_string(s)}")
         grades[s] = g
     return FuzzyLanguage(alphabet, grades)
 
@@ -114,19 +139,28 @@ def _require_same_alphabet(a: FuzzyLanguage, b: FuzzyLanguage) -> None:
 
 
 def union(a: FuzzyLanguage, b: FuzzyLanguage) -> FuzzyLanguage:
-    """Pointwise join."""
+    """Pointwise join.  When one support holds the other, the result takes
+    the larger's order; otherwise the strings are sorted, which merges the
+    two sorted runs in linear time."""
     _require_same_alphabet(a, b)
-    grades = dict(a.items())
-    for s, g in b.items():
-        grades[s] = join(grades.get(s, ZERO), g)
-    return FuzzyLanguage(a.alphabet, grades)
+    if len(a.support) < len(b.support):
+        a, b = b, a
+    big = a._grades
+    if all(s in big for s in b.support):
+        grades = dict(big)
+        for s, g in b.items():
+            grades[s] = join(grades[s], g)
+    else:
+        strings = sorted({**big, **b._grades}, key=string_key)
+        grades = {s: join(a.grade(s), b.grade(s)) for s in strings}
+    return FuzzyLanguage._valid(a.alphabet, grades)
 
 
 def intersection(a: FuzzyLanguage, b: FuzzyLanguage) -> FuzzyLanguage:
-    """Pointwise meet."""
+    """Pointwise meet, in a's support order."""
     _require_same_alphabet(a, b)
-    grades = {s: meet(g, b.grade(s)) for s, g in a.items()}
-    return FuzzyLanguage(a.alphabet, grades)
+    grades = {s: m for s, g in a.items() if (m := meet(g, b.grade(s)))}
+    return FuzzyLanguage._valid(a.alphabet, grades)
 
 
 def concatenation(a: FuzzyLanguage, b: FuzzyLanguage) -> FuzzyLanguage:
@@ -194,9 +228,12 @@ class Index:
         return lattice, *encoded
 
     def decode(self, lattice: tuple, ranks: list) -> FuzzyLanguage:
-        """Decode a rank list over the ids into a language of the plant's alphabet."""
+        """Decode the ranks of a valid language over the ids, unchecked
+        (``FuzzyLanguage._valid``): the closed loop meets each grade with
+        its parent's and keeps the plant's eps, and ``supremal_cn`` ends on
+        an unchanged prefix repair or all zeros.  Ids run in support order."""
         grades = {s: lattice[r] for s, r in zip(self.strings, ranks) if r}
-        return FuzzyLanguage(self.plant.alphabet, grades)
+        return FuzzyLanguage._valid(self.plant.alphabet, grades)
 
 
 def is_sublanguage(a: FuzzyLanguage, b: FuzzyLanguage) -> bool:

@@ -238,3 +238,85 @@ def test_strings_parse_the_same_with_or_without_their_prefix_lines_first():
         (): 1, ("a",): F(9, 10), ("b",): F(7, 10), ("a", "b"): F(4, 5),
         ("b", "b"): F(3, 5), ("a", "b", "a"): F(1, 2),
     }
+
+
+LANGUAGE_HEAD = "[alphabet E]\nevents a b\n\n[language L]\n"
+
+
+@pytest.mark.parametrize(
+    "body, code, message, lineno",
+    [
+        # x.y.z resolved from its x.y line, and whole-string parses.
+        ("alphabet E\neps 1\na 1\na.b-c 0.5\n", "MALFORMED_EVENT", "bad event identifier: 'b-c'", 8),
+        ("alphabet E\neps 1\nb-c 0.5\n", "MALFORMED_EVENT", "bad event identifier: 'b-c'", 7),
+        ("alphabet E\neps 1\nb.b-c 0.5\n", "MALFORMED_EVENT", "bad event identifier: 'b-c'", 7),
+        ("alphabet E\neps 1\na..b 0.5\n", "MALFORMED_EVENT", "bad event string: 'a..b'", 7),
+        ("alphabet E\neps 1\na 1.5\n", "OUT_OF_RANGE", "grade '1.5' exceeds 1", 7),
+        ("alphabet E\neps 1\na x\n", "MALFORMED_GRADE", "not a grade literal: 'x'", 7),
+        ("alphabet E\neps 1\na 0.5\nb 0.5\na 0.5\n", "DUPLICATE_STRING", "duplicate string a", 9),
+        ("alphabet E\neps 1\na\n", "SYNTAX_ERROR", "expected: <string> <grade>", 7),
+        ("alphabet E F\neps 1\n", "SYNTAX_ERROR", "alphabet line takes one name", 5),
+        ("eps 1\nalphabet F\n", "SYNTAX_ERROR", "unknown alphabet 'F'", 6),
+        # Whole-language faults are reported at the section header.
+        ("alphabet E\na 0.5\n", "P1_VIOLATION", "a non-empty language must grade eps at 1", 4),
+        ("alphabet E\neps 1\na.b 0.5\n", "P2_VIOLATION", "grade of a.b exceeds its prefix a (1/2 > 0)", 4),
+        ("alphabet E\neps 1\nz 0.5\n", "UNKNOWN_EVENT", "event 'z' not in alphabet", 4),
+        ("eps 1\na 0.5\n", "SYNTAX_ERROR", "language section needs an alphabet line", 4),
+    ],
+)
+def test_language_section_errors_keep_code_message_and_line(body, code, message, lineno):
+    with pytest.raises(FdesError) as err:
+        parse_fdl(LANGUAGE_HEAD + body, "spec.fdl")
+    assert (err.value.code, err.value.message, err.value.location) == (
+        code, message, f"spec.fdl:{lineno}"
+    )
+
+
+SUPERVISOR_HEAD = "[alphabet E]\nevents a b\n\n[supervisor S]\n"
+
+
+@pytest.mark.parametrize(
+    "body, code, message, lineno",
+    [
+        ("alphabet F\n", "SYNTAX_ERROR", "alphabet line needs one known name", 5),
+        ("alphabet E\nobs eps a\n", "SYNTAX_ERROR", "obs line takes one observed string", 6),
+        ("alphabet E\nobs a..b\n", "MALFORMED_EVENT", "bad event string: 'a..b'", 6),
+        ("alphabet E\nobs eps\nobs eps\n", "DUPLICATE_STRING", "duplicate row eps", 7),
+        ("alphabet E\nenable a 0.5\n", "SYNTAX_ERROR", "enable line before any obs line", 6),
+        ("alphabet E\nobs eps\nenable a\n", "SYNTAX_ERROR", "expected: enable <event> <grade>", 7),
+        ("alphabet E\nobs eps\nenable a 2\n", "OUT_OF_RANGE", "grade '2' exceeds 1", 7),
+        ("alphabet E\nstates q\n", "SYNTAX_ERROR", "unknown supervisor line 'states'", 6),
+        ("alphabet E\nobservable a\n", "SYNTAX_ERROR",
+         "supervisor section needs alphabet, observable, and controllable lines", 4),
+    ],
+)
+def test_supervisor_section_errors_keep_code_message_and_line(body, code, message, lineno):
+    with pytest.raises(FdesError) as err:
+        parse_fdl(SUPERVISOR_HEAD + body, "sup.fdl")
+    assert (err.value.code, err.value.message, err.value.location) == (
+        code, message, f"sup.fdl:{lineno}"
+    )
+
+
+@pytest.mark.parametrize(
+    "text, code, message, lineno",
+    [
+        ("[alphabet E]\nevents a b-c\n", "MALFORMED_EVENT", "bad event identifier: 'b-c'", 1),
+        ("[alphabet E]\nevents a\ncontrollable b\n", "UNKNOWN_EVENT",
+         "controllable events not in alphabet: b", 1),
+        ("[alphabet E]\nevents a b\ncontrollable a\n\n[sites S]\nalphabet E\nsite 1 controllable\n",
+         "SITE_COVER_VIOLATION", "site controllable sets do not cover E_c", 5),
+        ("[alphabet E]\nevents a\n\n[automaton G]\nalphabet E\nstates p\ninitial p\ntrans p a p 2\n",
+         "OUT_OF_RANGE", "grade '2' exceeds 1", 8),
+        ("[alphabet E]\nevents a\n\n[automaton G]\nalphabet E\nstates p\ninitial q\n",
+         "UNKNOWN_STATE", "initial state 'q' not in state set", 4),
+        ("[alphabet E]\nevents a\n\n[supervisor S]\nalphabet E\nobservable z\ncontrollable a\n",
+         "UNKNOWN_EVENT", "observable events not in alphabet: z", 4),
+    ],
+)
+def test_other_section_errors_keep_code_message_and_line(text, code, message, lineno):
+    with pytest.raises(FdesError) as err:
+        parse_fdl(text, "model.fdl")
+    assert (err.value.code, err.value.message, err.value.location) == (
+        code, message, f"model.fdl:{lineno}"
+    )

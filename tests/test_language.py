@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from fdes import (
     Alphabet,
     FdesError,
+    FuzzyLanguage,
     build_language,
     concatenation,
     empty_language,
@@ -90,6 +91,72 @@ def test_build_rejects_str_keys_in_mappings_and_pair_lists():
         with pytest.raises(FdesError) as err:
             build_language(AB, entries)
         assert err.value.code == "MALFORMED_EVENT"
+
+
+def test_constructor_and_build_refuse_str_keys_alike():
+    # A str key next to a tuple key used to end in a raw TypeError from the
+    # sort, or in a P2_VIOLATION naming the str as if it were a string of events.
+    cases = [
+        ({(): 1, "": 1, "a": F(1, 2)}, "event string '' must be a tuple of event ids"),
+        ({(): 1, "a": 1}, "event string 'a' must be a tuple of event ids"),
+    ]
+    for entries, message in cases:
+        for construct in (FuzzyLanguage, build_language):
+            with pytest.raises(FdesError) as err:
+                construct(AB, entries)
+            assert (err.value.code, err.value.message) == ("MALFORMED_EVENT", message)
+
+
+class _Grade(F):
+    """A Fraction subclass: kept as given, like any Fraction."""
+
+
+@pytest.mark.parametrize(
+    "grade, kept",
+    [
+        (F(1, 2), F(1, 2)),
+        ("0.5", F(1, 2)),
+        (0.5, F(1, 2)),
+        (0.1, F(3602879701896397, 36028797018963968)),
+        (True, F(1)),
+        (1, F(1)),
+        (_Grade(1, 2), _Grade(1, 2)),
+        (F(0), None),
+        (0, None),
+        ("0", None),
+        (0.0, None),
+        (False, None),
+        (_Grade(0), None),
+    ],
+)
+def test_constructor_keeps_or_drops_each_kind_of_grade(grade, kept):
+    language = FuzzyLanguage(AB, {(): F(1), ("a",): grade})
+    if kept is None:
+        assert language.support == ((),)
+        return
+    assert dict(language.items()) == {(): F(1), ("a",): kept}
+    assert type(language.grade(("a",))) is type(kept)
+
+
+@pytest.mark.parametrize(
+    "grade, code, message",
+    [
+        ("x", "MALFORMED_GRADE", "not a grade: 'x'"),
+        (None, "MALFORMED_GRADE", "not a grade: None"),
+        (float("nan"), "MALFORMED_GRADE", "not a grade: nan"),
+        (F(-1, 2), "OUT_OF_RANGE", "grade -1/2 outside [0, 1]"),
+        (-1, "OUT_OF_RANGE", "grade -1 outside [0, 1]"),
+        (F(3, 2), "OUT_OF_RANGE", "grade 3/2 outside [0, 1]"),
+        (2, "OUT_OF_RANGE", "grade 2 outside [0, 1]"),
+        (1.5, "OUT_OF_RANGE", "grade 3/2 outside [0, 1]"),
+        (_Grade(3, 2), "OUT_OF_RANGE", "grade 3/2 outside [0, 1]"),
+        (_Grade(-1, 3), "OUT_OF_RANGE", "grade -1/3 outside [0, 1]"),
+    ],
+)
+def test_constructor_refuses_each_kind_of_bad_grade(grade, code, message):
+    with pytest.raises(FdesError) as err:
+        FuzzyLanguage(AB, {(): F(1), ("a",): grade})
+    assert (err.value.code, err.value.message) == (code, message)
 
 
 def test_build_reports_the_first_fault_in_input_order():

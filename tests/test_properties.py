@@ -119,6 +119,12 @@ def test_alpha_cut_decomposition():
         theorems.check_alpha_cut_decomposition(lattice, plant, spec, pr, sites)
 
 
+def test_trusted_results_revalidate():
+    for rng, (alphabet, lattice, plant, spec, pr) in _instances(119):
+        sites = random_sites(rng, alphabet)
+        theorems.check_trusted_results_revalidate(rng, lattice, plant, spec, pr, sites)
+
+
 _DRAW_DIGEST = """
 import hashlib, random
 import helpers

@@ -14,6 +14,7 @@ from fdes import (
     FuzzyLanguage,
     closed_loop_central,
     closed_loop_decentralized,
+    empty_language,
     infimal_co,
     intersection,
     inverse_project_meet,
@@ -25,6 +26,7 @@ from fdes import (
     is_sublanguage,
     natural_projection,
     project_language,
+    solve_scp,
     supremal_cn,
     synthesize_central,
     synthesize_decentralized,
@@ -264,3 +266,42 @@ def check_alpha_cut_decomposition(lattice, plant, spec, pr, sites):
     for a, spec_cut, plant_cut in cuts:
         assert alpha_cut(lower, a) == infimal_co(spec_cut, plant_cut, pr)
         assert set(alpha_cut(upper, a).support) <= set(supremal_cn(spec_cut, plant_cut, pr).support)
+
+
+def _revalidated(language):
+    """Rebuild a result through the validating constructor: it must be
+    accepted, equal, and keep the same support order and hash."""
+    rebuilt = FuzzyLanguage(language.alphabet, dict(language.items()))
+    assert rebuilt == language
+    assert rebuilt.support == language.support == tuple(s for s, _ in language.items())
+    assert hash(rebuilt) == hash(language)
+    return language
+
+
+def check_trusted_results_revalidate(rng, lattice, plant, spec, pr, sites):
+    """Results built without the constructor's checks (decoded fixed points,
+    closed loops and SCP, pointwise min and max) are valid languages in
+    support order: the constructor accepts each as it stands."""
+    _revalidated(infimal_co(spec, plant, pr))
+    _revalidated(supremal_cn(spec, plant, pr))
+    supervisor = helpers.random_supervisor(rng, plant, pr, plant.alphabet.controllable, lattice)
+    _revalidated(closed_loop_central(plant, supervisor))
+    local = [helpers.random_supervisor(rng, plant, p, ctrl, lattice) for p, ctrl in sites]
+    _revalidated(closed_loop_decentralized(plant, *local))
+    legal = helpers.random_sublanguage(rng, plant, lattice)
+    minimal = helpers.random_sublanguage(rng, legal, lattice)
+    if not minimal.is_empty:
+        _revalidated(solve_scp(minimal, legal, plant, pr).infimal)
+    # Nested (spec and plant, a language and itself), overlapping (two
+    # sublanguages), far apart (another plant) and empty operands, both ways.
+    other = helpers.random_plant(rng, plant.alphabet, lattice)
+    empty = empty_language(plant.alphabet)
+    for a, b in [(spec, plant), (spec, spec), (spec, legal), (plant, other), (spec, empty), (empty, empty)]:
+        for x, y in ((a, b), (b, a)):
+            strings = {*x.support, *y.support}
+            joined = _revalidated(union(x, y))
+            assert dict(joined.items()) == {s: max(x.grade(s), y.grade(s)) for s in strings}
+            met = _revalidated(intersection(x, y))
+            assert dict(met.items()) == {
+                s: min(x.grade(s), y.grade(s)) for s in strings if min(x.grade(s), y.grade(s))
+            }
