@@ -8,6 +8,7 @@ checked property holds, 1 when a property fails or no solution exists,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -295,6 +296,10 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+# Built on the first command and reused by every later one in the process:
+# building the tree costs several times what parsing one command does.
+# parse_args leaves the parser as it found it.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fdes",
@@ -402,3 +407,7 @@ def run_command(argv: list[str]) -> int:
 
 def main() -> None:
     sys.exit(run_command(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -17,6 +17,10 @@ from .events import EPSILON, Alphabet, EventString, render_event_string, string_
 from .grades import ONE, ZERO, Grade, as_grade, join, meet
 
 
+def _str_key_error(s: str) -> FdesError:
+    return FdesError("MALFORMED_EVENT", f"event string {s!r} must be a tuple of event ids")
+
+
 class FuzzyLanguage:
     """Immutable association from event strings to positive grades.
 
@@ -34,7 +38,7 @@ class FuzzyLanguage:
         positive: dict[EventString, Grade] = {}
         for s, g in grades.items():
             if isinstance(s, str):
-                raise FdesError("MALFORMED_EVENT", f"event string {s!r} must be a tuple of event ids")
+                raise _str_key_error(s)
             if not events.issuperset(s):
                 alphabet.check_string(s)
             # A positive Fraction within 1 is checked inline; as_grade coerces
@@ -250,12 +254,15 @@ def prefix_close_repair(
 
     Each prefix is raised to the join of the grades of all listed
     extensions (including itself); eps is forced to 1 when anything
-    remains.  Valid inputs pass through unchanged.
+    remains.  Valid inputs pass through unchanged.  As in
+    ``build_language``, a ``str`` is refused, not split into events.
     """
     pairs = entries.items() if isinstance(entries, Mapping) else entries
     listed: dict[EventString, Grade] = {}
     for s, g in pairs:
-        s = tuple(alphabet.check_string(tuple(s)))
+        if isinstance(s, str):
+            raise _str_key_error(s)
+        s = alphabet.check_string(tuple(s))
         g = as_grade(g)
         if g > ZERO:
             listed[s] = join(listed.get(s, ZERO), g)

@@ -1,8 +1,14 @@
 """Command-line behavior: exit codes, reports, emitted artifacts."""
 
+import io
 import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+from fdes import cli
 from fdes.cli import run_command
 
 DATA = Path(__file__).parent / "data"
@@ -434,3 +440,87 @@ def test_each_file_must_hold_exactly_one_picked_section(tmp_path, capsys):
     for argv, message in cases:
         assert run_command(argv) == 2
         assert f"error[SYNTAX_ERROR]: {message}" in capsys.readouterr().err
+
+
+def _captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run_command(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_parser_reuse_leaks_nothing(tmp_path):
+    # One parser serves every command of a process: a second round of the
+    # same commands must print and exit exactly as the first, which starts
+    # from a freshly built parser.
+    supervisor = tmp_path / "S.fdl"
+    assert run_command(["synthesize", "--mode", "central", "--plant", CENTRAL_PLANT,
+                        "--spec", CENTRAL_SPEC, "--out", str(supervisor)]) == 0
+    renamed = []
+    for name in ("S2", "S3"):
+        copy = tmp_path / f"{name}.fdl"
+        copy.write_text(supervisor.read_text().replace("[supervisor S]", f"[supervisor {name}]"))
+        renamed.append(str(copy))
+    machine = tmp_path / "machine.fdl"
+    machine.write_text(
+        "[alphabet E]\nevents a b\n\n[automaton G]\nalphabet E\nstates q0 q1\ninitial q0\n"
+        "trans q0 a q1 0.9\ntrans q1 b q1 0.5\n"
+    )
+    plant_spec = ["--plant", CENTRAL_PLANT, "--spec", CENTRAL_SPEC]
+    union = ["--plant", UNION_PLANT, "--spec", UNION_SPEC]
+    commands = [
+        (0, ["validate", CENTRAL_PLANT, CENTRAL_SPEC]),
+        (0, ["check", "--property", "controllable", *plant_spec]),
+        (1, ["check", "--property", "observable", *union, "--json"]),
+        (0, ["check", "--property", "coobservable", "--plant", MEDICAL, "--spec", MEDICAL]),
+        (0, ["synthesize", "--mode", "central", *plant_spec]),
+        (1, ["synthesize", "--mode", "central", *union]),
+        (0, ["synthesize", "--mode", "decentralized", "--plant", MEDICAL, "--spec", MEDICAL]),
+        # Were the --supervisor list kept between commands, the second would
+        # read three supervisors and exit 2.
+        (0, ["closed-loop", "--plant", CENTRAL_PLANT,
+             "--supervisor", str(supervisor), "--supervisor", renamed[0]]),
+        (0, ["closed-loop", "--plant", CENTRAL_PLANT, "--supervisor", renamed[1]]),
+        (0, ["infimal-co", *union]),
+        (0, ["supremal-cn", *plant_spec]),
+        (0, ["scp", "--plant", CENTRAL_PLANT, "--min", CENTRAL_SPEC, "--max", CENTRAL_PLANT]),
+        (1, ["scp", "--plant", UNION_PLANT, "--min", UNION_SPEC, "--max", UNION_SPEC, "--json"]),
+        (0, ["lang", "--op", "union", UNION_SPEC, UNION_PLANT]),
+        (1, ["lang", "--op", "sublanguage", UNION_PLANT, UNION_SPEC]),
+        (0, ["lang", "--op", "grade", "--string", "a.b", CENTRAL_PLANT]),
+        (0, ["gen", "--plant", str(machine), "--horizon", "3"]),
+        (2, ["gen", "--plant", CENTRAL_PLANT]),
+        (1, ["oracle", "--op", "supervisor-exists", *union]),
+        (0, ["oracle", "--op", "infimal-co", *union]),
+        (2, ["check", "--property", "bogus", *plant_spec]),
+        (2, ["bogus"]),
+        (2, ["gen", "--plant", str(machine), "--horizon", "-1"]),
+        (0, ["--help"]),
+        (0, ["check", "--help"]),
+    ]
+    cli._build_parser.cache_clear()
+    first = [_captured(argv) for _, argv in commands]
+    assert cli._build_parser() is cli._build_parser()
+    second = [_captured(argv) for _, argv in commands]
+    for (expected, argv), before, after in zip(commands, first, second):
+        assert before[0] == expected, argv
+        assert after == before, argv
+    assert second[-2][1].startswith("usage: fdes [-h]")
+    assert second[-1][1].startswith("usage: fdes check [-h]")
+
+
+def test_python_m_entry_matches_run_command():
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["check", "--property", "controllable", "--plant", CENTRAL_PLANT, "--spec", CENTRAL_SPEC]
+
+    def entry(args):
+        done = subprocess.run([sys.executable, "-m", "fdes.cli", *args], env=env,
+                              capture_output=True, text=True, timeout=60)
+        return done.returncode, done.stdout, done.stderr
+
+    assert entry(argv) == _captured(argv)
+    code, out, err = entry(["bogus"])
+    assert (code, out) == (2, "")
+    assert "invalid choice: 'bogus'" in err

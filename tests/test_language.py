@@ -96,14 +96,18 @@ def test_build_rejects_str_keys_in_mappings_and_pair_lists():
 def test_constructor_and_build_refuse_str_keys_alike():
     # A str key next to a tuple key used to end in a raw TypeError from the
     # sort, or in a P2_VIOLATION naming the str as if it were a string of events.
+    # prefix_close_repair split a str into one event per character, so over
+    # events {a, b, ab} the key 'ab' was read as a.b.
+    with_ab = Alphabet({"a", "b", "ab"})
     cases = [
-        ({(): 1, "": 1, "a": F(1, 2)}, "event string '' must be a tuple of event ids"),
-        ({(): 1, "a": 1}, "event string 'a' must be a tuple of event ids"),
+        (AB, {(): 1, "": 1, "a": F(1, 2)}, "event string '' must be a tuple of event ids"),
+        (AB, {(): 1, "a": 1}, "event string 'a' must be a tuple of event ids"),
+        (with_ab, {"ab": F(1, 2)}, "event string 'ab' must be a tuple of event ids"),
     ]
-    for entries, message in cases:
-        for construct in (FuzzyLanguage, build_language):
+    for alphabet, entries, message in cases:
+        for construct in (FuzzyLanguage, build_language, prefix_close_repair):
             with pytest.raises(FdesError) as err:
-                construct(AB, entries)
+                construct(alphabet, entries)
             assert (err.value.code, err.value.message) == ("MALFORMED_EVENT", message)
 
 
