@@ -88,25 +88,48 @@ def extended_transition(aut: FuzzyAutomaton, p: str, w: EventString, q: str) -> 
 def generated_language(aut: FuzzyAutomaton, horizon: int) -> FuzzyLanguage:
     """Grades of all strings up to the horizon length.
 
-    Walks breadth first, carrying one state-possibility vector per live
-    string; strings whose vector empties are pruned, which is sound because
-    max-min grades never increase along extensions.
+    The state-possibility vector a string reaches (each state's grade
+    after it) is a state of the deterministic max-min automaton of
+    ``aut``, and the string's grade is that vector's max.  Few vectors
+    are reached by many strings, so each vector is numbered once and
+    stepped once per event, on first reaching the frontier; the breadth
+    first walk then carries (string, vector number) pairs.  A string whose
+    vector empties is pruned, which is sound because max-min grades never
+    increase along extensions.
     """
     if horizon < 0:
         raise FdesError("OUT_OF_RANGE", "horizon must be >= 0")
     step = _step_map(aut)
     events = sorted(aut.alphabet.events)
+    start = {aut.initial: ONE}
+    vectors: list[dict[str, Grade]] = [start]
+    numbers: dict[frozenset, int] = {frozenset(start.items()): 0}
+    # Vector number -> its live one-event steps: (event, next number, grade).
+    moves: dict[int, list[tuple[EventString, int, Grade]]] = {}
+
+    def steps_of(v: int) -> list[tuple[EventString, int, Grade]]:
+        out = []
+        for event in events:
+            nxt = _advance(vectors[v], event, step)
+            if nxt:
+                n = numbers.setdefault(frozenset(nxt.items()), len(vectors))
+                if n == len(vectors):
+                    vectors.append(nxt)
+                out.append(((event,), n, max(nxt.values())))
+        return out
+
     grades: dict[EventString, Grade] = {EPSILON: ONE}
-    frontier: dict[EventString, dict[str, Grade]] = {EPSILON: {aut.initial: ONE}}
+    frontier: list[tuple[EventString, int]] = [(EPSILON, 0)]
     for _ in range(horizon):
-        nxt_frontier: dict[EventString, dict[str, Grade]] = {}
-        for w, vec in frontier.items():
-            for event in events:
-                nxt = _advance(vec, event, step)
-                if nxt:
-                    extended = w + (event,)
-                    grades[extended] = max(nxt.values())
-                    nxt_frontier[extended] = nxt
+        nxt_frontier: list[tuple[EventString, int]] = []
+        for w, v in frontier:
+            row = moves.get(v)
+            if row is None:
+                row = moves[v] = steps_of(v)
+            for event, n, g in row:
+                extended = w + event
+                grades[extended] = g
+                nxt_frontier.append((extended, n))
         if not nxt_frontier:
             break
         frontier = nxt_frontier

@@ -6,6 +6,12 @@ same kind may repeat only when structurally identical, so emitted artifacts
 can carry their alphabet along and still merge with the source files.
 Emission is canonical: fixed section order, names sorted, strings sorted by
 (length, lexicographic), grades rendered as shortest exact decimals.
+
+Lines are numbered at "\\n" only.  A section's body is kept as its lines'
+numbers and comment-stripped text, and each builder splits a line into
+words only when it reads it.  Strings and ints are objects the garbage
+collector does not track, so a 10k-line body adds no per-line containers
+for it to walk while the other sections are built.
 """
 
 from __future__ import annotations
@@ -82,21 +88,38 @@ class _RawSection:
     name: str
     source: str
     line: int
-    body: list[tuple[int, list[str]]]
+    # The body: each line's number and comment-stripped text (see above).
+    linenos: list[int] = field(default_factory=list)
+    lines: list[str] = field(default_factory=list)
+
+
+def _words(section: _RawSection):
+    """(line number, words) of each body line, each line split once."""
+    return zip(section.linenos, map(str.split, section.lines))
 
 
 def _fail(source: str, line: int, message: str, code: str = "SYNTAX_ERROR"):
     raise FdesError(code, message, location=f"{source}:{line}") from None
 
 
+def _once(value, key: str) -> None:
+    """Refuse a second line of a kind that a section takes once."""
+    if value is not None:
+        raise FdesError("SYNTAX_ERROR", f"duplicate {key!r} line")
+
+
 def _split_sections(source: str, text: str) -> list[_RawSection]:
     sections: list[_RawSection] = []
     current: _RawSection | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    # Lines end at "\n" only, as editors and grep -n count them;
+    # str.splitlines would also break at \x0c, \x85, \u2028 and others.
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if "#" in line:
+            line = line[: line.index("#")]
+        line = line.strip()
         if not line:
             continue
-        if line.startswith("["):
+        if line[0] == "[":
             if not line.endswith("]"):
                 _fail(source, lineno, "unterminated section header")
             header = line[1:-1].split()
@@ -105,12 +128,13 @@ def _split_sections(source: str, text: str) -> list[_RawSection]:
             kind, name = header
             if kind not in _SECTION_TABLES:
                 _fail(source, lineno, f"unknown section kind {kind!r}")
-            current = _RawSection(kind, name, source, lineno, [])
+            current = _RawSection(kind, name, source, lineno)
             sections.append(current)
             continue
         if current is None:
             _fail(source, lineno, "content before any section header")
-        current.body.append((lineno, line.split()))
+        current.linenos.append(lineno)
+        current.lines.append(line)
     return sections
 
 
@@ -119,7 +143,7 @@ def _build_alphabet(section: _RawSection) -> Alphabet:
     controllable: list[str] = []
     observable: list[str] = []
     seen: set[str] = set()
-    for lineno, words in section.body:
+    for lineno, words in _words(section):
         key, payload = words[0], words[1:]
         if key in seen:
             _fail(section.source, lineno, f"duplicate {key!r} line")
@@ -138,8 +162,10 @@ def _build_alphabet(section: _RawSection) -> Alphabet:
 def _build_sites(section: _RawSection, alphabets: dict[str, Alphabet]) -> SitesDecl:
     alphabet_name: str | None = None
     parts: dict[tuple[str, str], list[str]] = {}
-    for lineno, words in section.body:
+    for lineno, words in _words(section):
         if words[0] == "alphabet":
+            if alphabet_name is not None:
+                _fail(section.source, lineno, "duplicate 'alphabet' line")
             if len(words) != 2:
                 _fail(section.source, lineno, "alphabet line takes one name")
             alphabet_name = words[1]
@@ -173,8 +199,9 @@ def _build_language(section: _RawSection, alphabets: dict[str, Alphabet]) -> Fuz
     parsed: dict[str, EventString] = {}  # string text -> event string
     lineno = section.line
     try:
-        for lineno, words in section.body:
+        for lineno, words in _words(section):
             if words[0] == "alphabet":
+                _once(alphabet, "alphabet")
                 if len(words) != 2:
                     raise FdesError("SYNTAX_ERROR", "alphabet line takes one name")
                 if words[1] not in alphabets:
@@ -206,28 +233,33 @@ def _build_automaton(section: _RawSection, alphabets: dict[str, Alphabet]) -> Fu
     states: list[str] = []
     initial: str | None = None
     transitions: dict[tuple[str, str, str], Grade] = {}
-    for lineno, words in section.body:
-        key, payload = words[0], words[1:]
-        if key == "alphabet":
-            if len(payload) != 1 or payload[0] not in alphabets:
-                _fail(section.source, lineno, "alphabet line needs one known name")
-            alphabet = alphabets[payload[0]]
-        elif key == "states":
-            states.extend(payload)
-        elif key == "initial":
-            if len(payload) != 1:
-                _fail(section.source, lineno, "initial line takes one state")
-            initial = payload[0]
-        elif key == "trans":
-            if len(payload) != 4:
-                _fail(section.source, lineno, "expected: trans <from> <event> <to> <grade>")
-            try:
-                grade = parse_grade(payload[3])
-            except FdesError as err:
-                _fail(section.source, lineno, err.message, err.code)
-            transitions[(payload[0], payload[1], payload[2])] = grade
-        else:
-            _fail(section.source, lineno, f"unknown automaton line {key!r}")
+    lineno = section.line
+    try:
+        for lineno, words in _words(section):
+            key, payload = words[0], words[1:]
+            if key == "alphabet":
+                _once(alphabet, key)
+                if len(payload) != 1 or payload[0] not in alphabets:
+                    raise FdesError("SYNTAX_ERROR", "alphabet line needs one known name")
+                alphabet = alphabets[payload[0]]
+            elif key == "states":
+                states.extend(payload)
+            elif key == "initial":
+                _once(initial, key)
+                if len(payload) != 1:
+                    raise FdesError("SYNTAX_ERROR", "initial line takes one state")
+                initial = payload[0]
+            elif key == "trans":
+                if len(payload) != 4:
+                    raise FdesError("SYNTAX_ERROR", "expected: trans <from> <event> <to> <grade>")
+                edge = (payload[0], payload[1], payload[2])
+                if edge in transitions:
+                    raise FdesError("SYNTAX_ERROR", "duplicate transition " + " ".join(edge))
+                transitions[edge] = parse_grade(payload[3])
+            else:
+                raise FdesError("SYNTAX_ERROR", f"unknown automaton line {key!r}")
+    except FdesError as err:
+        _fail(section.source, lineno, err.message, err.code)
     if alphabet is None or initial is None:
         _fail(section.source, section.line, "automaton section needs alphabet and initial lines")
     return FuzzyAutomaton(frozenset(states), alphabet, initial, transitions)
@@ -241,15 +273,18 @@ def _build_supervisor(section: _RawSection, alphabets: dict[str, Alphabet]) -> F
     current_row: dict[str, Grade] | None = None
     lineno = section.line
     try:
-        for lineno, words in section.body:
+        for lineno, words in _words(section):
             key, payload = words[0], words[1:]
             if key == "alphabet" and current_row is None:
+                _once(alphabet, key)
                 if len(payload) != 1 or payload[0] not in alphabets:
                     raise FdesError("SYNTAX_ERROR", "alphabet line needs one known name")
                 alphabet = alphabets[payload[0]]
             elif key == "observable" and current_row is None:
+                _once(observable, key)
                 observable = payload
             elif key == "controllable" and current_row is None:
+                _once(controllable, key)
                 controllable = payload
             elif key == "obs":
                 if len(payload) != 1:
@@ -264,6 +299,8 @@ def _build_supervisor(section: _RawSection, alphabets: dict[str, Alphabet]) -> F
                     raise FdesError("SYNTAX_ERROR", "enable line before any obs line")
                 if len(payload) != 2:
                     raise FdesError("SYNTAX_ERROR", "expected: enable <event> <grade>")
+                if payload[0] in current_row:
+                    raise FdesError("SYNTAX_ERROR", f"duplicate enable {payload[0]!r} line")
                 current_row[payload[0]] = parse_grade(payload[1])
             else:
                 raise FdesError("SYNTAX_ERROR", f"unknown supervisor line {key!r}")

@@ -1,15 +1,17 @@
 """Literal and set-based references for the property checks.
 
-A pairwise reading of observability and strong observability, and the
-classical checkers on crisp (set) languages.  They share no loop with
-``fdes.predicates``, so the tests can hold the graded checks against
-them on desk-scale instances.
+A pairwise reading of observability and strong observability, the
+classical checkers on crisp (set) languages, and a per-string unrolling
+of a max-min automaton.  They share no loop with ``fdes.predicates`` or
+``fdes.automaton.generated_language``, so the tests can hold the graded
+checks and the unrolling against them on desk-scale instances.
 """
 
 from __future__ import annotations
 
+from fdes.automaton import FuzzyAutomaton, _advance, _step_map
 from fdes.errors import FdesError
-from fdes.events import EventId, EventString
+from fdes.events import EPSILON, EventId, EventString
 from fdes.grades import ONE, ZERO, Grade, meet
 from fdes.language import FuzzyLanguage
 from fdes.observation import Projection, projection_classes
@@ -194,3 +196,31 @@ def crisp_reference(
             spec_supp, plant_supp, pr1.observable, ctrl1, pr2.observable, ctrl2
         )
     raise FdesError("MALFORMED_GRADE", f"unknown crisp reference kind: {kind!r}")
+
+
+def generated_language_per_string(aut: FuzzyAutomaton, horizon: int) -> FuzzyLanguage:
+    """Grades of all strings up to the horizon length.
+
+    Walks breadth first, carrying one state-possibility vector per live
+    string; strings whose vector empties are pruned, which is sound because
+    max-min grades never increase along extensions.
+    """
+    if horizon < 0:
+        raise FdesError("OUT_OF_RANGE", "horizon must be >= 0")
+    step = _step_map(aut)
+    events = sorted(aut.alphabet.events)
+    grades: dict[EventString, Grade] = {EPSILON: ONE}
+    frontier: dict[EventString, dict[str, Grade]] = {EPSILON: {aut.initial: ONE}}
+    for _ in range(horizon):
+        nxt_frontier: dict[EventString, dict[str, Grade]] = {}
+        for w, vec in frontier.items():
+            for event in events:
+                nxt = _advance(vec, event, step)
+                if nxt:
+                    extended = w + (event,)
+                    grades[extended] = max(nxt.values())
+                    nxt_frontier[extended] = nxt
+        if not nxt_frontier:
+            break
+        frontier = nxt_frontier
+    return FuzzyLanguage(aut.alphabet, grades)

@@ -68,8 +68,8 @@ def criterion(number, description, time_limit):
 def test_criterion_1_central_golden():
     doc = parse_documents(
         [
-            ("central_plant.fdl", (DATA / "central_plant.fdl").read_text()),
-            ("central_spec.fdl", (DATA / "central_spec.fdl").read_text()),
+            ("central_plant.fdl", (DATA / "central_plant.fdl").read_text(encoding="utf-8")),
+            ("central_spec.fdl", (DATA / "central_spec.fdl").read_text(encoding="utf-8")),
         ]
     )
     plant, spec = doc.languages["L"], doc.languages["K"]

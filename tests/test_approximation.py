@@ -269,6 +269,6 @@ def cyclic_instance():
 def test_fixed_points_match_golden_outputs(name, build):
     alphabet, plant, spec = build()
     pr = natural_projection(alphabet)
-    expected = parse_fdl((DATA / f"golden_{name}.fdl").read_text()).languages
+    expected = parse_fdl((DATA / f"golden_{name}.fdl").read_text(encoding="utf-8")).languages
     assert infimal_co(spec, plant, pr) == expected["infimal"]
     assert supremal_cn(spec, plant, pr) == expected["supremal"]

@@ -29,7 +29,7 @@ def test_validate_ok(capsys):
 
 def test_validate_bad_file(tmp_path, capsys):
     bad = tmp_path / "bad.fdl"
-    bad.write_text("[language L]\nalphabet E\neps 1\n")
+    bad.write_text("[language L]\nalphabet E\neps 1\n", encoding="utf-8")
     assert run_command(["validate", str(bad)]) == 2
     assert "error[SYNTAX_ERROR]" in capsys.readouterr().err
 
@@ -132,7 +132,7 @@ def test_synthesize_closed_loop_pipeline(tmp_path, capsys):
         )
         == 0
     )
-    supervisor_text = Path(out_path).read_text()
+    supervisor_text = Path(out_path).read_text(encoding="utf-8")
     assert "obs a" in supervisor_text
     assert "enable c 0.4" in supervisor_text
     loop_path = str(tmp_path / "loop.fdl")
@@ -142,7 +142,7 @@ def test_synthesize_closed_loop_pipeline(tmp_path, capsys):
         )
         == 0
     )
-    loop_text = Path(loop_path).read_text()
+    loop_text = Path(loop_path).read_text(encoding="utf-8")
     spec_body = (
         "[language closed_loop]\n"
         "alphabet E\n"
@@ -183,7 +183,7 @@ def test_synthesize_decentralized_and_joint_loop(tmp_path):
         )
         == 0
     )
-    text = Path(out_path).read_text()
+    text = Path(out_path).read_text(encoding="utf-8")
     assert "[supervisor S1]" in text and "[supervisor S2]" in text
     loop_path = str(tmp_path / "loop.fdl")
     assert (
@@ -192,7 +192,7 @@ def test_synthesize_decentralized_and_joint_loop(tmp_path):
         )
         == 0
     )
-    loop = Path(loop_path).read_text()
+    loop = Path(loop_path).read_text(encoding="utf-8")
     assert "a1.a2.b3.a1.b3.b2 0.2" in loop
 
 
@@ -258,7 +258,9 @@ def test_scp_json(capsys):
 def with_alphabet(tmp_path, path, alphabet_section):
     """A copy of a language file that declares its own alphabet."""
     copy = tmp_path / Path(path).name
-    copy.write_text(alphabet_section + "\n" + Path(path).read_text())
+    copy.write_text(
+        alphabet_section + "\n" + Path(path).read_text(encoding="utf-8"), encoding="utf-8"
+    )
     return str(copy)
 
 
@@ -291,7 +293,9 @@ def test_lang_unary_operations_take_one_file(capsys):
 
 def test_lang_reads_the_alphabet_from_a_file_without_a_language(tmp_path, capsys):
     alphabet = tmp_path / "E2.fdl"
-    alphabet.write_text("[alphabet E2]\nevents a b\ncontrollable a b\nobservable b\n")
+    alphabet.write_text(
+        "[alphabet E2]\nevents a b\ncontrollable a b\nobservable b\n", encoding="utf-8"
+    )
     assert run_command(["lang", "--op", "grade", "--string", "a", str(alphabet), UNION_SPEC]) == 0
     assert capsys.readouterr().out == "0.8\n"
     assert run_command(["lang", "--op", "project", UNION_SPEC, str(alphabet)]) == 0
@@ -325,12 +329,26 @@ def test_gen_command(tmp_path, capsys):
     aut = tmp_path / "machine.fdl"
     aut.write_text(
         "[alphabet E]\nevents a b\n\n[automaton G]\nalphabet E\nstates q0 q1\ninitial q0\n"
-        "trans q0 a q1 0.9\ntrans q1 b q1 0.5\n"
+        "trans q0 a q1 0.9\ntrans q1 b q1 0.5\n",
+        encoding="utf-8",
     )
     assert run_command(["gen", "--plant", str(aut), "--horizon", "3"]) == 0
     out = capsys.readouterr().out
     assert "a.b.b 0.5" in out
     assert "a.b.b.b" not in out
+
+
+def test_gen_refuses_a_repeated_transition(tmp_path, capsys):
+    dup = tmp_path / "dup.fdl"
+    dup.write_text(
+        "[alphabet E]\nevents a\n\n[automaton G]\nalphabet E\nstates s0 s1\ninitial s0\n"
+        "trans s0 a s1 0.5\ntrans s0 a s1 0.9\ninitial s1\n",
+        encoding="utf-8",
+    )
+    assert run_command(["gen", "--plant", str(dup), "--horizon", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error[SYNTAX_ERROR]: {dup}:9: duplicate transition s0 a s1\n"
 
 
 def test_oracle_command(capsys):
@@ -394,12 +412,13 @@ def test_closed_loop_rejects_three_supervisors(tmp_path, capsys):
         )
         == 0
     )
-    text = first.read_text()
+    text = first.read_text(encoding="utf-8")
     more = tmp_path / "S23.fdl"
     more.write_text(
         text.replace("[supervisor S]", "[supervisor S2]")
         + "\n"
-        + text.replace("[supervisor S]", "[supervisor S3]")
+        + text.replace("[supervisor S]", "[supervisor S3]"),
+        encoding="utf-8",
     )
     code = run_command(
         ["closed-loop", "--plant", CENTRAL_PLANT, "--supervisor", str(first), "--supervisor", str(more)]
@@ -426,9 +445,10 @@ def test_non_utf8_input_is_an_io_error(tmp_path, capsys):
 
 def test_each_file_must_hold_exactly_one_picked_section(tmp_path, capsys):
     both = tmp_path / "both.fdl"
-    both.write_text(Path(CENTRAL_PLANT).read_text() + Path(CENTRAL_SPEC).read_text())
+    plant_text, spec_text = (Path(p).read_text(encoding="utf-8") for p in (CENTRAL_PLANT, CENTRAL_SPEC))
+    both.write_text(plant_text + spec_text, encoding="utf-8")
     twice = tmp_path / "twice.fdl"
-    twice.write_text(Path(CENTRAL_SPEC).read_text() * 2)
+    twice.write_text(spec_text * 2, encoding="utf-8")
     cases = [
         (["infimal-co", "--plant", CENTRAL_PLANT, "--spec", str(both)],
          f"{both}: expected exactly one language section, found: L, K"),
@@ -459,12 +479,14 @@ def test_parser_reuse_leaks_nothing(tmp_path):
     renamed = []
     for name in ("S2", "S3"):
         copy = tmp_path / f"{name}.fdl"
-        copy.write_text(supervisor.read_text().replace("[supervisor S]", f"[supervisor {name}]"))
+        text = supervisor.read_text(encoding="utf-8")
+        copy.write_text(text.replace("[supervisor S]", f"[supervisor {name}]"), encoding="utf-8")
         renamed.append(str(copy))
     machine = tmp_path / "machine.fdl"
     machine.write_text(
         "[alphabet E]\nevents a b\n\n[automaton G]\nalphabet E\nstates q0 q1\ninitial q0\n"
-        "trans q0 a q1 0.9\ntrans q1 b q1 0.5\n"
+        "trans q0 a q1 0.9\ntrans q1 b q1 0.5\n",
+        encoding="utf-8",
     )
     plant_spec = ["--plant", CENTRAL_PLANT, "--spec", CENTRAL_SPEC]
     union = ["--plant", UNION_PLANT, "--spec", UNION_SPEC]
@@ -517,7 +539,7 @@ def test_python_m_entry_matches_run_command():
 
     def entry(args):
         done = subprocess.run([sys.executable, "-m", "fdes.cli", *args], env=env,
-                              capture_output=True, text=True, timeout=60)
+                              capture_output=True, text=True, encoding="utf-8", timeout=60)
         return done.returncode, done.stdout, done.stderr
 
     assert entry(argv) == _captured(argv)

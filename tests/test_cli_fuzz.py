@@ -74,7 +74,7 @@ def _supervisors(tmp_path):
         out = tmp_path / f"clean_{name}.fdl"
         argv = ["synthesize", "--mode", mode, "--plant", str(DATA / plant), "--spec", str(DATA / spec)]
         assert run_command(argv + ["--out", str(out)]) == 0
-        made[name] = out.read_text()
+        made[name] = out.read_text(encoding="utf-8")
     return made
 
 
@@ -113,7 +113,7 @@ def test_mutated_inputs_end_in_an_exit_code(tmp_path, capsys, seed):
     subcommands = set()
     for round_ in range(ROUNDS):
         name = rng.choice(sorted(sets))
-        plant, spec = (path.read_text() for path in sets[name])
+        plant, spec = (path.read_text(encoding="utf-8") for path in sets[name])
         texts = {"plant": plant, "spec": spec, "supervisor": supervisors[name], "automaton": AUTOMATON}
         for role in rng.sample(sorted(texts), rng.randint(1, 2)):
             texts[role] = _mutate(rng, texts[role])

@@ -16,7 +16,7 @@ DATA = Path(__file__).parent / "data"
 
 
 def load(*names):
-    return parse_documents([(name, (DATA / name).read_text()) for name in names])
+    return parse_documents([(name, (DATA / name).read_text(encoding="utf-8")) for name in names])
 
 
 def test_parse_central_files_matches_programmatic_instance():
@@ -320,3 +320,54 @@ def test_other_section_errors_keep_code_message_and_line(text, code, message, li
     assert (err.value.code, err.value.message, err.value.location) == (
         code, message, f"model.fdl:{lineno}"
     )
+
+
+@pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_lines_are_numbered_at_newlines_only(char):
+    # str.splitlines breaks at each of these; an editor or grep -n does not.
+    text = f"[alphabet E]\nevents a b{char}\n\n[language K]\nalphabet E\neps 1\na 0.5x\n"
+    with pytest.raises(FdesError) as err:
+        parse_fdl(text, "k.fdl")
+    assert (err.value.code, err.value.location) == ("MALFORMED_GRADE", "k.fdl:7")
+    # Inside a line the character is whitespace.
+    assert parse_fdl(text.replace("0.5x", "0.5")).alphabets["E"].events == {"a", "b"}
+
+
+AUTOMATON_HEAD = "[alphabet E]\nevents a b\n\n[automaton G]\nalphabet E\nstates s0 s1\n"
+
+
+@pytest.mark.parametrize(
+    "text, message, lineno",
+    [
+        (AUTOMATON_HEAD + "initial s0\ntrans s0 a s1 0.5\ntrans s0 a s1 0.9\n",
+         "duplicate transition s0 a s1", 9),
+        (AUTOMATON_HEAD + "initial s0\ntrans s0 a s1 0.5\ninitial s1\n", "duplicate 'initial' line", 9),
+        (AUTOMATON_HEAD + "alphabet E\ninitial s0\n", "duplicate 'alphabet' line", 7),
+        (SUPERVISOR_HEAD + "alphabet E\nalphabet E\n", "duplicate 'alphabet' line", 6),
+        (SUPERVISOR_HEAD + "alphabet E\nobservable a\ncontrollable a\nobservable a b\n",
+         "duplicate 'observable' line", 8),
+        (SUPERVISOR_HEAD + "controllable a\ncontrollable\n", "duplicate 'controllable' line", 6),
+        (SUPERVISOR_HEAD + "alphabet E\nobservable a\ncontrollable a\nobs eps\nenable a 0.5\nenable a 1\n",
+         "duplicate enable 'a' line", 10),
+        (LANGUAGE_HEAD + "alphabet E\neps 1\nalphabet E\n", "duplicate 'alphabet' line", 7),
+        ("[alphabet E]\nevents a\n\n[sites S]\nalphabet E\nsite 1 controllable\nalphabet E\n",
+         "duplicate 'alphabet' line", 7),
+    ],
+)
+def test_a_repeated_line_is_refused_at_its_own_line(text, message, lineno):
+    with pytest.raises(FdesError) as err:
+        parse_fdl(text, "dup.fdl")
+    assert (err.value.code, err.value.message, err.value.location) == (
+        "SYNTAX_ERROR", message, f"dup.fdl:{lineno}"
+    )
+
+
+def test_a_row_may_enable_an_event_that_another_row_enables():
+    row = "obs {}\nenable a 0.5\n"
+    text = SUPERVISOR_HEAD + "alphabet E\nobservable a b\ncontrollable a\n" + row.format("eps") + row.format("a")
+    assert parse_fdl(text).supervisors["S"].table[("a",)]["a"] == F(1, 2)
+
+
+def test_states_lines_add_up():
+    aut = parse_fdl(AUTOMATON_HEAD + "states s2\ninitial s2\ntrans s2 a s0 0.5\n").automata["G"]
+    assert aut.states == {"s0", "s1", "s2"}

@@ -154,7 +154,7 @@ def test_random_draws_do_not_depend_on_the_string_hash():
         subprocess.run(
             [sys.executable, "-c", _DRAW_DIGEST],
             env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed),
-            capture_output=True, text=True, check=True, timeout=60,
+            capture_output=True, text=True, encoding="utf-8", check=True, timeout=60,
         ).stdout
         for hash_seed in ("1", "2")
     }
