@@ -9,7 +9,7 @@ behaviors, and computes infimal/supremal approximation languages certified
 by brute-force oracles.
 """
 
-from .approximation import ScpResult, grade_lattice, infimal_co, solve_scp, supremal_cn
+from .approximation import ScpResult, infimal_co, solve_scp, supremal_cn
 from .automaton import FuzzyAutomaton, automaton_from_language, extended_transition, generated_language
 from .errors import ConditionViolated, FdesError
 from .events import EPSILON, Alphabet, EventString, SiteSpec, parse_event_string, render_event_string
@@ -42,7 +42,6 @@ from .synthesis import (
     make_supervisor,
     synthesize_central,
     synthesize_decentralized,
-    verify_achieves,
 )
 
 __version__ = "0.1.0"
@@ -73,7 +72,6 @@ __all__ = [
     "empty_language",
     "extended_transition",
     "generated_language",
-    "grade_lattice",
     "infimal_co",
     "intersection",
     "inverse_project_meet",
@@ -100,5 +98,4 @@ __all__ = [
     "synthesize_central",
     "synthesize_decentralized",
     "union",
-    "verify_achieves",
 ]

@@ -15,16 +15,10 @@ from dataclasses import dataclass
 from operator import gt
 
 from .errors import FdesError
-from .grades import Grade
-from .language import FuzzyLanguage, Index, _codes
+from .language import FuzzyLanguage, Index
 from .observation import Projection, projection_ids
 from .predicates import _require_spec_inside_plant, _view
 from .synthesis import FuzzySupervisor, _sweep, synthesize_central
-
-
-def grade_lattice(*languages: FuzzyLanguage) -> tuple[Grade, ...]:
-    """All grades of the inputs plus 0 and 1, sorted: a chain, closed under min and max."""
-    return _codes(languages)[0]
 
 
 def infimal_co(spec: FuzzyLanguage, plant: FuzzyLanguage, pr: Projection) -> FuzzyLanguage:

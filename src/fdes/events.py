@@ -76,7 +76,8 @@ class Alphabet:
         object.__setattr__(self, "events", frozenset(self.events))
         object.__setattr__(self, "controllable", frozenset(self.controllable))
         object.__setattr__(self, "observable", frozenset(self.observable))
-        for name in self.events:
+        # Sorted, so that the bad identifier reported is not the hash's pick.
+        for name in sorted(self.events):
             check_event_id(name)
         if not self.controllable <= self.events:
             extra = ", ".join(sorted(self.controllable - self.events))

@@ -12,6 +12,11 @@ numbers and comment-stripped text, and each builder splits a line into
 words only when it reads it.  Strings and ints are objects the garbage
 collector does not track, so a 10k-line body adds no per-line containers
 for it to walk while the other sections are built.
+
+Builders raise plain errors; ``parse_documents`` alone gives them a
+location.  A fault found while a body line is read is reported at that
+line, and every other fault of a section (P1/P2, unknown events, a
+missing line) at its header.
 """
 
 from __future__ import annotations
@@ -88,14 +93,19 @@ class _RawSection:
     name: str
     source: str
     line: int
+    # Where an error is located: the body line being read, else the header.
+    at: int
     # The body: each line's number and comment-stripped text (see above).
     linenos: list[int] = field(default_factory=list)
     lines: list[str] = field(default_factory=list)
 
 
 def _words(section: _RawSection):
-    """(line number, words) of each body line, each line split once."""
-    return zip(section.linenos, map(str.split, section.lines))
+    """The words of each body line, each line split once; ``section.at``
+    is that line's number while it is read, and the header's after."""
+    for section.at, line in zip(section.linenos, section.lines):
+        yield line.split()
+    section.at = section.line
 
 
 def _fail(source: str, line: int, message: str, code: str = "SYNTAX_ERROR"):
@@ -106,6 +116,16 @@ def _once(value, key: str) -> None:
     """Refuse a second line of a kind that a section takes once."""
     if value is not None:
         raise FdesError("SYNTAX_ERROR", f"duplicate {key!r} line")
+
+
+def _alphabet_line(alphabet, words: list[str], alphabets: dict[str, Alphabet]) -> Alphabet:
+    """The alphabet an ``alphabet <name>`` line names, read once per section."""
+    _once(alphabet, "alphabet")
+    if len(words) != 2:
+        raise FdesError("SYNTAX_ERROR", "alphabet line takes one name")
+    if words[1] not in alphabets:
+        raise FdesError("SYNTAX_ERROR", f"unknown alphabet {words[1]!r}")
+    return alphabets[words[1]]
 
 
 def _split_sections(source: str, text: str) -> list[_RawSection]:
@@ -128,7 +148,7 @@ def _split_sections(source: str, text: str) -> list[_RawSection]:
             kind, name = header
             if kind not in _SECTION_TABLES:
                 _fail(source, lineno, f"unknown section kind {kind!r}")
-            current = _RawSection(kind, name, source, lineno)
+            current = _RawSection(kind, name, source, lineno, lineno)
             sections.append(current)
             continue
         if current is None:
@@ -138,51 +158,35 @@ def _split_sections(source: str, text: str) -> list[_RawSection]:
     return sections
 
 
-def _build_alphabet(section: _RawSection) -> Alphabet:
-    events: list[str] = []
-    controllable: list[str] = []
-    observable: list[str] = []
-    seen: set[str] = set()
-    for lineno, words in _words(section):
-        key, payload = words[0], words[1:]
-        if key in seen:
-            _fail(section.source, lineno, f"duplicate {key!r} line")
-        seen.add(key)
-        if key == "events":
-            events = payload
-        elif key == "controllable":
-            controllable = payload
-        elif key == "observable":
-            observable = payload
-        else:
-            _fail(section.source, lineno, f"unknown alphabet line {key!r}")
-    return Alphabet(frozenset(events), frozenset(controllable), frozenset(observable))
+def _build_alphabet(section: _RawSection, alphabets: dict[str, Alphabet]) -> Alphabet:
+    kinds = ("events", "controllable", "observable")
+    payloads: dict[str, list[str]] = {}
+    for words in _words(section):
+        if words[0] not in kinds:
+            raise FdesError("SYNTAX_ERROR", f"unknown alphabet line {words[0]!r}")
+        _once(payloads.get(words[0]), words[0])
+        payloads[words[0]] = words[1:]
+    return Alphabet(*(frozenset(payloads.get(kind, ())) for kind in kinds))
 
 
 def _build_sites(section: _RawSection, alphabets: dict[str, Alphabet]) -> SitesDecl:
-    alphabet_name: str | None = None
+    alphabet: Alphabet | None = None
     parts: dict[tuple[str, str], list[str]] = {}
-    for lineno, words in _words(section):
+    for words in _words(section):
         if words[0] == "alphabet":
-            if alphabet_name is not None:
-                _fail(section.source, lineno, "duplicate 'alphabet' line")
-            if len(words) != 2:
-                _fail(section.source, lineno, "alphabet line takes one name")
+            alphabet = _alphabet_line(alphabet, words, alphabets)
             alphabet_name = words[1]
             continue
-        if words[0] != "site" or len(words) < 3 or words[1] not in ("1", "2"):
-            _fail(section.source, lineno, "expected: site 1|2 controllable|observable <events>")
-        if words[2] not in ("controllable", "observable"):
-            _fail(section.source, lineno, "expected: site 1|2 controllable|observable <events>")
+        if words[0] != "site" or len(words) < 3 or words[1] not in ("1", "2") or words[2] not in (
+            "controllable", "observable"
+        ):
+            raise FdesError("SYNTAX_ERROR", "expected: site 1|2 controllable|observable <events>")
         key = (words[1], words[2])
         if key in parts:
-            _fail(section.source, lineno, f"duplicate site {words[1]} {words[2]} line")
+            raise FdesError("SYNTAX_ERROR", f"duplicate site {words[1]} {words[2]} line")
         parts[key] = words[3:]
-    if alphabet_name is None:
-        _fail(section.source, section.line, "sites section needs an alphabet line")
-    if alphabet_name not in alphabets:
-        _fail(section.source, section.line, f"unknown alphabet {alphabet_name!r}")
-    alphabet = alphabets[alphabet_name]
+    if alphabet is None:
+        raise FdesError("SYNTAX_ERROR", "sites section needs an alphabet line")
     site1, site2 = (
         SiteSpec(
             frozenset(parts.get((i, "controllable"), [])), frozenset(parts.get((i, "observable"), []))
@@ -197,34 +201,25 @@ def _build_language(section: _RawSection, alphabets: dict[str, Alphabet]) -> Fuz
     alphabet: Alphabet | None = None
     entries: dict[EventString, Grade] = {}
     parsed: dict[str, EventString] = {}  # string text -> event string
-    lineno = section.line
-    try:
-        for lineno, words in _words(section):
-            if words[0] == "alphabet":
-                _once(alphabet, "alphabet")
-                if len(words) != 2:
-                    raise FdesError("SYNTAX_ERROR", "alphabet line takes one name")
-                if words[1] not in alphabets:
-                    raise FdesError("SYNTAX_ERROR", f"unknown alphabet {words[1]!r}")
-                alphabet = alphabets[words[1]]
-                continue
-            if len(words) != 2:
-                raise FdesError("SYNTAX_ERROR", "expected: <string> <grade>")
-            # x.y.z is the parsed x.y plus one event; anything else parses whole.
-            head, _, last = words[0].rpartition(".")
-            if last and head in parsed and head != EPSILON_TEXT:
-                s = parsed[head] + (check_event_id(last),)
-            else:
-                s = parse_event_string(words[0])
-            parsed[words[0]] = s
-            g = parse_grade(words[1])
-            if s in entries:
-                raise FdesError("DUPLICATE_STRING", f"duplicate string {words[0]}")
-            entries[s] = g
-    except FdesError as err:
-        _fail(section.source, lineno, err.message, err.code)
+    for words in _words(section):
+        if words[0] == "alphabet":
+            alphabet = _alphabet_line(alphabet, words, alphabets)
+            continue
+        if len(words) != 2:
+            raise FdesError("SYNTAX_ERROR", "expected: <string> <grade>")
+        # x.y.z is the parsed x.y plus one event; anything else parses whole.
+        head, _, last = words[0].rpartition(".")
+        if last and head in parsed and head != EPSILON_TEXT:
+            s = parsed[head] + (check_event_id(last),)
+        else:
+            s = parse_event_string(words[0])
+        parsed[words[0]] = s
+        g = parse_grade(words[1])
+        if s in entries:
+            raise FdesError("DUPLICATE_STRING", f"duplicate string {words[0]}")
+        entries[s] = g
     if alphabet is None:
-        _fail(section.source, section.line, "language section needs an alphabet line")
+        raise FdesError("SYNTAX_ERROR", "language section needs an alphabet line")
     return FuzzyLanguage(alphabet, entries)
 
 
@@ -233,35 +228,28 @@ def _build_automaton(section: _RawSection, alphabets: dict[str, Alphabet]) -> Fu
     states: list[str] = []
     initial: str | None = None
     transitions: dict[tuple[str, str, str], Grade] = {}
-    lineno = section.line
-    try:
-        for lineno, words in _words(section):
-            key, payload = words[0], words[1:]
-            if key == "alphabet":
-                _once(alphabet, key)
-                if len(payload) != 1 or payload[0] not in alphabets:
-                    raise FdesError("SYNTAX_ERROR", "alphabet line needs one known name")
-                alphabet = alphabets[payload[0]]
-            elif key == "states":
-                states.extend(payload)
-            elif key == "initial":
-                _once(initial, key)
-                if len(payload) != 1:
-                    raise FdesError("SYNTAX_ERROR", "initial line takes one state")
-                initial = payload[0]
-            elif key == "trans":
-                if len(payload) != 4:
-                    raise FdesError("SYNTAX_ERROR", "expected: trans <from> <event> <to> <grade>")
-                edge = (payload[0], payload[1], payload[2])
-                if edge in transitions:
-                    raise FdesError("SYNTAX_ERROR", "duplicate transition " + " ".join(edge))
-                transitions[edge] = parse_grade(payload[3])
-            else:
-                raise FdesError("SYNTAX_ERROR", f"unknown automaton line {key!r}")
-    except FdesError as err:
-        _fail(section.source, lineno, err.message, err.code)
+    for words in _words(section):
+        key, payload = words[0], words[1:]
+        if key == "alphabet":
+            alphabet = _alphabet_line(alphabet, words, alphabets)
+        elif key == "states":
+            states.extend(payload)
+        elif key == "initial":
+            _once(initial, key)
+            if len(payload) != 1:
+                raise FdesError("SYNTAX_ERROR", "initial line takes one state")
+            initial = payload[0]
+        elif key == "trans":
+            if len(payload) != 4:
+                raise FdesError("SYNTAX_ERROR", "expected: trans <from> <event> <to> <grade>")
+            edge = (payload[0], payload[1], payload[2])
+            if edge in transitions:
+                raise FdesError("SYNTAX_ERROR", "duplicate transition " + " ".join(edge))
+            transitions[edge] = parse_grade(payload[3])
+        else:
+            raise FdesError("SYNTAX_ERROR", f"unknown automaton line {key!r}")
     if alphabet is None or initial is None:
-        _fail(section.source, section.line, "automaton section needs alphabet and initial lines")
+        raise FdesError("SYNTAX_ERROR", "automaton section needs alphabet and initial lines")
     return FuzzyAutomaton(frozenset(states), alphabet, initial, transitions)
 
 
@@ -271,49 +259,52 @@ def _build_supervisor(section: _RawSection, alphabets: dict[str, Alphabet]) -> F
     controllable: list[str] | None = None
     rows: dict[EventString, dict[str, Grade]] = {}
     current_row: dict[str, Grade] | None = None
-    lineno = section.line
-    try:
-        for lineno, words in _words(section):
-            key, payload = words[0], words[1:]
-            if key == "alphabet" and current_row is None:
-                _once(alphabet, key)
-                if len(payload) != 1 or payload[0] not in alphabets:
-                    raise FdesError("SYNTAX_ERROR", "alphabet line needs one known name")
-                alphabet = alphabets[payload[0]]
-            elif key == "observable" and current_row is None:
-                _once(observable, key)
-                observable = payload
-            elif key == "controllable" and current_row is None:
-                _once(controllable, key)
-                controllable = payload
-            elif key == "obs":
-                if len(payload) != 1:
-                    raise FdesError("SYNTAX_ERROR", "obs line takes one observed string")
-                observed = parse_event_string(payload[0])
-                if observed in rows:
-                    raise FdesError("DUPLICATE_STRING", f"duplicate row {payload[0]}")
-                current_row = {}
-                rows[observed] = current_row
-            elif key == "enable":
-                if current_row is None:
-                    raise FdesError("SYNTAX_ERROR", "enable line before any obs line")
-                if len(payload) != 2:
-                    raise FdesError("SYNTAX_ERROR", "expected: enable <event> <grade>")
-                if payload[0] in current_row:
-                    raise FdesError("SYNTAX_ERROR", f"duplicate enable {payload[0]!r} line")
-                current_row[payload[0]] = parse_grade(payload[1])
-            else:
-                raise FdesError("SYNTAX_ERROR", f"unknown supervisor line {key!r}")
-    except FdesError as err:
-        _fail(section.source, lineno, err.message, err.code)
+    for words in _words(section):
+        key, payload = words[0], words[1:]
+        if current_row is not None and key in ("alphabet", "observable", "controllable"):
+            raise FdesError("SYNTAX_ERROR", f"{key} line after the first obs line")
+        if key == "alphabet":
+            alphabet = _alphabet_line(alphabet, words, alphabets)
+        elif key == "observable":
+            _once(observable, key)
+            observable = payload
+        elif key == "controllable":
+            _once(controllable, key)
+            controllable = payload
+        elif key == "obs":
+            if len(payload) != 1:
+                raise FdesError("SYNTAX_ERROR", "obs line takes one observed string")
+            observed = parse_event_string(payload[0])
+            if observed in rows:
+                raise FdesError("DUPLICATE_STRING", f"duplicate row {payload[0]}")
+            current_row = {}
+            rows[observed] = current_row
+        elif key == "enable":
+            if current_row is None:
+                raise FdesError("SYNTAX_ERROR", "enable line before any obs line")
+            if len(payload) != 2:
+                raise FdesError("SYNTAX_ERROR", "expected: enable <event> <grade>")
+            if payload[0] in current_row:
+                raise FdesError("SYNTAX_ERROR", f"duplicate enable {payload[0]!r} line")
+            current_row[payload[0]] = parse_grade(payload[1])
+        else:
+            raise FdesError("SYNTAX_ERROR", f"unknown supervisor line {key!r}")
     if alphabet is None or observable is None or controllable is None:
-        _fail(
-            section.source,
-            section.line,
-            "supervisor section needs alphabet, observable, and controllable lines",
+        raise FdesError(
+            "SYNTAX_ERROR", "supervisor section needs alphabet, observable, and controllable lines"
         )
     projection = Projection(alphabet, frozenset(observable))
     return make_supervisor(projection, frozenset(controllable), rows)
+
+
+# Section kind -> its builder; each takes (section, alphabets built so far).
+_BUILDERS = {
+    "alphabet": _build_alphabet,
+    "sites": _build_sites,
+    "language": _build_language,
+    "automaton": _build_automaton,
+    "supervisor": _build_supervisor,
+}
 
 
 def parse_documents(named_texts: list[tuple[str, str]]) -> FdlDocument:
@@ -325,22 +316,11 @@ def parse_documents(named_texts: list[tuple[str, str]]) -> FdlDocument:
         doc.file_sections[source] = [(s.kind, s.name) for s in split]
         sections.extend(split)
     ordered = sorted(sections, key=lambda s: list(_SECTION_TABLES).index(s.kind))
-    builders = {
-        "alphabet": lambda s: _build_alphabet(s),
-        "sites": lambda s: _build_sites(s, doc.alphabets),
-        "language": lambda s: _build_language(s, doc.alphabets),
-        "automaton": lambda s: _build_automaton(s, doc.alphabets),
-        "supervisor": lambda s: _build_supervisor(s, doc.alphabets),
-    }
     for section in ordered:
         try:
-            value = builders[section.kind](section)
+            value = _BUILDERS[section.kind](section, doc.alphabets)
         except FdesError as err:
-            if err.location:
-                raise
-            # Each builder locates the errors of its lines; the rest are
-            # faults of the whole section, reported at its header.
-            _fail(section.source, section.line, err.message, err.code)
+            _fail(section.source, section.at, err.message, err.code)
         table = getattr(doc, _SECTION_TABLES[section.kind])
         if section.name in table:
             if table[section.name] != value:

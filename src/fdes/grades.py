@@ -14,7 +14,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
 
 from .errors import FdesError
 
@@ -80,11 +79,3 @@ def meet(a: Grade, b: Grade) -> Grade:
 def join(a: Grade, b: Grade) -> Grade:
     """Least upper bound: max.  The result is always one of the inputs."""
     return a if a >= b else b
-
-
-def join_all(values: Iterable[Grade], default: Grade = ZERO) -> Grade:
-    out = default
-    for v in values:
-        if v > out:
-            out = v
-    return out

@@ -103,26 +103,19 @@ def class_joins(index: Index, ranks: list[int], proj: list[int], events) -> dict
     return joins
 
 
-def observed_alphabet(pr: Projection) -> Alphabet:
-    """Sub-alphabet the projected strings live over."""
-    return Alphabet(
-        events=pr.observable,
-        controllable=pr.alphabet.controllable & pr.observable,
-        observable=pr.observable,
-    )
-
-
 def project_language(pr: Projection, language: FuzzyLanguage) -> FuzzyLanguage:
     """Lifted projection: each image string gets the join over its preimage.
 
     The preimage join is computed by iterating the finite support and
     bucketing by projected string; strings outside the support contribute 0.
+    The image lives over the observable events, which keep their control.
     """
     grades: dict[EventString, object] = {}
     for s, g in language.items():
         t = project_string(pr, s)
         grades[t] = join(grades.get(t, g), g)
-    return FuzzyLanguage(observed_alphabet(pr), grades)
+    observed = Alphabet(pr.observable, pr.alphabet.controllable & pr.observable, pr.observable)
+    return FuzzyLanguage(observed, grades)
 
 
 def inverse_project_meet(

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .errors import FdesError
-from .events import EPSILON, Alphabet, EventId, EventString, string_key
+from .events import EPSILON, EventId, EventString, string_key
 from .grades import ONE, ZERO, Grade, meet
 from .language import FuzzyLanguage, Index, empty_language, intersection, union
 from .observation import Projection, project_string, projection_ids
@@ -29,32 +28,6 @@ from .predicates import (
 from .synthesis import _closed_loop, make_supervisor
 
 DEFAULT_BUDGET = 20_000
-
-
-@dataclass(frozen=True)
-class EnumerationSpec:
-    """Search space: a prefix-closed string universe and a grade lattice."""
-
-    alphabet: Alphabet
-    universe: tuple[EventString, ...]
-    lattice: tuple[Grade, ...]
-    budget: int = DEFAULT_BUDGET
-
-    def __post_init__(self):
-        universe = tuple(sorted(set(self.universe), key=string_key))
-        object.__setattr__(self, "universe", universe)
-        members = set(universe)
-        for s in universe:
-            self.alphabet.check_string(s)
-            if s and s[:-1] not in members:
-                raise FdesError("INVALID_ENUMERATION", "universe is not prefix closed")
-        lattice = tuple(sorted(set(self.lattice)))
-        object.__setattr__(self, "lattice", lattice)
-        if ZERO not in lattice or ONE not in lattice:
-            raise FdesError("INVALID_ENUMERATION", "lattice must contain 0 and 1")
-
-    def candidate_bound(self) -> int:
-        return len(self.lattice) ** len(self.universe)
 
 
 def _check_budget(count: int, budget: int) -> None:
@@ -100,13 +73,6 @@ def _assignments(
             acc.pop(s, None)
 
     yield from extend(0, {EPSILON: ONE})
-
-
-def enumerate_languages(spec: EnumerationSpec) -> Iterator[FuzzyLanguage]:
-    """Every valid language with support in the universe and lattice grades."""
-    _check_budget(spec.candidate_bound(), spec.budget)
-    for grades in _assignments(spec.universe, spec.lattice, lambda s: ZERO, lambda s: ONE):
-        yield FuzzyLanguage(spec.alphabet, grades)
 
 
 def brute_infimal_co(

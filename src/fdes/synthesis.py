@@ -230,8 +230,3 @@ def closed_loop_decentralized(
 ) -> FuzzyLanguage:
     """Joint supervision: both supervisors' enable grades are met together."""
     return _closed_loop(plant, [s1, s2])
-
-
-def verify_achieves(spec: FuzzyLanguage, achieved: FuzzyLanguage) -> bool:
-    """Exact pointwise equality of the two languages."""
-    return spec == achieved

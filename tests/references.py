@@ -1,19 +1,24 @@
 """Literal and set-based references for the property checks.
 
 A pairwise reading of observability and strong observability, the
-classical checkers on crisp (set) languages, and a per-string unrolling
-of a max-min automaton.  They share no loop with ``fdes.predicates`` or
+classical checkers on crisp (set) languages, a per-string unrolling
+of a max-min automaton, a fold of grades by max, and an enumeration of
+every language over a small universe and lattice.  They share no loop with ``fdes.predicates`` or
 ``fdes.automaton.generated_language``, so the tests can hold the graded
 checks and the unrolling against them on desk-scale instances.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Iterable, Iterator
+
 from fdes.automaton import FuzzyAutomaton, _advance, _step_map
 from fdes.errors import FdesError
-from fdes.events import EPSILON, EventId, EventString
+from fdes.events import EPSILON, Alphabet, EventId, EventString, string_key
 from fdes.grades import ONE, ZERO, Grade, meet
 from fdes.language import FuzzyLanguage
+from fdes.oracle import DEFAULT_BUDGET, _assignments, _check_budget
 from fdes.observation import Projection, projection_classes
 from fdes.predicates import Site, _require_spec_inside_plant, _resolve_sites
 
@@ -224,3 +229,44 @@ def generated_language_per_string(aut: FuzzyAutomaton, horizon: int) -> FuzzyLan
             break
         frontier = nxt_frontier
     return FuzzyLanguage(aut.alphabet, grades)
+
+
+def join_all(values: Iterable[Grade], default: Grade = ZERO) -> Grade:
+    out = default
+    for v in values:
+        if v > out:
+            out = v
+    return out
+
+
+@dataclass(frozen=True)
+class EnumerationSpec:
+    """Search space: a prefix-closed string universe and a grade lattice."""
+
+    alphabet: Alphabet
+    universe: tuple[EventString, ...]
+    lattice: tuple[Grade, ...]
+    budget: int = DEFAULT_BUDGET
+
+    def __post_init__(self):
+        universe = tuple(sorted(set(self.universe), key=string_key))
+        object.__setattr__(self, "universe", universe)
+        members = set(universe)
+        for s in universe:
+            self.alphabet.check_string(s)
+            if s and s[:-1] not in members:
+                raise FdesError("INVALID_ENUMERATION", "universe is not prefix closed")
+        lattice = tuple(sorted(set(self.lattice)))
+        object.__setattr__(self, "lattice", lattice)
+        if ZERO not in lattice or ONE not in lattice:
+            raise FdesError("INVALID_ENUMERATION", "lattice must contain 0 and 1")
+
+    def candidate_bound(self) -> int:
+        return len(self.lattice) ** len(self.universe)
+
+
+def enumerate_languages(spec: EnumerationSpec) -> Iterator[FuzzyLanguage]:
+    """Every valid language with support in the universe and lattice grades."""
+    _check_budget(spec.candidate_bound(), spec.budget)
+    for grades in _assignments(spec.universe, spec.lattice, lambda s: ZERO, lambda s: ONE):
+        yield FuzzyLanguage(spec.alphabet, grades)

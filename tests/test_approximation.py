@@ -15,7 +15,6 @@ from fdes import (
     closed_loop_central,
     empty_language,
     generated_language,
-    grade_lattice,
     infimal_co,
     is_controllable,
     is_normal,
@@ -27,6 +26,7 @@ from fdes import (
     supremal_cn,
     union,
 )
+from fdes.language import _codes
 from helpers import (
     central_example,
     lang,
@@ -40,7 +40,7 @@ from helpers import (
 
 def test_grade_lattice_collects_instance_grades():
     _, plant, spec = central_example()
-    values = grade_lattice(spec, plant)
+    values = _codes((spec, plant))[0]
     assert values[0] == 0 and values[-1] == 1
     assert F(2, 5) in values and F(9, 10) in values
     assert values == tuple(sorted(values))
@@ -131,7 +131,7 @@ def test_extremal_results_satisfy_their_predicates():
         plant = random_plant(rng, alphabet, lattice, max_support=9, max_len=3)
         spec = random_sublanguage(rng, plant, lattice)
         pr = random_projection(rng, alphabet)
-        values = set(grade_lattice(spec, plant))
+        values = set(_codes((spec, plant))[0])
         lower = infimal_co(spec, plant, pr)
         assert is_sublanguage(spec, lower) and is_sublanguage(lower, plant)
         assert is_controllable(lower, plant).holds

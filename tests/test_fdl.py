@@ -1,5 +1,9 @@
 """FDL parsing, validation diagnostics, and canonical emission."""
 
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -11,6 +15,7 @@ from fdes import Alphabet, FdesError, natural_projection, synthesize_central
 from fdes.fdl import FdlDocument, emit_fdl, parse_documents, parse_fdl
 from fdes.grades import parse_grade
 from helpers import central_example, medical_example
+from test_cli_fuzz import AUTOMATON, _mutate
 
 DATA = Path(__file__).parent / "data"
 
@@ -278,7 +283,7 @@ SUPERVISOR_HEAD = "[alphabet E]\nevents a b\n\n[supervisor S]\n"
 @pytest.mark.parametrize(
     "body, code, message, lineno",
     [
-        ("alphabet F\n", "SYNTAX_ERROR", "alphabet line needs one known name", 5),
+        ("alphabet F\n", "SYNTAX_ERROR", "unknown alphabet 'F'", 5),
         ("alphabet E\nobs eps a\n", "SYNTAX_ERROR", "obs line takes one observed string", 6),
         ("alphabet E\nobs a..b\n", "MALFORMED_EVENT", "bad event string: 'a..b'", 6),
         ("alphabet E\nobs eps\nobs eps\n", "DUPLICATE_STRING", "duplicate row eps", 7),
@@ -288,6 +293,11 @@ SUPERVISOR_HEAD = "[alphabet E]\nevents a b\n\n[supervisor S]\n"
         ("alphabet E\nstates q\n", "SYNTAX_ERROR", "unknown supervisor line 'states'", 6),
         ("alphabet E\nobservable a\n", "SYNTAX_ERROR",
          "supervisor section needs alphabet, observable, and controllable lines", 4),
+    ]
+    + [
+        ("alphabet E\nobservable a\ncontrollable a\nobs eps\n" + f"{kind} a\n", "SYNTAX_ERROR",
+         f"{kind} line after the first obs line", 9)
+        for kind in ("alphabet", "observable", "controllable")
     ],
 )
 def test_supervisor_section_errors_keep_code_message_and_line(body, code, message, lineno):
@@ -312,6 +322,13 @@ def test_supervisor_section_errors_keep_code_message_and_line(body, code, messag
          "UNKNOWN_STATE", "initial state 'q' not in state set", 4),
         ("[alphabet E]\nevents a\n\n[supervisor S]\nalphabet E\nobservable z\ncontrollable a\n",
          "UNKNOWN_EVENT", "observable events not in alphabet: z", 4),
+        # Every section reads its alphabet line alike, and refuses it at that line.
+        ("[alphabet E]\nevents a\n\n[sites S]\nsite 1 controllable a\nalphabet X\n",
+         "SYNTAX_ERROR", "unknown alphabet 'X'", 6),
+        ("[alphabet E]\nevents a\n\n[automaton G]\nstates p\nalphabet F\n",
+         "SYNTAX_ERROR", "unknown alphabet 'F'", 6),
+        ("[alphabet E]\nevents a\n\n[automaton G]\nalphabet E F\n",
+         "SYNTAX_ERROR", "alphabet line takes one name", 5),
     ],
 )
 def test_other_section_errors_keep_code_message_and_line(text, code, message, lineno):
@@ -371,3 +388,46 @@ def test_a_row_may_enable_an_event_that_another_row_enables():
 def test_states_lines_add_up():
     aut = parse_fdl(AUTOMATON_HEAD + "states s2\ninitial s2\ntrans s2 a s0 0.5\n").automata["G"]
     assert aut.states == {"s0", "s1", "s2"}
+
+
+def test_every_parse_error_names_a_line_that_holds_text():
+    # Only parse_documents locates an error: at the body line being read, else the header.
+    corpus = [path.read_text(encoding="utf-8") for path in sorted(DATA.glob("*.fdl"))] + [AUTOMATON]
+    rng = random.Random(14)
+    errors = 0
+    for round_ in range(2000):
+        text = _mutate(rng, rng.choice(corpus))
+        try:
+            parse_fdl(text, "m.fdl")
+        except FdesError as err:
+            errors += 1
+            source, _, lineno = err.location.rpartition(":")
+            lines = text.split("\n")
+            assert source == "m.fdl" and 1 <= int(lineno) <= len(lines), (round_, err.location)
+            assert lines[int(lineno) - 1].split("#")[0].strip(), (round_, err.location)
+    assert errors >= 1000
+
+
+_BAD_EVENTS = """
+from fdes import Alphabet, FdesError
+from fdes.fdl import parse_fdl
+
+for make in (lambda: Alphabet({"ok", "b-c", "d-e"}), lambda: parse_fdl("[alphabet E]\\nevents a b-c d-e x.y\\n")):
+    try:
+        make()
+    except FdesError as error:
+        print(error.code, error.message)
+"""
+
+
+def test_the_bad_event_reported_does_not_depend_on_the_string_hash():
+    path = str(Path(__file__).parent.parent / "src")
+    outputs = {
+        subprocess.run(
+            [sys.executable, "-c", _BAD_EVENTS],
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed),
+            capture_output=True, text=True, encoding="utf-8", check=True, timeout=60,
+        ).stdout
+        for hash_seed in ("0", "1", "2", "3", "4", "5")
+    }
+    assert outputs == {"MALFORMED_EVENT bad event identifier: 'b-c'\n" * 2}

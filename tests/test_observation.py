@@ -17,7 +17,6 @@ from fdes import (
     project_string,
 )
 from fdes.events import string_key
-from fdes.grades import join_all
 from fdes.language import Index
 from fdes.observation import class_joins, projection_classes, projection_ids
 from helpers import (
@@ -29,6 +28,7 @@ from helpers import (
     random_projection,
     random_sublanguage,
 )
+from references import join_all
 
 
 def test_project_string_erases_unobservable():

@@ -18,15 +18,13 @@ from fdes import (
     union,
 )
 from fdes.oracle import (
-    EnumerationSpec,
     brute_decentralized_exists,
     brute_infimal_co,
     brute_supervisor_exists,
     brute_supremal_cn,
-    enumerate_languages,
 )
 from helpers import central_example, lang, random_lattice, random_plant, union_example
-from references import crisp_reference, observable_pairwise
+from references import EnumerationSpec, crisp_reference, enumerate_languages, observable_pairwise
 
 AB = Alphabet({"a", "b"}, controllable={"a"}, observable={"b"})
 

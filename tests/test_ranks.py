@@ -12,10 +12,9 @@ from fdes import (
     FuzzyLanguage,
     closed_loop_central,
     empty_language,
-    grade_lattice,
 )
-from fdes.grades import ONE, ZERO, join_all, meet
-from fdes.language import Index
+from fdes.grades import ONE, ZERO, meet
+from fdes.language import Index, _codes
 from fdes.observation import project_string
 from fdes.predicates import (
     COOBS_CASE1,
@@ -41,6 +40,7 @@ from helpers import (
     random_sublanguage,
     random_supervisor,
 )
+from references import join_all
 
 
 def copied(language: FuzzyLanguage) -> FuzzyLanguage:
@@ -76,7 +76,7 @@ def test_lattice_is_bounded_and_sorted_and_decoding_inverts_encoding():
         values, P, S = index.ranked(spec)
         assert values[0] == 0 and values[-1] == 1
         assert list(values) == sorted(set(values))
-        assert values == grade_lattice(plant, spec)
+        assert values == _codes((plant, spec))[0]
         for language, codes in ((plant, P), (spec, S)):
             assert len(codes) == len(index.strings)
             assert all(type(r) is int for r in codes)
