@@ -27,6 +27,13 @@ def check_event_id(name: str) -> EventId:
     return name
 
 
+def event_set(value) -> frozenset[EventId]:
+    """A caller's set of events; a ``str`` would split into characters."""
+    if isinstance(value, str):
+        raise FdesError("MALFORMED_EVENT", f"event set {value!r} must be a collection of event ids")
+    return frozenset(value)
+
+
 def parse_event_string(text: str) -> EventString:
     """Parse ``eps`` or dot-joined event ids like ``a.c.d``."""
     if text == EPSILON_TEXT:
@@ -54,8 +61,8 @@ class SiteSpec:
     observable: frozenset[EventId]
 
     def __post_init__(self):
-        object.__setattr__(self, "controllable", frozenset(self.controllable))
-        object.__setattr__(self, "observable", frozenset(self.observable))
+        object.__setattr__(self, "controllable", event_set(self.controllable))
+        object.__setattr__(self, "observable", event_set(self.observable))
 
 
 @dataclass(frozen=True)
@@ -73,9 +80,9 @@ class Alphabet:
     sites: tuple[SiteSpec, SiteSpec] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "events", frozenset(self.events))
-        object.__setattr__(self, "controllable", frozenset(self.controllable))
-        object.__setattr__(self, "observable", frozenset(self.observable))
+        object.__setattr__(self, "events", event_set(self.events))
+        object.__setattr__(self, "controllable", event_set(self.controllable))
+        object.__setattr__(self, "observable", event_set(self.observable))
         # Sorted, so that the bad identifier reported is not the hash's pick.
         for name in sorted(self.events):
             check_event_id(name)

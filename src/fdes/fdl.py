@@ -38,7 +38,7 @@ from .events import (
 from .grades import Grade, parse_grade, render_grade
 from .language import FuzzyLanguage
 from .observation import Projection
-from .synthesis import FuzzySupervisor, make_supervisor
+from .synthesis import FuzzySupervisor
 
 # Section kind -> the FdlDocument table holding its sections, in build order.
 _SECTION_TABLES = {
@@ -166,6 +166,9 @@ def _build_alphabet(section: _RawSection, alphabets: dict[str, Alphabet]) -> Alp
             raise FdesError("SYNTAX_ERROR", f"unknown alphabet line {words[0]!r}")
         _once(payloads.get(words[0]), words[0])
         payloads[words[0]] = words[1:]
+        if words[0] == "events":  # as Alphabet checks them, but located at this line
+            for name in sorted(words[1:]):
+                check_event_id(name)
     return Alphabet(*(frozenset(payloads.get(kind, ())) for kind in kinds))
 
 
@@ -293,8 +296,7 @@ def _build_supervisor(section: _RawSection, alphabets: dict[str, Alphabet]) -> F
         raise FdesError(
             "SYNTAX_ERROR", "supervisor section needs alphabet, observable, and controllable lines"
         )
-    projection = Projection(alphabet, frozenset(observable))
-    return make_supervisor(projection, frozenset(controllable), rows)
+    return FuzzySupervisor(Projection(alphabet, observable), controllable, rows)
 
 
 # Section kind -> its builder; each takes (section, alphabets built so far).

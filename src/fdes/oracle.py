@@ -25,7 +25,7 @@ from .predicates import (
     is_normal,
     is_observable,
 )
-from .synthesis import _closed_loop, make_supervisor
+from .synthesis import FuzzySupervisor, _closed_loop
 
 DEFAULT_BUDGET = 20_000
 
@@ -172,7 +172,7 @@ def _brute_sites_exist(
         rows = [{t: {} for t in observed} for observed in site_observed]
         for (n, t, e), grade in zip(cells, choice):
             rows[n][t][e] = grade
-        supervisors = [make_supervisor(pr, ctrl, r) for (pr, ctrl), r in zip(sites, rows)]
+        supervisors = [FuzzySupervisor(pr, ctrl, r) for (pr, ctrl), r in zip(sites, rows)]
         if _closed_loop(index.plant, supervisors) == spec:
             return True
     return False

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from operator import gt
 
 from .errors import FdesError
-from .events import Alphabet, EventId, EventString, string_key
+from .events import Alphabet, EventId, EventString, event_set, string_key
 from .grades import Grade
 from .language import FuzzyLanguage, Index
 from .observation import Projection, class_joins, projection_ids
@@ -65,12 +65,10 @@ class CheckReport:
             raise ValueError("holds must match witness emptiness")
 
     @classmethod
-    def passed(cls) -> "CheckReport":
-        return cls(True, ())
-
-    @classmethod
-    def failed(cls, witnesses) -> "CheckReport":
-        return cls(False, tuple(witnesses))
+    def of(cls, witnesses) -> "CheckReport":
+        """The report of these witnesses: it holds iff there are none."""
+        witnesses = tuple(witnesses)
+        return cls(not witnesses, witnesses)
 
 
 def _require_spec_inside_plant(spec: FuzzyLanguage, plant: FuzzyLanguage) -> tuple:
@@ -90,7 +88,7 @@ def _view(index: Index, S: list, pr: Projection, controllables) -> tuple:
     the site's controllable events as a frozenset, E_c if None, the spec's
     class joins), and each class's observed string.  ``projection_ids``
     refuses a site projection over another alphabet than the plant's."""
-    ctrl = frozenset(index.plant.alphabet.controllable if controllables is None else controllables)
+    ctrl = event_set(index.plant.alphabet.controllable if controllables is None else controllables)
     proj, observed = projection_ids(index, pr)
     return (proj, ctrl, class_joins(index, S, proj, ctrl)), observed
 
@@ -148,7 +146,7 @@ def is_controllable(spec: FuzzyLanguage, plant: FuzzyLanguage) -> CheckReport:
         Witness(CONTROLLABILITY, (strings[parent[i]],), event[i], lattice[lhs], lattice[rhs])
         for i, lhs, rhs in _mismatches(index, S, P, (), spec.alphabet.uncontrollable)
     ]
-    return CheckReport.failed(witnesses) if witnesses else CheckReport.passed()
+    return CheckReport.of(witnesses)
 
 
 def is_observable(
@@ -179,7 +177,7 @@ def is_observable(
             first.items(), key=lambda w: (string_key(observed[w[0][0]]), w[0][1])
         )
     ]
-    return CheckReport.failed(witnesses) if witnesses else CheckReport.passed()
+    return CheckReport.of(witnesses)
 
 
 def is_strongly_observable(
@@ -204,7 +202,7 @@ def is_strongly_observable(
     """
     lattice, index, S, P = _require_spec_inside_plant(spec, plant)
     proj, observed = projection_ids(index, pr)
-    ctrl = frozenset(spec.alphabet.controllable if controllables is None else controllables)
+    ctrl = event_set(spec.alphabet.controllable if controllables is None else controllables)
     strings, parent, event = index.strings, index.parent, index.event
     eligible: dict[tuple[int, EventId], list[int]] = {}
     for i in range(1, len(P)):
@@ -229,7 +227,7 @@ def is_strongly_observable(
             break
     members = _members(index, S, proj, {c for c, _ in found})
     witnesses = [replace(w, projection_class=members[c]) for c, w in found]
-    return CheckReport.failed(witnesses) if witnesses else CheckReport.passed()
+    return CheckReport.of(witnesses)
 
 
 def is_normal(spec: FuzzyLanguage, plant: FuzzyLanguage, pr: Projection) -> CheckReport:
@@ -252,7 +250,7 @@ def is_normal(spec: FuzzyLanguage, plant: FuzzyLanguage, pr: Projection) -> Chec
             witnesses.append(
                 Witness(NORMALITY, (s,), None, lattice[lhs], lattice[rhs], (observed[c],))
             )
-    return CheckReport.failed(witnesses) if witnesses else CheckReport.passed()
+    return CheckReport.of(witnesses)
 
 
 def _resolve_sites(alphabet: Alphabet, site1: Site | None, site2: Site | None) -> tuple[Site, Site]:
@@ -262,7 +260,7 @@ def _resolve_sites(alphabet: Alphabet, site1: Site | None, site2: Site | None) -
         site1, site2 = ((Projection(alphabet, s.observable), s.controllable) for s in alphabet.sites)
     if site1 is None or site2 is None:
         raise FdesError("SITE_COVER_VIOLATION", "exactly two sites are required")
-    if frozenset(site1[1]) | frozenset(site2[1]) != alphabet.controllable:
+    if event_set(site1[1]) | event_set(site2[1]) != alphabet.controllable:
         raise FdesError("SITE_COVER_VIOLATION", "site controllable sets do not cover E_c")
     return site1, site2
 
@@ -297,4 +295,4 @@ def is_coobservable(
         kind = (COOBS_CASE1 if e in ctrl2 else COOBS_CASE2) if in1 else COOBS_CASE3
         members = members1[t1] if in1 else members2[t2]
         witnesses.append(Witness(kind, (index.strings[parent[i]],), e, lattice[lhs], lattice[rhs], members))
-    return CheckReport.failed(witnesses) if witnesses else CheckReport.passed()
+    return CheckReport.of(witnesses)

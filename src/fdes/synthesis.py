@@ -1,12 +1,14 @@
 """Supervisor synthesis and closed-loop language computation.
 
 A supervisor maps each observed string to per-event enable grades; events
-it may not restrict are pinned to grade 1.  Control is split into sites,
-each a (projection, controllable events) pair with one local supervisor.
-One row builder serves every site by the constructive recipe: a
-controllable event's enable grade after observation t is the join of the
-specification's grades over the continuations of all support strings the
-site cannot distinguish from t (``observation.class_joins``).  The closed
+it may not restrict are pinned to grade 1.  ``FuzzySupervisor`` alone
+densifies and checks a row, so every caller passes only the entries it
+has.  Control is split into sites, each a (projection, controllable
+events) pair with one local supervisor.  One row builder serves every
+site by the constructive recipe: a controllable event's enable grade
+after observation t is the join of the specification's grades over the
+continuations of all support strings the site cannot distinguish from t
+(``observation.class_joins``); other events are left out.  The closed
 loop is ``predicates._equation`` swept once, meeting every supervisor's
 enable grade, so the supervisors act conjunctively.  That loop decides
 synthesis: a non-empty spec is achievable iff it is the closed loop of
@@ -22,9 +24,9 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .errors import ConditionViolated, FdesError
-from .events import EventId, EventString, render_event_string, string_key
+from .events import EventId, EventString, event_set, render_event_string, string_key
 from .grades import ONE, ZERO, Grade, as_grade
-from .language import FuzzyLanguage, Index
+from .language import FuzzyLanguage, Index, _str_key_error
 from .observation import Projection, projection_ids
 from .predicates import (
     Site,
@@ -42,10 +44,11 @@ Row = dict[EventId, Grade]
 
 @dataclass(frozen=True)
 class FuzzySupervisor:
-    """Observed string -> per-event enable grades, with dense rows.
+    """Observed string -> per-event enable grades, stored dense.
 
-    ``controllables`` is the set of events this supervisor may restrict;
-    every other event is enabled at grade 1 in every row.
+    ``controllables`` are the events this supervisor may restrict; a grade
+    below 1 for any other event is refused.  A given row may be sparse: an
+    absent controllable event gets 0, and any other absent event gets 1.
     """
 
     projection: Projection
@@ -53,26 +56,34 @@ class FuzzySupervisor:
     table: Mapping[EventString, Row]
 
     def __post_init__(self):
-        object.__setattr__(self, "controllables", frozenset(self.controllables))
+        ctrl = event_set(self.controllables)
+        object.__setattr__(self, "controllables", ctrl)
         alphabet = self.projection.alphabet
-        if not self.controllables <= alphabet.events:
+        events, observable = alphabet.events, self.projection.observable
+        if not ctrl <= events:
             raise FdesError("UNKNOWN_EVENT", "supervisor controls events outside the alphabet")
+        order = sorted(events)
         table: dict[EventString, Row] = {}
         for observed, row in self.table.items():
-            for event in observed:
-                if event not in self.projection.observable:
-                    raise FdesError(
-                        "INVALID_SUPERVISOR",
-                        f"observed string {render_event_string(observed)} uses an unobservable event",
-                    )
-            if set(row) != set(alphabet.events):
+            if isinstance(observed, str):
+                raise _str_key_error(observed)
+            observed = tuple(observed)
+            if not observable.issuperset(observed):
+                alphabet.check_string(observed)
                 raise FdesError(
                     "INVALID_SUPERVISOR",
-                    f"row {render_event_string(observed)} must grade every alphabet event",
+                    f"observed string {render_event_string(observed)} uses an unobservable event",
                 )
-            table[observed] = {event: as_grade(grade) for event, grade in row.items()}
-            for event, grade in table[observed].items():
-                if event not in self.controllables and grade != ONE:
+            if not events.issuperset(row):
+                unknown = ", ".join(sorted(set(row) - events))
+                raise FdesError("UNKNOWN_EVENT", f"supervisor row grades events outside the alphabet: {unknown}")
+            table[observed] = dense = {}
+            for event in order:
+                if event not in row:
+                    dense[event] = ZERO if event in ctrl else ONE
+                    continue
+                grade = dense[event] = as_grade(row[event])
+                if event not in ctrl and grade != ONE:
                     raise FdesError(
                         "INVALID_SUPERVISOR",
                         f"row {render_event_string(observed)} restricts {event!r}, "
@@ -91,26 +102,10 @@ class FuzzySupervisor:
 
 
 def make_supervisor(
-    projection: Projection,
-    controllables,
-    rows: Mapping[EventString, Mapping[EventId, Grade]],
+    projection: Projection, controllables, rows: Mapping[EventString, Mapping[EventId, Grade]]
 ) -> FuzzySupervisor:
-    """Densify sparse rows: absent controllables get 0, everything else 1."""
-    controllables = frozenset(controllables)
-    events = projection.alphabet.events
-    table: dict[EventString, Row] = {}
-    for observed, sparse in rows.items():
-        unknown = set(sparse) - events
-        if unknown:
-            raise FdesError(
-                "UNKNOWN_EVENT",
-                f"supervisor row grades events outside the alphabet: {', '.join(sorted(unknown))}",
-            )
-        table[tuple(observed)] = {
-            e: sparse[e] if e in sparse else ZERO if e in controllables else ONE
-            for e in sorted(events)
-        }
-    return FuzzySupervisor(projection, controllables, table)
+    """The supervisor with these rows, which may be sparse (``FuzzySupervisor``)."""
+    return FuzzySupervisor(projection, controllables, rows)
 
 
 def _synthesize(
@@ -140,15 +135,12 @@ def _synthesize(
         elif report.holds:
             name, report = "co-observable", is_coobservable(spec, plant, *sites)
         raise ConditionViolated(f"specification is not {name}", report)
-    events = spec.alphabet.events
-    supervisors = []
-    for (pr, _), ((_, ctrl, joins), observed) in zip(sites, views):
-        rows = {
-            t: {e: lattice[joins.get((c, e), 0)] if e in ctrl else ONE for e in events}
-            for c, t in enumerate(observed)
-        }
-        supervisors.append(FuzzySupervisor(pr, ctrl, rows))
-    return supervisors
+    return [
+        FuzzySupervisor(pr, ctrl, {
+            t: {e: lattice[joins.get((c, e), 0)] for e in ctrl} for c, t in enumerate(observed)
+        })
+        for (pr, _), ((_, ctrl, joins), observed) in zip(sites, views)
+    ]
 
 
 def _sweep(index: Index, P: list[int], views) -> list[int]:

@@ -6,7 +6,9 @@ import pytest
 from fdes import (
     Alphabet,
     FdesError,
+    FuzzySupervisor,
     Projection,
+    SiteSpec,
     closed_loop_central,
     closed_loop_decentralized,
     empty_language,
@@ -140,3 +142,29 @@ def test_two_site_calls_check_the_cover_before_the_site_alphabets():
     for call in (is_coobservable, synthesize_decentralized, brute_decentralized_exists):
         got = _error(lambda: call(K1, PLANT, (foreign, {"a"}), (OWN, set())))
         assert got == ("SITE_COVER_VIOLATION", "site controllable sets do not cover E_c")
+
+
+def test_a_str_is_refused_wherever_a_set_of_events_is_expected():
+    # Over {a, b, ab}, the str "ab" read as a set of events would be {a, b}.
+    words = Alphabet({"a", "b", "ab"}, controllable={"a", "b", "ab"}, observable={"a", "b", "ab"})
+    pr = natural_projection(words)
+    plant = lang(words, {"eps": "1", "a": "0.5", "ab": "0.5"})
+    everything = words.controllable
+    for call in (
+        lambda: Alphabet("ab"),
+        lambda: Alphabet(everything, controllable="ab"),
+        lambda: Alphabet(everything, observable="ab"),
+        lambda: SiteSpec("ab", everything),
+        lambda: SiteSpec(everything, "ab"),
+        lambda: Projection(words, "ab"),
+        lambda: FuzzySupervisor(pr, "ab", {}),
+        lambda: make_supervisor(pr, "ab", {}),
+        lambda: is_observable(plant, plant, pr, "ab"),
+        lambda: is_strongly_observable(plant, plant, pr, "ab"),
+        lambda: is_coobservable(plant, plant, (pr, "ab"), (pr, everything)),
+        lambda: synthesize_decentralized(plant, plant, (pr, everything), (pr, "ab")),
+    ):
+        assert _error(call) == ("MALFORMED_EVENT", "event set 'ab' must be a collection of event ids")
+    # Any other collection of event ids is still taken.
+    assert Alphabet(["ab", "a"], controllable=("a",), observable=iter(["ab"])).observable == {"ab"}
+    assert is_observable(plant, plant, pr, ["ab"]).holds

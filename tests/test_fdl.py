@@ -311,7 +311,7 @@ def test_supervisor_section_errors_keep_code_message_and_line(body, code, messag
 @pytest.mark.parametrize(
     "text, code, message, lineno",
     [
-        ("[alphabet E]\nevents a b-c\n", "MALFORMED_EVENT", "bad event identifier: 'b-c'", 1),
+        ("[alphabet E]\nevents a b-c\n", "MALFORMED_EVENT", "bad event identifier: 'b-c'", 2),
         ("[alphabet E]\nevents a\ncontrollable b\n", "UNKNOWN_EVENT",
          "controllable events not in alphabet: b", 1),
         ("[alphabet E]\nevents a b\ncontrollable a\n\n[sites S]\nalphabet E\nsite 1 controllable\n",

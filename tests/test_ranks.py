@@ -205,3 +205,34 @@ def test_supervisor_errors_do_not_depend_on_the_string_hash():
     assert messages == {
         "INVALID_SUPERVISOR row eps restricts 'b', which this supervisor may not control\n"
     }
+
+
+# Rows are checked in table order, and a row's entries in sorted event order.
+_SUPERVISOR_FAULTS = """
+from fdes import Alphabet, FdesError, FuzzySupervisor, make_supervisor, natural_projection
+
+alphabet = Alphabet({"a", "b", "c", "d"}, controllable={"a"}, observable={"a", "b", "c", "d"})
+restricting = {("d",): {"d": "0.5", "c": "0.5", "a": "0.5"}, ("b",): {"b": "0.5"}}
+unknown = {("c",): {"zz": 1, "a": 1, "x": 0}, ("b", "q"): {}, **restricting}
+for build in (FuzzySupervisor, make_supervisor):
+    for table in (restricting, unknown):
+        try:
+            build(natural_projection(alphabet), {"a"}, table)
+        except FdesError as error:
+            print(error.code, error)
+"""
+
+
+def test_the_first_supervisor_fault_does_not_depend_on_the_string_hash():
+    path = str(Path(__file__).parent.parent / "src")
+    outputs = {
+        subprocess.run(
+            [sys.executable, "-c", _SUPERVISOR_FAULTS],
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed),
+            capture_output=True, text=True, encoding="utf-8", check=True, timeout=60,
+        ).stdout
+        for hash_seed in ("0", "1", "2", "3")
+    }
+    restricted = "INVALID_SUPERVISOR row d restricts 'c', which this supervisor may not control\n"
+    unknown = "UNKNOWN_EVENT supervisor row grades events outside the alphabet: x, zz\n"
+    assert outputs == {2 * (restricted + unknown)}

@@ -1,5 +1,6 @@
 """Supervisor construction, closed loops, and their golden values."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -18,14 +19,28 @@ from fdes import (
     is_coobservable,
     make_supervisor,
     natural_projection,
+    parse_fdl,
     solve_scp,
     synthesize_central,
     synthesize_decentralized,
     union,
 )
+from fdes.events import render_event_string
+from fdes.grades import ONE, ZERO, render_grade
 from fdes.language import Index
 from fdes.observation import project_string
-from helpers import central_example, lang, medical_example, union_example
+from helpers import (
+    central_example,
+    lang,
+    medical_example,
+    random_alphabet,
+    random_lattice,
+    random_plant,
+    random_projection,
+    random_sites,
+    random_sublanguage,
+    union_example,
+)
 
 
 def expected_central_rows():
@@ -261,6 +276,107 @@ def test_supervisor_holds_its_own_table_of_coerced_grades():
         with pytest.raises(FdesError) as err:
             build()
         assert err.value.code == "OUT_OF_RANGE"
+
+
+def test_supervisor_constructor_densifies_sparse_rows():
+    alphabet, plant, spec = central_example()
+    pr = natural_projection(alphabet)
+    sparse = {(): {"a": "0.7"}, ("a",): {"c": F(2, 5), "d": 1}, ("a", "b"): {}, ("a", "d"): {"b": 0}}
+    supervisor = FuzzySupervisor(pr, alphabet.controllable, sparse)
+    assert dict(supervisor.table) == expected_central_rows()
+    assert supervisor == synthesize_central(spec, plant, pr)
+    assert closed_loop_central(plant, supervisor) == spec
+
+
+# "ab" is one event here, so a str key read as a string of events is ambiguous.
+WORDS = Alphabet({"a", "b", "ab"}, controllable={"a"}, observable={"a", "b", "ab"})
+
+
+@pytest.mark.parametrize("build", [FuzzySupervisor, make_supervisor])
+def test_a_str_row_key_is_refused_by_both_entry_points(build):
+    pr = natural_projection(WORDS)
+    for key in ("a", "ab", ""):
+        with pytest.raises(FdesError) as err:
+            build(pr, WORDS.controllable, {(): {}, key: {"a": 1}})
+        assert (err.value.code, err.value.message) == (
+            "MALFORMED_EVENT", f"event string {key!r} must be a tuple of event ids"
+        )
+    supervisor = build(pr, WORDS.controllable, {(): {}, ("ab",): {"a": 1}, ("a", "b"): {}})
+    assert sorted(supervisor.table) == [(), ("a", "b"), ("ab",)]
+    assert supervisor.table[("ab",)] == {"a": ONE, "ab": ONE, "b": ONE}
+
+
+@pytest.mark.parametrize("build", [FuzzySupervisor, make_supervisor])
+def test_an_unknown_event_is_unknown_event_through_both_entry_points(build):
+    pr = natural_projection(WORDS)
+    for rows, message in (
+        ({(): {"zz": 1, "a": 1, "x": 0}}, "supervisor row grades events outside the alphabet: x, zz"),
+        ({("zz",): {}}, "event 'zz' not in alphabet"),
+        ({("a", "zz", "b"): {"zz": 1}}, "event 'zz' not in alphabet"),
+    ):
+        with pytest.raises(FdesError) as err:
+            build(pr, WORDS.controllable, rows)
+        assert (err.value.code, err.value.message) == ("UNKNOWN_EVENT", message)
+    # An alphabet event outside the projection stays a fault of the supervisor.
+    with pytest.raises(FdesError) as err:
+        build(Projection(WORDS, {"a"}), WORDS.controllable, {(): {}, ("b",): {}})
+    assert (err.value.code, err.value.message) == (
+        "INVALID_SUPERVISOR", "observed string b uses an unobservable event"
+    )
+
+
+def _sparse_fdl(supervisor: FuzzySupervisor, rows) -> str:
+    """The supervisor's FDL with only the given entries of each row."""
+    head = emit_fdl(FdlDocument(alphabets={"E": supervisor.projection.alphabet}))
+    lines = [
+        "[supervisor S]",
+        "alphabet E",
+        "observable " + " ".join(sorted(supervisor.projection.observable)),
+        "controllable " + " ".join(sorted(supervisor.controllables)),
+    ]
+    for t, row in rows.items():
+        lines.append(f"obs {render_event_string(t)}")
+        lines.extend(f"enable {e} {render_grade(g)}" for e, g in row.items())
+    return head + "\n" + "\n".join(lines) + "\n"
+
+
+def test_supervisor_entry_points_agree_on_random_sparse_rows():
+    rng = random.Random(5105)
+    for _ in range(200):
+        alphabet = random_alphabet(rng)
+        lattice = random_lattice(rng)
+        plant = random_plant(rng, alphabet, lattice)
+        pr = random_projection(rng, alphabet)
+        ctrl = frozenset(e for e in sorted(alphabet.controllable) if rng.random() < 0.7)
+        rows = {
+            t: {
+                e: rng.choice(lattice) if e in ctrl else ONE
+                for e in rng.sample(sorted(alphabet.events), rng.randint(0, len(alphabet.events)))
+            }
+            for t in sorted({project_string(pr, s) for s, _ in plant.items()})
+        }
+        supervisor = FuzzySupervisor(pr, ctrl, rows)
+        assert supervisor == make_supervisor(pr, ctrl, rows)
+        assert parse_fdl(_sparse_fdl(supervisor, rows)).supervisors == {"S": supervisor}
+        for t, row in rows.items():
+            assert supervisor.table[t] == {
+                e: row[e] if e in row else ZERO if e in ctrl else ONE for e in alphabet.events
+            }
+        # Dense input is stored unchanged, grade objects included.
+        dense = {t: dict(row) for t, row in supervisor.table.items()}
+        stored = FuzzySupervisor(pr, ctrl, dense).table
+        assert stored == dense
+        assert all(stored[t][e] is g for t, row in dense.items() for e, g in row.items())
+        # Synthesis gives only the controllable entries; the constructor adds the rest.
+        spec = random_sublanguage(rng, plant, lattice, allow_empty=False)
+        sites = [(pr, alphabet.controllable), *random_sites(rng, alphabet)]
+        synthesized = [
+            synthesize_central(spec, plant, pr, force=True),
+            *synthesize_decentralized(spec, plant, *sites[1:], force=True),
+        ]
+        for (site_pr, site_ctrl), sup in zip(sites, synthesized):
+            sparse = {t: {e: row[e] for e in site_ctrl} for t, row in sup.table.items()}
+            assert sup == FuzzySupervisor(site_pr, site_ctrl, sparse)
 
 
 def test_synthesis_rejects_a_projection_over_another_alphabet():
