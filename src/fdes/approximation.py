@@ -18,7 +18,7 @@ from .errors import FdesError
 from .language import FuzzyLanguage, Index
 from .observation import Projection, projection_ids
 from .predicates import _require_spec_inside_plant, _view
-from .synthesis import FuzzySupervisor, _sweep, synthesize_central
+from .synthesis import FuzzySupervisor, _formula_supervisor, _sweep
 
 
 def infimal_co(spec: FuzzyLanguage, plant: FuzzyLanguage, pr: Projection) -> FuzzyLanguage:
@@ -138,16 +138,19 @@ def solve_scp(
 ) -> ScpResult:
     """Find a supervisor whose closed loop lies between the two bounds; the
     containments and ``infimal_co`` run on one indexed plant support.  The
-    bounds and the projection must use the plant's alphabet, whatever the
-    answer (``Index.ranked``, ``observation.projection_ids``)."""
+    supervisor is the minimal behavior's formula supervisor, which is the
+    infimal one's too: their class joins agree.  The bounds and the
+    projection must use the plant's alphabet, whatever the answer
+    (``Index.ranked``, ``observation.projection_ids``)."""
     if minimal.is_empty:
         raise FdesError("EMPTY_MIN_SPEC", "minimal acceptable behavior must be non-empty")
     index = Index(plant)
     lattice, P, M, L = index.ranked(minimal, legal)
     if M is None or L is None or any(map(gt, M, L)) or any(map(gt, L, P)):
         raise FdesError("PRECONDITION_CHAIN", "need minimal <= legal <= plant containments")
-    A = _sweep(index, P, [_view(index, M, pr, None)[0]])
+    view, observed = _view(index, M, pr, None)
+    A = _sweep(index, P, [view])
     approx = index.decode(lattice, A)
     if any(map(gt, A, L)):
         return ScpResult(False, None, approx)
-    return ScpResult(True, synthesize_central(approx, plant, pr), approx)
+    return ScpResult(True, _formula_supervisor(lattice, pr, view, observed), approx)

@@ -36,8 +36,7 @@ class FuzzyAutomaton:
         for (p, a, q), g in self.transitions.items():
             if p not in self.states or q not in self.states:
                 raise FdesError("UNKNOWN_STATE", f"transition endpoint outside state set: {p!r} -{a}-> {q!r}")
-            if a not in self.alphabet.events:
-                raise FdesError("UNKNOWN_EVENT", f"transition event {a!r} not in alphabet")
+            self.alphabet.check_string((a,))
             g = as_grade(g)
             if g > ZERO:
                 cleaned[(p, a, q)] = g

@@ -51,8 +51,9 @@ def _load_plant_spec(args, sites: str | None = None):
     return doc, plant, spec
 
 
-def _sites_pair(doc: FdlDocument, alphabet):
+def _sites_pair(doc: FdlDocument):
     _, decl = doc.single("sites")
+    alphabet = doc.alphabets[decl.alphabet_name]
     return [(Projection(alphabet, s.observable), s.controllable) for s in (decl.site1, decl.site2)]
 
 
@@ -149,20 +150,19 @@ def _cmd_check(args) -> int:
     elif args.property == "normal":
         report = predicates.is_normal(spec, plant, natural_projection(alphabet))
     else:
-        report = predicates.is_coobservable(spec, plant, *_sites_pair(doc, alphabet))
+        report = predicates.is_coobservable(spec, plant, *_sites_pair(doc))
     return _print_report(args.property, report, args.json)
 
 
 def _cmd_synthesize(args) -> int:
     doc, plant, spec = _load_plant_spec(args, args.sites)
-    alphabet = plant.alphabet
     if args.mode == "central":
         supervisor = synthesis.synthesize_central(
-            spec, plant, natural_projection(alphabet), force=args.force
+            spec, plant, natural_projection(plant.alphabet), force=args.force
         )
         out_doc = _supervisor_doc(doc, {"S": supervisor})
     else:
-        site1, site2 = _sites_pair(doc, alphabet)
+        site1, site2 = _sites_pair(doc)
         s1, s2 = synthesis.synthesize_decentralized(spec, plant, site1, site2, force=args.force)
         out_doc = _supervisor_doc(doc, {"S1": s1, "S2": s2})
     _write_out(emit_fdl(out_doc), args.out)

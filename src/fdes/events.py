@@ -1,4 +1,5 @@
-"""Event identifiers, event strings, and control/observation alphabets."""
+"""Event identifiers, event strings, and control/observation alphabets; one
+gate, ``event_subset``, checks every set of events a caller hands in."""
 
 from __future__ import annotations
 
@@ -32,6 +33,14 @@ def event_set(value) -> frozenset[EventId]:
     if isinstance(value, str):
         raise FdesError("MALFORMED_EVENT", f"event set {value!r} must be a collection of event ids")
     return frozenset(value)
+
+
+def event_subset(value, within: frozenset, message: str, code: str = "UNKNOWN_EVENT") -> frozenset[EventId]:
+    """``event_set(value)``, refused unless within ``within``, naming the strays sorted."""
+    events = event_set(value)
+    if not events <= within:
+        raise FdesError(code, f"{message}: {', '.join(sorted(events - within))}")
+    return events
 
 
 def parse_event_string(text: str) -> EventString:
@@ -86,28 +95,17 @@ class Alphabet:
         # Sorted, so that the bad identifier reported is not the hash's pick.
         for name in sorted(self.events):
             check_event_id(name)
-        if not self.controllable <= self.events:
-            extra = ", ".join(sorted(self.controllable - self.events))
-            raise FdesError("UNKNOWN_EVENT", f"controllable events not in alphabet: {extra}")
-        if not self.observable <= self.events:
-            extra = ", ".join(sorted(self.observable - self.events))
-            raise FdesError("UNKNOWN_EVENT", f"observable events not in alphabet: {extra}")
+        event_subset(self.controllable, self.events, "controllable events not in alphabet")
+        event_subset(self.observable, self.events, "observable events not in alphabet")
         if self.sites is not None:
             sites = tuple(self.sites)
             if len(sites) != 2:
                 raise FdesError("SITE_COVER_VIOLATION", "exactly two sites are supported")
             object.__setattr__(self, "sites", sites)
             for i, site in enumerate(sites, start=1):
-                if not site.controllable <= self.controllable:
-                    raise FdesError(
-                        "SITE_COVER_VIOLATION",
-                        f"site {i} controls events outside the controllable set",
-                    )
-                if not site.observable <= self.observable:
-                    raise FdesError(
-                        "SITE_COVER_VIOLATION",
-                        f"site {i} observes events outside the observable set",
-                    )
+                for kind, verb in (("controllable", "controls"), ("observable", "observes")):
+                    outside = f"site {i} {verb} events outside the {kind} set"
+                    event_subset(getattr(site, kind), getattr(self, kind), outside, "SITE_COVER_VIOLATION")
             if sites[0].controllable | sites[1].controllable != self.controllable:
                 raise FdesError("SITE_COVER_VIOLATION", "site controllable sets do not cover E_c")
             if sites[0].observable | sites[1].observable != self.observable:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import FdesError
-from .events import EPSILON, Alphabet, EventId, EventString, event_set, string_key
+from .events import EPSILON, Alphabet, EventId, EventString, event_subset, string_key
 from .grades import join, meet
 from .language import FuzzyLanguage, Index
 
@@ -31,10 +31,8 @@ class Projection:
     observable: frozenset[EventId]
 
     def __post_init__(self):
-        object.__setattr__(self, "observable", event_set(self.observable))
-        if not self.observable <= self.alphabet.events:
-            extra = ", ".join(sorted(self.observable - self.alphabet.events))
-            raise FdesError("UNKNOWN_EVENT", f"observable events not in alphabet: {extra}")
+        observable = event_subset(self.observable, self.alphabet.events, "observable events not in alphabet")
+        object.__setattr__(self, "observable", observable)
 
 
 def natural_projection(alphabet: Alphabet) -> Projection:

@@ -18,6 +18,7 @@ observability does not split.
 Each check numbers supp(plant) once (``language.Index``) and runs on
 rank lists over its ids, projection classes included
 (``observation.projection_ids``); strings are decoded only for witnesses.
+A ``controllables`` argument must lie in the alphabet, like E_c itself.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, replace
 from operator import gt
 
 from .errors import FdesError
-from .events import Alphabet, EventId, EventString, event_set, string_key
+from .events import Alphabet, EventId, EventString, event_set, event_subset, string_key
 from .grades import Grade
 from .language import FuzzyLanguage, Index
 from .observation import Projection, class_joins, projection_ids
@@ -83,12 +84,17 @@ def _require_spec_inside_plant(spec: FuzzyLanguage, plant: FuzzyLanguage) -> tup
     return lattice, index, S, P
 
 
+def _controllables(alphabet: Alphabet, given) -> frozenset:
+    given = alphabet.controllable if given is None else given
+    return event_subset(given, alphabet.events, "controllable events not in alphabet")
+
+
 def _view(index: Index, S: list, pr: Projection, controllables) -> tuple:
     """A site's formula-supervisor view for ``_equation``: (each id's class,
     the site's controllable events as a frozenset, E_c if None, the spec's
     class joins), and each class's observed string.  ``projection_ids``
     refuses a site projection over another alphabet than the plant's."""
-    ctrl = event_set(index.plant.alphabet.controllable if controllables is None else controllables)
+    ctrl = _controllables(index.plant.alphabet, controllables)
     proj, observed = projection_ids(index, pr)
     return (proj, ctrl, class_joins(index, S, proj, ctrl)), observed
 
@@ -202,7 +208,7 @@ def is_strongly_observable(
     """
     lattice, index, S, P = _require_spec_inside_plant(spec, plant)
     proj, observed = projection_ids(index, pr)
-    ctrl = event_set(spec.alphabet.controllable if controllables is None else controllables)
+    ctrl = _controllables(spec.alphabet, controllables)
     strings, parent, event = index.strings, index.parent, index.event
     eligible: dict[tuple[int, EventId], list[int]] = {}
     for i in range(1, len(P)):

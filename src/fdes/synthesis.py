@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .errors import ConditionViolated, FdesError
-from .events import EventId, EventString, event_set, render_event_string, string_key
+from .events import EventId, EventString, event_subset, render_event_string, string_key
 from .grades import ONE, ZERO, Grade, as_grade
 from .language import FuzzyLanguage, Index, _str_key_error
 from .observation import Projection, projection_ids
@@ -56,12 +56,10 @@ class FuzzySupervisor:
     table: Mapping[EventString, Row]
 
     def __post_init__(self):
-        ctrl = event_set(self.controllables)
-        object.__setattr__(self, "controllables", ctrl)
         alphabet = self.projection.alphabet
         events, observable = alphabet.events, self.projection.observable
-        if not ctrl <= events:
-            raise FdesError("UNKNOWN_EVENT", "supervisor controls events outside the alphabet")
+        ctrl = event_subset(self.controllables, events, "supervisor controls events outside the alphabet")
+        object.__setattr__(self, "controllables", ctrl)
         order = sorted(events)
         table: dict[EventString, Row] = {}
         for observed, row in self.table.items():
@@ -75,8 +73,7 @@ class FuzzySupervisor:
                     f"observed string {render_event_string(observed)} uses an unobservable event",
                 )
             if not events.issuperset(row):
-                unknown = ", ".join(sorted(set(row) - events))
-                raise FdesError("UNKNOWN_EVENT", f"supervisor row grades events outside the alphabet: {unknown}")
+                event_subset(row, events, "supervisor row grades events outside the alphabet")
             table[observed] = dense = {}
             for event in order:
                 if event not in row:
@@ -135,12 +132,15 @@ def _synthesize(
         elif report.holds:
             name, report = "co-observable", is_coobservable(spec, plant, *sites)
         raise ConditionViolated(f"specification is not {name}", report)
-    return [
-        FuzzySupervisor(pr, ctrl, {
-            t: {e: lattice[joins.get((c, e), 0)] for e in ctrl} for c, t in enumerate(observed)
-        })
-        for (pr, _), ((_, ctrl, joins), observed) in zip(sites, views)
-    ]
+    return [_formula_supervisor(lattice, pr, *view) for (pr, _), view in zip(sites, views)]
+
+
+def _formula_supervisor(lattice: list, pr: Projection, view: tuple, observed: list) -> FuzzySupervisor:
+    """A site's formula supervisor from its ``predicates._view``: after
+    observation t, each controllable event is enabled at its class join."""
+    _, ctrl, joins = view
+    rows = {t: {e: lattice[joins.get((c, e), 0)] for e in ctrl} for c, t in enumerate(observed)}
+    return FuzzySupervisor(pr, ctrl, rows)
 
 
 def _sweep(index: Index, P: list[int], views) -> list[int]:

@@ -168,3 +168,23 @@ def test_a_str_is_refused_wherever_a_set_of_events_is_expected():
     # Any other collection of event ids is still taken.
     assert Alphabet(["ab", "a"], controllable=("a",), observable=iter(["ab"])).observable == {"ab"}
     assert is_observable(plant, plant, pr, ["ab"]).holds
+
+
+def test_a_stray_controllable_event_is_refused_by_the_observability_checks():
+    # Over {a, b} with E_c = E_o = {a} the spec fails observability; with
+    # the stray "A" dropped, the check would run on no event and hold.
+    alphabet = Alphabet({"a", "b"}, controllable={"a"}, observable={"a"})
+    pr = natural_projection(alphabet)
+    spec = lang(alphabet, {"eps": "1", "a": "1", "b": "1"})
+    plant = lang(alphabet, {"eps": "1", "a": "1", "b": "1", "b.a": "1"})
+    stray = ("UNKNOWN_EVENT", "controllable events not in alphabet: A")
+    for check in (is_observable, is_strongly_observable):
+        assert not check(spec, plant, pr, {"a"}).holds
+        assert _error(lambda: check(spec, plant, pr, {"A"})) == stray
+        assert _error(lambda: check(spec, plant, pr, {"a", "A"})) == stray
+    # Observability checks the events before the projection's alphabet,
+    # strong observability after it.
+    foreign = FOREIGN["same-events"]
+    assert _error(lambda: is_observable(spec, plant, foreign, {"A"})) == stray
+    assert _error(lambda: is_strongly_observable(spec, plant, foreign, {"A"})) == PROJECTION_MISMATCH
+

@@ -24,6 +24,7 @@ from fdes import (
     parse_fdl,
     solve_scp,
     supremal_cn,
+    synthesize_central,
     union,
 )
 from fdes.language import _codes
@@ -36,6 +37,7 @@ from helpers import (
     random_sublanguage,
     union_example,
 )
+from theorems import make_instance
 
 
 def test_grade_lattice_collects_instance_grades():
@@ -170,6 +172,19 @@ def test_scp_solvable_golden():
     assert result.solvable
     loop = closed_loop_central(plant, result.supervisor)
     assert loop == spec
+
+
+def test_scp_supervisor_is_the_infimal_languages_own():
+    # solve_scp builds the minimal behavior's formula supervisor once; the
+    # infimal language has the same class joins, so that supervisor is the
+    # one synthesis builds for it, and its closed loop is the infimal one.
+    rng = random.Random(1616)
+    for _ in range(300):
+        _, _, plant, spec, pr = make_instance(rng)
+        if not spec.is_empty:
+            result = solve_scp(spec, plant, plant, pr)
+            assert result.supervisor == synthesize_central(result.infimal, plant, pr)
+            assert closed_loop_central(plant, result.supervisor) == result.infimal
 
 
 def test_scp_trivial_full_band():

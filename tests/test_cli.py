@@ -165,6 +165,33 @@ def test_synthesize_refuses_union_spec(capsys):
     assert "witness OBSERVABILITY" in err
 
 
+def test_a_sites_section_is_used_over_its_own_alphabet(tmp_path, capsys):
+    # F has E's events and controllable set but fewer observable events, so
+    # projecting through F's sites would quietly observe the plant through F.
+    plant = tmp_path / "plant.fdl"
+    plant.write_text(
+        "[alphabet E]\nevents a b c\ncontrollable a b\nobservable a b c\n\n"
+        "[language L]\nalphabet E\neps 1\na 0.5\nc 0.5\nc.b 0.5\n",
+        encoding="utf-8",
+    )
+    sites = tmp_path / "sites.fdl"
+    sites.write_text(
+        "[alphabet F]\nevents a b c\ncontrollable a b\nobservable a b\n\n"
+        "[sites S]\nalphabet F\nsite 1 controllable a\nsite 1 observable a b\n"
+        "site 2 controllable b\nsite 2 observable a b\n",
+        encoding="utf-8",
+    )
+    paths = ["--plant", str(plant), "--spec", str(plant), "--sites", str(sites)]
+    for command in (
+        ["check", "--property", "coobservable", *paths],
+        ["synthesize", "--mode", "decentralized", *paths],
+    ):
+        assert run_command(command) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error[ALPHABET_MISMATCH]: site projection uses a different alphabet" in captured.err
+
+
 def test_synthesize_decentralized_and_joint_loop(tmp_path):
     out_path = str(tmp_path / "S12.fdl")
     assert (

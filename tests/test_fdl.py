@@ -293,6 +293,8 @@ SUPERVISOR_HEAD = "[alphabet E]\nevents a b\n\n[supervisor S]\n"
         ("alphabet E\nstates q\n", "SYNTAX_ERROR", "unknown supervisor line 'states'", 6),
         ("alphabet E\nobservable a\n", "SYNTAX_ERROR",
          "supervisor section needs alphabet, observable, and controllable lines", 4),
+        ("alphabet E\nobservable a\ncontrollable a zz\n", "UNKNOWN_EVENT",
+         "supervisor controls events outside the alphabet: zz", 4),
     ]
     + [
         ("alphabet E\nobservable a\ncontrollable a\nobs eps\n" + f"{kind} a\n", "SYNTAX_ERROR",
@@ -316,6 +318,12 @@ def test_supervisor_section_errors_keep_code_message_and_line(body, code, messag
          "controllable events not in alphabet: b", 1),
         ("[alphabet E]\nevents a b\ncontrollable a\n\n[sites S]\nalphabet E\nsite 1 controllable\n",
          "SITE_COVER_VIOLATION", "site controllable sets do not cover E_c", 5),
+        ("[alphabet E]\nevents a b\ncontrollable a\n\n[sites S]\nalphabet E\nsite 1 controllable a b\n",
+         "SITE_COVER_VIOLATION", "site 1 controls events outside the controllable set: b", 5),
+        ("[alphabet E]\nevents a b\nobservable a\n\n[sites S]\nalphabet E\nsite 2 observable a b\n",
+         "SITE_COVER_VIOLATION", "site 2 observes events outside the observable set: b", 5),
+        ("[alphabet E]\nevents a\n\n[automaton G]\nalphabet E\nstates p\ninitial p\ntrans p zz p 1\n",
+         "UNKNOWN_EVENT", "event 'zz' not in alphabet", 4),
         ("[alphabet E]\nevents a\n\n[automaton G]\nalphabet E\nstates p\ninitial p\ntrans p a p 2\n",
          "OUT_OF_RANGE", "grade '2' exceeds 1", 8),
         ("[alphabet E]\nevents a\n\n[automaton G]\nalphabet E\nstates p\ninitial q\n",

@@ -3,6 +3,8 @@
 No linter ships with the package, so this reads each module with the
 standard ``ast``.  ``__future__`` imports and the names ``fdes.__init__``
 re-exports through ``__all__`` are not uses of their own and are left out.
+The same reading checks that only ``events`` raises ``UNKNOWN_EVENT``, so
+every unknown event goes through its checks and is named alike.
 """
 
 import ast
@@ -53,3 +55,30 @@ def test_the_check_finds_an_unused_import():
     source = "from __future__ import annotations\nimport os, re as regex\nfrom x import A, B\n"
     source += "def f(a: 'A') -> int:\n    return os.sep\n__all__ = ['B']\n"
     assert unused_imports(source) == ["regex (line 2)"]
+
+
+def unknown_event_errors(source: str) -> list[int]:
+    """The lines that construct ``FdesError("UNKNOWN_EVENT", ...)``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        codes = node.args[:1] + [k.value for k in node.keywords if k.arg == "code"]
+        if name == "FdesError" and any(
+            isinstance(c, ast.Constant) and c.value == "UNKNOWN_EVENT" for c in codes
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_events_raises_unknown_event(path):
+    found = unknown_event_errors(path.read_text(encoding="utf-8"))
+    assert bool(found) == (path.name == "events.py")
+
+
+def test_the_check_finds_an_unknown_event_error():
+    source = "raise FdesError('UNKNOWN_EVENT', 'x')\nraise errors.FdesError(code='UNKNOWN_EVENT', message='y')\n"
+    source += "raise FdesError('UNKNOWN_STATE', 'z')\nevent_subset(s, e, 'w', 'UNKNOWN_EVENT')\nFdesError(code)\n"
+    assert unknown_event_errors(source) == [1, 2]

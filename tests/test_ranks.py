@@ -236,3 +236,56 @@ def test_the_first_supervisor_fault_does_not_depend_on_the_string_hash():
     restricted = "INVALID_SUPERVISOR row d restricts 'c', which this supervisor may not control\n"
     unknown = "UNKNOWN_EVENT supervisor row grades events outside the alphabet: x, zz\n"
     assert outputs == {2 * (restricted + unknown)}
+
+
+# Every call hands the event-set gate several strays; the error names them sorted.
+_STRAY_EVENTS = """
+from fdes import (
+    Alphabet, FdesError, FuzzyLanguage, FuzzySupervisor, Projection, SiteSpec,
+    is_observable, is_strongly_observable, natural_projection,
+)
+
+strays = {"zz", "m", "q", "x", "b2"}
+alphabet = Alphabet({"a", "b"}, controllable={"a"}, observable={"a", "b"})
+pr = natural_projection(alphabet)
+plant = FuzzyLanguage(alphabet, {(): 1, ("a",): 1})
+for call in (
+    lambda: Alphabet({"a"}, controllable={"a"} | strays),
+    lambda: Alphabet({"a"}, observable=strays),
+    lambda: alphabet.with_sites(SiteSpec({"a"} | strays, set()), SiteSpec({"a"}, {"a", "b"})),
+    lambda: alphabet.with_sites(SiteSpec({"a"}, {"a", "b"}), SiteSpec(set(), strays | {"b"})),
+    lambda: Projection(alphabet, strays),
+    lambda: FuzzySupervisor(pr, strays, {}),
+    lambda: FuzzySupervisor(pr, {"a"}, {(): dict.fromkeys(strays | {"a"}, 1)}),
+    lambda: is_observable(plant, plant, pr, strays),
+    lambda: is_strongly_observable(plant, plant, pr, strays | {"a"}),
+):
+    try:
+        call()
+    except FdesError as error:
+        print(error.code, error)
+"""
+
+
+def test_stray_events_are_named_alike_under_every_string_hash():
+    path = str(Path(__file__).parent.parent / "src")
+    outputs = {
+        subprocess.run(
+            [sys.executable, "-c", _STRAY_EVENTS],
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed),
+            capture_output=True, text=True, encoding="utf-8", check=True, timeout=60,
+        ).stdout
+        for hash_seed in ("0", "1", "2", "3")
+    }
+    names = "b2, m, q, x, zz"
+    assert outputs == {"".join(line + f": {names}\n" for line in (
+        "UNKNOWN_EVENT controllable events not in alphabet",
+        "UNKNOWN_EVENT observable events not in alphabet",
+        "SITE_COVER_VIOLATION site 1 controls events outside the controllable set",
+        "SITE_COVER_VIOLATION site 2 observes events outside the observable set",
+        "UNKNOWN_EVENT observable events not in alphabet",
+        "UNKNOWN_EVENT supervisor controls events outside the alphabet",
+        "UNKNOWN_EVENT supervisor row grades events outside the alphabet",
+        "UNKNOWN_EVENT controllable events not in alphabet",
+        "UNKNOWN_EVENT controllable events not in alphabet",
+    ))}

@@ -325,6 +325,15 @@ def test_an_unknown_event_is_unknown_event_through_both_entry_points(build):
     )
 
 
+@pytest.mark.parametrize("build", [FuzzySupervisor, make_supervisor])
+def test_stray_controllable_events_are_named_through_both_entry_points(build):
+    with pytest.raises(FdesError) as err:
+        build(natural_projection(WORDS), {"a", "zz", "x"}, {(): {}})
+    assert (err.value.code, err.value.message) == (
+        "UNKNOWN_EVENT", "supervisor controls events outside the alphabet: x, zz"
+    )
+
+
 def _sparse_fdl(supervisor: FuzzySupervisor, rows) -> str:
     """The supervisor's FDL with only the given entries of each row."""
     head = emit_fdl(FdlDocument(alphabets={"E": supervisor.projection.alphabet}))
@@ -439,8 +448,8 @@ def test_checked_synthesis_and_scp_number_the_plant_support_once_each(monkeypatc
     for call, builds in (
         (lambda: synthesize_central(spec, plant, pr), 1),
         (lambda: synthesize_decentralized(medical, medical), 1),
-        (lambda: solve_scp(spec, plant, plant, pr), 2),
-        (lambda: solve_scp(spec, spec, plant, pr), 2),
+        (lambda: solve_scp(spec, plant, plant, pr), 1),
+        (lambda: solve_scp(spec, spec, plant, pr), 1),
         (lambda: solve_scp(merged, merged, union_plant, natural_projection(union_alphabet)), 1),
     ):
         built.clear()
