@@ -137,14 +137,15 @@ def solve_scp(
     pr: Projection,
 ) -> ScpResult:
     """Find a supervisor whose closed loop lies between the two bounds; the
-    containments and ``infimal_co`` run on one indexed plant support.  The
+    containments and ``infimal_co`` run on the plant's index
+    (``language.Index.of``), shared with every other call on it.  The
     supervisor is the minimal behavior's formula supervisor, which is the
     infimal one's too: their class joins agree.  The bounds and the
     projection must use the plant's alphabet, whatever the answer
     (``Index.ranked``, ``observation.projection_ids``)."""
     if minimal.is_empty:
         raise FdesError("EMPTY_MIN_SPEC", "minimal acceptable behavior must be non-empty")
-    index = Index(plant)
+    index = Index.of(plant)
     lattice, P, M, L = index.ranked(minimal, legal)
     if M is None or L is None or any(map(gt, M, L)) or any(map(gt, L, P)):
         raise FdesError("PRECONDITION_CHAIN", "need minimal <= legal <= plant containments")

@@ -1,5 +1,6 @@
 """Event identifiers, event strings, and control/observation alphabets; one
-gate, ``event_subset``, checks every set of events a caller hands in."""
+gate, ``event_subset``, checks every set of events a caller hands in, and
+``site_cover`` checks that two sites' sets cover E_c or E_o."""
 
 from __future__ import annotations
 
@@ -41,6 +42,13 @@ def event_subset(value, within: frozenset, message: str, code: str = "UNKNOWN_EV
     if not events <= within:
         raise FdesError(code, f"{message}: {', '.join(sorted(events - within))}")
     return events
+
+
+def site_cover(whole: frozenset, parts, kind: str, name: str) -> None:
+    """Refuse site sets whose union misses events of ``whole``, naming them sorted."""
+    missing = ", ".join(sorted(whole.difference(*parts)))
+    if missing:
+        raise FdesError("SITE_COVER_VIOLATION", f"site {kind} sets do not cover {name}: missing {missing}")
 
 
 def parse_event_string(text: str) -> EventString:
@@ -106,10 +114,8 @@ class Alphabet:
                 for kind, verb in (("controllable", "controls"), ("observable", "observes")):
                     outside = f"site {i} {verb} events outside the {kind} set"
                     event_subset(getattr(site, kind), getattr(self, kind), outside, "SITE_COVER_VIOLATION")
-            if sites[0].controllable | sites[1].controllable != self.controllable:
-                raise FdesError("SITE_COVER_VIOLATION", "site controllable sets do not cover E_c")
-            if sites[0].observable | sites[1].observable != self.observable:
-                raise FdesError("SITE_COVER_VIOLATION", "site observable sets do not cover E_o")
+            for kind, name in (("controllable", "E_c"), ("observable", "E_o")):
+                site_cover(getattr(self, kind), [getattr(site, kind) for site in sites], kind, name)
 
     @property
     def uncontrollable(self) -> frozenset[EventId]:

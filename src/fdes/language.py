@@ -28,10 +28,11 @@ class FuzzyLanguage:
     constructor, which checks events, grades, P1 and P2 and sorts the
     support.  Results built only from valid languages (pointwise min and
     max, ``Index.decode``) keep P1, P2 and support order by construction,
-    so ``_valid`` stores them unchecked.
+    so ``_valid`` stores them unchecked.  ``_index`` holds the language's
+    ``Index`` once a call has built it (``Index.of``).
     """
 
-    __slots__ = ("alphabet", "_grades", "_support")
+    __slots__ = ("alphabet", "_grades", "_support", "_index")
 
     def __init__(self, alphabet: Alphabet, grades: Mapping[EventString, Grade]):
         events = alphabet.events
@@ -69,6 +70,7 @@ class FuzzyLanguage:
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "_grades", {s: positive[s] for s in support})
         object.__setattr__(self, "_support", support)
+        object.__setattr__(self, "_index", None)
 
     @classmethod
     def _valid(cls, alphabet: Alphabet, grades: dict[EventString, Grade]) -> FuzzyLanguage:
@@ -78,6 +80,7 @@ class FuzzyLanguage:
         object.__setattr__(language, "alphabet", alphabet)
         object.__setattr__(language, "_grades", grades)
         object.__setattr__(language, "_support", tuple(grades))
+        object.__setattr__(language, "_index", None)
         return language
 
     def __setattr__(self, name, value):
@@ -137,7 +140,7 @@ def build_language(
     return FuzzyLanguage(alphabet, grades)
 
 
-def _require_same_alphabet(a: FuzzyLanguage, b: FuzzyLanguage) -> None:
+def _require_same_alphabet(a: FuzzyLanguage, b: FuzzyLanguage | Index) -> None:
     if a.alphabet != b.alphabet:
         raise FdesError("ALPHABET_MISMATCH", "operands use different alphabets")
 
@@ -184,44 +187,87 @@ def concatenation(a: FuzzyLanguage, b: FuzzyLanguage) -> FuzzyLanguage:
     return FuzzyLanguage(a.alphabet, grades)
 
 
-def _codes(gradings) -> tuple:
-    """The sorted grades of the gradings plus 0 and 1, and id(grade) -> rank:
-    ``lattice[r]`` decodes, and ranks keep min and max.  Each grade object
-    is hashed once; equal grades in distinct objects share a rank."""
+def _codes(gradings, lattice: tuple = (ZERO, ONE), rank: dict | None = None) -> tuple:
+    """The grade lattice: ``lattice`` (sorted, with 0 and 1) widened by the
+    grades of the gradings; its grade -> rank map; and id(grade) -> rank for
+    the gradings' grade objects.  ``lattice[r]`` decodes, ranks keep min and
+    max, and equal grades in distinct objects share a rank.  Given ``rank``,
+    ``lattice``'s own map, gradings that bring no new grade get ``lattice``
+    and ``rank`` back as they are, with nothing sorted."""
     by_id = {id(g): g for grading in gradings for _, g in grading.items()}
-    lattice = tuple(sorted({ZERO, ONE, *by_id.values()}))
+    if rank is not None:
+        try:
+            return lattice, rank, {key: rank[g] for key, g in by_id.items()}
+        except KeyError:
+            pass
+    lattice = tuple(sorted({*lattice, *by_id.values()}))
     rank = {g: r for r, g in enumerate(lattice)}
-    return lattice, {key: rank[g] for key, g in by_id.items()}
+    return lattice, rank, {key: rank[g] for key, g in by_id.items()}
 
 
 class Index:
-    """supp(plant) numbered in support order, for loops on ints: string i is
+    """Everything derived from the plant alone, built once per plant
+    (``Index.of``) and shared by every call on it, so each tuple is
+    read-only.  supp(plant) is numbered in support order: string i is
     ``strings[i]``, ``parent[i]`` its parent's id (eps, id 0, is its own)
     and ``event[i]`` its last event (None for eps).  A parent's id is below
-    its children's, and the children of one parent ascend by event."""
+    its children's, and the children of one parent ascend by event.
+    ``coded`` is None until ``ranked`` first encodes the plant's
+    ``grades``; it is then (lattice, grade -> rank, the plant's rank per
+    id), the lattice holding the grades of the plant and of every grading
+    ranked so far.  ``classes`` maps an observable set to its
+    ``observation.projection_ids``.  The index keeps the plant's alphabet
+    and grades, not the plant, so a plant and its index form no reference
+    cycle."""
 
-    __slots__ = ("plant", "strings", "ids", "parent", "event")
+    __slots__ = ("alphabet", "strings", "grades", "ids", "parent", "event", "coded", "classes")
 
     def __init__(self, plant: FuzzyLanguage):
-        self.plant, self.strings = plant, plant.support
+        self.alphabet, self.strings, self.grades = plant.alphabet, plant.support, plant._grades
         self.ids = ids = dict(zip(self.strings, range(len(self.strings))))
-        self.parent = [ids[s[:-1]] for s in self.strings]
-        self.event = [s[-1] if s else None for s in self.strings]
+        self.parent = tuple([ids[s[:-1]] for s in self.strings])
+        self.event = tuple([s[-1] if s else None for s in self.strings])
+        self.coded: tuple | None = None
+        self.classes: dict[frozenset, tuple] = {}
+
+    @classmethod
+    def of(cls, plant: FuzzyLanguage) -> Index:
+        """The plant's index, built on first use and kept on the plant."""
+        index = plant._index
+        if index is None:
+            index = cls(plant)
+            object.__setattr__(plant, "_index", index)
+        return index
 
     def ranked(self, *gradings) -> tuple:
-        """The grade lattice of the plant and the gradings (``_codes``), then
-        the plant and each language as rank lists over the ids, 0 where a
-        string is absent (None if one lies outside supp(plant)); other
-        mappings become key -> rank dicts.  Each input is read twice.  A
-        language over another alphabet is refused: every language of one
-        call lives over the plant's alphabet."""
-        lattice, code = _codes((self.plant, *gradings))
-        encoded = [[code[id(g)] for _, g in self.plant.items()]]
+        """A grade lattice holding the grades of the plant and the gradings,
+        and maybe of earlier gradings (``_codes``), then the plant and each
+        language as rank lists over the ids, 0 where a string is absent
+        (None if one lies outside supp(plant)); other mappings become
+        key -> rank dicts.  The first call reads the plant's grades with
+        the gradings; a later one reads only the gradings, each twice, and
+        remaps the kept ranks only when a grading brings a grade the kept
+        lattice lacks.  A language over another alphabet is refused: every
+        language of one call lives over the plant's alphabet."""
+        if self.coded is None:
+            lattice, rank, code = _codes((self.grades, *gradings))
+            P = [code[id(g)] for g in self.grades.values()]
+        else:
+            kept, rank, P = self.coded
+            lattice, rank, code = _codes(gradings, kept, rank)
+            if lattice is kept:
+                P = list(P)
+            else:
+                remap = [rank[g] for g in kept]
+                P = [remap[r] for r in P]
+        if self.coded is None or lattice is not self.coded[0]:
+            self.coded = lattice, rank, tuple(P)
+        encoded = [P]
         for grading in gradings:
             if not isinstance(grading, FuzzyLanguage):
                 encoded.append({k: code[id(g)] for k, g in grading.items()})
                 continue
-            _require_same_alphabet(grading, self.plant)
+            _require_same_alphabet(grading, self)
             ranks = [0] * len(self.strings)
             try:
                 for s, g in grading.items():
@@ -237,12 +283,12 @@ class Index:
         its parent's and keeps the plant's eps, and ``supremal_cn`` ends on
         an unchanged prefix repair or all zeros.  Ids run in support order."""
         grades = {s: lattice[r] for s, r in zip(self.strings, ranks) if r}
-        return FuzzyLanguage._valid(self.plant.alphabet, grades)
+        return FuzzyLanguage._valid(self.alphabet, grades)
 
 
 def is_sublanguage(a: FuzzyLanguage, b: FuzzyLanguage) -> bool:
     """True iff a(s) <= b(s) pointwise (on ranks over supp(b)'s ids)."""
-    _, B, A = Index(b).ranked(a)
+    _, B, A = Index.of(b).ranked(a)
     return A is not None and not any(map(gt, A, B))
 
 

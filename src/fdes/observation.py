@@ -6,10 +6,11 @@ finite-support language (see ``inverse_project_meet``).
 
 The checks, fixed points and synthesis project no string: over the ids
 of an indexed support (``language.Index``), ``projection_ids`` derives
-each string's class from its parent's, and ``class_joins`` keys the class
-joins by (class id, event).  As in the theory, one alphabet carries a
-whole call: ``projection_ids`` refuses a projection over any alphabet but
-the plant's, as ``Index.ranked`` refuses such a language.
+each string's class from its parent's, once per plant and observable set,
+and ``class_joins`` keys the class joins by (class id, event).  As in the
+theory, one alphabet carries a whole call: ``projection_ids`` refuses a
+projection over any alphabet but the plant's, as ``Index.ranked`` refuses
+such a language.
 """
 
 from __future__ import annotations
@@ -60,34 +61,39 @@ def projection_classes(
     }
 
 
-def projection_ids(index: Index, pr: Projection) -> tuple[list[int], list[EventString]]:
-    """Each id's projection class and each class's observed string.
+def projection_ids(index: Index, pr: Projection) -> tuple[tuple[int, ...], tuple[EventString, ...]]:
+    """Each id's projection class and each class's observed string, derived
+    once per plant and observable set and kept on the index (read-only).
 
     Classes are numbered as they first appear in support order: an id
     keeps its parent's class when its event is unobservable and otherwise
     steps from it by one event, so no string is projected.  A projection
     over another alphabet than the plant's is refused, even for an empty
-    plant: P erases the unobservable events of the plant's own alphabet.
+    plant or one whose classes for the same observable set are kept: P
+    erases the unobservable events of the plant's own alphabet.
     """
-    if pr.alphabet != index.plant.alphabet:
+    if pr.alphabet != index.alphabet:
         raise FdesError("ALPHABET_MISMATCH", "site projection uses a different alphabet")
     if not index.strings:
-        return [], []
+        return (), ()
     observable = pr.observable
-    proj, observed, step = [0], [EPSILON], {}
-    for p, e in zip(index.parent[1:], index.event[1:]):
-        c = proj[p]
-        if e in observable:
-            key = (c, e)
-            c = step.get(key)
-            if c is None:
-                c = step[key] = len(observed)
-                observed.append(observed[key[0]] + (e,))
-        proj.append(c)
-    return proj, observed
+    classes = index.classes.get(observable)
+    if classes is None:
+        proj, observed, step = [0], [EPSILON], {}
+        for p, e in zip(index.parent[1:], index.event[1:]):
+            c = proj[p]
+            if e in observable:
+                key = (c, e)
+                c = step.get(key)
+                if c is None:
+                    c = step[key] = len(observed)
+                    observed.append(observed[key[0]] + (e,))
+            proj.append(c)
+        classes = index.classes[observable] = tuple(proj), tuple(observed)
+    return classes
 
 
-def class_joins(index: Index, ranks: list[int], proj: list[int], events) -> dict:
+def class_joins(index: Index, ranks: list[int], proj: tuple[int, ...], events) -> dict:
     """The class join (class, a) -> max ranks[i] over the ids i of s.a, s in
     the class; ``proj`` gives each id's class (``projection_ids``).  Absent
     keys mean 0.  One pass over the ids."""

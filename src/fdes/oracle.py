@@ -147,7 +147,7 @@ def _cell_candidates(
 
 def _brute_sites_exist(
     spec: FuzzyLanguage,
-    index: Index,
+    plant: FuzzyLanguage,
     sites: Sequence[Site],
     budget: int,
     extra_grades: tuple[Grade, ...],
@@ -155,8 +155,9 @@ def _brute_sites_exist(
     """Exhaustively search one supervisor per site for a joint closed loop
     equal to the spec; every (site, observed string, event) cell ranges
     over its ``_cell_candidates``.  The observed strings are the classes
-    of the indexed plant (``projection_ids``, which refuses a projection
+    of the plant's index (``projection_ids``, which refuses a projection
     over another alphabet)."""
+    index = Index.of(plant)
     site_observed = []
     cells = []
     options = []
@@ -173,7 +174,7 @@ def _brute_sites_exist(
         for (n, t, e), grade in zip(cells, choice):
             rows[n][t][e] = grade
         supervisors = [FuzzySupervisor(pr, ctrl, r) for (pr, ctrl), r in zip(sites, rows)]
-        if _closed_loop(index.plant, supervisors) == spec:
+        if _closed_loop(plant, supervisors) == spec:
             return True
     return False
 
@@ -191,9 +192,9 @@ def brute_supervisor_exists(
     argument in ``_cell_candidates`` this can never change the verdict,
     which the test suite spot checks with lattice midpoints.
     """
-    index = _require_spec_inside_plant(spec, plant)[1]
+    _require_spec_inside_plant(spec, plant)
     sites = [(pr, spec.alphabet.controllable)]
-    return _brute_sites_exist(spec, index, sites, budget, extra_grades)
+    return _brute_sites_exist(spec, plant, sites, budget, extra_grades)
 
 
 def brute_decentralized_exists(
@@ -204,6 +205,6 @@ def brute_decentralized_exists(
     budget: int = DEFAULT_BUDGET,
 ) -> bool:
     """Two-supervisor analog of the exhaustive achievability search."""
-    index = _require_spec_inside_plant(spec, plant)[1]
+    _require_spec_inside_plant(spec, plant)
     sites = _resolve_sites(spec.alphabet, site1, site2)
-    return _brute_sites_exist(spec, index, sites, budget, ())
+    return _brute_sites_exist(spec, plant, sites, budget, ())

@@ -15,9 +15,10 @@ checks and normality split into crisp ones: each holds iff it holds on
 every alpha-cut, the crisp language {s : grade(s) >= alpha}.  Strong
 observability does not split.
 
-Each check numbers supp(plant) once (``language.Index``) and runs on
-rank lists over its ids, projection classes included
-(``observation.projection_ids``); strings are decoded only for witnesses.
+Each check reads the plant's index (``language.Index.of``), which
+numbers supp(plant), ranks its grades and projects its classes
+(``observation.projection_ids``) once per plant, and runs on rank lists
+over its ids; strings are decoded only for witnesses.
 A ``controllables`` argument must lie in the alphabet, like E_c itself.
 """
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass, replace
 from operator import gt
 
 from .errors import FdesError
-from .events import Alphabet, EventId, EventString, event_set, event_subset, string_key
+from .events import Alphabet, EventId, EventString, event_subset, site_cover, string_key
 from .grades import Grade
 from .language import FuzzyLanguage, Index
 from .observation import Projection, class_joins, projection_ids
@@ -73,11 +74,11 @@ class CheckReport:
 
 
 def _require_spec_inside_plant(spec: FuzzyLanguage, plant: FuzzyLanguage) -> tuple:
-    """Check spec <= plant; return (lattice, index, S, P): supp(plant)
-    numbered by ``language.Index``, and both languages as rank lists over
-    its ids for the caller's loops.  ``Index.ranked`` refuses a spec over
-    another alphabet."""
-    index = Index(plant)
+    """Check spec <= plant; return (lattice, index, S, P): the plant's
+    ``language.Index``, and both languages as rank lists over its ids for
+    the caller's loops.  ``Index.ranked`` refuses a spec over another
+    alphabet."""
+    index = Index.of(plant)
     lattice, P, S = index.ranked(spec)
     if S is None or any(map(gt, S, P)):
         raise FdesError("NOT_SUBLANGUAGE", "specification is not contained in the plant language")
@@ -94,12 +95,12 @@ def _view(index: Index, S: list, pr: Projection, controllables) -> tuple:
     the site's controllable events as a frozenset, E_c if None, the spec's
     class joins), and each class's observed string.  ``projection_ids``
     refuses a site projection over another alphabet than the plant's."""
-    ctrl = _controllables(index.plant.alphabet, controllables)
+    ctrl = _controllables(index.alphabet, controllables)
     proj, observed = projection_ids(index, pr)
     return (proj, ctrl, class_joins(index, S, proj, ctrl)), observed
 
 
-def _members(index: Index, S: list, proj: list, classes) -> dict:
+def _members(index: Index, S: list, proj: tuple, classes) -> dict:
     """The supp(spec) members of each of the given classes, in support order."""
     members: dict[int, list] = {c: [] for c in classes}
     if members:
@@ -266,9 +267,12 @@ def _resolve_sites(alphabet: Alphabet, site1: Site | None, site2: Site | None) -
         site1, site2 = ((Projection(alphabet, s.observable), s.controllable) for s in alphabet.sites)
     if site1 is None or site2 is None:
         raise FdesError("SITE_COVER_VIOLATION", "exactly two sites are required")
-    if event_set(site1[1]) | event_set(site2[1]) != alphabet.controllable:
-        raise FdesError("SITE_COVER_VIOLATION", "site controllable sets do not cover E_c")
-    return site1, site2
+    sites = []
+    for i, (pr, ctrl) in enumerate((site1, site2), start=1):
+        outside = f"site {i} controls events outside the controllable set"
+        sites.append((pr, event_subset(ctrl, alphabet.controllable, outside, "SITE_COVER_VIOLATION")))
+    site_cover(alphabet.controllable, [ctrl for _, ctrl in sites], "controllable", "E_c")
+    return tuple(sites)
 
 
 def is_coobservable(

@@ -135,7 +135,7 @@ def _synthesize(
     return [_formula_supervisor(lattice, pr, *view) for (pr, _), view in zip(sites, views)]
 
 
-def _formula_supervisor(lattice: list, pr: Projection, view: tuple, observed: list) -> FuzzySupervisor:
+def _formula_supervisor(lattice: list, pr: Projection, view: tuple, observed: tuple) -> FuzzySupervisor:
     """A site's formula supervisor from its ``predicates._view``: after
     observation t, each controllable event is enabled at its class join."""
     _, ctrl, joins = view
@@ -156,7 +156,7 @@ def _closed_loop(plant: FuzzyLanguage, supervisors: Sequence[FuzzySupervisor]) -
     """The closed loop under all the supervisors at once: every enable grade
     is met in.  ``projection_ids`` refuses a supervisor observing through
     another alphabet than the plant's, each just before its rows are read."""
-    index = Index(plant)
+    index = Index.of(plant)
     projs, tables = [], []
     for sup in supervisors:
         proj, observed = projection_ids(index, sup.projection)

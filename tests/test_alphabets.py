@@ -141,7 +141,7 @@ def test_two_site_calls_check_the_cover_before_the_site_alphabets():
     foreign = FOREIGN["same-events"]
     for call in (is_coobservable, synthesize_decentralized, brute_decentralized_exists):
         got = _error(lambda: call(K1, PLANT, (foreign, {"a"}), (OWN, set())))
-        assert got == ("SITE_COVER_VIOLATION", "site controllable sets do not cover E_c")
+        assert got == ("SITE_COVER_VIOLATION", "site controllable sets do not cover E_c: missing b")
 
 
 def test_a_str_is_refused_wherever_a_set_of_events_is_expected():

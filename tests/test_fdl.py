@@ -317,7 +317,7 @@ def test_supervisor_section_errors_keep_code_message_and_line(body, code, messag
         ("[alphabet E]\nevents a\ncontrollable b\n", "UNKNOWN_EVENT",
          "controllable events not in alphabet: b", 1),
         ("[alphabet E]\nevents a b\ncontrollable a\n\n[sites S]\nalphabet E\nsite 1 controllable\n",
-         "SITE_COVER_VIOLATION", "site controllable sets do not cover E_c", 5),
+         "SITE_COVER_VIOLATION", "site controllable sets do not cover E_c: missing a", 5),
         ("[alphabet E]\nevents a b\ncontrollable a\n\n[sites S]\nalphabet E\nsite 1 controllable a b\n",
          "SITE_COVER_VIOLATION", "site 1 controls events outside the controllable set: b", 5),
         ("[alphabet E]\nevents a b\nobservable a\n\n[sites S]\nalphabet E\nsite 2 observable a b\n",

@@ -4,7 +4,9 @@ No linter ships with the package, so this reads each module with the
 standard ``ast``.  ``__future__`` imports and the names ``fdes.__init__``
 re-exports through ``__all__`` are not uses of their own and are left out.
 The same reading checks that only ``events`` raises ``UNKNOWN_EVENT``, so
-every unknown event goes through its checks and is named alike.
+every unknown event goes through its checks and is named alike, and that
+only ``language`` builds an ``Index`` directly, so every other module
+reads the one kept on the plant (``Index.of``).
 """
 
 import ast
@@ -82,3 +84,24 @@ def test_the_check_finds_an_unknown_event_error():
     source = "raise FdesError('UNKNOWN_EVENT', 'x')\nraise errors.FdesError(code='UNKNOWN_EVENT', message='y')\n"
     source += "raise FdesError('UNKNOWN_STATE', 'z')\nevent_subset(s, e, 'w', 'UNKNOWN_EVENT')\nFdesError(code)\n"
     assert unknown_event_errors(source) == [1, 2]
+
+
+def index_constructions(source: str) -> list[int]:
+    """The lines that call ``Index(...)`` directly, not ``Index.of``."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Index"
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_language_builds_an_index(path):
+    found = index_constructions(path.read_text(encoding="utf-8"))
+    assert path.name == "language.py" or found == []
+
+
+def test_the_check_finds_an_index_construction():
+    source = "index = Index(plant)\nindex = language.Index(plant)\nindex = Index.of(plant)\n"
+    source += "Indexer(plant)\nindex: Index = Index.of(plant)\n"
+    assert index_constructions(source) == [1, 2]

@@ -8,12 +8,15 @@ import pytest
 from fdes import (
     Alphabet,
     FdesError,
+    SiteSpec,
     empty_language,
     natural_projection,
+    synthesize_decentralized,
     union,
 )
 from fdes.events import string_key
 from fdes.observation import project_string
+from fdes.oracle import brute_decentralized_exists
 from fdes.predicates import (
     COOBS_CASE1,
     CONTROLLABILITY,
@@ -200,6 +203,27 @@ def test_coobservable_without_sites_anywhere():
     with pytest.raises(FdesError) as err:
         is_coobservable(spec, plant)
     assert err.value.code == "SITE_COVER_VIOLATION"
+
+
+def test_a_site_cover_fault_names_the_site_and_the_events():
+    alphabet, plant, k1, _ = union_example()
+    pr = natural_projection(alphabet)
+    for call in (is_coobservable, synthesize_decentralized, brute_decentralized_exists):
+        for ctrl1, ctrl2, message in (
+            ({"a", "b", "zz"}, set(), "site 1 controls events outside the controllable set: zz"),
+            ({"a"}, {"y", "x"}, "site 2 controls events outside the controllable set: x, y"),
+            (set(), set(), "site controllable sets do not cover E_c: missing a, b"),
+        ):
+            with pytest.raises(FdesError) as err:
+                call(k1, plant, (pr, ctrl1), (pr, ctrl2))
+            assert (err.value.code, err.value.message) == ("SITE_COVER_VIOLATION", message)
+    for site, message in (
+        (SiteSpec({"a"}, {"b"}), "site controllable sets do not cover E_c: missing b"),
+        (SiteSpec({"a", "b"}, set()), "site observable sets do not cover E_o: missing b"),
+    ):
+        with pytest.raises(FdesError) as err:
+            alphabet.with_sites(site, site)
+        assert (err.value.code, err.value.message) == ("SITE_COVER_VIOLATION", message)
 
 
 def test_report_invariant():

@@ -1,5 +1,7 @@
-"""The integer-rank grade kernel: the encoder, and results decoded from it."""
+"""The integer-rank grade kernel: the encoder, the index kept on each
+plant, and results decoded from it."""
 
+import gc
 import os
 import random
 import subprocess
@@ -9,13 +11,21 @@ from pathlib import Path
 
 from fdes import (
     Alphabet,
+    FdesError,
     FuzzyLanguage,
+    Projection,
     closed_loop_central,
+    closed_loop_decentralized,
     empty_language,
+    infimal_co,
+    solve_scp,
+    supremal_cn,
+    synthesize_central,
+    synthesize_decentralized,
 )
 from fdes.grades import ONE, ZERO, meet
 from fdes.language import Index, _codes
-from fdes.observation import project_string
+from fdes.observation import project_string, projection_ids
 from fdes.predicates import (
     COOBS_CASE1,
     COOBS_CASE2,
@@ -85,6 +95,82 @@ def test_lattice_is_bounded_and_sorted_and_decoding_inverts_encoding():
     empty = Index(empty_language(Alphabet({"a"})))
     assert empty.ranked() == ((0, 1), [])
     assert empty.ranked({"a": F(1, 2), "b": ONE}) == ((0, F(1, 2), 1), [], {"a": 1, "b": 2})
+
+
+def outcome(call):
+    """The call's result, or its error's code, message and report."""
+    try:
+        return call()
+    except FdesError as error:
+        return error.code, str(error), getattr(error, "report", None)
+
+
+def test_every_call_on_an_indexed_plant_matches_a_fresh_plant():
+    rng = random.Random(5104)
+    remapped = 0
+    for _ in range(300):
+        alphabet = random_alphabet(rng)
+        lattice = random_lattice(rng)
+        plant = random_plant(rng, alphabet, lattice)
+        pr = random_projection(rng, alphabet)
+        sites = random_sites(rng, alphabet)
+        # Midpoints give the fine spec and the supervisors grades the plant lacks.
+        finer = sorted({*lattice, *((low + high) / 2 for low, high in zip(lattice, lattice[1:]))})
+        spec = random_sublanguage(rng, plant, lattice)
+        fine = random_sublanguage(rng, plant, finer)
+        supervisor = random_supervisor(rng, plant, pr, alphabet.controllable, finer)
+        pair = [random_supervisor(rng, plant, site_pr, ctrl, finer) for site_pr, ctrl in sites]
+        checks = [
+            lambda p: is_controllable(spec, p),
+            lambda p: is_observable(spec, p, pr),
+            lambda p: is_strongly_observable(spec, p, pr),
+            lambda p: is_normal(spec, p, pr),
+            lambda p: is_coobservable(spec, p, *sites),
+        ]
+        calls = checks + [
+            lambda p: infimal_co(fine, p, pr),
+            lambda p: supremal_cn(fine, p, pr),
+            lambda p: solve_scp(fine, p, p, pr),
+            lambda p: synthesize_central(fine, p, pr),
+            lambda p: synthesize_decentralized(spec, p, *sites, force=True),
+            lambda p: closed_loop_central(p, supervisor),
+            lambda p: closed_loop_decentralized(p, *pair),
+        ] + checks
+        for call in calls:
+            assert outcome(lambda: call(plant)) == outcome(lambda: call(copied(plant)))
+        # The first call kept a lattice within ``lattice``; a fine grade
+        # outside it sent a later call down the remap path.
+        remapped += any(g not in lattice for _, g in fine.items())
+        index = Index.of(plant)
+        kept, _, P = index.coded
+        assert [kept[r] for r in P] == [g for _, g in plant.items()]
+        assert index.classes[pr.observable] == projection_ids(Index(copied(plant)), pr)
+        other = Alphabet(alphabet.events | {"zz"}, alphabet.controllable, alphabet.observable)
+        foreign = Projection(other, pr.observable)
+        assert outcome(lambda: is_observable(spec, plant, foreign))[:2] == (
+            "ALPHABET_MISMATCH", "site projection uses a different alphabet"
+        )
+    assert remapped > 100
+
+
+def test_an_indexed_plant_is_freed_without_the_cycle_collector():
+    rng = random.Random(5105)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            alphabet = random_alphabet(rng)
+            lattice = random_lattice(rng)
+            plant = random_plant(rng, alphabet, lattice)
+            pr = random_projection(rng, alphabet)
+            assert is_normal(plant, plant, pr).holds
+            assert infimal_co(plant, plant, pr) == plant
+            assert Index.of(plant).classes
+            del plant
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
 
 
 def class_join(spec, pr, s, event):

@@ -432,6 +432,7 @@ def test_site_controllable_sets_may_be_lists():
 
 
 def test_checked_synthesis_and_scp_number_the_plant_support_once_each(monkeypatch):
+    """Each plant is indexed once over the whole sequence, and never again."""
     built = []
     init = Index.__init__
 
@@ -445,13 +446,17 @@ def test_checked_synthesis_and_scp_number_the_plant_support_once_each(monkeypatc
     _, medical = medical_example()
     union_alphabet, union_plant, k1, k2 = union_example()
     merged = union(k1, k2)
-    for call, builds in (
-        (lambda: synthesize_central(spec, plant, pr), 1),
-        (lambda: synthesize_decentralized(medical, medical), 1),
-        (lambda: solve_scp(spec, plant, plant, pr), 1),
-        (lambda: solve_scp(spec, spec, plant, pr), 1),
-        (lambda: solve_scp(merged, merged, union_plant, natural_projection(union_alphabet)), 1),
-    ):
-        built.clear()
+    calls = (
+        lambda: synthesize_central(spec, plant, pr),
+        lambda: synthesize_decentralized(medical, medical),
+        lambda: solve_scp(spec, plant, plant, pr),
+        lambda: solve_scp(spec, spec, plant, pr),
+        lambda: solve_scp(merged, merged, union_plant, natural_projection(union_alphabet)),
+    )
+    for call in calls:
         call()
-        assert len(built) == builds
+    assert list(map(id, built)) == [id(plant), id(medical), id(union_plant)]
+    built.clear()
+    for call in calls:
+        call()
+    assert built == []
