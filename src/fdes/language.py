@@ -187,47 +187,46 @@ def concatenation(a: FuzzyLanguage, b: FuzzyLanguage) -> FuzzyLanguage:
     return FuzzyLanguage(a.alphabet, grades)
 
 
-def _codes(gradings, lattice: tuple = (ZERO, ONE), rank: dict | None = None) -> tuple:
-    """The grade lattice: ``lattice`` (sorted, with 0 and 1) widened by the
-    grades of the gradings; its grade -> rank map; and id(grade) -> rank for
-    the gradings' grade objects.  ``lattice[r]`` decodes, ranks keep min and
-    max, and equal grades in distinct objects share a rank.  Given ``rank``,
-    ``lattice``'s own map, gradings that bring no new grade get ``lattice``
-    and ``rank`` back as they are, with nothing sorted."""
+_BOUNDS = {ZERO: 0, ONE: 1}
+
+
+def _codes(gradings, rank: dict = _BOUNDS) -> tuple:
+    """The grade lattice: the sorted grades of ``rank`` (grade -> rank over
+    a sorted lattice holding 0 and 1) and of the gradings; its grade -> rank
+    map, ``rank`` itself when the gradings bring no new grade; and
+    id(grade) -> rank for the gradings' grade objects.  ``lattice[r]``
+    decodes, ranks keep min and max, and equal grades in distinct objects
+    share a rank.  No map is ever changed in place."""
     by_id = {id(g): g for grading in gradings for _, g in grading.items()}
-    if rank is not None:
-        try:
-            return lattice, rank, {key: rank[g] for key, g in by_id.items()}
-        except KeyError:
-            pass
-    lattice = tuple(sorted({*lattice, *by_id.values()}))
-    rank = {g: r for r, g in enumerate(lattice)}
-    return lattice, rank, {key: rank[g] for key, g in by_id.items()}
+    new = set(by_id.values()).difference(rank)
+    if new:
+        rank = {g: r for r, g in enumerate(sorted([*rank, *new]))}
+    return tuple(rank), rank, {key: rank[g] for key, g in by_id.items()}
 
 
 class Index:
     """Everything derived from the plant alone, built once per plant
-    (``Index.of``) and shared by every call on it, so each tuple is
-    read-only.  supp(plant) is numbered in support order: string i is
-    ``strings[i]``, ``parent[i]`` its parent's id (eps, id 0, is its own)
-    and ``event[i]`` its last event (None for eps).  A parent's id is below
-    its children's, and the children of one parent ascend by event.
-    ``coded`` is None until ``ranked`` first encodes the plant's
-    ``grades``; it is then (lattice, grade -> rank, the plant's rank per
-    id), the lattice holding the grades of the plant and of every grading
-    ranked so far.  ``classes`` maps an observable set to its
-    ``observation.projection_ids``.  The index keeps the plant's alphabet
-    and grades, not the plant, so a plant and its index form no reference
-    cycle."""
+    (``Index.of``) and shared by every call on it: no call changes it but
+    to add ``classes`` entries, and its sequences are tuples.  supp(plant)
+    is numbered in support order: string i is ``strings[i]``,
+    ``parent[i]`` its parent's id (eps, id 0, is its own) and ``event[i]``
+    its last event (None for eps).  A parent's id is below its children's,
+    and the children of one parent ascend by event.  ``rank`` maps the
+    plant's grades, with 0 and 1, to their ranks (``_codes``) and
+    ``ranks`` is the plant's rank per id.  ``classes`` maps an observable
+    set to its ``observation.projection_ids``.  The index keeps the
+    plant's alphabet, not the plant, so a plant and its index form no
+    reference cycle."""
 
-    __slots__ = ("alphabet", "strings", "grades", "ids", "parent", "event", "coded", "classes")
+    __slots__ = ("alphabet", "strings", "ids", "parent", "event", "rank", "ranks", "classes")
 
     def __init__(self, plant: FuzzyLanguage):
-        self.alphabet, self.strings, self.grades = plant.alphabet, plant.support, plant._grades
+        self.alphabet, self.strings = plant.alphabet, plant.support
         self.ids = ids = dict(zip(self.strings, range(len(self.strings))))
         self.parent = tuple([ids[s[:-1]] for s in self.strings])
         self.event = tuple([s[-1] if s else None for s in self.strings])
-        self.coded: tuple | None = None
+        _, self.rank, code = _codes((plant,))
+        self.ranks = tuple([code[id(g)] for _, g in plant.items()])
         self.classes: dict[frozenset, tuple] = {}
 
     @classmethod
@@ -240,34 +239,29 @@ class Index:
         return index
 
     def ranked(self, *gradings) -> tuple:
-        """A grade lattice holding the grades of the plant and the gradings,
-        and maybe of earlier gradings (``_codes``), then the plant and each
-        language as rank lists over the ids, 0 where a string is absent
-        (None if one lies outside supp(plant)); other mappings become
-        key -> rank dicts.  The first call reads the plant's grades with
-        the gradings; a later one reads only the gradings, each twice, and
-        remaps the kept ranks only when a grading brings a grade the kept
-        lattice lacks.  A language over another alphabet is refused: every
-        language of one call lives over the plant's alphabet."""
-        if self.coded is None:
-            lattice, rank, code = _codes((self.grades, *gradings))
-            P = [code[id(g)] for g in self.grades.values()]
+        """The grade lattice of the plant and the gradings (``_codes``), then
+        the plant and each language as rank lists over the ids, 0 where a
+        string is absent (None if one lies outside supp(plant)); other
+        mappings become key -> rank dicts.  Only the gradings are encoded,
+        each read twice; the plant's kept ranks are remapped only when a
+        grading brings a grade the plant lacks.  Nothing is kept between
+        calls.  A language over another alphabet is refused before any
+        grade is read: every language of one call lives over the plant's
+        alphabet."""
+        for grading in gradings:
+            if isinstance(grading, FuzzyLanguage):
+                _require_same_alphabet(grading, self)
+        lattice, rank, code = _codes(gradings, self.rank)
+        if rank is self.rank:
+            P = list(self.ranks)
         else:
-            kept, rank, P = self.coded
-            lattice, rank, code = _codes(gradings, kept, rank)
-            if lattice is kept:
-                P = list(P)
-            else:
-                remap = [rank[g] for g in kept]
-                P = [remap[r] for r in P]
-        if self.coded is None or lattice is not self.coded[0]:
-            self.coded = lattice, rank, tuple(P)
+            remap = [rank[g] for g in self.rank]
+            P = [remap[r] for r in self.ranks]
         encoded = [P]
         for grading in gradings:
             if not isinstance(grading, FuzzyLanguage):
                 encoded.append({k: code[id(g)] for k, g in grading.items()})
                 continue
-            _require_same_alphabet(grading, self)
             ranks = [0] * len(self.strings)
             try:
                 for s, g in grading.items():

@@ -26,6 +26,7 @@ from fdes import (
 from fdes.grades import ONE, ZERO, meet
 from fdes.language import Index, _codes
 from fdes.observation import project_string, projection_ids
+from fdes.oracle import brute_infimal_co, brute_supremal_cn
 from fdes.predicates import (
     COOBS_CASE1,
     COOBS_CASE2,
@@ -105,9 +106,21 @@ def outcome(call):
         return error.code, str(error), getattr(error, "report", None)
 
 
+def brute_budget(spec, plant, universe) -> int:
+    """k ** u for the lattice of the plant and the spec, so a brute search
+    over that lattice runs and one over any wider lattice is refused;
+    past ``BRUTE_LIMIT`` candidates, one less, so both sides are refused
+    without a search."""
+    count = len(_codes((plant, spec))[0]) ** len(universe.support)
+    return count if count <= BRUTE_LIMIT else count - 1
+
+
+BRUTE_LIMIT = 300
+
+
 def test_every_call_on_an_indexed_plant_matches_a_fresh_plant():
     rng = random.Random(5104)
-    remapped = 0
+    remapped = searched = 0
     for _ in range(300):
         alphabet = random_alphabet(rng)
         lattice = random_lattice(rng)
@@ -120,6 +133,8 @@ def test_every_call_on_an_indexed_plant_matches_a_fresh_plant():
         fine = random_sublanguage(rng, plant, finer)
         supervisor = random_supervisor(rng, plant, pr, alphabet.controllable, finer)
         pair = [random_supervisor(rng, plant, site_pr, ctrl, finer) for site_pr, ctrl in sites]
+        inf_budget, sup_budget = brute_budget(spec, plant, plant), brute_budget(spec, plant, spec)
+        searched += inf_budget <= BRUTE_LIMIT
         checks = [
             lambda p: is_controllable(spec, p),
             lambda p: is_observable(spec, p, pr),
@@ -135,22 +150,27 @@ def test_every_call_on_an_indexed_plant_matches_a_fresh_plant():
             lambda p: synthesize_decentralized(spec, p, *sites, force=True),
             lambda p: closed_loop_central(p, supervisor),
             lambda p: closed_loop_decentralized(p, *pair),
+            # The oracles' budgets count the lattice of this call alone.
+            lambda p: brute_infimal_co(spec, p, pr, inf_budget),
+            lambda p: brute_supremal_cn(spec, p, pr, sup_budget),
         ] + checks
         for call in calls:
             assert outcome(lambda: call(plant)) == outcome(lambda: call(copied(plant)))
-        # The first call kept a lattice within ``lattice``; a fine grade
-        # outside it sent a later call down the remap path.
-        remapped += any(g not in lattice for _, g in fine.items())
+        # A fine grade the plant lacks sent the calls on ``fine`` down the
+        # remap path; the kept lattice, ranks and classes are the plant's own.
+        own = {g for _, g in plant.items()}
+        remapped += any(g not in own for _, g in fine.items())
         index = Index.of(plant)
-        kept, _, P = index.coded
-        assert [kept[r] for r in P] == [g for _, g in plant.items()]
+        kept = _codes((plant,))[0]
+        assert tuple(index.rank) == kept and list(index.rank.values()) == list(range(len(kept)))
+        assert [kept[r] for r in index.ranks] == [g for _, g in plant.items()]
         assert index.classes[pr.observable] == projection_ids(Index(copied(plant)), pr)
         other = Alphabet(alphabet.events | {"zz"}, alphabet.controllable, alphabet.observable)
         foreign = Projection(other, pr.observable)
         assert outcome(lambda: is_observable(spec, plant, foreign))[:2] == (
             "ALPHABET_MISMATCH", "site projection uses a different alphabet"
         )
-    assert remapped > 100
+    assert remapped > 100 and searched > 30
 
 
 def test_an_indexed_plant_is_freed_without_the_cycle_collector():
