@@ -11,10 +11,10 @@ in the oracle module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import gt
 
 from .errors import FdesError
+from .events import Record
 from .language import FuzzyLanguage, Index
 from .observation import Projection, projection_ids
 from .predicates import _require_spec_inside_plant, _view
@@ -116,8 +116,7 @@ def supremal_cn(spec: FuzzyLanguage, plant: FuzzyLanguage, pr: Projection) -> Fu
     return index.decode(lattice, current)
 
 
-@dataclass(frozen=True)
-class ScpResult:
+class ScpResult(Record):
     """Outcome of the supervisory control problem between two bounds.
 
     ``infimal`` is the least controllable and observable superlanguage of
@@ -125,9 +124,12 @@ class ScpResult:
     stays within the maximal legal behavior.
     """
 
-    solvable: bool
-    supervisor: FuzzySupervisor | None
-    infimal: FuzzyLanguage
+    __slots__ = ("solvable", "supervisor", "infimal")
+
+    def __init__(self, solvable: bool, supervisor: FuzzySupervisor | None, infimal: FuzzyLanguage):
+        object.__setattr__(self, "solvable", solvable)
+        object.__setattr__(self, "supervisor", supervisor)
+        object.__setattr__(self, "infimal", infimal)
 
 
 def solve_scp(

@@ -8,38 +8,42 @@ infinite-support languages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import FdesError
-from .events import EPSILON, Alphabet, EventId, EventString, render_event_string
+from .events import EPSILON, Alphabet, EventId, EventString, Record, render_event_string
 from .grades import ONE, ZERO, Grade, as_grade, meet
 from .language import FuzzyLanguage
 
 Transition = tuple[str, EventId, str]
 
 
-@dataclass(frozen=True)
-class FuzzyAutomaton:
-    """States, initial state, and a graded transition relation."""
+class FuzzyAutomaton(Record):
+    """States, initial state, and a graded transition relation.  A ``str``
+    is refused as the state set, as ``events.event_set`` refuses it as a
+    set of events: it would split into one-character states."""
 
-    states: frozenset[str]
-    alphabet: Alphabet
-    initial: str
-    transitions: Mapping[Transition, Grade]
+    __slots__ = ("states", "alphabet", "initial", "transitions")
 
-    def __post_init__(self):
-        object.__setattr__(self, "states", frozenset(self.states))
-        if self.initial not in self.states:
-            raise FdesError("UNKNOWN_STATE", f"initial state {self.initial!r} not in state set")
+    def __init__(
+        self, states: frozenset[str], alphabet: Alphabet, initial: str, transitions: Mapping[Transition, Grade]
+    ):
+        if isinstance(states, str):
+            raise FdesError("UNKNOWN_STATE", f"state set {states!r} must be a collection of state names")
+        states = frozenset(states)
+        if initial not in states:
+            raise FdesError("UNKNOWN_STATE", f"initial state {initial!r} not in state set")
         cleaned: dict[Transition, Grade] = {}
-        for (p, a, q), g in self.transitions.items():
-            if p not in self.states or q not in self.states:
+        for (p, a, q), g in transitions.items():
+            if p not in states or q not in states:
                 raise FdesError("UNKNOWN_STATE", f"transition endpoint outside state set: {p!r} -{a}-> {q!r}")
-            self.alphabet.check_string((a,))
+            alphabet.check_string((a,))
             g = as_grade(g)
             if g > ZERO:
                 cleaned[(p, a, q)] = g
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "transitions", cleaned)
 
     def _check_state(self, state: str) -> str:

@@ -1,12 +1,14 @@
 """Event identifiers, event strings, and control/observation alphabets; one
 gate, ``event_subset``, checks every set of events a caller hands in, and
-``site_cover`` checks that two sites' sets cover E_c or E_o."""
+``site_cover`` checks that two sites' sets cover E_c or E_o.  ``Record``,
+the immutable base of the package's records, lives here, the lowest module
+that defines one."""
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 
 from .errors import FdesError
 
@@ -70,20 +72,54 @@ def string_key(s: EventString) -> tuple[int, EventString]:
     return (len(s), s)
 
 
-@dataclass(frozen=True)
-class SiteSpec:
+class Record:
+    """An immutable record whose fields are its ``__slots__``, in order.
+
+    Each subclass sets its fields once, in its own ``__init__``, through
+    ``object.__setattr__``.  Records compare, hash and print as frozen
+    dataclasses do: by the tuple of their fields, only with an instance of
+    the same class.  The same record equals itself at once: every check
+    compares its alphabet with the plant's, which is most often the same
+    object.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = attrgetter(*cls.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == self._fields(other)
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class SiteSpec(Record):
     """Per-site controllable and observable event sets for decentralized control."""
 
-    controllable: frozenset[EventId]
-    observable: frozenset[EventId]
+    __slots__ = ("controllable", "observable")
 
-    def __post_init__(self):
-        object.__setattr__(self, "controllable", event_set(self.controllable))
-        object.__setattr__(self, "observable", event_set(self.observable))
+    def __init__(self, controllable: frozenset[EventId], observable: frozenset[EventId]):
+        object.__setattr__(self, "controllable", event_set(controllable))
+        object.__setattr__(self, "observable", event_set(observable))
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Alphabet(Record):
     """Finite event set with controllable/observable subsets.
 
     ``sites``, when present, holds exactly two local site specifications
@@ -91,31 +127,35 @@ class Alphabet:
     The uncontrollable and unobservable sets are derived, never stored.
     """
 
-    events: frozenset[EventId]
-    controllable: frozenset[EventId] = frozenset()
-    observable: frozenset[EventId] = frozenset()
-    sites: tuple[SiteSpec, SiteSpec] | None = None
+    __slots__ = ("events", "controllable", "observable", "sites")
 
-    def __post_init__(self):
-        object.__setattr__(self, "events", event_set(self.events))
-        object.__setattr__(self, "controllable", event_set(self.controllable))
-        object.__setattr__(self, "observable", event_set(self.observable))
+    def __init__(
+        self,
+        events: frozenset[EventId],
+        controllable: frozenset[EventId] = frozenset(),
+        observable: frozenset[EventId] = frozenset(),
+        sites: tuple[SiteSpec, SiteSpec] | None = None,
+    ):
+        events, controllable, observable = event_set(events), event_set(controllable), event_set(observable)
+        object.__setattr__(self, "events", events)
+        object.__setattr__(self, "controllable", controllable)
+        object.__setattr__(self, "observable", observable)
         # Sorted, so that the bad identifier reported is not the hash's pick.
-        for name in sorted(self.events):
+        for name in sorted(events):
             check_event_id(name)
-        event_subset(self.controllable, self.events, "controllable events not in alphabet")
-        event_subset(self.observable, self.events, "observable events not in alphabet")
-        if self.sites is not None:
-            sites = tuple(self.sites)
+        event_subset(controllable, events, "controllable events not in alphabet")
+        event_subset(observable, events, "observable events not in alphabet")
+        if sites is not None:
+            sites = tuple(sites)
             if len(sites) != 2:
                 raise FdesError("SITE_COVER_VIOLATION", "exactly two sites are supported")
-            object.__setattr__(self, "sites", sites)
             for i, site in enumerate(sites, start=1):
                 for kind, verb in (("controllable", "controls"), ("observable", "observes")):
                     outside = f"site {i} {verb} events outside the {kind} set"
                     event_subset(getattr(site, kind), getattr(self, kind), outside, "SITE_COVER_VIOLATION")
             for kind, name in (("controllable", "E_c"), ("observable", "E_o")):
                 site_cover(getattr(self, kind), [getattr(site, kind) for site in sites], kind, name)
+        object.__setattr__(self, "sites", sites)
 
     @property
     def uncontrollable(self) -> frozenset[EventId]:

@@ -21,7 +21,7 @@ missing line) at its header.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .automaton import FuzzyAutomaton
 from .errors import FdesError
@@ -29,6 +29,7 @@ from .events import (
     EPSILON_TEXT,
     Alphabet,
     EventString,
+    Record,
     SiteSpec,
     check_event_id,
     parse_event_string,
@@ -50,24 +51,49 @@ _SECTION_TABLES = {
 }
 
 
-@dataclass
-class SitesDecl:
+class SitesDecl(Record):
     """A named pair of site specifications bound to an alphabet."""
 
-    alphabet_name: str
-    site1: SiteSpec
-    site2: SiteSpec
+    __slots__ = ("alphabet_name", "site1", "site2")
+
+    def __init__(self, alphabet_name: str, site1: SiteSpec, site2: SiteSpec):
+        object.__setattr__(self, "alphabet_name", alphabet_name)
+        object.__setattr__(self, "site1", site1)
+        object.__setattr__(self, "site2", site2)
 
 
-@dataclass
+# A document's tables, which its equality and repr read; not file_sections.
+_tables = attrgetter(*_SECTION_TABLES.values())
+
+
 class FdlDocument:
-    alphabets: dict[str, Alphabet] = field(default_factory=dict)
-    sites: dict[str, SitesDecl] = field(default_factory=dict)
-    languages: dict[str, FuzzyLanguage] = field(default_factory=dict)
-    automata: dict[str, FuzzyAutomaton] = field(default_factory=dict)
-    supervisors: dict[str, FuzzySupervisor] = field(default_factory=dict)
-    # Source name -> (kind, name) of each of its sections, in file order.
-    file_sections: dict[str, list] = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = (*_SECTION_TABLES.values(), "file_sections")
+
+    def __init__(
+        self,
+        alphabets: dict[str, Alphabet] | None = None,
+        sites: dict[str, SitesDecl] | None = None,
+        languages: dict[str, FuzzyLanguage] | None = None,
+        automata: dict[str, FuzzyAutomaton] | None = None,
+        supervisors: dict[str, FuzzySupervisor] | None = None,
+        file_sections: dict[str, list] | None = None,
+    ):
+        self.alphabets = {} if alphabets is None else alphabets
+        self.sites = {} if sites is None else sites
+        self.languages = {} if languages is None else languages
+        self.automata = {} if automata is None else automata
+        self.supervisors = {} if supervisors is None else supervisors
+        # Source name -> (kind, name) of each of its sections, in file order.
+        self.file_sections = {} if file_sections is None else file_sections
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _tables(self) == _tables(other)
+
+    def __repr__(self) -> str:
+        tables = ", ".join(f"{name}={table!r}" for name, table in zip(_SECTION_TABLES.values(), _tables(self)))
+        return f"FdlDocument({tables})"
 
     def single(self, kind: str):
         """The unique entity of a kind, as (name, value); error otherwise."""
@@ -87,17 +113,16 @@ class FdlDocument:
         return "E"
 
 
-@dataclass
 class _RawSection:
-    kind: str
-    name: str
-    source: str
-    line: int
-    # Where an error is located: the body line being read, else the header.
-    at: int
-    # The body: each line's number and comment-stripped text (see above).
-    linenos: list[int] = field(default_factory=list)
-    lines: list[str] = field(default_factory=list)
+    __slots__ = ("kind", "name", "source", "line", "at", "linenos", "lines")
+
+    def __init__(self, kind: str, name: str, source: str, line: int):
+        self.kind, self.name, self.source, self.line = kind, name, source, line
+        # Where an error is located: the body line being read, else the header.
+        self.at = line
+        # The body: each line's number and comment-stripped text (see above).
+        self.linenos: list[int] = []
+        self.lines: list[str] = []
 
 
 def _words(section: _RawSection):
@@ -148,7 +173,7 @@ def _split_sections(source: str, text: str) -> list[_RawSection]:
             kind, name = header
             if kind not in _SECTION_TABLES:
                 _fail(source, lineno, f"unknown section kind {kind!r}")
-            current = _RawSection(kind, name, source, lineno, lineno)
+            current = _RawSection(kind, name, source, lineno)
             sections.append(current)
             continue
         if current is None:

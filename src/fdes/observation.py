@@ -15,24 +15,22 @@ such a language.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import FdesError
-from .events import EPSILON, Alphabet, EventId, EventString, event_subset, string_key
+from .events import EPSILON, Alphabet, EventId, EventString, Record, event_subset, string_key
 from .grades import join, meet
 from .language import FuzzyLanguage, Index
 
 
-@dataclass(frozen=True)
-class Projection:
+class Projection(Record):
     """Observable-event mask defining the erasing string homomorphism."""
 
-    alphabet: Alphabet
-    observable: frozenset[EventId]
+    __slots__ = ("alphabet", "observable")
 
-    def __post_init__(self):
-        observable = event_subset(self.observable, self.alphabet.events, "observable events not in alphabet")
+    def __init__(self, alphabet: Alphabet, observable: frozenset[EventId]):
+        observable = event_subset(observable, alphabet.events, "observable events not in alphabet")
+        object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "observable", observable)
 
 

@@ -24,11 +24,10 @@ A ``controllables`` argument must lie in the alphabet, like E_c itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from operator import gt
 
 from .errors import FdesError
-from .events import Alphabet, EventId, EventString, event_subset, site_cover, string_key
+from .events import Alphabet, EventId, EventString, Record, event_subset, site_cover, string_key
 from .grades import Grade
 from .language import FuzzyLanguage, Index
 from .observation import Projection, class_joins, projection_ids
@@ -45,26 +44,36 @@ COOBS_CASE3 = "COOBS_CASE3"
 Site = tuple[Projection, frozenset]
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """One violated equation: the offending strings, event, and both sides."""
 
-    kind: str
-    strings: tuple[EventString, ...]
-    event: EventId | None = None
-    lhs: Grade | None = None
-    rhs: Grade | None = None
-    projection_class: tuple[EventString, ...] = ()
+    __slots__ = ("kind", "strings", "event", "lhs", "rhs", "projection_class")
+
+    def __init__(
+        self,
+        kind: str,
+        strings: tuple[EventString, ...],
+        event: EventId | None = None,
+        lhs: Grade | None = None,
+        rhs: Grade | None = None,
+        projection_class: tuple[EventString, ...] = (),
+    ):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "strings", strings)
+        object.__setattr__(self, "event", event)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "projection_class", projection_class)
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    holds: bool
-    witnesses: tuple[Witness, ...] = ()
+class CheckReport(Record):
+    __slots__ = ("holds", "witnesses")
 
-    def __post_init__(self):
-        if self.holds != (not self.witnesses):
+    def __init__(self, holds: bool, witnesses: tuple[Witness, ...] = ()):
+        if holds != (not witnesses):
             raise ValueError("holds must match witness emptiness")
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "witnesses", witnesses)
 
     @classmethod
     def of(cls, witnesses) -> "CheckReport":
@@ -230,10 +239,10 @@ def is_strongly_observable(
                 lhs, rhs, kind = S[sa], S[s2a], STRONG_OBS_COND2
             else:
                 continue
-            found.append((c, Witness(kind, (strings[s], strings[s2]), e, lattice[lhs], lattice[rhs])))
+            found.append((c, (kind, (strings[s], strings[s2]), e, lattice[lhs], lattice[rhs])))
             break
     members = _members(index, S, proj, {c for c, _ in found})
-    witnesses = [replace(w, projection_class=members[c]) for c, w in found]
+    witnesses = [Witness(*fields, members[c]) for c, fields in found]
     return CheckReport.of(witnesses)
 
 

@@ -20,11 +20,10 @@ The checks run only to explain a refusal.  For one site the loop is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .errors import ConditionViolated, FdesError
-from .events import EventId, EventString, event_subset, render_event_string, string_key
+from .events import EventId, EventString, Record, event_subset, render_event_string, string_key
 from .grades import ONE, ZERO, Grade, as_grade
 from .language import FuzzyLanguage, Index, _str_key_error
 from .observation import Projection, projection_ids
@@ -42,8 +41,7 @@ from .predicates import (
 Row = dict[EventId, Grade]
 
 
-@dataclass(frozen=True)
-class FuzzySupervisor:
+class FuzzySupervisor(Record):
     """Observed string -> per-event enable grades, stored dense.
 
     ``controllables`` are the events this supervisor may restrict; a grade
@@ -51,18 +49,17 @@ class FuzzySupervisor:
     absent controllable event gets 0, and any other absent event gets 1.
     """
 
-    projection: Projection
-    controllables: frozenset[EventId]
-    table: Mapping[EventString, Row]
+    __slots__ = ("projection", "controllables", "table")
 
-    def __post_init__(self):
-        alphabet = self.projection.alphabet
-        events, observable = alphabet.events, self.projection.observable
-        ctrl = event_subset(self.controllables, events, "supervisor controls events outside the alphabet")
-        object.__setattr__(self, "controllables", ctrl)
+    def __init__(
+        self, projection: Projection, controllables: frozenset[EventId], table: Mapping[EventString, Row]
+    ):
+        alphabet = projection.alphabet
+        events, observable = alphabet.events, projection.observable
+        ctrl = event_subset(controllables, events, "supervisor controls events outside the alphabet")
         order = sorted(events)
-        table: dict[EventString, Row] = {}
-        for observed, row in self.table.items():
+        dense_table: dict[EventString, Row] = {}
+        for observed, row in table.items():
             if isinstance(observed, str):
                 raise _str_key_error(observed)
             observed = tuple(observed)
@@ -74,7 +71,7 @@ class FuzzySupervisor:
                 )
             if not events.issuperset(row):
                 event_subset(row, events, "supervisor row grades events outside the alphabet")
-            table[observed] = dense = {}
+            dense_table[observed] = dense = {}
             for event in order:
                 if event not in row:
                     dense[event] = ZERO if event in ctrl else ONE
@@ -86,7 +83,9 @@ class FuzzySupervisor:
                         f"row {render_event_string(observed)} restricts {event!r}, "
                         "which this supervisor may not control",
                     )
-        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "projection", projection)
+        object.__setattr__(self, "controllables", ctrl)
+        object.__setattr__(self, "table", dense_table)
 
     def enable_grade(self, observed: EventString, event: EventId) -> Grade:
         try:

@@ -68,6 +68,22 @@ def test_unknown_state_and_event_errors():
     assert err.value.code == "UNKNOWN_STATE"
 
 
+@pytest.mark.parametrize(
+    "states, initial, transitions",
+    [("pq", "p", {("p", "a", "q"): 1}), ("q0", "q0", {})],
+    ids=["splits-into-states", "whole-name"],
+)
+def test_a_str_state_set_is_refused_by_name(states, initial, transitions):
+    # A str would split into one-character states, as a str event set would
+    # split into events.
+    with pytest.raises(FdesError) as err:
+        FuzzyAutomaton(states, AB, initial, transitions)
+    assert (err.value.code, err.value.message) == (
+        "UNKNOWN_STATE",
+        f"state set {states!r} must be a collection of state names",
+    )
+
+
 def test_generated_language_horizon_zero():
     assert generated_language(two_step(), 0) == lang(AB, {"eps": "1"})
 

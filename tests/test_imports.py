@@ -6,10 +6,14 @@ re-exports through ``__all__`` are not uses of their own and are left out.
 The same reading checks that only ``events`` raises ``UNKNOWN_EVENT``, so
 every unknown event goes through its checks and is named alike, and that
 only ``language`` builds an ``Index`` directly, so every other module
-reads the one kept on the plant (``Index.of``).
+reads the one kept on the plant (``Index.of``).  A fresh interpreter
+checks what ``import fdes.cli`` loads.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -105,3 +109,14 @@ def test_the_check_finds_an_index_construction():
     source = "index = Index(plant)\nindex = language.Index(plant)\nindex = Index.of(plant)\n"
     source += "Indexer(plant)\nindex: Index = Index.of(plant)\n"
     assert index_constructions(source) == [1, 2]
+
+
+def test_the_cli_starts_without_dataclasses_or_inspect():
+    # -S keeps a host's .pth imports out.  The package records are slot
+    # classes, so a command's start pays for neither module; the CLI
+    # still imports its oracle, which the benchmark reads as fdes.oracle.
+    code = "import sys, fdes.cli; print(sorted({'dataclasses', 'inspect', 'fdes.oracle'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         encoding="utf-8", check=True).stdout
+    assert out == "['fdes.oracle']\n"
