@@ -17,7 +17,7 @@ from . import approximation, oracle, predicates, synthesis
 from .automaton import generated_language
 from .errors import ConditionViolated, FdesError
 from .events import parse_event_string, render_event_string
-from .fdl import _SECTION_TABLES, FdlDocument, emit_fdl, parse_documents
+from .fdl import _KINDS, FdlDocument, emit_fdl, parse_documents
 from .grades import render_grade
 from .language import concatenation, intersection, is_sublanguage, union
 from .observation import Projection, natural_projection, project_language
@@ -34,13 +34,18 @@ def _load(paths: list[str]) -> FdlDocument:
     return parse_documents([_read(p) for p in paths])
 
 
+def _names(doc: FdlDocument, path: str, kind: str) -> list[str]:
+    """The names of one file's sections of a kind, in file order."""
+    return [name for k, name in doc.file_sections[path] if k == kind]
+
+
 def _pick(doc: FdlDocument, path: str, kind: str):
     """The unique section of a kind inside one file, resolved in the merged doc."""
-    found = [name for k, name in doc.file_sections[path] if k == kind]
+    found = _names(doc, path, kind)
     if len(found) != 1:
         names = ", ".join(found) or "none"
         raise FdesError("SYNTAX_ERROR", f"{path}: expected exactly one {kind} section, found: {names}")
-    return getattr(doc, _SECTION_TABLES[kind])[found[0]]
+    return getattr(doc, _KINDS[kind].table)[found[0]]
 
 
 def _load_plant_spec(args, sites: str | None = None):
@@ -51,8 +56,9 @@ def _load_plant_spec(args, sites: str | None = None):
     return doc, plant, spec
 
 
-def _sites_pair(doc: FdlDocument):
-    _, decl = doc.single("sites")
+def _sites_pair(doc: FdlDocument, path: str | None):
+    """The sites section of the --sites file, else the one among the inputs."""
+    decl = _pick(doc, path, "sites") if path else doc.single("sites")[1]
     alphabet = doc.alphabets[decl.alphabet_name]
     return [(Projection(alphabet, s.observable), s.controllable) for s in (decl.site1, decl.site2)]
 
@@ -130,7 +136,7 @@ def _write_out(text: str, out: str | None) -> None:
 
 def _cmd_validate(args) -> int:
     doc = _load(args.files)
-    for kind, table in _SECTION_TABLES.items():
+    for kind, (table, _, _) in _KINDS.items():
         names = sorted(getattr(doc, table))
         if names:
             print(f"{kind}: {' '.join(names)}")
@@ -150,7 +156,7 @@ def _cmd_check(args) -> int:
     elif args.property == "normal":
         report = predicates.is_normal(spec, plant, natural_projection(alphabet))
     else:
-        report = predicates.is_coobservable(spec, plant, *_sites_pair(doc))
+        report = predicates.is_coobservable(spec, plant, *_sites_pair(doc, args.sites))
     return _print_report(args.property, report, args.json)
 
 
@@ -162,7 +168,7 @@ def _cmd_synthesize(args) -> int:
         )
         out_doc = _supervisor_doc(doc, {"S": supervisor})
     else:
-        site1, site2 = _sites_pair(doc)
+        site1, site2 = _sites_pair(doc, args.sites)
         s1, s2 = synthesis.synthesize_decentralized(spec, plant, site1, site2, force=args.force)
         out_doc = _supervisor_doc(doc, {"S1": s1, "S2": s2})
     _write_out(emit_fdl(out_doc), args.out)
@@ -172,7 +178,8 @@ def _cmd_synthesize(args) -> int:
 def _cmd_closed_loop(args) -> int:
     doc = _load([args.plant] + args.supervisor)
     plant = _pick(doc, args.plant, "language")
-    supervisors = [doc.supervisors[name] for name in sorted(doc.supervisors)]
+    names = {name for path in args.supervisor for name in _names(doc, path, "supervisor")}
+    supervisors = [doc.supervisors[name] for name in sorted(names)]
     if len(supervisors) == 1:
         result = synthesis.closed_loop_central(plant, supervisors[0])
     elif len(supervisors) == 2:
@@ -228,7 +235,7 @@ def _cmd_scp(args) -> int:
 def _cmd_lang(args) -> int:
     doc = _load(args.files)
     # A file without a language section only lends definitions, such as an alphabet.
-    files = [p for p in args.files if any(k == "language" for k, _ in doc.file_sections[p])]
+    files = [p for p in args.files if _names(doc, p, "language")]
     languages = [_pick(doc, path, "language") for path in files]
 
     def operands(count: int):

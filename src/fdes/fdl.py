@@ -5,7 +5,9 @@ One document may be assembled from several files; named sections of the
 same kind may repeat only when structurally identical, so emitted artifacts
 can carry their alphabet along and still merge with the source files.
 Emission is canonical: fixed section order, names sorted, strings sorted by
-(length, lexicographic), grades rendered as shortest exact decimals.
+(length, lexicographic), grades rendered as shortest exact decimals.  It
+refuses, with the parser's code, what would not parse back to an equal
+document.
 
 Lines are numbered at "\\n" only.  A section's body is kept as its lines'
 numbers and comment-stripped text, and each builder splits a line into
@@ -21,6 +23,7 @@ missing line) at its header.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from operator import attrgetter
 
 from .automaton import FuzzyAutomaton
@@ -41,16 +44,6 @@ from .language import FuzzyLanguage
 from .observation import Projection
 from .synthesis import FuzzySupervisor
 
-# Section kind -> the FdlDocument table holding its sections, in build order.
-_SECTION_TABLES = {
-    "alphabet": "alphabets",
-    "sites": "sites",
-    "language": "languages",
-    "automaton": "automata",
-    "supervisor": "supervisors",
-}
-
-
 class SitesDecl(Record):
     """A named pair of site specifications bound to an alphabet."""
 
@@ -60,57 +53,6 @@ class SitesDecl(Record):
         object.__setattr__(self, "alphabet_name", alphabet_name)
         object.__setattr__(self, "site1", site1)
         object.__setattr__(self, "site2", site2)
-
-
-# A document's tables, which its equality and repr read; not file_sections.
-_tables = attrgetter(*_SECTION_TABLES.values())
-
-
-class FdlDocument:
-    __slots__ = (*_SECTION_TABLES.values(), "file_sections")
-
-    def __init__(
-        self,
-        alphabets: dict[str, Alphabet] | None = None,
-        sites: dict[str, SitesDecl] | None = None,
-        languages: dict[str, FuzzyLanguage] | None = None,
-        automata: dict[str, FuzzyAutomaton] | None = None,
-        supervisors: dict[str, FuzzySupervisor] | None = None,
-        file_sections: dict[str, list] | None = None,
-    ):
-        self.alphabets = {} if alphabets is None else alphabets
-        self.sites = {} if sites is None else sites
-        self.languages = {} if languages is None else languages
-        self.automata = {} if automata is None else automata
-        self.supervisors = {} if supervisors is None else supervisors
-        # Source name -> (kind, name) of each of its sections, in file order.
-        self.file_sections = {} if file_sections is None else file_sections
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return _tables(self) == _tables(other)
-
-    def __repr__(self) -> str:
-        tables = ", ".join(f"{name}={table!r}" for name, table in zip(_SECTION_TABLES.values(), _tables(self)))
-        return f"FdlDocument({tables})"
-
-    def single(self, kind: str):
-        """The unique entity of a kind, as (name, value); error otherwise."""
-        singular = next(k for k, table in _SECTION_TABLES.items() if table == kind)
-        table = getattr(self, kind)
-        if len(table) != 1:
-            names = ", ".join(sorted(table)) or "none"
-            raise FdesError(
-                "SYNTAX_ERROR", f"expected exactly one {singular} section, found: {names}"
-            )
-        return next(iter(table.items()))
-
-    def alphabet_name_of(self, alphabet: Alphabet) -> str:
-        for name, value in sorted(self.alphabets.items()):
-            if value == alphabet:
-                return name
-        return "E"
 
 
 class _RawSection:
@@ -171,7 +113,7 @@ def _split_sections(source: str, text: str) -> list[_RawSection]:
             if len(header) != 2:
                 _fail(source, lineno, "section header must be [kind name]")
             kind, name = header
-            if kind not in _SECTION_TABLES:
+            if kind not in _KINDS:
                 _fail(source, lineno, f"unknown section kind {kind!r}")
             current = _RawSection(kind, name, source, lineno)
             sections.append(current)
@@ -324,14 +266,123 @@ def _build_supervisor(section: _RawSection, alphabets: dict[str, Alphabet]) -> F
     return FuzzySupervisor(Projection(alphabet, observable), controllable, rows)
 
 
-# Section kind -> its builder; each takes (section, alphabets built so far).
-_BUILDERS = {
-    "alphabet": _build_alphabet,
-    "sites": _build_sites,
-    "language": _build_language,
-    "automaton": _build_automaton,
-    "supervisor": _build_supervisor,
+def _word_line(*parts: str) -> str:
+    return " ".join(p for p in parts if p)
+
+
+def _emit_alphabet(name: str, alphabet: Alphabet, doc: FdlDocument) -> list[str]:
+    if alphabet.sites is not None:
+        raise FdesError("SYNTAX_ERROR", "FDL writes sites as a sites section, not on an alphabet")
+    lines = [f"[alphabet {name}]", _word_line("events", " ".join(sorted(alphabet.events)))]
+    if alphabet.controllable:
+        lines.append("controllable " + " ".join(sorted(alphabet.controllable)))
+    if alphabet.observable:
+        lines.append("observable " + " ".join(sorted(alphabet.observable)))
+    return lines
+
+
+def _emit_sites(name: str, decl: SitesDecl, doc: FdlDocument) -> list[str]:
+    if decl.alphabet_name not in doc.alphabets:
+        raise FdesError("SYNTAX_ERROR", f"unknown alphabet {decl.alphabet_name!r}")
+    doc.alphabets[decl.alphabet_name].with_sites(decl.site1, decl.site2)  # as _build_sites checks them
+    lines = [f"[sites {name}]", f"alphabet {decl.alphabet_name}"]
+    for i, site in ((1, decl.site1), (2, decl.site2)):
+        lines.append(_word_line(f"site {i} controllable", " ".join(sorted(site.controllable))))
+        lines.append(_word_line(f"site {i} observable", " ".join(sorted(site.observable))))
+    return lines
+
+
+def _emit_language(name: str, language: FuzzyLanguage, doc: FdlDocument) -> list[str]:
+    lines = [f"[language {name}]", f"alphabet {doc.alphabet_name_of(language.alphabet)}"]
+    # Grades are shared objects, so each is rendered once; a Fraction
+    # costs more to hash than to render, hence id(g) as the key.
+    rendered: dict[int, str] = {}
+    for s, g in language.items():
+        text = rendered.get(id(g))
+        if text is None:
+            text = rendered[id(g)] = render_grade(g)
+        lines.append(f"{render_event_string(s)} {text}")
+    return lines
+
+
+def _emit_automaton(name: str, automaton: FuzzyAutomaton, doc: FdlDocument) -> list[str]:
+    lines = [
+        f"[automaton {name}]",
+        f"alphabet {doc.alphabet_name_of(automaton.alphabet)}",
+        "states " + " ".join(sorted(automaton.states)),
+        f"initial {automaton.initial}",
+    ]
+    for (p, a, q), g in sorted(automaton.transitions.items()):
+        lines.append(f"trans {p} {a} {q} {render_grade(g)}")
+    return lines
+
+
+def _emit_supervisor(name: str, supervisor: FuzzySupervisor, doc: FdlDocument) -> list[str]:
+    lines = [
+        f"[supervisor {name}]",
+        f"alphabet {doc.alphabet_name_of(supervisor.projection.alphabet)}",
+        _word_line("observable", " ".join(sorted(supervisor.projection.observable))),
+        _word_line("controllable", " ".join(sorted(supervisor.controllables))),
+    ]
+    for observed in sorted(supervisor.table, key=string_key):
+        lines.append(f"obs {render_event_string(observed)}")
+        row = supervisor.table[observed]
+        for event in sorted(row):
+            lines.append(f"enable {event} {render_grade(row[event])}")
+    return lines
+
+
+# The one table of section kinds, in build and emission order: each kind's
+# FdlDocument table, its builder, which takes (section, alphabets built so
+# far), and its emitter, which takes (name, value, document) and refuses
+# what the builder would refuse.
+_Kind = namedtuple("_Kind", "table build emit")
+_KINDS = {
+    "alphabet": _Kind("alphabets", _build_alphabet, _emit_alphabet),
+    "sites": _Kind("sites", _build_sites, _emit_sites),
+    "language": _Kind("languages", _build_language, _emit_language),
+    "automaton": _Kind("automata", _build_automaton, _emit_automaton),
+    "supervisor": _Kind("supervisors", _build_supervisor, _emit_supervisor),
 }
+_TABLE_NAMES = [kind.table for kind in _KINDS.values()]
+# A document's tables, which its equality and repr read; not file_sections.
+_tables = attrgetter(*_TABLE_NAMES)
+
+
+class FdlDocument:
+    __slots__ = (*_TABLE_NAMES, "file_sections")
+
+    def __init__(self, **tables: dict):
+        for table in _TABLE_NAMES:
+            value = tables.pop(table, None)
+            setattr(self, table, {} if value is None else value)
+        if tables:
+            raise TypeError(f"FdlDocument got unexpected tables: {', '.join(sorted(tables))}")
+        # Source name -> (kind, name) of each of its sections, in file order.
+        self.file_sections: dict[str, list] = {}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _tables(self) == _tables(other)
+
+    def __repr__(self) -> str:
+        tables = ", ".join(f"{name}={table!r}" for name, table in zip(_TABLE_NAMES, _tables(self)))
+        return f"FdlDocument({tables})"
+
+    def single(self, kind: str):
+        """The unique section of a kind, as (name, value); error otherwise."""
+        table = getattr(self, _KINDS[kind].table)
+        if len(table) != 1:
+            names = ", ".join(sorted(table)) or "none"
+            raise FdesError("SYNTAX_ERROR", f"expected exactly one {kind} section, found: {names}")
+        return next(iter(table.items()))
+
+    def alphabet_name_of(self, alphabet: Alphabet) -> str:
+        for name, value in sorted(self.alphabets.items()):
+            if value == alphabet:
+                return name
+        raise FdesError("SYNTAX_ERROR", "its alphabet is no alphabet section of the document")
 
 
 def parse_documents(named_texts: list[tuple[str, str]]) -> FdlDocument:
@@ -342,13 +393,14 @@ def parse_documents(named_texts: list[tuple[str, str]]) -> FdlDocument:
         split = _split_sections(source, text)
         doc.file_sections[source] = [(s.kind, s.name) for s in split]
         sections.extend(split)
-    ordered = sorted(sections, key=lambda s: list(_SECTION_TABLES).index(s.kind))
-    for section in ordered:
+    order = list(_KINDS)
+    for section in sorted(sections, key=lambda s: order.index(s.kind)):
+        kind = _KINDS[section.kind]
         try:
-            value = _BUILDERS[section.kind](section, doc.alphabets)
+            value = kind.build(section, doc.alphabets)
         except FdesError as err:
             _fail(section.source, section.at, err.message, err.code)
-        table = getattr(doc, _SECTION_TABLES[section.kind])
+        table = getattr(doc, kind.table)
         if section.name in table:
             if table[section.name] != value:
                 _fail(
@@ -370,83 +422,15 @@ def section_names(source: str, text: str, kind: str) -> list[str]:
     return [s.name for s in _split_sections(source, text) if s.kind == kind]
 
 
-def _word_line(*parts: str) -> str:
-    return " ".join(p for p in parts if p)
-
-
-def _emit_alphabet(name: str, alphabet: Alphabet) -> list[str]:
-    lines = [f"[alphabet {name}]", _word_line("events", " ".join(sorted(alphabet.events)))]
-    if alphabet.controllable:
-        lines.append("controllable " + " ".join(sorted(alphabet.controllable)))
-    if alphabet.observable:
-        lines.append("observable " + " ".join(sorted(alphabet.observable)))
-    return lines
-
-
-def _emit_sites(name: str, decl: SitesDecl) -> list[str]:
-    lines = [f"[sites {name}]", f"alphabet {decl.alphabet_name}"]
-    for i, site in ((1, decl.site1), (2, decl.site2)):
-        lines.append(_word_line(f"site {i} controllable", " ".join(sorted(site.controllable))))
-        lines.append(_word_line(f"site {i} observable", " ".join(sorted(site.observable))))
-    return lines
-
-
-def _emit_language(name: str, language: FuzzyLanguage, alphabet_name: str) -> list[str]:
-    lines = [f"[language {name}]", f"alphabet {alphabet_name}"]
-    # Grades are shared objects, so each is rendered once; a Fraction
-    # costs more to hash than to render, hence id(g) as the key.
-    rendered: dict[int, str] = {}
-    for s, g in language.items():
-        text = rendered.get(id(g))
-        if text is None:
-            text = rendered[id(g)] = render_grade(g)
-        lines.append(f"{render_event_string(s)} {text}")
-    return lines
-
-
-def _emit_automaton(name: str, automaton: FuzzyAutomaton, alphabet_name: str) -> list[str]:
-    lines = [
-        f"[automaton {name}]",
-        f"alphabet {alphabet_name}",
-        "states " + " ".join(sorted(automaton.states)),
-        f"initial {automaton.initial}",
-    ]
-    for (p, a, q), g in sorted(automaton.transitions.items()):
-        lines.append(f"trans {p} {a} {q} {render_grade(g)}")
-    return lines
-
-
-def _emit_supervisor(name: str, supervisor: FuzzySupervisor, alphabet_name: str) -> list[str]:
-    lines = [
-        f"[supervisor {name}]",
-        f"alphabet {alphabet_name}",
-        _word_line("observable", " ".join(sorted(supervisor.projection.observable))),
-        _word_line("controllable", " ".join(sorted(supervisor.controllables))),
-    ]
-    for observed in sorted(supervisor.table, key=string_key):
-        lines.append(f"obs {render_event_string(observed)}")
-        row = supervisor.table[observed]
-        for event in sorted(row):
-            lines.append(f"enable {event} {render_grade(row[event])}")
-    return lines
-
-
 def emit_fdl(doc: FdlDocument) -> str:
-    """Canonical text for a document; reparsing yields an equal document."""
+    """Canonical text for a document; reparsing yields an equal document.
+    A section the parser would refuse is refused here, with its code."""
     blocks: list[list[str]] = []
-    for name in sorted(doc.alphabets):
-        blocks.append(_emit_alphabet(name, doc.alphabets[name]))
-    for name in sorted(doc.sites):
-        blocks.append(_emit_sites(name, doc.sites[name]))
-    for name in sorted(doc.languages):
-        language = doc.languages[name]
-        blocks.append(_emit_language(name, language, doc.alphabet_name_of(language.alphabet)))
-    for name in sorted(doc.automata):
-        automaton = doc.automata[name]
-        blocks.append(_emit_automaton(name, automaton, doc.alphabet_name_of(automaton.alphabet)))
-    for name in sorted(doc.supervisors):
-        supervisor = doc.supervisors[name]
-        blocks.append(
-            _emit_supervisor(name, supervisor, doc.alphabet_name_of(supervisor.projection.alphabet))
-        )
+    for kind, (table_name, _, emit) in _KINDS.items():
+        table = getattr(doc, table_name)
+        for name in sorted(table):
+            try:
+                blocks.append(emit(name, table[name], doc))
+            except FdesError as err:
+                raise FdesError(err.code, f"{kind} {name!r}: {err.message}") from None
     return "\n\n".join("\n".join(block) for block in blocks) + "\n"

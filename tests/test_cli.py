@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -10,6 +11,7 @@ from pathlib import Path
 
 from fdes import cli
 from fdes.cli import run_command
+from fdes.fdl import parse_fdl
 
 DATA = Path(__file__).parent / "data"
 
@@ -107,6 +109,36 @@ def test_check_coobservable_medical(capsys):
     )
     assert code == 0
     assert "check coobservable: holds" in capsys.readouterr().out
+
+
+# The medical sites with the two observers swapped: S1 then observes b2.
+OTHER_SITES = """[sites OTHER]
+alphabet MED
+site 1 controllable a1 a2
+site 1 observable a1 a2 b2 b3
+site 2 controllable a1 a2
+site 2 observable a1 a2 b1 b3
+"""
+
+
+def _other_sites_inputs(tmp_path) -> list[str]:
+    sites = tmp_path / "other.fdl"
+    sites.write_text(OTHER_SITES, encoding="utf-8")
+    return ["--plant", MEDICAL, "--spec", MEDICAL, "--sites", str(sites)]
+
+
+def test_check_reads_sites_from_the_sites_file(tmp_path, capsys):
+    assert run_command(["check", "--property", "coobservable", *_other_sites_inputs(tmp_path)]) == 0
+    assert "check coobservable: holds" in capsys.readouterr().out
+
+
+def test_synthesize_decentralized_reads_sites_from_the_sites_file(tmp_path):
+    out = tmp_path / "S12.fdl"
+    inputs = _other_sites_inputs(tmp_path)
+    assert run_command(["synthesize", "--mode", "decentralized", *inputs, "--out", str(out)]) == 0
+    doc = parse_fdl(out.read_text(encoding="utf-8"))
+    assert doc.supervisors["S1"].projection.observable == {"a1", "a2", "b2", "b3"}
+    assert doc.supervisors["S2"].projection.observable == {"a1", "a2", "b1", "b3"}
 
 
 def test_check_usage_error_exit_2(capsys):
@@ -452,6 +484,26 @@ def test_closed_loop_rejects_three_supervisors(tmp_path, capsys):
     )
     assert code == 2
     assert "error[SYNTAX_ERROR]: closed-loop needs one or two supervisor sections" in capsys.readouterr().err
+
+
+def test_closed_loop_takes_supervisors_from_its_supervisor_files_only(tmp_path, capsys):
+    sup = tmp_path / "S.fdl"
+    assert run_command(
+        ["synthesize", "--mode", "central", "--plant", CENTRAL_PLANT, "--spec", CENTRAL_SPEC, "--out", str(sup)]
+    ) == 0
+    # A supervisor X in the plant file that disables every controllable event.
+    blocking = re.sub(r"enable ([abc]) \S+", r"enable \1 0", sup.read_text(encoding="utf-8"))
+    plant = tmp_path / "plant.fdl"
+    plant.write_text(
+        Path(CENTRAL_PLANT).read_text(encoding="utf-8") + "\n" + blocking.replace("[supervisor S]", "[supervisor X]"),
+        encoding="utf-8",
+    )
+    loops = []
+    for plant_file in (CENTRAL_PLANT, str(plant)):
+        out = tmp_path / f"loop{len(loops)}.fdl"
+        assert run_command(["closed-loop", "--plant", plant_file, "--supervisor", str(sup), "--out", str(out)]) == 0
+        loops.append(out.read_text(encoding="utf-8"))
+    assert loops[1] == loops[0] and "\na 0.7\n" in loops[0]
 
 
 def test_unwritable_out_is_an_io_error(tmp_path, capsys):

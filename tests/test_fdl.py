@@ -11,10 +11,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fdes import Alphabet, FdesError, natural_projection, synthesize_central
-from fdes.fdl import FdlDocument, emit_fdl, parse_documents, parse_fdl
+from fdes import (
+    Alphabet,
+    FdesError,
+    FuzzyAutomaton,
+    FuzzySupervisor,
+    SiteSpec,
+    natural_projection,
+    synthesize_central,
+)
+from fdes.fdl import FdlDocument, SitesDecl, emit_fdl, parse_documents, parse_fdl
 from fdes.grades import parse_grade
-from helpers import central_example, medical_example
+from helpers import central_example, lang, medical_example, random_supervisor
+from theorems import make_instance
 from test_cli_fuzz import AUTOMATON, _mutate
 
 DATA = Path(__file__).parent / "data"
@@ -439,3 +448,85 @@ def test_the_bad_event_reported_does_not_depend_on_the_string_hash():
         for hash_seed in ("0", "1", "2", "3", "4", "5")
     }
     assert outputs == {"MALFORMED_EVENT bad event identifier: 'b-c'\n" * 2}
+
+
+def _covering_sites(rng, alphabet):
+    """Two site specifications that pass ``Alphabet.with_sites``: each
+    event of E_c (resp. E_o) goes to site 1, site 2 or both."""
+    parts = []
+    for whole in (alphabet.controllable, alphabet.observable):
+        buckets = {e: rng.randint(0, 2) for e in sorted(whole)}
+        parts.append([frozenset(e for e, b in buckets.items() if b in picks) for picks in ((0, 2), (1, 2))])
+    (c1, c2), (o1, o2) = parts
+    return SiteSpec(c1, o1), SiteSpec(c2, o2)
+
+
+def _random_document(rng):
+    alphabet, lattice, plant, spec, pr = make_instance(rng)
+    states = [f"q{i}" for i in range(rng.randint(1, 3))]
+    transitions = {
+        (p, e, q): rng.choice(lattice[1:])
+        for p in states for e in sorted(alphabet.events) for q in states if rng.random() < 0.3
+    }
+    return FdlDocument(
+        alphabets={"E": alphabet},
+        sites={"P": SitesDecl("E", *_covering_sites(rng, alphabet))},
+        languages={"L": plant, "K": spec},
+        automata={"G": FuzzyAutomaton(frozenset(states), alphabet, states[0], transitions)},
+        supervisors={"S": random_supervisor(rng, plant, pr, alphabet.controllable, lattice)},
+    )
+
+
+def test_emitted_documents_of_every_kind_parse_back_equal():
+    rng = random.Random(2020)
+    for round_ in range(200):
+        doc = _random_document(rng)
+        text = emit_fdl(doc)
+        assert parse_fdl(text) == doc, (round_, text)
+        assert emit_fdl(parse_fdl(text)) == text, round_
+
+
+_E = Alphabet({"a", "b"}, controllable={"a"}, observable={"a", "b"})
+_SITES = (SiteSpec({"a"}, {"a"}), SiteSpec(set(), {"b"}))
+
+
+@pytest.mark.parametrize(
+    "doc, code, message, refused_text",
+    [
+        (FdlDocument(languages={"L": lang(_E, {"eps": "1", "a": "0.5"})}), "SYNTAX_ERROR",
+         "language 'L': its alphabet is no alphabet section of the document",
+         "[language L]\nalphabet E\neps 1\n"),
+        (FdlDocument(automata={"G": FuzzyAutomaton({"q"}, _E, "q", {})}), "SYNTAX_ERROR",
+         "automaton 'G': its alphabet is no alphabet section of the document",
+         "[automaton G]\nalphabet E\nstates q\ninitial q\n"),
+        (FdlDocument(supervisors={"S": FuzzySupervisor(natural_projection(_E), {"a"}, {})}), "SYNTAX_ERROR",
+         "supervisor 'S': its alphabet is no alphabet section of the document",
+         "[supervisor S]\nalphabet E\nobservable a b\ncontrollable a\n"),
+        (FdlDocument(alphabets={"E": _E}, sites={"P": SitesDecl("F", *_SITES)}), "SYNTAX_ERROR",
+         "sites 'P': unknown alphabet 'F'", "[alphabet E]\nevents a b\n\n[sites P]\nalphabet F\n"),
+        (FdlDocument(alphabets={"E": _E.with_sites(*_SITES)}), "SYNTAX_ERROR",
+         "alphabet 'E': FDL writes sites as a sites section, not on an alphabet",
+         "[alphabet E]\nevents a b\nsites P\n"),
+        (FdlDocument(alphabets={"E": _E}, sites={"P": SitesDecl("E", _SITES[0], SiteSpec(set(), set()))}),
+         "SITE_COVER_VIOLATION", "sites 'P': site observable sets do not cover E_o: missing b",
+         "[alphabet E]\nevents a b\ncontrollable a\nobservable a b\n\n"
+         "[sites P]\nalphabet E\nsite 1 controllable a\nsite 1 observable a\n"),
+    ],
+    ids=["language", "automaton", "supervisor", "sites", "alphabet-with-sites", "site-cover"],
+)
+def test_emission_refuses_what_would_not_parse_back(doc, code, message, refused_text):
+    with pytest.raises(FdesError) as err:
+        emit_fdl(doc)
+    assert (err.value.code, err.value.message) == (code, message)
+    with pytest.raises(FdesError) as err:
+        parse_fdl(refused_text)
+    assert err.value.code == code
+
+
+def test_single_takes_a_kind_and_the_constructor_takes_only_tables():
+    doc = parse_fdl((DATA / "medical.fdl").read_text(encoding="utf-8"))
+    assert doc.single("sites")[0] == "PHYSICIANS"
+    with pytest.raises(FdesError, match="expected exactly one language section, found: none"):
+        FdlDocument().single("language")
+    with pytest.raises(TypeError):
+        FdlDocument(file_sections={})
