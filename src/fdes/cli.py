@@ -31,34 +31,22 @@ def _read(path: str) -> tuple[str, str]:
 
 
 def _load(paths: list[str]) -> FdlDocument:
-    return parse_documents([_read(p) for p in paths])
-
-
-def _names(doc: FdlDocument, path: str, kind: str) -> list[str]:
-    """The names of one file's sections of a kind, in file order."""
-    return [name for k, name in doc.file_sections[path] if k == kind]
-
-
-def _pick(doc: FdlDocument, path: str, kind: str):
-    """The unique section of a kind inside one file, resolved in the merged doc."""
-    found = _names(doc, path, kind)
-    if len(found) != 1:
-        names = ", ".join(found) or "none"
-        raise FdesError("SYNTAX_ERROR", f"{path}: expected exactly one {kind} section, found: {names}")
-    return getattr(doc, _KINDS[kind].table)[found[0]]
+    """One document from the files named, each read and parsed once
+    however many options name it, in the order first named."""
+    return parse_documents([_read(p) for p in dict.fromkeys(paths)])
 
 
 def _load_plant_spec(args, sites: str | None = None):
     """Load --plant, --spec and the sites file if given; pick the two languages."""
     doc = _load([args.plant, args.spec] + ([sites] if sites else []))
-    plant = _pick(doc, args.plant, "language")
-    spec = _pick(doc, args.spec, "language")
+    plant = doc.single("language", args.plant)[1]
+    spec = doc.single("language", args.spec)[1]
     return doc, plant, spec
 
 
 def _sites_pair(doc: FdlDocument, path: str | None):
     """The sites section of the --sites file, else the one among the inputs."""
-    decl = _pick(doc, path, "sites") if path else doc.single("sites")[1]
+    decl = doc.single("sites", path)[1]
     alphabet = doc.alphabets[decl.alphabet_name]
     return [(Projection(alphabet, s.observable), s.controllable) for s in (decl.site1, decl.site2)]
 
@@ -84,16 +72,11 @@ def _report_json(prop: str, report: CheckReport) -> str:
 
 
 def _witness_text(w: predicates.Witness) -> str:
-    parts = [f"witness {w.kind}:"]
-    parts.append("strings=(" + ", ".join(render_event_string(s) for s in w.strings) + ")")
-    if w.event is not None:
-        parts.append(f"event={w.event}")
-    if w.lhs is not None:
-        parts.append(f"lhs={render_grade(w.lhs)}")
-    if w.rhs is not None:
-        parts.append(f"rhs={render_grade(w.rhs)}")
-    if w.projection_class:
-        parts.append("class={" + ", ".join(render_event_string(s) for s in w.projection_class) + "}")
+    fields = _witness_json(w)
+    parts = [f"witness {w.kind}:", "strings=(" + ", ".join(fields["strings"]) + ")"]
+    parts += [f"{key}={fields[key]}" for key in ("event", "lhs", "rhs") if fields[key] is not None]
+    if fields["projection_class"]:
+        parts.append("class={" + ", ".join(fields["projection_class"]) + "}")
     return " ".join(parts)
 
 
@@ -107,21 +90,11 @@ def _print_report(prop: str, report: CheckReport, as_json: bool) -> int:
     return 0 if report.holds else 1
 
 
-def _language_doc(doc: FdlDocument, name: str, language) -> FdlDocument:
-    out = FdlDocument()
-    alphabet_name = doc.alphabet_name_of(language.alphabet)
-    out.alphabets[alphabet_name] = language.alphabet
-    out.languages[name] = language
-    return out
-
-
-def _supervisor_doc(doc: FdlDocument, supervisors: dict) -> FdlDocument:
-    out = FdlDocument()
-    for name, sup in supervisors.items():
-        alphabet = sup.projection.alphabet
-        out.alphabets[doc.alphabet_name_of(alphabet)] = alphabet
-        out.supervisors[name] = sup
-    return out
+def _emit_result(named: FdlDocument, table: str, sections: dict, alphabet) -> str:
+    """The text of one result document: ``sections`` in one table, and the
+    alphabet they all read, under the name of its section in ``named``."""
+    alphabets = {named.alphabet_name_of(alphabet): alphabet}
+    return emit_fdl(FdlDocument(alphabets=alphabets, **{table: sections}))
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -163,22 +136,22 @@ def _cmd_check(args) -> int:
 def _cmd_synthesize(args) -> int:
     doc, plant, spec = _load_plant_spec(args, args.sites)
     if args.mode == "central":
-        supervisor = synthesis.synthesize_central(
+        supervisors = {"S": synthesis.synthesize_central(
             spec, plant, natural_projection(plant.alphabet), force=args.force
-        )
-        out_doc = _supervisor_doc(doc, {"S": supervisor})
+        )}
     else:
         site1, site2 = _sites_pair(doc, args.sites)
         s1, s2 = synthesis.synthesize_decentralized(spec, plant, site1, site2, force=args.force)
-        out_doc = _supervisor_doc(doc, {"S1": s1, "S2": s2})
-    _write_out(emit_fdl(out_doc), args.out)
+        supervisors = {"S1": s1, "S2": s2}
+    # Synthesis refuses a site observing through any other alphabet than the plant's.
+    _write_out(_emit_result(doc, "supervisors", supervisors, plant.alphabet), args.out)
     return 0
 
 
 def _cmd_closed_loop(args) -> int:
     doc = _load([args.plant] + args.supervisor)
-    plant = _pick(doc, args.plant, "language")
-    names = {name for path in args.supervisor for name in _names(doc, path, "supervisor")}
+    plant = doc.single("language", args.plant)[1]
+    names = {name for path in args.supervisor for name in doc.names("supervisor", path)}
     supervisors = [doc.supervisors[name] for name in sorted(names)]
     if len(supervisors) == 1:
         result = synthesis.closed_loop_central(plant, supervisors[0])
@@ -186,7 +159,7 @@ def _cmd_closed_loop(args) -> int:
         result = synthesis.closed_loop_decentralized(plant, supervisors[0], supervisors[1])
     else:
         raise FdesError("SYNTAX_ERROR", "closed-loop needs one or two supervisor sections")
-    _write_out(emit_fdl(_language_doc(doc, "closed_loop", result)), args.out)
+    _write_out(_emit_result(doc, "languages", {"closed_loop": result}, result.alphabet), args.out)
     return 0
 
 
@@ -199,15 +172,15 @@ def _cmd_extremal(args, which: str) -> int:
     else:
         result = approximation.supremal_cn(spec, plant, pr)
         name = "supremal_cn"
-    _write_out(emit_fdl(_language_doc(doc, name, result)), args.out)
+    _write_out(_emit_result(doc, "languages", {name: result}, result.alphabet), args.out)
     return 0
 
 
 def _cmd_scp(args) -> int:
     doc = _load([args.plant, args.min, args.max])
-    plant = _pick(doc, args.plant, "language")
-    minimal = _pick(doc, args.min, "language")
-    legal = _pick(doc, args.max, "language")
+    plant = doc.single("language", args.plant)[1]
+    minimal = doc.single("language", args.min)[1]
+    legal = doc.single("language", args.max)[1]
     result = approximation.solve_scp(minimal, legal, plant, natural_projection(plant.alphabet))
     if args.json:
         payload = {
@@ -218,7 +191,7 @@ def _cmd_scp(args) -> int:
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     if result.solvable:
-        supervisor_text = emit_fdl(_supervisor_doc(doc, {"S": result.supervisor}))
+        supervisor_text = _emit_result(doc, "supervisors", {"S": result.supervisor}, plant.alphabet)
         if not args.json:
             print("scp: solvable")
             _write_out(supervisor_text, args.out)
@@ -228,15 +201,16 @@ def _cmd_scp(args) -> int:
     if not args.json:
         print("scp: no solution; the infimal controllable and observable "
               "superlanguage of the minimal behavior exceeds the legal bound")
-        print(emit_fdl(_language_doc(doc, "infimal_co", result.infimal)), end="")
+        infimal = result.infimal
+        print(_emit_result(doc, "languages", {"infimal_co": infimal}, infimal.alphabet), end="")
     return 1
 
 
 def _cmd_lang(args) -> int:
     doc = _load(args.files)
     # A file without a language section only lends definitions, such as an alphabet.
-    files = [p for p in args.files if _names(doc, p, "language")]
-    languages = [_pick(doc, path, "language") for path in files]
+    files = [p for p in args.files if doc.names("language", p)]
+    languages = [doc.single("language", path)[1] for path in files]
 
     def operands(count: int):
         if len(languages) != count:
@@ -248,7 +222,7 @@ def _cmd_lang(args) -> int:
         a, b = operands(2)
         ops = {"union": union, "intersect": intersection, "concat": concatenation}
         result = ops[args.op](a, b)
-        _write_out(emit_fdl(_language_doc(doc, "result", result)), args.out)
+        _write_out(_emit_result(doc, "languages", {"result": result}, result.alphabet), args.out)
         return 0
     if args.op == "sublanguage":
         a, b = operands(2)
@@ -263,10 +237,9 @@ def _cmd_lang(args) -> int:
             observable = language.alphabet.observable
         pr = Projection(language.alphabet, observable)
         result = project_language(pr, language)
-        out_doc = FdlDocument()
-        out_doc.alphabets["E_o"] = result.alphabet
-        out_doc.languages["result"] = result
-        _write_out(emit_fdl(out_doc), args.out)
+        # The image lives over E_o, which no input names.
+        named = FdlDocument(alphabets={"E_o": result.alphabet})
+        _write_out(_emit_result(named, "languages", {"result": result}, result.alphabet), args.out)
         return 0
     if args.op == "grade":
         if args.string is None:
@@ -280,9 +253,9 @@ def _cmd_lang(args) -> int:
 
 def _cmd_gen(args) -> int:
     doc = _load([args.plant])
-    automaton = _pick(doc, args.plant, "automaton")
+    automaton = doc.single("automaton", args.plant)[1]
     result = generated_language(automaton, args.horizon)
-    _write_out(emit_fdl(_language_doc(doc, "generated", result)), args.out)
+    _write_out(_emit_result(doc, "languages", {"generated": result}, result.alphabet), args.out)
     return 0
 
 
@@ -299,7 +272,7 @@ def _cmd_oracle(args) -> int:
     else:
         result = oracle.brute_supremal_cn(spec, plant, pr, budget=args.budget)
         name = "oracle_supremal_cn"
-    _write_out(emit_fdl(_language_doc(doc, name, result)), args.out)
+    _write_out(_emit_result(doc, "languages", {name: result}, result.alphabet), args.out)
     return 0
 
 

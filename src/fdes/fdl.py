@@ -266,6 +266,15 @@ def _build_supervisor(section: _RawSection, alphabets: dict[str, Alphabet]) -> F
     return FuzzySupervisor(Projection(alphabet, observable), controllable, rows)
 
 
+def _check_name(name: str) -> None:
+    """The one rule for section and state names, which the parser's line
+    split implies: a name is non-empty and holds no '#' and no character
+    for which ``str.isspace`` is true."""
+    if "#" in name or name.split() != [name]:
+        raise FdesError("SYNTAX_ERROR", f"bad name {name!r}: a name is non-empty, "
+                        "with no whitespace and no '#'")
+
+
 def _word_line(*parts: str) -> str:
     return " ".join(p for p in parts if p)
 
@@ -306,10 +315,14 @@ def _emit_language(name: str, language: FuzzyLanguage, doc: FdlDocument) -> list
 
 
 def _emit_automaton(name: str, automaton: FuzzyAutomaton, doc: FdlDocument) -> list[str]:
+    # Transitions and the initial state only name states of this set.
+    states = sorted(automaton.states)
+    for state in states:
+        _check_name(state)
     lines = [
         f"[automaton {name}]",
         f"alphabet {doc.alphabet_name_of(automaton.alphabet)}",
-        "states " + " ".join(sorted(automaton.states)),
+        "states " + " ".join(states),
         f"initial {automaton.initial}",
     ]
     for (p, a, q), g in sorted(automaton.transitions.items()):
@@ -370,13 +383,20 @@ class FdlDocument:
         tables = ", ".join(f"{name}={table!r}" for name, table in zip(_TABLE_NAMES, _tables(self)))
         return f"FdlDocument({tables})"
 
-    def single(self, kind: str):
-        """The unique section of a kind, as (name, value); error otherwise."""
+    def single(self, kind: str, source: str | None = None):
+        """The unique section of a kind, as (name, value): among the
+        sections of the file ``source``, else of the whole document."""
         table = getattr(self, _KINDS[kind].table)
-        if len(table) != 1:
-            names = ", ".join(sorted(table)) or "none"
-            raise FdesError("SYNTAX_ERROR", f"expected exactly one {kind} section, found: {names}")
-        return next(iter(table.items()))
+        found = sorted(table) if source is None else self.names(kind, source)
+        if len(found) != 1:
+            where = "" if source is None else f"{source}: "
+            names = ", ".join(found) or "none"
+            raise FdesError("SYNTAX_ERROR", f"{where}expected exactly one {kind} section, found: {names}")
+        return found[0], table[found[0]]
+
+    def names(self, kind: str, source: str) -> list[str]:
+        """The names of one file's sections of a kind, in file order."""
+        return [name for k, name in self.file_sections[source] if k == kind]
 
     def alphabet_name_of(self, alphabet: Alphabet) -> str:
         for name, value in sorted(self.alphabets.items()):
@@ -430,6 +450,7 @@ def emit_fdl(doc: FdlDocument) -> str:
         table = getattr(doc, table_name)
         for name in sorted(table):
             try:
+                _check_name(name)
                 blocks.append(emit(name, table[name], doc))
             except FdesError as err:
                 raise FdesError(err.code, f"{kind} {name!r}: {err.message}") from None

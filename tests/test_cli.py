@@ -9,6 +9,8 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
+
 from fdes import cli
 from fdes.cli import run_command
 from fdes.fdl import parse_fdl
@@ -539,6 +541,23 @@ def test_each_file_must_hold_exactly_one_picked_section(tmp_path, capsys):
     for argv, message in cases:
         assert run_command(argv) == 2
         assert f"error[SYNTAX_ERROR]: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, reads",
+    [
+        (["check", "--property", "coobservable", "--plant", MEDICAL, "--spec", MEDICAL, "--sites", MEDICAL],
+         [MEDICAL]),
+        (["scp", "--plant", CENTRAL_PLANT, "--min", CENTRAL_SPEC, "--max", CENTRAL_SPEC, "--json"],
+         [CENTRAL_PLANT, CENTRAL_SPEC]),
+    ],
+    ids=["check-coobservable", "scp"],
+)
+def test_each_file_is_read_once_however_many_options_name_it(monkeypatch, capsys, argv, reads):
+    read, seen = cli._read, []
+    monkeypatch.setattr(cli, "_read", lambda path: seen.append(path) or read(path))
+    assert run_command(argv) == 0, capsys.readouterr().err
+    assert seen == reads
 
 
 def _captured(argv):

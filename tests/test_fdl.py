@@ -461,19 +461,26 @@ def _covering_sites(rng, alphabet):
     return SiteSpec(c1, o1), SiteSpec(c2, o2)
 
 
+# Section and state names that read back whole, odd ones included: a name
+# is any non-empty run of characters with no whitespace and no '#'.
+_NAMES = ["E", "q0", "a]b", "[x", "]", "é", "x[1]", "ß.2"]
+
+
 def _random_document(rng):
     alphabet, lattice, plant, spec, pr = make_instance(rng)
-    states = [f"q{i}" for i in range(rng.randint(1, 3))]
+    E, P, G, S = (rng.choice(_NAMES) for _ in range(4))
+    L, K = rng.sample(_NAMES, 2)
+    states = rng.sample(_NAMES, rng.randint(1, 3))
     transitions = {
         (p, e, q): rng.choice(lattice[1:])
         for p in states for e in sorted(alphabet.events) for q in states if rng.random() < 0.3
     }
     return FdlDocument(
-        alphabets={"E": alphabet},
-        sites={"P": SitesDecl("E", *_covering_sites(rng, alphabet))},
-        languages={"L": plant, "K": spec},
-        automata={"G": FuzzyAutomaton(frozenset(states), alphabet, states[0], transitions)},
-        supervisors={"S": random_supervisor(rng, plant, pr, alphabet.controllable, lattice)},
+        alphabets={E: alphabet},
+        sites={P: SitesDecl(E, *_covering_sites(rng, alphabet))},
+        languages={L: plant, K: spec},
+        automata={G: FuzzyAutomaton(frozenset(states), alphabet, states[0], transitions)},
+        supervisors={S: random_supervisor(rng, plant, pr, alphabet.controllable, lattice)},
     )
 
 
@@ -488,6 +495,10 @@ def test_emitted_documents_of_every_kind_parse_back_equal():
 
 _E = Alphabet({"a", "b"}, controllable={"a"}, observable={"a", "b"})
 _SITES = (SiteSpec({"a"}, {"a"}), SiteSpec(set(), {"b"}))
+
+
+def _bad_name(name):
+    return f"bad name {name!r}: a name is non-empty, with no whitespace and no '#'"
 
 
 @pytest.mark.parametrize(
@@ -511,8 +522,16 @@ _SITES = (SiteSpec({"a"}, {"a"}), SiteSpec(set(), {"b"}))
          "SITE_COVER_VIOLATION", "sites 'P': site observable sets do not cover E_o: missing b",
          "[alphabet E]\nevents a b\ncontrollable a\nobservable a b\n\n"
          "[sites P]\nalphabet E\nsite 1 controllable a\nsite 1 observable a\n"),
+        (FdlDocument(alphabets={"E E": _E}), "SYNTAX_ERROR", f"alphabet 'E E': {_bad_name('E E')}",
+         "[alphabet E E]\nevents a b\n"),
+        (FdlDocument(alphabets={"a#b": _E}), "SYNTAX_ERROR", f"alphabet 'a#b': {_bad_name('a#b')}",
+         "[alphabet a#b]\nevents a b\n"),
+        (FdlDocument(alphabets={"E": _E}, automata={"G": FuzzyAutomaton({"q 0"}, _E, "q 0", {})}),
+         "SYNTAX_ERROR", f"automaton 'G': {_bad_name('q 0')}",
+         "[alphabet E]\nevents a b\n\n[automaton G]\nalphabet E\nstates q 0\ninitial q 0\n"),
     ],
-    ids=["language", "automaton", "supervisor", "sites", "alphabet-with-sites", "site-cover"],
+    ids=["language", "automaton", "supervisor", "sites", "alphabet-with-sites", "site-cover",
+         "name-with-space", "name-with-hash", "state-with-space"],
 )
 def test_emission_refuses_what_would_not_parse_back(doc, code, message, refused_text):
     with pytest.raises(FdesError) as err:
@@ -521,6 +540,46 @@ def test_emission_refuses_what_would_not_parse_back(doc, code, message, refused_
     with pytest.raises(FdesError) as err:
         parse_fdl(refused_text)
     assert err.value.code == code
+
+
+@pytest.mark.parametrize(
+    "doc, bad, written",
+    [
+        (FdlDocument(alphabets={"E ": _E}), "alphabet 'E '", "[alphabet E ]\nevents a b\n"
+         "controllable a\nobservable a b\n"),
+        (FdlDocument(alphabets={"E": _E}, automata={"G": FuzzyAutomaton({"q "}, _E, "q ", {})}),
+         "automaton 'G'", "[alphabet E]\nevents a b\ncontrollable a\nobservable a b\n\n"
+         "[automaton G]\nalphabet E\nstates q \ninitial q \n"),
+    ],
+    ids=["trailing-space-name", "trailing-space-state"],
+)
+def test_emission_refuses_names_that_would_parse_back_unequal(doc, bad, written):
+    # ``written`` is these documents with each name written as it is: it
+    # parses without error, to another document.
+    assert parse_fdl(written) != doc
+    with pytest.raises(FdesError) as err:
+        emit_fdl(doc)
+    assert err.value.code == "SYNTAX_ERROR" and err.value.message.startswith(f"{bad}: bad name ")
+
+
+def test_single_picks_within_one_file_in_file_order():
+    doc = parse_documents([
+        ("a.fdl", "[alphabet E]\nevents a\n\n[language L]\nalphabet E\neps 1\n\n"
+                  "[language K]\nalphabet E\neps 1\na 0.5\n"),
+        ("b.fdl", "[language M]\nalphabet E\neps 1\n"),
+    ])
+    assert doc.single("language", "b.fdl") == ("M", doc.languages["M"])
+    assert doc.single("alphabet", "a.fdl") == doc.single("alphabet") == ("E", doc.alphabets["E"])
+    assert doc.names("language", "a.fdl") == ["L", "K"] and doc.names("alphabet", "b.fdl") == []
+    cases = [
+        (("language", "a.fdl"), "a.fdl: expected exactly one language section, found: L, K"),
+        (("alphabet", "b.fdl"), "b.fdl: expected exactly one alphabet section, found: none"),
+        (("language",), "expected exactly one language section, found: K, L, M"),
+    ]
+    for args, message in cases:
+        with pytest.raises(FdesError) as err:
+            doc.single(*args)
+        assert (err.value.code, err.value.message) == ("SYNTAX_ERROR", message)
 
 
 def test_single_takes_a_kind_and_the_constructor_takes_only_tables():
