@@ -127,9 +127,7 @@ class ScpResult(Record):
     __slots__ = ("solvable", "supervisor", "infimal")
 
     def __init__(self, solvable: bool, supervisor: FuzzySupervisor | None, infimal: FuzzyLanguage):
-        object.__setattr__(self, "solvable", solvable)
-        object.__setattr__(self, "supervisor", supervisor)
-        object.__setattr__(self, "infimal", infimal)
+        self._set(solvable, supervisor, infimal)
 
 
 def solve_scp(

@@ -41,10 +41,7 @@ class FuzzyAutomaton(Record):
             g = as_grade(g)
             if g > ZERO:
                 cleaned[(p, a, q)] = g
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "transitions", cleaned)
+        self._set(states, alphabet, initial, cleaned)
 
     def _check_state(self, state: str) -> str:
         if state not in self.states:

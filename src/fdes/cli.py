@@ -163,15 +163,10 @@ def _cmd_closed_loop(args) -> int:
     return 0
 
 
-def _cmd_extremal(args, which: str) -> int:
+def _cmd_extremal(args) -> int:
     doc, plant, spec = _load_plant_spec(args)
-    pr = natural_projection(plant.alphabet)
-    if which == "infimal-co":
-        result = approximation.infimal_co(spec, plant, pr)
-        name = "infimal_co"
-    else:
-        result = approximation.supremal_cn(spec, plant, pr)
-        name = "supremal_cn"
+    name = args.command.replace("-", "_")  # the function, and the section it writes
+    result = getattr(approximation, name)(spec, plant, natural_projection(plant.alphabet))
     _write_out(_emit_result(doc, "languages", {name: result}, result.alphabet), args.out)
     return 0
 
@@ -190,20 +185,18 @@ def _cmd_scp(args) -> int:
             },
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
-    if result.solvable:
-        supervisor_text = _emit_result(doc, "supervisors", {"S": result.supervisor}, plant.alphabet)
-        if not args.json:
-            print("scp: solvable")
-            _write_out(supervisor_text, args.out)
-        elif args.out:
-            _write_out(supervisor_text, args.out)
-        return 0
-    if not args.json:
+    elif result.solvable:
+        print("scp: solvable")
+    else:
         print("scp: no solution; the infimal controllable and observable "
               "superlanguage of the minimal behavior exceeds the legal bound")
         infimal = result.infimal
         print(_emit_result(doc, "languages", {"infimal_co": infimal}, infimal.alphabet), end="")
-    return 1
+    # A supervisor is emitted only where it is written: to --out, else to
+    # stdout unless --json took it.
+    if result.solvable and (args.out or not args.json):
+        _write_out(_emit_result(doc, "supervisors", {"S": result.supervisor}, plant.alphabet), args.out)
+    return 0 if result.solvable else 1
 
 
 def _cmd_lang(args) -> int:
@@ -288,81 +281,57 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="parse and validate FDL files")
-    p.add_argument("files", nargs="+")
-    p.set_defaults(func=_cmd_validate)
+    def command(name: str, help: str, func, *files: str, out: bool = True, **choose: list[str]):
+        """A subcommand: its handler, a required option per keyword (listing its
+        choices) and per flag of ``files``, then --out unless ``out`` is false."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        for option, choices in choose.items():
+            p.add_argument(f"--{option}", required=True, choices=choices)
+        for flag in files:
+            p.add_argument(flag, required=True)
+        if out:
+            p.add_argument("--out")
+        return p
 
-    p = sub.add_parser("check", help="check a property of a specification against a plant")
-    p.add_argument(
-        "--property",
-        required=True,
-        choices=["controllable", "observable", "strongly-observable", "normal", "coobservable"],
-    )
-    p.add_argument("--plant", required=True)
-    p.add_argument("--spec", required=True)
+    p = command("validate", "parse and validate FDL files", _cmd_validate, out=False)
+    p.add_argument("files", nargs="+")
+
+    p = command("check", "check a property of a specification against a plant", _cmd_check,
+                "--plant", "--spec", out=False,
+                property=["controllable", "observable", "strongly-observable", "normal", "coobservable"])
     p.add_argument("--sites")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("synthesize", help="synthesize a supervisor for a specification")
-    p.add_argument("--mode", required=True, choices=["central", "decentralized"])
-    p.add_argument("--plant", required=True)
-    p.add_argument("--spec", required=True)
+    p = command("synthesize", "synthesize a supervisor for a specification", _cmd_synthesize,
+                "--plant", "--spec", mode=["central", "decentralized"])
     p.add_argument("--sites")
     p.add_argument("--force", action="store_true",
                    help="emit the formula supervisor even when the preconditions fail")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_synthesize)
 
-    p = sub.add_parser("closed-loop", help="compute the supervised behavior")
-    p.add_argument("--plant", required=True)
+    p = command("closed-loop", "compute the supervised behavior", _cmd_closed_loop, "--plant")
     p.add_argument("--supervisor", required=True, action="append")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_closed_loop)
 
-    p = sub.add_parser("infimal-co", help="least controllable and observable superlanguage")
-    p.add_argument("--plant", required=True)
-    p.add_argument("--spec", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=lambda a: _cmd_extremal(a, "infimal-co"))
+    command("infimal-co", "least controllable and observable superlanguage", _cmd_extremal,
+            "--plant", "--spec")
+    command("supremal-cn", "greatest controllable and normal sublanguage", _cmd_extremal,
+            "--plant", "--spec")
 
-    p = sub.add_parser("supremal-cn", help="greatest controllable and normal sublanguage")
-    p.add_argument("--plant", required=True)
-    p.add_argument("--spec", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=lambda a: _cmd_extremal(a, "supremal-cn"))
-
-    p = sub.add_parser("scp", help="supervisor between minimal and legal bounds")
-    p.add_argument("--plant", required=True)
-    p.add_argument("--min", required=True)
-    p.add_argument("--max", required=True)
-    p.add_argument("--out")
+    p = command("scp", "supervisor between minimal and legal bounds", _cmd_scp, "--plant", "--min", "--max")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_scp)
 
-    p = sub.add_parser("lang", help="language algebra on FDL files")
-    p.add_argument("--op", required=True,
-                   choices=["union", "intersect", "concat", "sublanguage", "project", "grade"])
+    p = command("lang", "language algebra on FDL files", _cmd_lang,
+                op=["union", "intersect", "concat", "sublanguage", "project", "grade"])
     p.add_argument("files", nargs="+")
     p.add_argument("--string", help="event string for --op grade")
     p.add_argument("--observable", help="comma-separated events overriding --op project")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_lang)
 
-    p = sub.add_parser("gen", help="extract the generated language of an automaton")
-    p.add_argument("--plant", required=True)
+    p = command("gen", "extract the generated language of an automaton", _cmd_gen, "--plant")
     p.add_argument("--horizon", type=int, default=8)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("oracle", help="brute-force reference computations")
-    p.add_argument("--op", required=True,
-                   choices=["infimal-co", "supremal-cn", "supervisor-exists"])
-    p.add_argument("--plant", required=True)
-    p.add_argument("--spec", required=True)
+    p = command("oracle", "brute-force reference computations", _cmd_oracle, "--plant", "--spec",
+                op=["infimal-co", "supremal-cn", "supervisor-exists"])
     p.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_oracle)
 
     return parser
 

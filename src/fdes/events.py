@@ -23,8 +23,8 @@ _IDENT = re.compile(r"[A-Za-z0-9_]+")
 
 @lru_cache(maxsize=4096)
 def check_event_id(name: str) -> EventId:
-    """Validate an event identifier (letters, digits, underscore)."""
-    if not _IDENT.fullmatch(name):
+    """Validate an event identifier: a str of letters, digits, underscores."""
+    if not isinstance(name, str) or not _IDENT.fullmatch(name):
         raise FdesError("MALFORMED_EVENT", f"bad event identifier: {name!r}")
     if name == EPSILON_TEXT:
         raise FdesError("MALFORMED_EVENT", f"{EPSILON_TEXT!r} is reserved for the empty string")
@@ -32,17 +32,25 @@ def check_event_id(name: str) -> EventId:
 
 
 def event_set(value) -> frozenset[EventId]:
-    """A caller's set of events; a ``str`` would split into characters."""
-    if isinstance(value, str):
+    """A caller's set of events: a collection, where a ``str`` would split into characters."""
+    try:
+        events = None if isinstance(value, str) else frozenset(value)
+    except TypeError:
+        events = None
+    if events is None:
         raise FdesError("MALFORMED_EVENT", f"event set {value!r} must be a collection of event ids")
-    return frozenset(value)
+    return events
 
 
 def event_subset(value, within: frozenset, message: str, code: str = "UNKNOWN_EVENT") -> frozenset[EventId]:
-    """``event_set(value)``, refused unless within ``within``, naming the strays sorted."""
+    """``event_set(value)``, refused unless within ``within`` (of str), naming the strays
+    sorted; a stray that is no str is refused first, as ``check_event_id`` refuses it."""
     events = event_set(value)
     if not events <= within:
-        raise FdesError(code, f"{message}: {', '.join(sorted(events - within))}")
+        strays = events - within
+        for event in sorted((e for e in strays if not isinstance(e, str)), key=repr):
+            check_event_id(event)
+        raise FdesError(code, f"{message}: {', '.join(sorted(strays))}")
     return events
 
 
@@ -75,18 +83,24 @@ def string_key(s: EventString) -> tuple[int, EventString]:
 class Record:
     """An immutable record whose fields are its ``__slots__``, in order.
 
-    Each subclass sets its fields once, in its own ``__init__``, through
-    ``object.__setattr__``.  Records compare, hash and print as frozen
-    dataclasses do: by the tuple of their fields, only with an instance of
-    the same class.  The same record equals itself at once: every check
-    compares its alphabet with the plant's, which is most often the same
-    object.
+    Each subclass's ``__init__`` ends with one ``_set`` call, which stores
+    all its fields, given in ``__slots__`` order.  Records compare, hash
+    and print as frozen dataclasses do: by the tuple of their fields, only
+    with an instance of the same class.  The same record equals itself at
+    once: every check compares its alphabet with the plant's, which is
+    most often the same object.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         cls._fields = attrgetter(*cls.__slots__)
+        # The slots' own setters, which bypass the refusing __setattr__.
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def _set(self, *values) -> None:
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -115,8 +129,7 @@ class SiteSpec(Record):
     __slots__ = ("controllable", "observable")
 
     def __init__(self, controllable: frozenset[EventId], observable: frozenset[EventId]):
-        object.__setattr__(self, "controllable", event_set(controllable))
-        object.__setattr__(self, "observable", event_set(observable))
+        self._set(event_set(controllable), event_set(observable))
 
 
 class Alphabet(Record):
@@ -137,11 +150,8 @@ class Alphabet(Record):
         sites: tuple[SiteSpec, SiteSpec] | None = None,
     ):
         events, controllable, observable = event_set(events), event_set(controllable), event_set(observable)
-        object.__setattr__(self, "events", events)
-        object.__setattr__(self, "controllable", controllable)
-        object.__setattr__(self, "observable", observable)
-        # Sorted, so that the bad identifier reported is not the hash's pick.
-        for name in sorted(events):
+        # Sorted, so the bad id reported is not the hash's pick; by str, lest a non-str compare.
+        for name in sorted(events, key=str):
             check_event_id(name)
         event_subset(controllable, events, "controllable events not in alphabet")
         event_subset(observable, events, "observable events not in alphabet")
@@ -149,13 +159,15 @@ class Alphabet(Record):
             sites = tuple(sites)
             if len(sites) != 2:
                 raise FdesError("SITE_COVER_VIOLATION", "exactly two sites are supported")
+            kinds = (("controllable", "controls", "E_c", controllable),
+                     ("observable", "observes", "E_o", observable))
             for i, site in enumerate(sites, start=1):
-                for kind, verb in (("controllable", "controls"), ("observable", "observes")):
+                for kind, verb, _, own in kinds:
                     outside = f"site {i} {verb} events outside the {kind} set"
-                    event_subset(getattr(site, kind), getattr(self, kind), outside, "SITE_COVER_VIOLATION")
-            for kind, name in (("controllable", "E_c"), ("observable", "E_o")):
-                site_cover(getattr(self, kind), [getattr(site, kind) for site in sites], kind, name)
-        object.__setattr__(self, "sites", sites)
+                    event_subset(getattr(site, kind), own, outside, "SITE_COVER_VIOLATION")
+            for kind, _, name, own in kinds:
+                site_cover(own, [getattr(site, kind) for site in sites], kind, name)
+        self._set(events, controllable, observable, sites)
 
     @property
     def uncontrollable(self) -> frozenset[EventId]:

@@ -50,9 +50,7 @@ class SitesDecl(Record):
     __slots__ = ("alphabet_name", "site1", "site2")
 
     def __init__(self, alphabet_name: str, site1: SiteSpec, site2: SiteSpec):
-        object.__setattr__(self, "alphabet_name", alphabet_name)
-        object.__setattr__(self, "site1", site1)
-        object.__setattr__(self, "site2", site2)
+        self._set(alphabet_name, site1, site2)
 
 
 class _RawSection:
@@ -279,10 +277,10 @@ def _word_line(*parts: str) -> str:
     return " ".join(p for p in parts if p)
 
 
-def _emit_alphabet(name: str, alphabet: Alphabet, doc: FdlDocument) -> list[str]:
+def _emit_alphabet(alphabet: Alphabet, doc: FdlDocument) -> list[str]:
     if alphabet.sites is not None:
         raise FdesError("SYNTAX_ERROR", "FDL writes sites as a sites section, not on an alphabet")
-    lines = [f"[alphabet {name}]", _word_line("events", " ".join(sorted(alphabet.events)))]
+    lines = [_word_line("events", " ".join(sorted(alphabet.events)))]
     if alphabet.controllable:
         lines.append("controllable " + " ".join(sorted(alphabet.controllable)))
     if alphabet.observable:
@@ -290,19 +288,19 @@ def _emit_alphabet(name: str, alphabet: Alphabet, doc: FdlDocument) -> list[str]
     return lines
 
 
-def _emit_sites(name: str, decl: SitesDecl, doc: FdlDocument) -> list[str]:
+def _emit_sites(decl: SitesDecl, doc: FdlDocument) -> list[str]:
     if decl.alphabet_name not in doc.alphabets:
         raise FdesError("SYNTAX_ERROR", f"unknown alphabet {decl.alphabet_name!r}")
     doc.alphabets[decl.alphabet_name].with_sites(decl.site1, decl.site2)  # as _build_sites checks them
-    lines = [f"[sites {name}]", f"alphabet {decl.alphabet_name}"]
+    lines = [f"alphabet {decl.alphabet_name}"]
     for i, site in ((1, decl.site1), (2, decl.site2)):
         lines.append(_word_line(f"site {i} controllable", " ".join(sorted(site.controllable))))
         lines.append(_word_line(f"site {i} observable", " ".join(sorted(site.observable))))
     return lines
 
 
-def _emit_language(name: str, language: FuzzyLanguage, doc: FdlDocument) -> list[str]:
-    lines = [f"[language {name}]", f"alphabet {doc.alphabet_name_of(language.alphabet)}"]
+def _emit_language(language: FuzzyLanguage, doc: FdlDocument) -> list[str]:
+    lines = [f"alphabet {doc.alphabet_name_of(language.alphabet)}"]
     # Grades are shared objects, so each is rendered once; a Fraction
     # costs more to hash than to render, hence id(g) as the key.
     rendered: dict[int, str] = {}
@@ -314,13 +312,12 @@ def _emit_language(name: str, language: FuzzyLanguage, doc: FdlDocument) -> list
     return lines
 
 
-def _emit_automaton(name: str, automaton: FuzzyAutomaton, doc: FdlDocument) -> list[str]:
+def _emit_automaton(automaton: FuzzyAutomaton, doc: FdlDocument) -> list[str]:
     # Transitions and the initial state only name states of this set.
     states = sorted(automaton.states)
     for state in states:
         _check_name(state)
     lines = [
-        f"[automaton {name}]",
         f"alphabet {doc.alphabet_name_of(automaton.alphabet)}",
         "states " + " ".join(states),
         f"initial {automaton.initial}",
@@ -330,9 +327,8 @@ def _emit_automaton(name: str, automaton: FuzzyAutomaton, doc: FdlDocument) -> l
     return lines
 
 
-def _emit_supervisor(name: str, supervisor: FuzzySupervisor, doc: FdlDocument) -> list[str]:
+def _emit_supervisor(supervisor: FuzzySupervisor, doc: FdlDocument) -> list[str]:
     lines = [
-        f"[supervisor {name}]",
         f"alphabet {doc.alphabet_name_of(supervisor.projection.alphabet)}",
         _word_line("observable", " ".join(sorted(supervisor.projection.observable))),
         _word_line("controllable", " ".join(sorted(supervisor.controllables))),
@@ -347,8 +343,8 @@ def _emit_supervisor(name: str, supervisor: FuzzySupervisor, doc: FdlDocument) -
 
 # The one table of section kinds, in build and emission order: each kind's
 # FdlDocument table, its builder, which takes (section, alphabets built so
-# far), and its emitter, which takes (name, value, document) and refuses
-# what the builder would refuse.
+# far), and its emitter, which takes (value, document), returns the lines
+# ``emit_fdl`` writes under the header and refuses what the builder would.
 _Kind = namedtuple("_Kind", "table build emit")
 _KINDS = {
     "alphabet": _Kind("alphabets", _build_alphabet, _emit_alphabet),
@@ -395,8 +391,8 @@ class FdlDocument:
         return found[0], table[found[0]]
 
     def names(self, kind: str, source: str) -> list[str]:
-        """The names of one file's sections of a kind, in file order."""
-        return [name for k, name in self.file_sections[source] if k == kind]
+        """The names of one file's sections of a kind, in file order; none for another file."""
+        return [name for k, name in self.file_sections.get(source, ()) if k == kind]
 
     def alphabet_name_of(self, alphabet: Alphabet) -> str:
         for name, value in sorted(self.alphabets.items()):
@@ -451,7 +447,7 @@ def emit_fdl(doc: FdlDocument) -> str:
         for name in sorted(table):
             try:
                 _check_name(name)
-                blocks.append(emit(name, table[name], doc))
+                blocks.append([f"[{kind} {name}]", *emit(table[name], doc)])
             except FdesError as err:
                 raise FdesError(err.code, f"{kind} {name!r}: {err.message}") from None
     return "\n\n".join("\n".join(block) for block in blocks) + "\n"

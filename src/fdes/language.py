@@ -66,22 +66,22 @@ class FuzzyLanguage:
                         f"{render_event_string(parent)} ({g} > {pg})",
                     )
         # Sorting by length keeps the lexicographic order within a length.
-        support = tuple(sorted(sorted(positive), key=len))
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "_grades", {s: positive[s] for s in support})
-        object.__setattr__(self, "_support", support)
-        object.__setattr__(self, "_index", None)
+        self._store(alphabet, {s: positive[s] for s in sorted(sorted(positive), key=len)})
 
     @classmethod
     def _valid(cls, alphabet: Alphabet, grades: dict[EventString, Grade]) -> FuzzyLanguage:
         """Trusted: ``grades`` holds positive grades of a valid language,
         keyed in support order; it is stored as is, unchecked."""
         language = object.__new__(cls)
-        object.__setattr__(language, "alphabet", alphabet)
-        object.__setattr__(language, "_grades", grades)
-        object.__setattr__(language, "_support", tuple(grades))
-        object.__setattr__(language, "_index", None)
+        language._store(alphabet, grades)
         return language
+
+    def _store(self, alphabet: Alphabet, grades: dict[EventString, Grade]) -> None:
+        """The one store of a language's fields; ``grades`` is keyed in support order."""
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "_grades", grades)
+        object.__setattr__(self, "_support", tuple(grades))
+        object.__setattr__(self, "_index", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FuzzyLanguage is immutable")

@@ -30,8 +30,7 @@ class Projection(Record):
 
     def __init__(self, alphabet: Alphabet, observable: frozenset[EventId]):
         observable = event_subset(observable, alphabet.events, "observable events not in alphabet")
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "observable", observable)
+        self._set(alphabet, observable)
 
 
 def natural_projection(alphabet: Alphabet) -> Projection:

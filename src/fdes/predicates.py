@@ -58,12 +58,7 @@ class Witness(Record):
         rhs: Grade | None = None,
         projection_class: tuple[EventString, ...] = (),
     ):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "strings", strings)
-        object.__setattr__(self, "event", event)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "projection_class", projection_class)
+        self._set(kind, strings, event, lhs, rhs, projection_class)
 
 
 class CheckReport(Record):
@@ -72,8 +67,7 @@ class CheckReport(Record):
     def __init__(self, holds: bool, witnesses: tuple[Witness, ...] = ()):
         if holds != (not witnesses):
             raise ValueError("holds must match witness emptiness")
-        object.__setattr__(self, "holds", holds)
-        object.__setattr__(self, "witnesses", witnesses)
+        self._set(holds, witnesses)
 
     @classmethod
     def of(cls, witnesses) -> "CheckReport":

@@ -83,9 +83,7 @@ class FuzzySupervisor(Record):
                         f"row {render_event_string(observed)} restricts {event!r}, "
                         "which this supervisor may not control",
                     )
-        object.__setattr__(self, "projection", projection)
-        object.__setattr__(self, "controllables", ctrl)
-        object.__setattr__(self, "table", dense_table)
+        self._set(projection, ctrl, dense_table)
 
     def enable_grade(self, observed: EventString, event: EventId) -> Grade:
         try:

@@ -165,6 +165,17 @@ def test_a_str_is_refused_wherever_a_set_of_events_is_expected():
         lambda: synthesize_decentralized(plant, plant, (pr, everything), (pr, "ab")),
     ):
         assert _error(call) == ("MALFORMED_EVENT", "event set 'ab' must be a collection of event ids")
+    # No collection, or a member that is no str, is refused as well.
+    for call, message in (
+        (lambda: Projection(words, [1]), "bad event identifier: 1"),
+        (lambda: Alphabet({"a"}, controllable=[1]), "bad event identifier: 1"),
+        (lambda: Alphabet([1, 2]), "bad event identifier: 1"),
+        (lambda: FuzzySupervisor(pr, [2], {}), "bad event identifier: 2"),
+        (lambda: is_observable(plant, plant, pr, [3]), "bad event identifier: 3"),
+        (lambda: Projection(words, None), "event set None must be a collection of event ids"),
+        (lambda: SiteSpec(None, ()), "event set None must be a collection of event ids"),
+    ):
+        assert _error(call) == ("MALFORMED_EVENT", message)
     # Any other collection of event ids is still taken.
     assert Alphabet(["ab", "a"], controllable=("a",), observable=iter(["ab"])).observable == {"ab"}
     assert is_observable(plant, plant, pr, ["ab"]).holds

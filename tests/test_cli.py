@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, reports, emitted artifacts."""
 
+import argparse
 import io
 import json
 import os
@@ -558,6 +559,75 @@ def test_each_file_is_read_once_however_many_options_name_it(monkeypatch, capsys
     monkeypatch.setattr(cli, "_read", lambda path: seen.append(path) or read(path))
     assert run_command(argv) == 0, capsys.readouterr().err
     assert seen == reads
+
+
+# Each subcommand's help and options: flag, or a positional's name ->
+# (action, required, default, choices, type, nargs, help).
+def _option(action="_StoreAction", required=False, default=None, choices=None, type=None, nargs=None,
+            help=None):
+    return action, required, default, choices, type, nargs, help
+
+
+_FILE, _FILES, _OPTIONAL = _option(required=True), _option(required=True, nargs="+"), _option()
+_SWITCH = _option("_StoreTrueAction", default=False, nargs=0)
+
+SUBCOMMANDS = {
+    "validate": ("parse and validate FDL files", {"files": _FILES}),
+    "check": ("check a property of a specification against a plant", {
+        "--property": _option(required=True, choices=[
+            "controllable", "observable", "strongly-observable", "normal", "coobservable"]),
+        "--plant": _FILE, "--spec": _FILE, "--sites": _OPTIONAL, "--json": _SWITCH,
+    }),
+    "synthesize": ("synthesize a supervisor for a specification", {
+        "--mode": _option(required=True, choices=["central", "decentralized"]),
+        "--plant": _FILE, "--spec": _FILE, "--sites": _OPTIONAL, "--out": _OPTIONAL,
+        "--force": _option("_StoreTrueAction", default=False, nargs=0,
+                           help="emit the formula supervisor even when the preconditions fail"),
+    }),
+    "closed-loop": ("compute the supervised behavior", {
+        "--plant": _FILE, "--supervisor": _option("_AppendAction", required=True), "--out": _OPTIONAL,
+    }),
+    "infimal-co": ("least controllable and observable superlanguage", {
+        "--plant": _FILE, "--spec": _FILE, "--out": _OPTIONAL,
+    }),
+    "supremal-cn": ("greatest controllable and normal sublanguage", {
+        "--plant": _FILE, "--spec": _FILE, "--out": _OPTIONAL,
+    }),
+    "scp": ("supervisor between minimal and legal bounds", {
+        "--plant": _FILE, "--min": _FILE, "--max": _FILE, "--out": _OPTIONAL, "--json": _SWITCH,
+    }),
+    "lang": ("language algebra on FDL files", {
+        "--op": _option(required=True, choices=[
+            "union", "intersect", "concat", "sublanguage", "project", "grade"]),
+        "files": _FILES, "--out": _OPTIONAL,
+        "--string": _option(help="event string for --op grade"),
+        "--observable": _option(help="comma-separated events overriding --op project"),
+    }),
+    "gen": ("extract the generated language of an automaton", {
+        "--plant": _FILE, "--horizon": _option(default=8, type=int), "--out": _OPTIONAL,
+    }),
+    "oracle": ("brute-force reference computations", {
+        "--op": _option(required=True, choices=["infimal-co", "supremal-cn", "supervisor-exists"]),
+        "--plant": _FILE, "--spec": _FILE, "--budget": _option(default=20000, type=int), "--out": _OPTIONAL,
+    }),
+}
+
+
+def test_every_subcommand_keeps_its_options():
+    # Compared as tables, so a dropped or altered option fails and a
+    # reordered one does not.
+    (sub,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    helps = {choice.dest: choice.help for choice in sub._choices_actions}
+    got = {
+        name: (helps[name], {
+            " ".join(a.option_strings) or a.dest: (
+                type(a).__name__, a.required, a.default, a.choices, a.type, a.nargs, a.help
+            )
+            for a in parser._actions if not isinstance(a, argparse._HelpAction)
+        })
+        for name, parser in sub.choices.items()
+    }
+    assert got == SUBCOMMANDS
 
 
 def _captured(argv):

@@ -574,6 +574,7 @@ def test_single_picks_within_one_file_in_file_order():
     cases = [
         (("language", "a.fdl"), "a.fdl: expected exactly one language section, found: L, K"),
         (("alphabet", "b.fdl"), "b.fdl: expected exactly one alphabet section, found: none"),
+        (("language", "other.fdl"), "other.fdl: expected exactly one language section, found: none"),
         (("language",), "expected exactly one language section, found: K, L, M"),
     ]
     for args, message in cases:
