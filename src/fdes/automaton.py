@@ -95,7 +95,9 @@ def generated_language(aut: FuzzyAutomaton, horizon: int) -> FuzzyLanguage:
     stepped once per event, on first reaching the frontier; the breadth
     first walk then carries (string, vector number) pairs.  A string whose
     vector empties is pruned, which is sound because max-min grades never
-    increase along extensions.
+    increase along extensions.  The walk yields strings in support order,
+    eps at 1 and positive grades no higher than their parents', so the
+    result is stored unchecked (``FuzzyLanguage._valid``).
     """
     if horizon < 0:
         raise FdesError("OUT_OF_RANGE", "horizon must be >= 0")
@@ -133,7 +135,7 @@ def generated_language(aut: FuzzyAutomaton, horizon: int) -> FuzzyLanguage:
         if not nxt_frontier:
             break
         frontier = nxt_frontier
-    return FuzzyLanguage(aut.alphabet, grades)
+    return FuzzyLanguage._valid(aut.alphabet, grades)
 
 
 def automaton_from_language(language: FuzzyLanguage) -> FuzzyAutomaton:

@@ -48,10 +48,15 @@ def event_subset(value, within: frozenset, message: str, code: str = "UNKNOWN_EV
     events = event_set(value)
     if not events <= within:
         strays = events - within
-        for event in sorted((e for e in strays if not isinstance(e, str)), key=repr):
-            check_event_id(event)
+        _refuse_non_str(strays)
         raise FdesError(code, f"{message}: {', '.join(sorted(strays))}")
     return events
+
+
+def _refuse_non_str(events: frozenset) -> None:
+    """Refuse a member that is no str, the first by repr, as ``check_event_id`` does."""
+    for event in sorted((e for e in events if not isinstance(e, str)), key=repr):
+        check_event_id(event)
 
 
 def site_cover(whole: frozenset, parts, kind: str, name: str) -> None:
@@ -129,7 +134,9 @@ class SiteSpec(Record):
     __slots__ = ("controllable", "observable")
 
     def __init__(self, controllable: frozenset[EventId], observable: frozenset[EventId]):
-        self._set(event_set(controllable), event_set(observable))
+        sets = event_set(controllable), event_set(observable)
+        _refuse_non_str(sets[0] | sets[1])
+        self._set(*sets)
 
 
 class Alphabet(Record):

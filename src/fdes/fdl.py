@@ -15,6 +15,12 @@ words only when it reads it.  Strings and ints are objects the garbage
 collector does not track, so a 10k-line body adds no per-line containers
 for it to walk while the other sections are built.
 
+A language section is validated in the pass that reads it (the fast
+check): the alphabet line, then eps at 1, then each string after the one
+before it in support order, its parent read, its last event in the
+alphabet and its grade positive and no higher than its parent's.  Text
+that passes is stored as read; any other goes to the constructor.
+
 Builders raise plain errors; ``parse_documents`` alone gives them a
 location.  A fault found while a body line is read is reported at that
 line, and every other fault of a section (P1/P2, unknown events, a
@@ -39,7 +45,7 @@ from .events import (
     render_event_string,
     string_key,
 )
-from .grades import Grade, parse_grade, render_grade
+from .grades import ONE, Grade, parse_grade, render_grade
 from .language import FuzzyLanguage
 from .observation import Projection
 from .synthesis import FuzzySupervisor
@@ -167,8 +173,8 @@ def _build_sites(section: _RawSection, alphabets: dict[str, Alphabet]) -> SitesD
 
 def _build_language(section: _RawSection, alphabets: dict[str, Alphabet]) -> FuzzyLanguage:
     alphabet: Alphabet | None = None
-    entries: dict[EventString, Grade] = {}
-    parsed: dict[str, EventString] = {}  # string text -> event string
+    parsed, graded = {}, {}  # string text -> event string, -> grade: no tuple per line
+    valid, before, size, top = True, None, 0, None  # the fast check; the last string, its length
     for words in _words(section):
         if words[0] == "alphabet":
             alphabet = _alphabet_line(alphabet, words, alphabets)
@@ -178,17 +184,28 @@ def _build_language(section: _RawSection, alphabets: dict[str, Alphabet]) -> Fuz
         # x.y.z is the parsed x.y plus one event; anything else parses whole.
         head, _, last = words[0].rpartition(".")
         if last and head in parsed and head != EPSILON_TEXT:
-            s = parsed[head] + (check_event_id(last),)
+            s, pg = parsed[head] + (check_event_id(last),), graded[head]
         else:
             s = parse_event_string(words[0])
-        parsed[words[0]] = s
+            pg = top if len(s) == 1 else None  # top: the grade of eps
         g = parse_grade(words[1])
-        if s in entries:
+        if words[0] in parsed:
             raise FdesError("DUPLICATE_STRING", f"duplicate string {words[0]}")
-        entries[s] = g
+        if valid:
+            n = len(s)
+            if alphabet is None:
+                valid = False
+            elif n:
+                valid = (pg is not None and (g is pg or g <= pg and g.numerator)
+                         and s[-1] in alphabet.events and (size < n or size == n and before < s))
+            else:
+                valid, top = not parsed and g == ONE, g
+            before, size = s, n
+        parsed[words[0]], graded[words[0]] = s, g
     if alphabet is None:
         raise FdesError("SYNTAX_ERROR", "language section needs an alphabet line")
-    return FuzzyLanguage(alphabet, entries)
+    entries = dict(zip(parsed.values(), graded.values()))
+    return FuzzyLanguage._valid(alphabet, entries) if valid else FuzzyLanguage(alphabet, entries)
 
 
 def _build_automaton(section: _RawSection, alphabets: dict[str, Alphabet]) -> FuzzyAutomaton:
@@ -266,9 +283,9 @@ def _build_supervisor(section: _RawSection, alphabets: dict[str, Alphabet]) -> F
 
 def _check_name(name: str) -> None:
     """The one rule for section and state names, which the parser's line
-    split implies: a name is non-empty and holds no '#' and no character
-    for which ``str.isspace`` is true."""
-    if "#" in name or name.split() != [name]:
+    split implies: a name is a non-empty str and holds no '#' and no
+    character for which ``str.isspace`` is true."""
+    if not isinstance(name, str) or "#" in name or name.split() != [name]:
         raise FdesError("SYNTAX_ERROR", f"bad name {name!r}: a name is non-empty, "
                         "with no whitespace and no '#'")
 
@@ -314,7 +331,7 @@ def _emit_language(language: FuzzyLanguage, doc: FdlDocument) -> list[str]:
 
 def _emit_automaton(automaton: FuzzyAutomaton, doc: FdlDocument) -> list[str]:
     # Transitions and the initial state only name states of this set.
-    states = sorted(automaton.states)
+    states = sorted(automaton.states, key=str)  # by str, so a state that is no str reaches its check
     for state in states:
         _check_name(state)
     lines = [
@@ -444,7 +461,7 @@ def emit_fdl(doc: FdlDocument) -> str:
     blocks: list[list[str]] = []
     for kind, (table_name, _, emit) in _KINDS.items():
         table = getattr(doc, table_name)
-        for name in sorted(table):
+        for name in sorted(table, key=str):  # as the states are
             try:
                 _check_name(name)
                 blocks.append([f"[{kind} {name}]", *emit(table[name], doc)])

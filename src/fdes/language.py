@@ -17,19 +17,31 @@ from .events import EPSILON, Alphabet, EventString, render_event_string, string_
 from .grades import ONE, ZERO, Grade, as_grade, join, meet
 
 
-def _str_key_error(s: str) -> FdesError:
+def _str_key_error(s) -> FdesError:
     return FdesError("MALFORMED_EVENT", f"event string {s!r} must be a tuple of event ids")
+
+
+def _as_tuple(s) -> EventString:
+    """A caller's string of events as a tuple; a str or a non-iterable is refused."""
+    try:
+        if not isinstance(s, str):
+            return tuple(s)
+    except TypeError:
+        pass
+    raise _str_key_error(s)
 
 
 class FuzzyLanguage:
     """Immutable association from event strings to positive grades.
 
-    Every language from a user, a file or an automaton goes through the
-    constructor, which checks events, grades, P1 and P2 and sorts the
-    support.  Results built only from valid languages (pointwise min and
-    max, ``Index.decode``) keep P1, P2 and support order by construction,
-    so ``_valid`` stores them unchecked.  ``_index`` holds the language's
-    ``Index`` once a call has built it (``Index.of``).
+    Every language from a user or a file is validated once, where it
+    enters: by the constructor, which checks events, grades, P1 and P2
+    and sorts an out-of-order support, or by the FDL parser's same checks
+    line by line.  Results built only from valid languages or automata
+    (pointwise min and max, ``Index.decode``, ``generated_language``) keep
+    P1, P2 and support order by construction, so ``_valid`` stores them
+    unchecked.  ``_index`` holds the language's ``Index`` once a call has
+    built it (``Index.of``).
     """
 
     __slots__ = ("alphabet", "_grades", "_support", "_index")
@@ -37,36 +49,39 @@ class FuzzyLanguage:
     def __init__(self, alphabet: Alphabet, grades: Mapping[EventString, Grade]):
         events = alphabet.events
         positive: dict[EventString, Grade] = {}
+        # One pass checks keys, events, grades, and P2 while the strings come in
+        # support order after their parents; other input is checked again and sorted.
+        in_order, before, size = True, None, 0
         for s, g in grades.items():
-            if isinstance(s, str):
+            if not isinstance(s, tuple):
                 raise _str_key_error(s)
             if not events.issuperset(s):
                 alphabet.check_string(s)
             # A positive Fraction within 1 is checked inline; as_grade coerces
             # any other value, or raises with the one message per fault.
-            if g.__class__ is Fraction and 0 < g.numerator <= g.denominator:
-                positive[s] = g
-                continue
-            g = as_grade(g)
-            if g.numerator:
-                positive[s] = g
-        if positive:
-            if positive.get(EPSILON) != ONE:
-                raise FdesError("P1_VIOLATION", "a non-empty language must grade eps at 1")
-            # meet and join return an input, so grades often share objects.
-            for s, g in positive.items():
-                if not s:
+            if g.__class__ is not Fraction or not 0 < g.numerator <= g.denominator:
+                g = as_grade(g)
+                if not g.numerator:
                     continue
-                parent = s[:-1]
-                pg = positive.get(parent, ZERO)
-                if g is not pg and g > pg:
-                    raise FdesError(
-                        "P2_VIOLATION",
-                        f"grade of {render_event_string(s)} exceeds its prefix "
-                        f"{render_event_string(parent)} ({g} > {pg})",
-                    )
-        # Sorting by length keeps the lexicographic order within a length.
-        self._store(alphabet, {s: positive[s] for s in sorted(sorted(positive), key=len)})
+            if in_order:
+                n = len(s)
+                if n:
+                    pg = positive.get(s[:-1])
+                    # meet and join return an input, so grades often share objects.
+                    in_order = (pg is not None and (g is pg or g <= pg)
+                                and (size < n or size == n and before < s))
+                before, size = s, n
+            positive[s] = g
+        if positive and positive.get(EPSILON) != ONE:
+            raise FdesError("P1_VIOLATION", "a non-empty language must grade eps at 1")
+        if not in_order:
+            for s, g in positive.items():
+                if s and g is not (pg := positive.get(s[:-1], ZERO)) and g > pg:
+                    raise FdesError("P2_VIOLATION", f"grade of {render_event_string(s)} exceeds its "
+                                    f"prefix {render_event_string(s[:-1])} ({g} > {pg})")
+            # Sorting by length keeps the lexicographic order within a length.
+            positive = {s: positive[s] for s in sorted(sorted(positive), key=len)}
+        self._store(alphabet, positive)
 
     @classmethod
     def _valid(cls, alphabet: Alphabet, grades: dict[EventString, Grade]) -> FuzzyLanguage:
@@ -128,12 +143,12 @@ def build_language(
 ) -> FuzzyLanguage:
     """The validating constructor over a mapping or a pair list, which
     must not repeat a string.  Any iterable of events is a string; a
-    ``str`` is refused, not split into events."""
+    ``str`` is refused, not split into events, as is a non-iterable."""
     pairs = entries.items() if isinstance(entries, Mapping) else entries
     grades: dict[EventString, Grade] = {}
     for s, g in pairs:
         if not isinstance(s, str):
-            s = tuple(s)
+            s = _as_tuple(s)
             if s in grades:
                 raise FdesError("DUPLICATE_STRING", f"duplicate string {render_event_string(s)}")
         grades[s] = g
@@ -295,14 +310,12 @@ def prefix_close_repair(
     Each prefix is raised to the join of the grades of all listed
     extensions (including itself); eps is forced to 1 when anything
     remains.  Valid inputs pass through unchanged.  As in
-    ``build_language``, a ``str`` is refused, not split into events.
+    ``build_language``, a ``str`` or a non-iterable is refused.
     """
     pairs = entries.items() if isinstance(entries, Mapping) else entries
     listed: dict[EventString, Grade] = {}
     for s, g in pairs:
-        if isinstance(s, str):
-            raise _str_key_error(s)
-        s = alphabet.check_string(tuple(s))
+        s = alphabet.check_string(_as_tuple(s))
         g = as_grade(g)
         if g > ZERO:
             listed[s] = join(listed.get(s, ZERO), g)

@@ -171,6 +171,8 @@ def test_a_str_is_refused_wherever_a_set_of_events_is_expected():
         (lambda: Alphabet({"a"}, controllable=[1]), "bad event identifier: 1"),
         (lambda: Alphabet([1, 2]), "bad event identifier: 1"),
         (lambda: FuzzySupervisor(pr, [2], {}), "bad event identifier: 2"),
+        (lambda: SiteSpec([1], ()), "bad event identifier: 1"),
+        (lambda: SiteSpec({"a"}, ["b", 4]), "bad event identifier: 4"),
         (lambda: is_observable(plant, plant, pr, [3]), "bad event identifier: 3"),
         (lambda: Projection(words, None), "event set None must be a collection of event ids"),
         (lambda: SiteSpec(None, ()), "event set None must be a collection of event ids"),

@@ -9,6 +9,7 @@ from fdes import (
     Alphabet,
     FdesError,
     FuzzyAutomaton,
+    FuzzyLanguage,
     automaton_from_language,
     build_language,
     generated_language,
@@ -150,6 +151,19 @@ def test_generated_language_is_always_valid_and_horizon_monotone():
         for s, g in deep.items():
             if len(s) <= 2:
                 assert shallow.grade(s) == g
+
+
+def test_generated_languages_are_stored_as_the_constructor_builds_them():
+    rng = random.Random(2024)
+    for i in range(80):
+        aut = _random_automaton(rng)
+        language = generated_language(aut, i % 6)
+        items = list(language.items())
+        rebuilt = FuzzyLanguage(aut.alphabet, dict(items))
+        rng.shuffle(items)
+        resorted = FuzzyLanguage(aut.alphabet, dict(items))
+        assert language == rebuilt == resorted
+        assert language.support == rebuilt.support == resorted.support, i
 
 
 def test_round_trip_on_random_languages():

@@ -15,8 +15,10 @@ from fdes import (
     Alphabet,
     FdesError,
     FuzzyAutomaton,
+    FuzzyLanguage,
     FuzzySupervisor,
     SiteSpec,
+    build_language,
     natural_projection,
     synthesize_central,
 )
@@ -493,6 +495,61 @@ def test_emitted_documents_of_every_kind_parse_back_equal():
         assert emit_fdl(parse_fdl(text)) == text, round_
 
 
+def test_language_sections_read_in_either_order_build_what_build_language_builds(monkeypatch):
+    # Emitted text passes the builder's one-pass check and is stored with
+    # no constructor call; shuffled body lines may fall back to it.  Both
+    # give build_language's language, in its support order.
+    built = []
+    init = FuzzyLanguage.__init__
+    monkeypatch.setattr(FuzzyLanguage, "__init__", lambda self, *args: built.append(1) or init(self, *args))
+    rng = random.Random(2024)
+    for round_ in range(200):
+        doc = _random_document(rng)
+        for name, language in doc.languages.items():
+            expected = build_language(language.alphabet, language.items())
+            head, body = emit_fdl(FdlDocument(alphabets=doc.alphabets, languages={name: language})).split(
+                f"[language {name}]\n")
+            lines = body.splitlines()
+            for shuffled in (False, True):
+                if shuffled:
+                    rng.shuffle(lines)
+                built.clear()
+                parsed = parse_fdl(f"{head}[language {name}]\n" + "\n".join(lines)).languages[name]
+                assert parsed == expected and parsed.support == expected.support, (round_, lines)
+                assert shuffled or not built, round_
+
+
+_HEAD = "[alphabet E]\nevents a b\n\n[language L]\n"
+
+
+@pytest.mark.parametrize(
+    "body, outcome",
+    [
+        ("alphabet E\neps 1\na 0\nb 0.5", {"eps": "1", "b": "0.5"}),
+        ("alphabet E\neps 1\na 0\na.b 0.5", ("P2_VIOLATION", "grade of a.b exceeds its prefix a (1/2 > 0)")),
+        ("alphabet E\neps 1\nb 0.5\na 0.5", {"eps": "1", "a": "0.5", "b": "0.5"}),
+        ("alphabet E\neps 1\na.b 0.5\na 0.4", ("P2_VIOLATION", "grade of a.b exceeds its prefix a (1/2 > 2/5)")),
+        ("eps 1\nalphabet E\na 0.5", {"eps": "1", "a": "0.5"}),
+        ("eps 1\nz 0.5\nalphabet E", ("UNKNOWN_EVENT", "event 'z' not in alphabet")),
+        ("alphabet E\na 0.5\neps 1", {"eps": "1", "a": "0.5"}),
+        ("alphabet E\na 0.5", ("P1_VIOLATION", "a non-empty language must grade eps at 1")),
+        ("alphabet E\neps 0.5\na 0.5", ("P1_VIOLATION", "a non-empty language must grade eps at 1")),
+    ],
+    ids=["zero-grade", "zero-grade-parent", "out-of-order", "out-of-order-p2", "alphabet-after-strings",
+         "alphabet-after-unknown-event", "eps-not-first", "eps-missing", "eps-below-one"],
+)
+def test_language_lines_that_fail_the_fast_check_get_the_constructors_outcome(body, outcome):
+    alphabet = Alphabet({"a", "b"})
+    if isinstance(outcome, dict):
+        parsed = parse_fdl(_HEAD + body).languages["L"]
+        expected = lang(alphabet, outcome)
+        assert parsed == expected and parsed.support == expected.support
+    else:
+        with pytest.raises(FdesError) as err:
+            parse_fdl(_HEAD + body)
+        assert (err.value.code, err.value.message, err.value.location) == (*outcome, "<fdl>:4")
+
+
 _E = Alphabet({"a", "b"}, controllable={"a"}, observable={"a", "b"})
 _SITES = (SiteSpec({"a"}, {"a"}), SiteSpec(set(), {"b"}))
 
@@ -529,9 +586,14 @@ def _bad_name(name):
         (FdlDocument(alphabets={"E": _E}, automata={"G": FuzzyAutomaton({"q 0"}, _E, "q 0", {})}),
          "SYNTAX_ERROR", f"automaton 'G': {_bad_name('q 0')}",
          "[alphabet E]\nevents a b\n\n[automaton G]\nalphabet E\nstates q 0\ninitial q 0\n"),
+        # A name that is no str used to end in a raw TypeError, next to a
+        # str name in the sort; this one written as its str would be no
+        # [kind name] header.
+        (FdlDocument(alphabets={"E": _E, ("E", 0): _E}), "SYNTAX_ERROR",
+         f"alphabet ('E', 0): {_bad_name(('E', 0))}", "[alphabet ('E', 0)]\nevents a b\n"),
     ],
     ids=["language", "automaton", "supervisor", "sites", "alphabet-with-sites", "site-cover",
-         "name-with-space", "name-with-hash", "state-with-space"],
+         "name-with-space", "name-with-hash", "state-with-space", "name-not-str"],
 )
 def test_emission_refuses_what_would_not_parse_back(doc, code, message, refused_text):
     with pytest.raises(FdesError) as err:
@@ -550,8 +612,16 @@ def test_emission_refuses_what_would_not_parse_back(doc, code, message, refused_
         (FdlDocument(alphabets={"E": _E}, automata={"G": FuzzyAutomaton({"q "}, _E, "q ", {})}),
          "automaton 'G'", "[alphabet E]\nevents a b\ncontrollable a\nobservable a b\n\n"
          "[automaton G]\nalphabet E\nstates q \ninitial q \n"),
+        # States that are no str used to end in a raw TypeError; written as
+        # their str they parse back as states "0" and "1".
+        (FdlDocument(alphabets={"E": _E}, automata={"G": FuzzyAutomaton({0, 1}, _E, 0, {(0, "a", 1): 1})}),
+         "automaton 'G'", "[alphabet E]\nevents a b\ncontrollable a\nobservable a b\n\n"
+         "[automaton G]\nalphabet E\nstates 0 1\ninitial 0\ntrans 0 a 1 1\n"),
+        (FdlDocument(alphabets={"E": _E}, automata={"G": FuzzyAutomaton({"q", 0}, _E, "q", {})}),
+         "automaton 'G'", "[alphabet E]\nevents a b\ncontrollable a\nobservable a b\n\n"
+         "[automaton G]\nalphabet E\nstates 0 q\ninitial q\n"),
     ],
-    ids=["trailing-space-name", "trailing-space-state"],
+    ids=["trailing-space-name", "trailing-space-state", "states-not-str", "state-not-str-among-str"],
 )
 def test_emission_refuses_names_that_would_parse_back_unequal(doc, bad, written):
     # ``written`` is these documents with each name written as it is: it

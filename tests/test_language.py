@@ -103,12 +103,21 @@ def test_constructor_and_build_refuse_str_keys_alike():
         (AB, {(): 1, "": 1, "a": F(1, 2)}, "event string '' must be a tuple of event ids"),
         (AB, {(): 1, "a": 1}, "event string 'a' must be a tuple of event ids"),
         (with_ab, {"ab": F(1, 2)}, "event string 'ab' must be a tuple of event ids"),
+        # A key that is no iterable used to end in a raw TypeError.
+        (AB, {(): 1, 5: 1}, "event string 5 must be a tuple of event ids"),
+        (AB, {None: 1}, "event string None must be a tuple of event ids"),
     ]
     for alphabet, entries, message in cases:
         for construct in (FuzzyLanguage, build_language, prefix_close_repair):
             with pytest.raises(FdesError) as err:
                 construct(alphabet, entries)
             assert (err.value.code, err.value.message) == ("MALFORMED_EVENT", message)
+    # Any iterable of events is a string to the builders; the constructor
+    # itself takes tuples only.
+    with pytest.raises(FdesError) as err:
+        FuzzyLanguage(AB, {(): 1, frozenset({"a"}): 1})
+    assert (err.value.code, err.value.message) == (
+        "MALFORMED_EVENT", "event string frozenset({'a'}) must be a tuple of event ids")
 
 
 class _Grade(F):
