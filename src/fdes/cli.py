@@ -11,7 +11,6 @@ import argparse
 import functools
 import json
 import sys
-from pathlib import Path
 
 from . import approximation, oracle, predicates, synthesis
 from .automaton import generated_language
@@ -24,8 +23,11 @@ from .observation import Projection, natural_projection, project_language
 from .predicates import CheckReport
 
 def _read(path: str) -> tuple[str, str]:
+    # newline="": lines are numbered at "\n" only, as parse_fdl numbers
+    # them; a "\r" stays in its line, where it is whitespace.
     try:
-        return path, Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline="") as file:
+            return path, file.read()
     except (OSError, UnicodeDecodeError) as err:
         raise FdesError("IO_ERROR", f"cannot read {path}: {err}") from None
 
@@ -102,7 +104,8 @@ def _write_out(text: str, out: str | None) -> None:
         print(text, end="")
     else:
         try:
-            Path(out).write_text(text, encoding="utf-8")
+            with open(out, "w", encoding="utf-8") as file:
+                file.write(text)
         except OSError as err:
             raise FdesError("IO_ERROR", f"cannot write {out}: {err}") from None
 

@@ -9,11 +9,14 @@ Emission is canonical: fixed section order, names sorted, strings sorted by
 refuses, with the parser's code, what would not parse back to an equal
 document.
 
-Lines are numbered at "\\n" only.  A section's body is kept as its lines'
-numbers and comment-stripped text, and each builder splits a line into
-words only when it reads it.  Strings and ints are objects the garbage
-collector does not track, so a 10k-line body adds no per-line containers
-for it to walk while the other sections are built.
+Lines are numbered at "\\n" only.  Splitting a file finds its section
+headers and keeps each section's body as one span of the file's text;
+a builder splits its span into lines and words only when it reads it,
+so a parse holds one section's lines at a time.  One table per
+``parse_documents`` call maps each string's text to its event-string
+tuple, so equal strings in any section or file of the call are one
+object; the table dies with the call.  Emission, likewise, joins each
+section's lines as it emits them.
 
 A language section is validated in the pass that reads it (the fast
 check): the alphabet line, then eps at 1, then each string after the one
@@ -35,7 +38,6 @@ from operator import attrgetter
 from .automaton import FuzzyAutomaton
 from .errors import FdesError
 from .events import (
-    EPSILON_TEXT,
     Alphabet,
     EventString,
     Record,
@@ -60,22 +62,27 @@ class SitesDecl(Record):
 
 
 class _RawSection:
-    __slots__ = ("kind", "name", "source", "line", "at", "linenos", "lines")
+    __slots__ = ("kind", "name", "source", "line", "at", "text", "begin", "end")
 
-    def __init__(self, kind: str, name: str, source: str, line: int):
+    def __init__(self, kind: str, name: str, source: str, line: int, text: str, begin: int):
         self.kind, self.name, self.source, self.line = kind, name, source, line
         # Where an error is located: the body line being read, else the header.
         self.at = line
-        # The body: each line's number and comment-stripped text (see above).
-        self.linenos: list[int] = []
-        self.lines: list[str] = []
+        # The body: text[begin:end], the lines after the header's up to the next header's.
+        self.text, self.begin, self.end = text, begin, len(text)
 
 
 def _words(section: _RawSection):
-    """The words of each body line, each line split once; ``section.at``
-    is that line's number while it is read, and the header's after."""
-    for section.at, line in zip(section.linenos, section.lines):
-        yield line.split()
+    """The words of each body line that has any, each line split once;
+    ``section.at`` is that line's number while it is read, and the
+    header's after."""
+    lines = section.text[section.begin:section.end].split("\n")
+    if section.text.find("#", section.begin, section.end) >= 0:
+        lines = [line.partition("#")[0] for line in lines]
+    for section.at, line in enumerate(lines, section.line + 1):
+        words = line.split()
+        if words:
+            yield words
     section.at = section.line
 
 
@@ -100,17 +107,26 @@ def _alphabet_line(alphabet, words: list[str], alphabets: dict[str, Alphabet]) -
 
 
 def _split_sections(source: str, text: str) -> list[_RawSection]:
+    """Each section, found by its header: a line whose first character
+    that is no whitespace is "[".  Lines end at "\\n" only, as editors and
+    grep -n count them; str.splitlines would also break at \\x0c, \\x85,
+    \\u2028 and others."""
     sections: list[_RawSection] = []
-    current: _RawSection | None = None
-    # Lines end at "\n" only, as editors and grep -n count them;
-    # str.splitlines would also break at \x0c, \x85, \u2028 and others.
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if "#" in line:
-            line = line[: line.index("#")]
-        line = line.strip()
-        if not line:
-            continue
-        if line[0] == "[":
+    lineno, at = 1, 0  # the number of the line that starts at offset at
+    start = text.find("[")
+    while start >= 0:
+        begin = text.rfind("\n", 0, start) + 1  # where the line of this "[" starts
+        end = text.find("\n", start)
+        if end < 0:
+            end = len(text)
+        if begin == start or text[begin:start].isspace():
+            lineno += text.count("\n", at, begin)
+            at = begin
+            if sections:
+                sections[-1].end = begin - 1
+            elif begin:
+                _no_content(source, text, begin)
+            line = text[start:end].partition("#")[0].rstrip()
             if not line.endswith("]"):
                 _fail(source, lineno, "unterminated section header")
             header = line[1:-1].split()
@@ -119,17 +135,21 @@ def _split_sections(source: str, text: str) -> list[_RawSection]:
             kind, name = header
             if kind not in _KINDS:
                 _fail(source, lineno, f"unknown section kind {kind!r}")
-            current = _RawSection(kind, name, source, lineno)
-            sections.append(current)
-            continue
-        if current is None:
-            _fail(source, lineno, "content before any section header")
-        current.linenos.append(lineno)
-        current.lines.append(line)
+            sections.append(_RawSection(kind, name, source, lineno, text, end + 1))
+        start = text.find("[", end)
+    if not sections:
+        _no_content(source, text, len(text))
     return sections
 
 
-def _build_alphabet(section: _RawSection, alphabets: dict[str, Alphabet]) -> Alphabet:
+def _no_content(source: str, text: str, end: int) -> None:
+    """Refuse a line with content in text[:end], which no header precedes."""
+    for lineno, line in enumerate(text[:end].split("\n"), 1):
+        if line.partition("#")[0].strip():
+            _fail(source, lineno, "content before any section header")
+
+
+def _build_alphabet(section: _RawSection, alphabets: dict[str, Alphabet], strings: dict) -> Alphabet:
     kinds = ("events", "controllable", "observable")
     payloads: dict[str, list[str]] = {}
     for words in _words(section):
@@ -143,7 +163,7 @@ def _build_alphabet(section: _RawSection, alphabets: dict[str, Alphabet]) -> Alp
     return Alphabet(*(frozenset(payloads.get(kind, ())) for kind in kinds))
 
 
-def _build_sites(section: _RawSection, alphabets: dict[str, Alphabet]) -> SitesDecl:
+def _build_sites(section: _RawSection, alphabets: dict[str, Alphabet], strings: dict) -> SitesDecl:
     alphabet: Alphabet | None = None
     parts: dict[tuple[str, str], list[str]] = {}
     for words in _words(section):
@@ -171,9 +191,9 @@ def _build_sites(section: _RawSection, alphabets: dict[str, Alphabet]) -> SitesD
     return SitesDecl(alphabet_name, site1, site2)
 
 
-def _build_language(section: _RawSection, alphabets: dict[str, Alphabet]) -> FuzzyLanguage:
+def _build_language(section: _RawSection, alphabets: dict[str, Alphabet], strings: dict) -> FuzzyLanguage:
     alphabet: Alphabet | None = None
-    parsed, graded = {}, {}  # string text -> event string, -> grade: no tuple per line
+    graded = {}  # string text -> grade, in line order: no tuple per line
     valid, before, size, top = True, None, 0, None  # the fast check; the last string, its length
     for words in _words(section):
         if words[0] == "alphabet":
@@ -181,34 +201,36 @@ def _build_language(section: _RawSection, alphabets: dict[str, Alphabet]) -> Fuz
             continue
         if len(words) != 2:
             raise FdesError("SYNTAX_ERROR", "expected: <string> <grade>")
-        # x.y.z is the parsed x.y plus one event; anything else parses whole.
-        head, _, last = words[0].rpartition(".")
-        if last and head in parsed and head != EPSILON_TEXT:
-            s, pg = parsed[head] + (check_event_id(last),), graded[head]
-        else:
-            s = parse_event_string(words[0])
-            pg = top if len(s) == 1 else None  # top: the grade of eps
+        text = words[0]
+        head, _, last = text.rpartition(".")
+        # x.y.z is a parsed x.y, no eps, plus one event; anything else parses
+        # whole.  The table keeps the first tuple read for each text.
+        parent = strings.get(head)
+        s = parent + (check_event_id(last),) if parent and last else parse_event_string(text)
+        s = strings.setdefault(text, s)
         g = parse_grade(words[1])
-        if words[0] in parsed:
-            raise FdesError("DUPLICATE_STRING", f"duplicate string {words[0]}")
+        if text in graded:
+            raise FdesError("DUPLICATE_STRING", f"duplicate string {text}")
         if valid:
             n = len(s)
             if alphabet is None:
                 valid = False
             elif n:
+                # The parent's grade, if this section read it; top: the grade of eps.
+                pg = graded.get(head) if n > 1 else top
                 valid = (pg is not None and (g is pg or g <= pg and g.numerator)
                          and s[-1] in alphabet.events and (size < n or size == n and before < s))
             else:
-                valid, top = not parsed and g == ONE, g
+                valid, top = not graded and g == ONE, g
             before, size = s, n
-        parsed[words[0]], graded[words[0]] = s, g
+        graded[text] = g
     if alphabet is None:
         raise FdesError("SYNTAX_ERROR", "language section needs an alphabet line")
-    entries = dict(zip(parsed.values(), graded.values()))
+    entries = dict(zip(map(strings.__getitem__, graded), graded.values()))
     return FuzzyLanguage._valid(alphabet, entries) if valid else FuzzyLanguage(alphabet, entries)
 
 
-def _build_automaton(section: _RawSection, alphabets: dict[str, Alphabet]) -> FuzzyAutomaton:
+def _build_automaton(section: _RawSection, alphabets: dict[str, Alphabet], strings: dict) -> FuzzyAutomaton:
     alphabet: Alphabet | None = None
     states: list[str] = []
     initial: str | None = None
@@ -238,7 +260,7 @@ def _build_automaton(section: _RawSection, alphabets: dict[str, Alphabet]) -> Fu
     return FuzzyAutomaton(frozenset(states), alphabet, initial, transitions)
 
 
-def _build_supervisor(section: _RawSection, alphabets: dict[str, Alphabet]) -> FuzzySupervisor:
+def _build_supervisor(section: _RawSection, alphabets: dict[str, Alphabet], strings: dict) -> FuzzySupervisor:
     alphabet: Alphabet | None = None
     observable: list[str] | None = None
     controllable: list[str] | None = None
@@ -259,7 +281,9 @@ def _build_supervisor(section: _RawSection, alphabets: dict[str, Alphabet]) -> F
         elif key == "obs":
             if len(payload) != 1:
                 raise FdesError("SYNTAX_ERROR", "obs line takes one observed string")
-            observed = parse_event_string(payload[0])
+            observed = strings.get(payload[0])
+            if observed is None:
+                observed = strings[payload[0]] = parse_event_string(payload[0])
             if observed in rows:
                 raise FdesError("DUPLICATE_STRING", f"duplicate row {payload[0]}")
             current_row = {}
@@ -360,7 +384,7 @@ def _emit_supervisor(supervisor: FuzzySupervisor, doc: FdlDocument) -> list[str]
 
 # The one table of section kinds, in build and emission order: each kind's
 # FdlDocument table, its builder, which takes (section, alphabets built so
-# far), and its emitter, which takes (value, document), returns the lines
+# far, the call's string table), and its emitter, which takes (value, document), returns the lines
 # ``emit_fdl`` writes under the header and refuses what the builder would.
 _Kind = namedtuple("_Kind", "table build emit")
 _KINDS = {
@@ -370,6 +394,7 @@ _KINDS = {
     "automaton": _Kind("automata", _build_automaton, _emit_automaton),
     "supervisor": _Kind("supervisors", _build_supervisor, _emit_supervisor),
 }
+_ORDER = {kind: rank for rank, kind in enumerate(_KINDS)}
 _TABLE_NAMES = [kind.table for kind in _KINDS.values()]
 # A document's tables, which its equality and repr read; not file_sections.
 _tables = attrgetter(*_TABLE_NAMES)
@@ -421,16 +446,16 @@ class FdlDocument:
 def parse_documents(named_texts: list[tuple[str, str]]) -> FdlDocument:
     """Parse and merge one document from (source name, text) pairs."""
     doc = FdlDocument()
+    strings: dict[str, EventString] = {}  # text -> event string, for this call alone
     sections: list[_RawSection] = []
     for source, text in named_texts:
         split = _split_sections(source, text)
         doc.file_sections[source] = [(s.kind, s.name) for s in split]
         sections.extend(split)
-    order = list(_KINDS)
-    for section in sorted(sections, key=lambda s: order.index(s.kind)):
+    for section in sorted(sections, key=lambda s: _ORDER[s.kind]):
         kind = _KINDS[section.kind]
         try:
-            value = kind.build(section, doc.alphabets)
+            value = kind.build(section, doc.alphabets, strings)
         except FdesError as err:
             _fail(section.source, section.at, err.message, err.code)
         table = getattr(doc, kind.table)
@@ -458,13 +483,13 @@ def section_names(source: str, text: str, kind: str) -> list[str]:
 def emit_fdl(doc: FdlDocument) -> str:
     """Canonical text for a document; reparsing yields an equal document.
     A section the parser would refuse is refused here, with its code."""
-    blocks: list[list[str]] = []
+    blocks: list[str] = []  # each section's text, joined as it is emitted
     for kind, (table_name, _, emit) in _KINDS.items():
         table = getattr(doc, table_name)
         for name in sorted(table, key=str):  # as the states are
             try:
                 _check_name(name)
-                blocks.append([f"[{kind} {name}]", *emit(table[name], doc)])
+                blocks.append("\n".join([f"[{kind} {name}]", *emit(table[name], doc)]))
             except FdesError as err:
                 raise FdesError(err.code, f"{kind} {name!r}: {err.message}") from None
-    return "\n\n".join("\n".join(block) for block in blocks) + "\n"
+    return "\n\n".join(blocks) + "\n"

@@ -6,6 +6,10 @@ of a max-min automaton, a fold of grades by max, and an enumeration of
 every language over a small universe and lattice.  They share no loop with ``fdes.predicates`` or
 ``fdes.automaton.generated_language``, so the tests can hold the graded
 checks and the unrolling against them on desk-scale instances.
+
+It also keeps a line-by-line FDL splitter: each section's body as its
+lines' numbers and comment-stripped text, read from one split of the
+whole file, against which the parser's span splitter is held.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from typing import Iterable, Iterator
 from fdes.automaton import FuzzyAutomaton, _advance, _step_map
 from fdes.errors import FdesError
 from fdes.events import EPSILON, Alphabet, EventId, EventString, string_key
+from fdes.fdl import _KINDS, _fail
 from fdes.grades import ONE, ZERO, Grade, meet
 from fdes.language import FuzzyLanguage
 from fdes.oracle import DEFAULT_BUDGET, _assignments, _check_budget
@@ -270,3 +275,59 @@ def enumerate_languages(spec: EnumerationSpec) -> Iterator[FuzzyLanguage]:
     _check_budget(spec.candidate_bound(), spec.budget)
     for grades in _assignments(spec.universe, spec.lattice, lambda s: ZERO, lambda s: ONE):
         yield FuzzyLanguage(spec.alphabet, grades)
+
+
+# The FDL splitter that numbers and strips every line of a file up front;
+# its sections have the attributes ``fdes.fdl.parse_documents`` reads, so
+# the parser can run on it in place of ``fdes.fdl._split_sections`` and
+# ``fdes.fdl._words``.
+
+
+class _RawSection:
+    __slots__ = ("kind", "name", "source", "line", "at", "linenos", "lines")
+
+    def __init__(self, kind: str, name: str, source: str, line: int):
+        self.kind, self.name, self.source, self.line = kind, name, source, line
+        # Where an error is located: the body line being read, else the header.
+        self.at = line
+        # The body: each line's number and comment-stripped text (see above).
+        self.linenos: list[int] = []
+        self.lines: list[str] = []
+
+
+def _words(section: _RawSection):
+    """The words of each body line, each line split once; ``section.at``
+    is that line's number while it is read, and the header's after."""
+    for section.at, line in zip(section.linenos, section.lines):
+        yield line.split()
+    section.at = section.line
+
+
+def _split_sections(source: str, text: str) -> list[_RawSection]:
+    sections: list[_RawSection] = []
+    current: _RawSection | None = None
+    # Lines end at "\n" only, as editors and grep -n count them;
+    # str.splitlines would also break at \x0c, \x85, \u2028 and others.
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if "#" in line:
+            line = line[: line.index("#")]
+        line = line.strip()
+        if not line:
+            continue
+        if line[0] == "[":
+            if not line.endswith("]"):
+                _fail(source, lineno, "unterminated section header")
+            header = line[1:-1].split()
+            if len(header) != 2:
+                _fail(source, lineno, "section header must be [kind name]")
+            kind, name = header
+            if kind not in _KINDS:
+                _fail(source, lineno, f"unknown section kind {kind!r}")
+            current = _RawSection(kind, name, source, lineno)
+            sections.append(current)
+            continue
+        if current is None:
+            _fail(source, lineno, "content before any section header")
+        current.linenos.append(lineno)
+        current.lines.append(line)
+    return sections

@@ -525,6 +525,32 @@ def test_non_utf8_input_is_an_io_error(tmp_path, capsys):
     assert f"error[IO_ERROR]: cannot read {bad}" in capsys.readouterr().err
 
 
+LONE_CR = b"[alphabet E]\nevents a\rb\n\n[language K]\nalphabet E\neps 1\nb 0.5\n"
+
+
+def test_a_lone_carriage_return_is_whitespace_as_parse_fdl_reads_it(tmp_path, capsys):
+    cr = tmp_path / "cr.fdl"
+    cr.write_bytes(LONE_CR)
+    assert run_command(["validate", str(cr)]) == 0
+    assert capsys.readouterr().out == "alphabet: E\nlanguage: K\nok\n"
+    assert parse_fdl(LONE_CR.decode()).alphabets["E"].events == {"a", "b"}
+    # Lines are counted at "\n" only, as grep -n and parse_fdl count them.
+    cr.write_bytes(LONE_CR.replace(b"b 0.5", b"b 0.5x"))
+    assert run_command(["validate", str(cr)]) == 2
+    assert capsys.readouterr().err.startswith(f"error[MALFORMED_GRADE]: {cr}:7: ")
+
+
+def test_crlf_files_read_as_lf_files(tmp_path, capsys):
+    crlf = tmp_path / "medical.fdl"
+    crlf.write_bytes(Path(MEDICAL).read_bytes().replace(b"\n", b"\r\n"))
+    outputs = []
+    for path in (MEDICAL, str(crlf)):
+        assert run_command(["synthesize", "--mode", "decentralized", "--plant", path, "--spec", path,
+                            "--sites", path]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[1] == outputs[0] and "\r" not in outputs[0]
+
+
 def test_each_file_must_hold_exactly_one_picked_section(tmp_path, capsys):
     both = tmp_path / "both.fdl"
     plant_text, spec_text = (Path(p).read_text(encoding="utf-8") for p in (CENTRAL_PLANT, CENTRAL_SPEC))

@@ -358,7 +358,7 @@ def test_other_section_errors_keep_code_message_and_line(text, code, message, li
     )
 
 
-@pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+@pytest.mark.parametrize("char", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
 def test_lines_are_numbered_at_newlines_only(char):
     # str.splitlines breaks at each of these; an editor or grep -n does not.
     text = f"[alphabet E]\nevents a b{char}\n\n[language K]\nalphabet E\neps 1\na 0.5x\n"
@@ -660,3 +660,44 @@ def test_single_takes_a_kind_and_the_constructor_takes_only_tables():
         FdlDocument().single("language")
     with pytest.raises(TypeError):
         FdlDocument(file_sections={})
+
+
+SHARED_ONE = (
+    "[alphabet E]\nevents a b\ncontrollable a\nobservable a\n\n"
+    "[language K]\nalphabet E\neps 1\na 0.5\na.b 0.5\n\n"
+    "[language L]\nalphabet E\neps 1\na 1\na.b 0.25\nb 0.5\n\n"
+    "[supervisor S]\nalphabet E\nobservable a\ncontrollable a\nobs a\nenable a 1\n"
+)
+SHARED_TWO = "[language M]\nalphabet E\neps 1\nb 1\nb.a 1\nb.a.b 0.5\n"
+
+
+def _key(keys, value):
+    """The object among ``keys`` that equals ``value``."""
+    return next(key for key in keys if key == value)
+
+
+def test_one_call_reads_each_string_into_one_tuple():
+    def parse():
+        return parse_documents([("one.fdl", SHARED_ONE), ("two.fdl", SHARED_TWO)])
+
+    doc = parse()
+    K, L, M = (doc.languages[name] for name in "KLM")
+    # Two language sections of one file, and a supervisor's obs line.
+    a = _key(K.support, ("a",))
+    assert _key(L.support, ("a",)) is a
+    assert _key(doc.supervisors["S"].table, ("a",)) is a
+    assert _key(K.support, ("a", "b")) is _key(L.support, ("a", "b"))
+    # Two files.
+    assert _key(L.support, ("b",)) is _key(M.support, ("b",))
+    # No table outlives its call.
+    again = parse()
+    assert again == doc
+    assert _key(again.languages["K"].support, ("a", "b")) is not _key(K.support, ("a", "b"))
+    assert _key(again.supervisors["S"].table, ("a",)) is not a
+    assert emit_fdl(doc) == (
+        "[alphabet E]\nevents a b\ncontrollable a\nobservable a\n\n"
+        "[language K]\nalphabet E\neps 1\na 0.5\na.b 0.5\n\n"
+        "[language L]\nalphabet E\neps 1\na 1\nb 0.5\na.b 0.25\n\n"
+        "[language M]\nalphabet E\neps 1\nb 1\nb.a 1\nb.a.b 0.5\n\n"
+        "[supervisor S]\nalphabet E\nobservable a\ncontrollable a\nobs a\nenable a 1\nenable b 1\n"
+    )
