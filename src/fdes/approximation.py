@@ -2,11 +2,12 @@
 
 The pointwise-least controllable-and-observable superlanguage is the
 closed loop of the spec's formula supervisor, and the pointwise-greatest
-controllable-and-normal sublanguage comes from monotone lowering sweeps.
+controllable-and-normal sublanguage comes from one worklist of lowerings
+by three rules: prefix, controllability and a bound per projection class.
 Every assigned value is a meet or join of grades already present in the
-inputs, so iteration lives in the finite grade lattice of the instance
-and terminates.  Both procedures are validated against exhaustive search
-in the oracle module.
+inputs, so each string's grade falls at most |lattice| times and the
+worklist ends within O(|supp(plant)| * |lattice|) steps.  Both procedures
+are validated against exhaustive search in the oracle module.
 """
 
 from __future__ import annotations
@@ -45,74 +46,60 @@ def infimal_co(spec: FuzzyLanguage, plant: FuzzyLanguage, pr: Projection) -> Fuz
 def supremal_cn(spec: FuzzyLanguage, plant: FuzzyLanguage, pr: Projection) -> FuzzyLanguage:
     """Greatest controllable and normal sublanguage of the spec.
 
-    Lowering sweeps from the spec, three repairs per sweep:
+    Grades only fall, from the spec's, by a worklist over the ids of
+    supp(plant) (``language.Index``), seeded with every id.  When id s
+    of rank r is popped, three rules lower other ids to r:
 
-    * controllability, longest string first, so that a lowering reaches
-      the prefixes it forces within the sweep: when
-      min(grade(s), plant(sa)) > grade(sa) for an uncontrollable a,
-      grade(s) is lowered to grade(sa), the largest value whose meet with
-      plant(sa) stays within grade(sa);
-    * normality, with one running join per class of supp(plant): when the
-      join met with plant(s) exceeds grade(s), every class member above
-      grade(s) is lowered to grade(s), so the join becomes exactly
-      grade(s).  The join only falls, so a class takes at most |lattice|
-      repairs per sweep;
-    * prefix monotonicity, shortest string first.
+    * prefix monotonicity: each plant child of s;
+    * controllability: when s ends in an uncontrollable event and
+      min(grade(parent), plant(s)) > r, the parent, as r is the largest
+      grade whose meet with plant(s) stays within grade(s);
+    * normality: when r < plant(s), the join of s's class must not exceed
+      r, so the class bound (the least rank of a member below its plant
+      grade) falls to r and every member above it is lowered.
 
-    Each lowering is forced in any controllable-and-normal sublanguage, so
-    the iterate stays above them all, and a sweep that changes nothing
-    ends at the greatest one.  If the empty string's grade ever drops
-    below 1 no valid non-empty sublanguage fits, and the result is the
-    empty language.
+    Each lowered id is queued again.  Every lowering is forced in any
+    controllable-and-normal sublanguage, so the iterate stays above them
+    all, and an empty worklist ends at the greatest one.  If the empty
+    string's grade is then below 1 no valid non-empty sublanguage fits,
+    and the result is the empty language.
 
-    The sweeps run on the ids of supp(plant) (``language.Index``): the
-    uncontrollable children of each string, the members of each class and
-    the spec's strings, the only ones that can stay, are id lists built
-    once.  A sweep costs O(|supp(plant)| * (|E| + |lattice|));
-    every sweep but the last lowers some grade, which bounds their number
-    by |supp(spec)| * |lattice|, though a few sweeps are typical.
+    An id is queued at most once per rank it falls to, the child lists
+    sum to the support, and a class is scanned only when its bound falls,
+    at most |lattice| times.  So the cost is O(|supp(plant)| * |lattice|),
+    with no factor for string depth.
     """
     lattice, index, S, P = _require_spec_inside_plant(spec, plant)
     proj, observed = projection_ids(index, pr)
     if spec.is_empty:
         return spec
     parent, event, uncontrollable = index.parent, index.event, spec.alphabet.uncontrollable
-    # Each id's plant children by uncontrollable events, in event order,
-    # and each class's members in support order.
     children: list[list[int]] = [[] for _ in P]
     classes: list[list[int]] = [[] for _ in observed]
     for i, c in enumerate(proj):
         classes[c].append(i)
-        if event[i] in uncontrollable:
-            children[parent[i]].append(i)
-    order = [i for i, r in enumerate(S) if r]
+        children[parent[i]].append(i)
+    children[0].remove(0)  # eps is its own parent
+    bound = [len(lattice)] * len(observed)
     current = S[:]
-    changed = True
-    while changed:
-        changed = False
-        for s in reversed(order):
-            for sa in children[s]:
-                have = current[sa]
-                if min(current[s], P[sa]) > have:
-                    current[s] = have
-                    changed = True
-        for members in classes:
-            class_join = max([current[t] for t in members])
-            for s in members:
-                have = current[s]
-                if min(class_join, P[s]) > have:
-                    for t in members:
-                        if current[t] > have:
-                            current[t] = have
-                    class_join = have
-                    changed = True
-        for s in order[1:]:
-            if current[s] > current[parent[s]]:
-                current[s] = current[parent[s]]
-                changed = True
-        if current[0] != len(lattice) - 1:
-            current = [0] * len(P)
-            changed = False
+    work = list(range(len(P)))
+    while work:
+        s = work.pop()
+        r = current[s]
+        targets = children[s]  # the ids the three rules hold at or below r
+        if r < P[s]:
+            if event[s] in uncontrollable:
+                targets = [*targets, parent[s]]
+            c = proj[s]
+            if r < bound[c]:
+                bound[c] = r
+                targets = [*targets, *classes[c]]
+        for t in targets:
+            if current[t] > r:
+                current[t] = r
+                work.append(t)
+    if current[0] != len(lattice) - 1:
+        current = [0] * len(P)
     return index.decode(lattice, current)
 
 

@@ -483,13 +483,15 @@ def section_names(source: str, text: str, kind: str) -> list[str]:
 def emit_fdl(doc: FdlDocument) -> str:
     """Canonical text for a document; reparsing yields an equal document.
     A section the parser would refuse is refused here, with its code."""
-    blocks: list[str] = []  # each section's text, joined as it is emitted
+    # Each section's text with its closing "\n", joined as it is emitted, so
+    # one join copies the blocks into the output; with no section it is "\n".
+    blocks: list[str] = []
     for kind, (table_name, _, emit) in _KINDS.items():
         table = getattr(doc, table_name)
         for name in sorted(table, key=str):  # as the states are
             try:
                 _check_name(name)
-                blocks.append("\n".join([f"[{kind} {name}]", *emit(table[name], doc)]))
+                blocks.append("\n".join([f"[{kind} {name}]", *emit(table[name], doc), ""]))
             except FdesError as err:
                 raise FdesError(err.code, f"{kind} {name!r}: {err.message}") from None
-    return "\n\n".join(blocks) + "\n"
+    return "\n".join(blocks) or "\n"

@@ -289,8 +289,9 @@ class Index:
     def decode(self, lattice: tuple, ranks: list) -> FuzzyLanguage:
         """Decode the ranks of a valid language over the ids, unchecked
         (``FuzzyLanguage._valid``): the closed loop meets each grade with
-        its parent's and keeps the plant's eps, and ``supremal_cn`` ends on
-        an unchanged prefix repair or all zeros.  Ids run in support order."""
+        its parent's and keeps the plant's eps, and ``supremal_cn`` ends
+        with no child above its parent, or on all zeros.  Ids run in
+        support order."""
         grades = {s: lattice[r] for s, r in zip(self.strings, ranks) if r}
         return FuzzyLanguage._valid(self.alphabet, grades)
 

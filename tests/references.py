@@ -7,7 +7,8 @@ every language over a small universe and lattice.  They share no loop with ``fde
 ``fdes.automaton.generated_language``, so the tests can hold the graded
 checks and the unrolling against them on desk-scale instances.
 
-It also keeps a line-by-line FDL splitter: each section's body as its
+It also keeps ``supremal_cn`` as the repeated sweeps it ran before its
+worklist, and a line-by-line FDL splitter: each section's body as its
 lines' numbers and comment-stripped text, read from one split of the
 whole file, against which the parser's span splitter is held.
 """
@@ -24,7 +25,7 @@ from fdes.fdl import _KINDS, _fail
 from fdes.grades import ONE, ZERO, Grade, meet
 from fdes.language import FuzzyLanguage
 from fdes.oracle import DEFAULT_BUDGET, _assignments, _check_budget
-from fdes.observation import Projection, projection_classes
+from fdes.observation import Projection, projection_classes, projection_ids
 from fdes.predicates import Site, _require_spec_inside_plant, _resolve_sites
 
 
@@ -331,3 +332,56 @@ def _split_sections(source: str, text: str) -> list[_RawSection]:
         current.linenos.append(lineno)
         current.lines.append(line)
     return sections
+
+
+# The lowering fixed point as repeated ordered sweeps, one sweep per step a
+# lowering travels back, against which ``fdes.approximation.supremal_cn``'s
+# worklist is held.
+
+
+def supremal_cn_sweeps(spec: FuzzyLanguage, plant: FuzzyLanguage, pr: Projection) -> FuzzyLanguage:
+    """Greatest controllable and normal sublanguage of the spec, by sweeps
+    until one changes nothing: controllability longest string first, one
+    running join per class, prefix monotonicity shortest string first."""
+    lattice, index, S, P = _require_spec_inside_plant(spec, plant)
+    proj, observed = projection_ids(index, pr)
+    if spec.is_empty:
+        return spec
+    parent, event, uncontrollable = index.parent, index.event, spec.alphabet.uncontrollable
+    # Each id's plant children by uncontrollable events, in event order,
+    # and each class's members in support order.
+    children: list[list[int]] = [[] for _ in P]
+    classes: list[list[int]] = [[] for _ in observed]
+    for i, c in enumerate(proj):
+        classes[c].append(i)
+        if event[i] in uncontrollable:
+            children[parent[i]].append(i)
+    order = [i for i, r in enumerate(S) if r]
+    current = S[:]
+    changed = True
+    while changed:
+        changed = False
+        for s in reversed(order):
+            for sa in children[s]:
+                have = current[sa]
+                if min(current[s], P[sa]) > have:
+                    current[s] = have
+                    changed = True
+        for members in classes:
+            class_join = max([current[t] for t in members])
+            for s in members:
+                have = current[s]
+                if min(class_join, P[s]) > have:
+                    for t in members:
+                        if current[t] > have:
+                            current[t] = have
+                    class_join = have
+                    changed = True
+        for s in order[1:]:
+            if current[s] > current[parent[s]]:
+                current[s] = current[parent[s]]
+                changed = True
+        if current[0] != len(lattice) - 1:
+            current = [0] * len(P)
+            changed = False
+    return index.decode(lattice, current)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -31,12 +32,14 @@ from fdes.language import _codes
 from helpers import (
     central_example,
     lang,
+    random_alphabet,
     random_lattice,
     random_plant,
     random_projection,
     random_sublanguage,
     union_example,
 )
+from references import supremal_cn_sweeps
 from theorems import make_instance
 
 
@@ -287,3 +290,132 @@ def test_fixed_points_match_golden_outputs(name, build):
     expected = parse_fdl((DATA / f"golden_{name}.fdl").read_text(encoding="utf-8")).languages
     assert infimal_co(spec, plant, pr) == expected["infimal"]
     assert supremal_cn(spec, plant, pr) == expected["supremal"]
+
+
+# ---------------------------------------------------------------------------
+# supremal_cn's worklist against the repeated sweeps it replaced
+# (references.supremal_cn_sweeps), on instances beyond the brute oracle's
+# reach, and the worklist's cost on the "ladder", the family on which the
+# sweeps needed one pass per step a lowering travels back.
+
+
+def _same_supremal(spec, plant, pr) -> FuzzyLanguage:
+    result = supremal_cn(spec, plant, pr)
+    expected = supremal_cn_sweeps(spec, plant, pr)
+    assert result == expected and result.support == expected.support
+    return result
+
+
+def _support_size(transitions, initial, horizon: int) -> int:
+    """How many strings of length <= horizon reach a state: the crisp
+    subset walk, so an instance is sized before it is unrolled."""
+    level, total = {frozenset([initial]): 1}, 1
+    for _ in range(horizon):
+        step: dict = {}
+        for states, count in level.items():
+            for event in {e for p, e, _ in transitions if p in states}:
+                reached = frozenset(q for p, e, q in transitions if p in states and e == event)
+                step[reached] = step.get(reached, 0) + count
+        level = step
+        total += sum(level.values())
+    return total
+
+
+def _deep_plant(rng: random.Random) -> tuple:
+    """A random 2-4-state automaton over two or three events, each state
+    with one or two of them, unrolled at the largest horizon between 10
+    and a random draw up to 14 that keeps the plant within 3,000 strings."""
+    while True:
+        alphabet = random_alphabet(rng, max_events=3)
+        if len(alphabet.events) < 2:
+            continue
+        lattice = random_lattice(rng)
+        states = [f"q{i}" for i in range(rng.randint(2, 4))]
+        transitions = {
+            (p, e, rng.choice(states)): rng.choice(lattice[1:])
+            for p in states
+            for e in rng.sample(sorted(alphabet.events), 1 + (rng.random() < 0.5))
+        }
+        for horizon in range(rng.randint(10, 14), 9, -1):
+            if _support_size(transitions, "q0", horizon) <= 3000:
+                aut = FuzzyAutomaton(frozenset(states), alphabet, "q0", transitions)
+                return alphabet, generated_language(aut, horizon)
+
+
+def test_supremal_cn_equals_the_sweeps_on_random_plants_of_up_to_200_strings():
+    rng = random.Random(2626)
+    kept = lowered = largest = 0
+    for _ in range(200):
+        alphabet = random_alphabet(rng)
+        lattice = random_lattice(rng)
+        plant = random_plant(rng, alphabet, lattice, max_support=200, max_len=8)
+        if rng.random() < 0.5:
+            spec = random_sublanguage(rng, plant, lattice)
+        else:
+            spec = _spec_under(rng, plant, 0.05)
+        result = _same_supremal(spec, plant, random_projection(rng, alphabet))
+        kept += not result.is_empty
+        lowered += not result.is_empty and result != spec
+        largest = max(largest, len(plant.support))
+    assert largest >= 150 and kept >= 40 and lowered >= 10
+
+
+def test_supremal_cn_equals_the_sweeps_on_deep_plants():
+    rng = random.Random(2627)
+    kept = lowered = deepest = 0
+    for _ in range(100):
+        alphabet, plant = _deep_plant(rng)
+        spec = _spec_under(rng, plant, 0.02)
+        result = _same_supremal(spec, plant, random_projection(rng, alphabet))
+        kept += not result.is_empty
+        lowered += not result.is_empty and result != spec
+        deepest = max(deepest, plant.max_length())
+    assert deepest == 14 and kept >= 30 and lowered >= 8
+
+
+def _ladder(k: int) -> tuple:
+    """The horizon-(2k+1) unrolling of the two-state cycle f e f e ..., e
+    observable and uncontrollable, f unobservable and controllable, and
+    the spec that drops the deepest string: the class rule and
+    controllability pass the loss back one step each, down to eps."""
+    alphabet = Alphabet({"e", "f"}, controllable={"f"}, observable={"e"})
+    one = F(1)
+    aut = FuzzyAutomaton(
+        frozenset({"p", "q"}), alphabet, "p", {("p", "f", "q"): one, ("q", "e", "p"): one}
+    )
+    plant = generated_language(aut, 2 * k + 1)
+    spec = FuzzyLanguage(alphabet, dict(list(plant.items())[:-1]))
+    return spec, plant, natural_projection(alphabet)
+
+
+def _line_events(function, *args) -> tuple:
+    """Call ``function`` and count the line events in its own frame: a
+    measure of the work its body does, independent of the host's speed."""
+    lines = 0
+
+    def in_frame(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return in_frame
+
+    def on_call(frame, event, arg):
+        return in_frame if frame.f_code is function.__code__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        result = function(*args)
+    finally:
+        sys.settrace(previous)
+    return result, lines
+
+
+def test_supremal_cn_work_per_string_is_flat_on_the_ladder():
+    per_string = {}
+    for k in (200, 400, 800):
+        spec, plant, pr = _ladder(k)
+        result, lines = _line_events(supremal_cn, spec, plant, pr)
+        assert result.is_empty and len(plant.support) == 2 * k + 2
+        per_string[k] = lines / len(plant.support)
+    assert supremal_cn_sweeps(*_ladder(200)).is_empty
+    assert per_string[800] <= 1.25 * per_string[200], per_string

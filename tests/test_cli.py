@@ -376,6 +376,13 @@ def test_lang_grade_rejects_events_outside_the_alphabet(capsys):
     assert capsys.readouterr().out == "0.8\n"
 
 
+def test_lang_grade_needs_a_string(capsys):
+    assert run_command(["lang", "--op", "grade", CENTRAL_PLANT]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error[SYNTAX_ERROR]: --op grade needs --string\n"
+
+
 def test_lang_project_with_no_observable_events(capsys):
     for observable in ("", ","):
         argv = ["lang", "--op", "project", CENTRAL_PLANT, "--observable", observable]

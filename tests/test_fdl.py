@@ -143,6 +143,14 @@ def test_emit_is_deterministic_and_sorted():
     assert entries == ["eps 1", "a 0.9", "a.b 0.8", "a.c 0.6", "a.d 0.8", "a.c.b 0.4", "a.c.d 0.6"]
 
 
+def test_emitted_bytes_end_each_section_with_one_blank_line_between():
+    assert emit_fdl(FdlDocument()) == "\n"
+    one = "[alphabet E]\nevents a b\ncontrollable a\n"
+    assert emit_fdl(parse_fdl(one)) == one
+    two = one + "\n[language L]\nalphabet E\neps 1\na 1/3\n"
+    assert emit_fdl(parse_fdl(two)) == two
+
+
 def test_emitted_grades_use_shortest_form():
     doc = parse_fdl("[alphabet E]\nevents a\n\n[language L]\nalphabet E\neps 1\na 1/3\n")
     text = emit_fdl(doc)

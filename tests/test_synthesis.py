@@ -109,6 +109,16 @@ def test_closed_loop_requires_covering_table():
     assert err.value.code == "SUPERVISOR_DOMAIN_GAP"
 
 
+def test_enable_grade_refuses_an_observed_string_without_a_row():
+    alphabet, plant, spec = central_example()
+    supervisor = synthesize_central(spec, plant, natural_projection(alphabet))
+    assert supervisor.enable_grade(("a",), "c") == F(2, 5)
+    with pytest.raises(FdesError) as err:
+        supervisor.enable_grade(("c",), "a")
+    assert err.value.code == "SUPERVISOR_DOMAIN_GAP"
+    assert err.value.message == "no row for observed string c"
+
+
 def test_supervisor_pins_unrestrictable_events():
     alphabet, plant, spec = central_example()
     pr = natural_projection(alphabet)
