@@ -41,10 +41,11 @@ class FuzzyLanguage:
     (pointwise min and max, ``Index.decode``, ``generated_language``) keep
     P1, P2 and support order by construction, so ``_valid`` stores them
     unchecked.  ``_index`` holds the language's ``Index`` once a call has
-    built it (``Index.of``).
+    built it (``Index.of``), and ``_ranked`` the language's ranks from the
+    last ``Index.ranked`` call that ranked it alone (index, lattice, P, S).
     """
 
-    __slots__ = ("alphabet", "_grades", "_support", "_index")
+    __slots__ = ("alphabet", "_grades", "_support", "_index", "_ranked")
 
     def __init__(self, alphabet: Alphabet, grades: Mapping[EventString, Grade]):
         events = alphabet.events
@@ -97,6 +98,7 @@ class FuzzyLanguage:
         object.__setattr__(self, "_grades", grades)
         object.__setattr__(self, "_support", tuple(grades))
         object.__setattr__(self, "_index", None)
+        object.__setattr__(self, "_ranked", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FuzzyLanguage is immutable")
@@ -259,13 +261,20 @@ class Index:
         string is absent (None if one lies outside supp(plant)); other
         mappings become key -> rank dicts.  Only the gradings are encoded,
         each read twice; the plant's kept ranks are remapped only when a
-        grading brings a grade the plant lacks.  Nothing is kept between
-        calls.  A language over another alphabet is refused before any
-        grade is read: every language of one call lives over the plant's
-        alphabet."""
+        grading brings a grade the plant lacks.  A language ranked alone
+        keeps the result on itself (``FuzzyLanguage._ranked``), and a later
+        call on the same index returns fresh copies of it.  The entry holds
+        the index, not the plant, so it forms no reference cycle; readers
+        that race each write an equal entry in one store.  A language over
+        another alphabet is refused before any grade is read: every
+        language of one call lives over the plant's alphabet."""
         for grading in gradings:
             if isinstance(grading, FuzzyLanguage):
                 _require_same_alphabet(grading, self)
+        alone = len(gradings) == 1 and isinstance(gradings[0], FuzzyLanguage)
+        if alone and (kept := gradings[0]._ranked) is not None and kept[0] is self:
+            _, lattice, P, S = kept
+            return lattice, P[:], None if S is None else S[:]
         lattice, rank, code = _codes(gradings, self.rank)
         if rank is self.rank:
             P = list(self.ranks)
@@ -284,6 +293,9 @@ class Index:
             except KeyError:
                 ranks = None
             encoded.append(ranks)
+        if alone:
+            kept = (self, lattice, P[:], None if encoded[1] is None else encoded[1][:])
+            object.__setattr__(gradings[0], "_ranked", kept)
         return lattice, *encoded
 
     def decode(self, lattice: tuple, ranks: list) -> FuzzyLanguage:

@@ -5,8 +5,8 @@ witness per violated equation, in deterministic (length, lexicographic)
 order, so golden outputs are byte stable.
 
 Controllability, observability and co-observability test one equation,
-the closed loop's (``_equation``, also run by ``synthesis._sweep``): sa
-gets min(spec(s), plant(sa)) met with the enable grade after s of each
+the closed loop's (``_equation``, run in place by ``synthesis._sweep``):
+sa gets min(spec(s), plant(sa)) met with the enable grade after s of each
 view controlling a, with no view for controllability (on E_uc) and the
 spec's class joins, one view or two (``_view``), for the others (on E_c).
 Synthesis decides by the closed loop itself and runs these checks only
@@ -18,7 +18,8 @@ observability does not split.
 Each check reads the plant's index (``language.Index.of``), which
 numbers supp(plant), ranks its grades and projects its classes
 (``observation.projection_ids``) once per plant, and runs on rank lists
-over its ids; strings are decoded only for witnesses.
+over its ids, the spec's kept on it for the next check (``Index.ranked``);
+strings are decoded only for witnesses.
 A ``controllables`` argument must lie in the alphabet, like E_c itself.
 """
 
@@ -113,33 +114,38 @@ def _members(index: Index, S: list, proj: tuple, classes) -> dict:
     return {c: tuple(strings) for c, strings in members.items()}
 
 
-def _equation(index: Index, P: list, grades: list, views):
-    """The closed-loop equation's rhs as (id, rank), in support order, for
-    each sa in supp(plant) but eps: min(plant(sa), grades(s)) met with the
-    enable rank after s of each view that controls a.  A view is (each
-    id's class, controllable events, (class, event) -> enable rank, absent
-    meaning 0).  ``grades`` is a rank list over the ids, read as the walk
-    goes, so the closed loop can fill it from this."""
+def _equation(index: Index, P: list, grades: list, views, out: list) -> list:
+    """The closed-loop equation's rhs, written into ``out[i]`` for the id i
+    of each sa in supp(plant) but eps, and ``out`` returned: min(plant(sa),
+    grades(s)) met with the enable rank after s of each view that controls
+    a.  A view is (each id's class, controllable events, (class, event) ->
+    enable rank, absent meaning 0).  ``grades`` is a rank list over the
+    ids, read as the walk goes, parents before children, so the closed
+    loop can pass one list as both ``grades`` and ``out``."""
     parent, event = index.parent, index.event
     for i in range(1, len(P)):
         p = parent[i]
-        rank = min(P[i], grades[p])
+        rank = grades[p]
+        if P[i] < rank:
+            rank = P[i]
         if rank:
             e = event[i]
             for proj, controllable, joins in views:
                 if e in controllable:
-                    rank = min(rank, joins.get((proj[p], e), 0))
-        yield i, rank
+                    enable = joins.get((proj[p], e), 0)
+                    if enable < rank:
+                        rank = enable
+        out[i] = rank
+    return out
 
 
-def _mismatches(index: Index, S: list, P: list, views, events):
+def _mismatches(index: Index, S: list, P: list, views, events) -> list:
     """(id of sa, spec(sa), rhs) for each sa in supp(plant) with a in
     ``events`` where the spec's grade differs from the equation's rhs, in
     support order."""
     event = index.event
-    for i, rhs in _equation(index, P, S, views):
-        if S[i] != rhs and event[i] in events:
-            yield i, S[i], rhs
+    rhs = _equation(index, P, S, views, [0] * len(P))
+    return [(i, S[i], rhs[i]) for i in range(1, len(P)) if S[i] != rhs[i] and event[i] in events]
 
 
 def is_controllable(spec: FuzzyLanguage, plant: FuzzyLanguage) -> CheckReport:

@@ -9,7 +9,7 @@ site by the constructive recipe: a controllable event's enable grade
 after observation t is the join of the specification's grades over the
 continuations of all support strings the site cannot distinguish from t
 (``observation.class_joins``); other events are left out.  The closed
-loop is ``predicates._equation`` swept once, meeting every supervisor's
+loop is ``predicates._equation`` run in place, meeting every supervisor's
 enable grade, so the supervisors act conjunctively.  That loop decides
 synthesis: a non-empty spec is achievable iff it is the closed loop of
 its formula supervisors, which by the existence theorems holds iff it is
@@ -141,12 +141,10 @@ def _formula_supervisor(lattice: list, pr: Projection, view: tuple, observed: tu
 
 
 def _sweep(index: Index, P: list[int], views) -> list[int]:
-    """The closed loop on ranks: fills a rank list over the ids of ``index``
-    with the rhs of ``predicates._equation`` over the grades filled so far."""
+    """The closed loop on ranks: a rank list over the ids of ``index`` that
+    ``predicates._equation`` fills in place, each parent before its children."""
     result = P[:1] + [0] * (len(P) - 1)
-    for i, rank in _equation(index, P, result, views):
-        result[i] = rank
-    return result
+    return _equation(index, P, result, views, result)
 
 
 def _closed_loop(plant: FuzzyLanguage, supervisors: Sequence[FuzzySupervisor]) -> FuzzyLanguage:

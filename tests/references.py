@@ -7,10 +7,12 @@ every language over a small universe and lattice.  They share no loop with ``fde
 ``fdes.automaton.generated_language``, so the tests can hold the graded
 checks and the unrolling against them on desk-scale instances.
 
-It also keeps ``supremal_cn`` as the repeated sweeps it ran before its
-worklist, and a line-by-line FDL splitter: each section's body as its
-lines' numbers and comment-stripped text, read from one split of the
-whole file, against which the parser's span splitter is held.
+It also keeps the closed-loop equation as the generator it was before
+``fdes.predicates._equation`` became one loop, ``supremal_cn`` as the
+repeated sweeps it ran before its worklist, and a line-by-line FDL
+splitter: each section's body as its lines' numbers and comment-stripped
+text, read from one split of the whole file, against which the parser's
+span splitter is held.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from fdes.errors import FdesError
 from fdes.events import EPSILON, Alphabet, EventId, EventString, string_key
 from fdes.fdl import _KINDS, _fail
 from fdes.grades import ONE, ZERO, Grade, meet
-from fdes.language import FuzzyLanguage
+from fdes.language import FuzzyLanguage, Index
 from fdes.oracle import DEFAULT_BUDGET, _assignments, _check_budget
 from fdes.observation import Projection, projection_classes, projection_ids
 from fdes.predicates import Site, _require_spec_inside_plant, _resolve_sites
@@ -385,3 +387,26 @@ def supremal_cn_sweeps(spec: FuzzyLanguage, plant: FuzzyLanguage, pr: Projection
             current = [0] * len(P)
             changed = False
     return index.decode(lattice, current)
+
+
+# The closed-loop equation as a generator of (id, rank) pairs, against which
+# ``fdes.predicates._equation``'s loop and ``fdes.synthesis._sweep`` are held.
+
+
+def equation_pairs(index: Index, P: list, grades: list, views):
+    """The closed-loop equation's rhs as (id, rank), in support order, for
+    each sa in supp(plant) but eps: min(plant(sa), grades(s)) met with the
+    enable rank after s of each view that controls a.  A view is (each
+    id's class, controllable events, (class, event) -> enable rank, absent
+    meaning 0).  ``grades`` is a rank list over the ids, read as the walk
+    goes, so the closed loop can fill it from this."""
+    parent, event = index.parent, index.event
+    for i in range(1, len(P)):
+        p = parent[i]
+        rank = min(P[i], grades[p])
+        if rank:
+            e = event[i]
+            for proj, controllable, joins in views:
+                if e in controllable:
+                    rank = min(rank, joins.get((proj[p], e), 0))
+        yield i, rank

@@ -41,7 +41,10 @@ from fdes.predicates import (
     is_normal,
     is_observable,
     is_strongly_observable,
+    _equation,
+    _view,
 )
+from fdes.synthesis import _sweep
 from helpers import (
     random_alphabet,
     random_lattice,
@@ -51,7 +54,8 @@ from helpers import (
     random_sublanguage,
     random_supervisor,
 )
-from references import join_all
+from references import equation_pairs, join_all
+from theorems import make_instance
 
 
 def copied(language: FuzzyLanguage) -> FuzzyLanguage:
@@ -183,14 +187,79 @@ def test_an_indexed_plant_is_freed_without_the_cycle_collector():
             lattice = random_lattice(rng)
             plant = random_plant(rng, alphabet, lattice)
             pr = random_projection(rng, alphabet)
+            spec = random_sublanguage(rng, plant, lattice)
             assert is_normal(plant, plant, pr).holds
             assert infimal_co(plant, plant, pr) == plant
-            assert Index.of(plant).classes
-            del plant
+            is_controllable(spec, plant)
+            assert Index.of(plant).classes and spec._ranked[0] is Index.of(plant)
+            del plant, spec
         unreachable = gc.collect()
     finally:
         gc.enable()
     assert unreachable == 0
+
+
+def test_a_language_ranked_alone_keeps_fresh_ranks_per_index():
+    alphabet = Alphabet({"a", "b"})
+    spec = FuzzyLanguage(alphabet, {(): ONE, ("a",): F(1, 2)})
+    plant = FuzzyLanguage(alphabet, {(): ONE, ("a",): F(1, 2), ("b",): F(1, 3)})
+    index = Index.of(plant)
+    expected = ((0, F(1, 3), F(1, 2), 1), [3, 2, 1], [3, 2, 0])
+    for _ in range(3):
+        lattice, P, S = ranked = index.ranked(spec)
+        assert ranked == expected and spec._ranked[0] is index
+        # The next call's lists are fresh: these edits do not reach it.
+        P[0], S[1] = 0, 3
+        S.append(1)
+    # A fresh index of an equal plant, then of a narrower one, gets its own ranks.
+    other = Index.of(copied(plant))
+    assert other.ranked(spec) == expected and spec._ranked[0] is other
+    narrower = Index.of(spec)
+    assert narrower.ranked(spec) == ((0, F(1, 2), 1), [2, 1], [2, 1])
+    assert index.ranked(spec) == expected and spec._ranked[0] is index
+    # A language outside supp(plant) keeps None, and each call refuses it.
+    wide = FuzzyLanguage(alphabet, {(): ONE, ("b",): ONE})
+    for _ in range(2):
+        assert narrower.ranked(wide)[2] is None
+        assert outcome(lambda: is_controllable(wide, spec))[0] == "NOT_SUBLANGUAGE"
+    # A language over another alphabet is refused on every call.
+    foreign = FuzzyLanguage(Alphabet({"a", "b", "c"}), {(): ONE, ("a",): F(1, 2)})
+    for _ in range(2):
+        assert outcome(lambda: index.ranked(foreign))[:2] == (
+            "ALPHABET_MISMATCH", "operands use different alphabets"
+        )
+        assert outcome(lambda: is_controllable(foreign, plant))[0] == "ALPHABET_MISMATCH"
+    assert foreign._ranked is None
+
+
+def test_the_equation_loop_equals_the_generator_it_replaced():
+    rng = random.Random(5106)
+    moved = {"none": 0, "one view": 0, "two sites": 0}
+    restricted = 0
+    for _ in range(300):
+        alphabet, _, plant, spec, pr = make_instance(rng)
+        index = Index.of(plant)
+        _, P, S = index.ranked(spec)
+        sites = random_sites(rng, alphabet)
+        for name, views in (
+            ("none", []),
+            ("one view", [_view(index, S, pr, None)[0]]),
+            ("two sites", [_view(index, S, site_pr, ctrl)[0] for site_pr, ctrl in sites]),
+        ):
+            expected = [0] * len(P)
+            for i, rank in equation_pairs(index, P, S, views):
+                expected[i] = rank
+            out = [0] * len(P)
+            assert _equation(index, P, S, views, out) is out and out == expected
+            swept = P[:1] + [0] * (len(P) - 1)
+            for i, rank in equation_pairs(index, P, swept, views):
+                swept[i] = rank
+            assert _sweep(index, P, views) == swept
+            moved[name] += expected[1:] != P[1:]
+            restricted += swept != P
+    # Draws where the rhs falls below the plant, and closed loops that do;
+    # with no view the closed loop is the plant itself.
+    assert min(moved.values()) > 100 and restricted > 200, (moved, restricted)
 
 
 def class_join(spec, pr, s, event):
