@@ -15,14 +15,21 @@ a builder splits its span into lines and words only when it reads it,
 so a parse holds one section's lines at a time.  One table per
 ``parse_documents`` call maps each string's text to its event-string
 tuple, so equal strings in any section or file of the call are one
-object; the table dies with the call.  Emission, likewise, joins each
-section's lines as it emits them.
+object; the table dies with the call.  A text already in the table is
+looked up, not parsed again: a spec's strings after its plant's, and
+the later sections of an emitted document.  Emission, likewise, joins
+each section's lines as it emits them, and renders each grade object
+once per language or supervisor section.
 
 A language section is validated in the pass that reads it (the fast
 check): the alphabet line, then eps at 1, then each string after the one
 before it in support order, its parent read, its last event in the
-alphabet and its grade positive and no higher than its parent's.  Text
-that passes is stored as read; any other goes to the constructor.
+alphabet and its grade positive and no higher than its parent's.  Order
+is checked on (event count, text): among strings of one count, text
+order is support order, because "." sorts below every character of an
+event id ([A-Za-z0-9_]); a.b comes before ab.a as text and as tuples.
+Text that passes is stored as read; any other goes to the constructor,
+which gives every fault its code and message.
 
 Builders raise plain errors; ``parse_documents`` alone gives them a
 location.  A fault found while a body line is read is reported at that
@@ -193,40 +200,41 @@ def _build_sites(section: _RawSection, alphabets: dict[str, Alphabet], strings: 
 
 def _build_language(section: _RawSection, alphabets: dict[str, Alphabet], strings: dict) -> FuzzyLanguage:
     alphabet: Alphabet | None = None
-    graded = {}  # string text -> grade, in line order: no tuple per line
-    valid, before, size, top = True, None, 0, None  # the fast check; the last string, its length
+    events = None  # the alphabet's events, read once
+    entries: dict[EventString, Grade] = {}  # in line order
+    valid, before, size = True, None, 0  # the fast check; the last text, its length
     for words in _words(section):
         if words[0] == "alphabet":
             alphabet = _alphabet_line(alphabet, words, alphabets)
+            events = alphabet.events
             continue
         if len(words) != 2:
             raise FdesError("SYNTAX_ERROR", "expected: <string> <grade>")
         text = words[0]
-        head, _, last = text.rpartition(".")
-        # x.y.z is a parsed x.y, no eps, plus one event; anything else parses
-        # whole.  The table keeps the first tuple read for each text.
-        parent = strings.get(head)
-        s = parent + (check_event_id(last),) if parent and last else parse_event_string(text)
-        s = strings.setdefault(text, s)
+        s = strings.get(text)
+        if s is None:
+            # x.y.z is a read x.y, no eps, plus one event; anything else parses whole.
+            head, _, last = text.rpartition(".")
+            parent = strings.get(head)
+            s = parent + (check_event_id(last),) if parent and last else parse_event_string(text)
+            strings[text] = s
         g = parse_grade(words[1])
-        if text in graded:
+        if s in entries:
             raise FdesError("DUPLICATE_STRING", f"duplicate string {text}")
         if valid:
             n = len(s)
-            if alphabet is None:
+            if events is None:
                 valid = False
             elif n:
-                # The parent's grade, if this section read it; top: the grade of eps.
-                pg = graded.get(head) if n > 1 else top
+                pg = entries.get(s[:-1])  # the parent's grade, if this section read it
                 valid = (pg is not None and (g is pg or g <= pg and g.numerator)
-                         and s[-1] in alphabet.events and (size < n or size == n and before < s))
+                         and s[-1] in events and (size < n or size == n and before < text))
             else:
-                valid, top = not graded and g == ONE, g
-            before, size = s, n
-        graded[text] = g
+                valid = not entries and g == ONE
+            before, size = text, n
+        entries[s] = g
     if alphabet is None:
         raise FdesError("SYNTAX_ERROR", "language section needs an alphabet line")
-    entries = dict(zip(map(strings.__getitem__, graded), graded.values()))
     return FuzzyLanguage._valid(alphabet, entries) if valid else FuzzyLanguage(alphabet, entries)
 
 
@@ -267,7 +275,17 @@ def _build_supervisor(section: _RawSection, alphabets: dict[str, Alphabet], stri
     rows: dict[EventString, dict[str, Grade]] = {}
     current_row: dict[str, Grade] | None = None
     for words in _words(section):
-        key, payload = words[0], words[1:]
+        key = words[0]
+        if key == "enable":  # most lines: one per event of each row
+            if current_row is None:
+                raise FdesError("SYNTAX_ERROR", "enable line before any obs line")
+            if len(words) != 3:
+                raise FdesError("SYNTAX_ERROR", "expected: enable <event> <grade>")
+            if words[1] in current_row:
+                raise FdesError("SYNTAX_ERROR", f"duplicate enable {words[1]!r} line")
+            current_row[words[1]] = parse_grade(words[2])
+            continue
+        payload = words[1:]
         if current_row is not None and key in ("alphabet", "observable", "controllable"):
             raise FdesError("SYNTAX_ERROR", f"{key} line after the first obs line")
         if key == "alphabet":
@@ -288,14 +306,6 @@ def _build_supervisor(section: _RawSection, alphabets: dict[str, Alphabet], stri
                 raise FdesError("DUPLICATE_STRING", f"duplicate row {payload[0]}")
             current_row = {}
             rows[observed] = current_row
-        elif key == "enable":
-            if current_row is None:
-                raise FdesError("SYNTAX_ERROR", "enable line before any obs line")
-            if len(payload) != 2:
-                raise FdesError("SYNTAX_ERROR", "expected: enable <event> <grade>")
-            if payload[0] in current_row:
-                raise FdesError("SYNTAX_ERROR", f"duplicate enable {payload[0]!r} line")
-            current_row[payload[0]] = parse_grade(payload[1])
         else:
             raise FdesError("SYNTAX_ERROR", f"unknown supervisor line {key!r}")
     if alphabet is None or observable is None or controllable is None:
@@ -374,11 +384,16 @@ def _emit_supervisor(supervisor: FuzzySupervisor, doc: FdlDocument) -> list[str]
         _word_line("observable", " ".join(sorted(supervisor.projection.observable))),
         _word_line("controllable", " ".join(sorted(supervisor.controllables))),
     ]
+    rendered: dict[int, str] = {}  # as in _emit_language
     for observed in sorted(supervisor.table, key=string_key):
         lines.append(f"obs {render_event_string(observed)}")
         row = supervisor.table[observed]
         for event in sorted(row):
-            lines.append(f"enable {event} {render_grade(row[event])}")
+            g = row[event]
+            text = rendered.get(id(g))
+            if text is None:
+                text = rendered[id(g)] = render_grade(g)
+            lines.append(f"enable {event} {text}")
     return lines
 
 

@@ -72,10 +72,15 @@ def render_grade(grade: Grade) -> str:
 
 
 def meet(a: Grade, b: Grade) -> Grade:
-    """Greatest lower bound: min.  The result is always one of the inputs."""
-    return a if a <= b else b
+    """Greatest lower bound: min.  The result is always one of the inputs,
+    the first of two equal ones; one object in both is returned without a
+    comparison, as grades of languages built from one another are often
+    shared."""
+    return a if a is b or a <= b else b
 
 
 def join(a: Grade, b: Grade) -> Grade:
-    """Least upper bound: max.  The result is always one of the inputs."""
-    return a if a >= b else b
+    """Least upper bound: max.  The result is always one of the inputs,
+    the first of two equal ones; one object in both is returned without a
+    comparison (``meet``)."""
+    return a if a is b or a >= b else b

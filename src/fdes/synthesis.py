@@ -1,14 +1,17 @@
 """Supervisor synthesis and closed-loop language computation.
 
 A supervisor maps each observed string to per-event enable grades; events
-it may not restrict are pinned to grade 1.  ``FuzzySupervisor`` alone
-densifies and checks a row, so every caller passes only the entries it
-has.  Control is split into sites, each a (projection, controllable
-events) pair with one local supervisor.  One row builder serves every
-site by the constructive recipe: a controllable event's enable grade
-after observation t is the join of the specification's grades over the
-continuations of all support strings the site cannot distinguish from t
-(``observation.class_joins``); other events are left out.  The closed
+it may not restrict are pinned to grade 1.  Every supervisor from a user
+or a file is checked once, where it enters: the ``FuzzySupervisor``
+constructor densifies and checks each row, so those callers pass only
+the entries they have.  Control is split into sites, each a (projection,
+controllable events) pair with one local supervisor.  One row builder
+serves every site by the constructive recipe: a controllable event's
+enable grade after observation t is the join of the specification's
+grades over the continuations of all support strings the site cannot
+distinguish from t (``observation.class_joins``), and every other event's
+is 1.  Those rows come from a valid plant, spec and projection, so they
+are built dense and stored unchecked (``FuzzySupervisor._valid``).  The closed
 loop is ``predicates._equation`` run in place, meeting every supervisor's
 enable grade, so the supervisors act conjunctively.  That loop decides
 synthesis: a non-empty spec is achievable iff it is the closed loop of
@@ -76,14 +79,32 @@ class FuzzySupervisor(Record):
                 if event not in row:
                     dense[event] = ZERO if event in ctrl else ONE
                     continue
-                grade = dense[event] = as_grade(row[event])
-                if event not in ctrl and grade != ONE:
+                # A Fraction in [0, 1] is checked inline, as FuzzyLanguage does; as_grade
+                # coerces any other value, or raises with the one message per fault.
+                grade = row[event]
+                if grade.__class__ is not Grade or not 0 <= grade.numerator <= grade.denominator:
+                    grade = as_grade(grade)
+                dense[event] = grade
+                if event not in ctrl and grade.numerator != grade.denominator:  # not 1
                     raise FdesError(
                         "INVALID_SUPERVISOR",
                         f"row {render_event_string(observed)} restricts {event!r}, "
                         "which this supervisor may not control",
                     )
         self._set(projection, ctrl, dense_table)
+
+    @classmethod
+    def _valid(
+        cls, projection: Projection, controllables: frozenset[EventId], table: dict[EventString, Row]
+    ) -> FuzzySupervisor:
+        """Trusted: ``controllables`` is a frozenset of the alphabet's
+        events and ``table`` maps observed strings of the projection to
+        dense rows, each over every event in sorted order, with grade 1 for
+        an event outside ``controllables``; stored as is, unchecked, as
+        ``FuzzyLanguage._valid`` stores a language."""
+        supervisor = object.__new__(cls)
+        supervisor._set(projection, controllables, table)
+        return supervisor
 
     def enable_grade(self, observed: EventString, event: EventId) -> Grade:
         try:
@@ -134,10 +155,18 @@ def _synthesize(
 
 def _formula_supervisor(lattice: list, pr: Projection, view: tuple, observed: tuple) -> FuzzySupervisor:
     """A site's formula supervisor from its ``predicates._view``: after
-    observation t, each controllable event is enabled at its class join."""
+    observation t, each controllable event is enabled at its class join,
+    and every other event at 1.  Its grades, events and observed strings
+    all come from the valid plant, spec and projection, so the dense rows
+    are built in sorted event order and stored unchecked."""
     _, ctrl, joins = view
-    rows = {t: {e: lattice[joins.get((c, e), 0)] for e in ctrl} for c, t in enumerate(observed)}
-    return FuzzySupervisor(pr, ctrl, rows)
+    others = dict.fromkeys(sorted(pr.alphabet.events), ONE)
+    rows = {}
+    for c, t in enumerate(observed):
+        rows[t] = row = others.copy()
+        for e in ctrl:
+            row[e] = lattice[joins.get((c, e), 0)]
+    return FuzzySupervisor._valid(pr, ctrl, rows)
 
 
 def _sweep(index: Index, P: list[int], views) -> list[int]:

@@ -24,7 +24,7 @@ from fdes import (
 )
 from fdes.fdl import FdlDocument, SitesDecl, emit_fdl, parse_documents, parse_fdl
 from fdes.grades import parse_grade
-from helpers import central_example, lang, medical_example, random_supervisor
+from helpers import central_example, lang, medical_example, random_lattice, random_plant, random_supervisor
 from theorems import make_instance
 from test_cli_fuzz import AUTOMATON, _mutate
 
@@ -542,9 +542,15 @@ _HEAD = "[alphabet E]\nevents a b\n\n[language L]\n"
         ("alphabet E\na 0.5\neps 1", {"eps": "1", "a": "0.5"}),
         ("alphabet E\na 0.5", ("P1_VIOLATION", "a non-empty language must grade eps at 1")),
         ("alphabet E\neps 0.5\na 0.5", ("P1_VIOLATION", "a non-empty language must grade eps at 1")),
+        # Text order and support order disagree: a shorter string after a
+        # longer one that sorts lower as text is out of support order.
+        ("alphabet E\neps 1\na 0.5\na.a 0.5\nb 0.5", {"eps": "1", "a": "0.5", "b": "0.5", "a.a": "0.5"}),
+        ("alphabet E\neps 1\nb 0.5\nb.a 0.5\na 0.5\na.a 0.6",
+         ("P2_VIOLATION", "grade of a.a exceeds its prefix a (3/5 > 1/2)")),
     ],
     ids=["zero-grade", "zero-grade-parent", "out-of-order", "out-of-order-p2", "alphabet-after-strings",
-         "alphabet-after-unknown-event", "eps-not-first", "eps-missing", "eps-below-one"],
+         "alphabet-after-unknown-event", "eps-not-first", "eps-missing", "eps-below-one",
+         "shorter-after-lower-text", "shorter-after-lower-text-p2"],
 )
 def test_language_lines_that_fail_the_fast_check_get_the_constructors_outcome(body, outcome):
     alphabet = Alphabet({"a", "b"})
@@ -709,3 +715,77 @@ def test_one_call_reads_each_string_into_one_tuple():
         "[language M]\nalphabet E\neps 1\nb 1\nb.a 1\nb.a.b 0.5\n\n"
         "[supervisor S]\nalphabet E\nobservable a\ncontrollable a\nobs a\nenable a 1\nenable b 1\n"
     )
+
+
+# Event names that are prefixes of one another: "." sorts below every
+# identifier character, so within one length text order is support order.
+_PREFIXED = Alphabet({"a", "ab", "a_1"})
+_PREFIXED_HEAD = "[alphabet E]\nevents a a_1 ab\n\n[language L]\nalphabet E\neps 1\n"
+
+
+def _count_constructor_calls(monkeypatch) -> list:
+    built = []
+    init = FuzzyLanguage.__init__
+    monkeypatch.setattr(FuzzyLanguage, "__init__", lambda self, *args: built.append(1) or init(self, *args))
+    return built
+
+
+def test_emitted_text_over_prefixed_event_names_takes_the_fast_path(monkeypatch):
+    built = _count_constructor_calls(monkeypatch)
+    rng = random.Random(2828)
+    crossed = 0  # languages whose plain text sort is not their support order
+    for round_ in range(200):
+        language = random_plant(rng, _PREFIXED, random_lattice(rng), max_support=20, max_len=4)
+        text = emit_fdl(FdlDocument(alphabets={"E": _PREFIXED}, languages={"L": language}))
+        head, body = text.split("[language L]\n")
+        lines = body.splitlines()
+        crossed += sorted(lines[2:]) != lines[2:]
+        for shuffled in (False, True):
+            if shuffled:
+                rng.shuffle(lines)
+            built.clear()
+            parsed = parse_fdl(f"{head}[language L]\n" + "\n".join(lines)).languages["L"]
+            assert parsed == language and parsed.support == language.support, (round_, lines)
+            assert shuffled or not built, round_
+    assert crossed > 50
+
+
+@pytest.mark.parametrize(
+    "body, strings, fast",
+    [
+        ("a 1\na_1 0.5\nab 0.5\na.a 0.5\na.a_1 0.5\na.ab 0.5\n", ["a", "a_1", "ab", "a.a", "a.a_1", "a.ab"],
+         True),
+        ("a 1\nab 0.5\na_1 0.5\n", ["a", "a_1", "ab"], False),
+        # Shorter strings after longer ones that sort lower as text.
+        ("a 1\na.ab 0.5\nab 0.5\n", ["a", "ab", "a.ab"], False),
+        ("a 1\nab 1\na.a_1 0.5\nab.a 0.5\na_1 0.5\n", ["a", "a_1", "ab", "a.a_1", "ab.a"], False),
+        ("a 1\na.a 1\na.a.a 0.5\na.ab 0.5\n", ["a", "a.a", "a.ab", "a.a.a"], False),
+    ],
+    ids=["in-order", "a_1-after-ab", "ab-after-a.ab", "a_1-after-ab.a", "a.ab-after-a.a.a"],
+)
+def test_prefixed_event_names_get_the_fast_check_only_in_support_order(monkeypatch, body, strings, fast):
+    built = _count_constructor_calls(monkeypatch)
+    parsed = parse_fdl(_PREFIXED_HEAD + body).languages["L"]
+    assert bool(built) != fast
+    grades = {line.split()[0]: line.split()[1] for line in body.splitlines()}
+    expected = lang(_PREFIXED, {"eps": "1", **grades})
+    assert parsed == expected and parsed.support == expected.support
+    assert [".".join(s) for s in parsed.support[1:]] == strings
+
+
+def test_a_string_read_earlier_in_the_call_is_looked_up_not_rebuilt(monkeypatch):
+    from fdes import fdl
+
+    calls = []
+    for name in ("check_event_id", "parse_event_string"):
+        real = getattr(fdl, name)
+        monkeypatch.setattr(fdl, name, lambda text, real=real: calls.append(text) or real(text))
+    plant = "[alphabet E]\nevents a b\n\n[language L]\nalphabet E\neps 1\na 1\na.b 0.5\nb 0.5\n"
+    spec = "[language K]\nalphabet E\neps 1\na 0.5\na.b 0.5\n"
+    parse_documents([("plant.fdl", plant)])
+    alone = calls[:]
+    calls.clear()
+    doc = parse_documents([("plant.fdl", plant), ("spec.fdl", spec)])
+    # The spec's strings were all read in the plant's section: no call for them.
+    assert calls == alone and "a.b" not in calls
+    assert dict(doc.languages["K"].items()) == {(): 1, ("a",): F(1, 2), ("a", "b"): F(1, 2)}

@@ -141,3 +141,25 @@ def test_site_cover_validation():
     with pytest.raises(FdesError) as err:
         base.with_sites(SiteSpec({"a"}, {"a"}), SiteSpec({"a"}, {"a", "b"}))
     assert err.value.code == "SITE_COVER_VIOLATION"
+
+
+class _Uncomparable(F):
+    """A grade that fails any order comparison."""
+
+    def __le__(self, other):
+        raise AssertionError("compared")
+
+    __ge__ = __le__
+
+
+def test_meet_and_join_return_a_shared_grade_without_comparing_it():
+    g = _Uncomparable(1, 2)
+    assert meet(g, g) is g and join(g, g) is g
+
+
+def test_meet_and_join_return_the_first_of_two_equal_grades():
+    a, b = F(1, 2), F(2, 4)
+    assert a == b and a is not b
+    assert meet(a, b) is a and join(a, b) is a
+    assert meet(b, a) is b and join(b, a) is b
+    assert meet(ZERO, ONE) is ZERO and join(ZERO, ONE) is ONE

@@ -27,6 +27,7 @@ from fdes import (
 )
 from fdes.events import render_event_string
 from fdes.grades import ONE, ZERO, render_grade
+from fdes import approximation, synthesis
 from fdes.language import Index
 from fdes.observation import project_string
 from helpers import (
@@ -41,6 +42,7 @@ from helpers import (
     random_sublanguage,
     union_example,
 )
+from theorems import make_instance
 
 
 def expected_central_rows():
@@ -470,3 +472,43 @@ def test_checked_synthesis_and_scp_number_the_plant_support_once_each(monkeypatc
     for call in calls:
         call()
     assert built == []
+
+
+def test_formula_supervisors_equal_the_constructors_from_their_sparse_rows(monkeypatch):
+    """Formula supervisors are stored unchecked (``FuzzySupervisor._valid``);
+    the validating constructor, given each row's controllable entries as
+    the formula has them, builds the same supervisor, rows in the same order."""
+    made = []
+    formula = synthesis._formula_supervisor
+
+    def recording(lattice, pr, view, observed):
+        _, ctrl, joins = view
+        sparse = {t: {e: lattice[joins.get((c, e), 0)] for e in ctrl} for c, t in enumerate(observed)}
+        made.append((formula(lattice, pr, view, observed), FuzzySupervisor(pr, ctrl, sparse)))
+        return made[-1][0]
+
+    monkeypatch.setattr(synthesis, "_formula_supervisor", recording)
+    monkeypatch.setattr(approximation, "_formula_supervisor", recording)
+    rng = random.Random(2828)
+    counts = dict.fromkeys(["central", "forced", "two-site", "scp"], 0)
+    for _ in range(300):
+        alphabet, lattice, plant, spec, pr = make_instance(rng)
+        if spec.is_empty:
+            continue
+        loop = closed_loop_central(plant, synthesize_central(spec, plant, pr, force=True))
+        sites = random_sites(rng, alphabet)
+        calls = {
+            "central": lambda: [synthesize_central(loop, plant, pr)] if not loop.is_empty else [],
+            "forced": lambda: [synthesize_central(spec, plant, pr, force=True)],
+            "two-site": lambda: [*synthesize_decentralized(spec, plant, *sites, force=True)],
+            "scp": lambda: [solve_scp(spec, plant, plant, pr).supervisor],
+        }
+        for kind, call in calls.items():
+            made.clear()
+            returned = call()
+            assert [sup for sup, _ in made] == returned
+            for sup, expected in made:
+                assert sup == expected and repr(sup) == repr(expected), kind
+                assert all(list(row) == sorted(alphabet.events) for row in sup.table.values())
+            counts[kind] += len(returned)
+    assert min(counts.values()) > 100, counts
