@@ -75,7 +75,7 @@ def extended_transition(aut: FuzzyAutomaton, p: str, w: EventString, q: str) -> 
     """
     aut._check_state(p)
     aut._check_state(q)
-    aut.alphabet.check_string(w)
+    w = aut.alphabet.check_string(w)
     step = _step_map(aut)
     vec: dict[str, Grade] = {p: ONE}
     for event in w:
@@ -99,6 +99,8 @@ def generated_language(aut: FuzzyAutomaton, horizon: int) -> FuzzyLanguage:
     eps at 1 and positive grades no higher than their parents', so the
     result is stored unchecked (``FuzzyLanguage._valid``).
     """
+    if not isinstance(horizon, int):
+        raise FdesError("OUT_OF_RANGE", f"horizon {horizon!r} must be an int")
     if horizon < 0:
         raise FdesError("OUT_OF_RANGE", "horizon must be >= 0")
     step = _step_map(aut)

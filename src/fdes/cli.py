@@ -237,14 +237,13 @@ def _cmd_lang(args) -> int:
         named = FdlDocument(alphabets={"E_o": result.alphabet})
         _write_out(_emit_result(named, "languages", {"result": result}, result.alphabet), args.out)
         return 0
-    if args.op == "grade":
-        if args.string is None:
-            raise FdesError("SYNTAX_ERROR", "--op grade needs --string")
-        (language,) = operands(1)
-        s = language.alphabet.check_string(parse_event_string(args.string))
-        print(render_grade(language.grade(s)))
-        return 0
-    raise FdesError("SYNTAX_ERROR", f"unknown lang op {args.op!r}")
+    # Only grade is left: the argparse choices allow no other op.
+    if args.string is None:
+        raise FdesError("SYNTAX_ERROR", "--op grade needs --string")
+    (language,) = operands(1)
+    s = language.alphabet.check_string(parse_event_string(args.string))
+    print(render_grade(language.grade(s)))
+    return 0
 
 
 def _cmd_gen(args) -> int:
@@ -257,18 +256,13 @@ def _cmd_gen(args) -> int:
 
 def _cmd_oracle(args) -> int:
     doc, plant, spec = _load_plant_spec(args)
+    op = args.op.replace("-", "_")  # brute_<op>, and the section oracle_<op> it writes
     pr = natural_projection(plant.alphabet)
-    if args.op == "supervisor-exists":
-        exists = oracle.brute_supervisor_exists(spec, plant, pr, budget=args.budget)
-        print("true" if exists else "false")
-        return 0 if exists else 1
-    if args.op == "infimal-co":
-        result = oracle.brute_infimal_co(spec, plant, pr, budget=args.budget)
-        name = "oracle_infimal_co"
-    else:
-        result = oracle.brute_supremal_cn(spec, plant, pr, budget=args.budget)
-        name = "oracle_supremal_cn"
-    _write_out(_emit_result(doc, "languages", {name: result}, result.alphabet), args.out)
+    result = getattr(oracle, f"brute_{op}")(spec, plant, pr, budget=args.budget)
+    if op == "supervisor_exists":
+        print("true" if result else "false")
+        return 0 if result else 1
+    _write_out(_emit_result(doc, "languages", {f"oracle_{op}": result}, result.alphabet), args.out)
     return 0
 
 

@@ -1,8 +1,8 @@
 """Event identifiers, event strings, and control/observation alphabets; one
-gate, ``event_subset``, checks every set of events a caller hands in, and
-``site_cover`` checks that two sites' sets cover E_c or E_o.  ``Record``,
-the immutable base of the package's records, lives here, the lowest module
-that defines one."""
+gate checks every set of events a caller hands in (``event_subset``), one
+every string of events (``event_string``), and ``site_cover`` checks that
+two sites' sets cover E_c or E_o.  ``Record``, the immutable base of the
+package's records, lives here, the lowest module that defines one."""
 
 from __future__ import annotations
 
@@ -51,6 +51,23 @@ def event_subset(value, within: frozenset, message: str, code: str = "UNKNOWN_EV
         _refuse_non_str(strays)
         raise FdesError(code, f"{message}: {', '.join(sorted(strays))}")
     return events
+
+
+def event_string(value) -> EventString:
+    """A caller's string of events: a tuple as is, any other iterable read as
+    one; a ``str``, which would split into characters, or a non-iterable is refused."""
+    if isinstance(value, tuple):
+        return value
+    try:
+        if not isinstance(value, str):
+            return tuple(value)
+    except TypeError:
+        pass
+    raise string_error(value)
+
+
+def string_error(value) -> FdesError:
+    return FdesError("MALFORMED_EVENT", f"event string {value!r} must be a tuple of event ids")
 
 
 def _refuse_non_str(events: frozenset) -> None:
@@ -187,7 +204,9 @@ class Alphabet(Record):
     def with_sites(self, site1: SiteSpec, site2: SiteSpec) -> "Alphabet":
         return Alphabet(self.events, self.controllable, self.observable, (site1, site2))
 
-    def check_string(self, s: EventString) -> EventString:
+    def check_string(self, s) -> EventString:
+        """``event_string(s)``, refused at its first event outside the alphabet."""
+        s = event_string(s)
         for event in s:
             if event not in self.events:
                 raise FdesError("UNKNOWN_EVENT", f"event {event!r} not in alphabet")

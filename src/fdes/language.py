@@ -13,22 +13,8 @@ from operator import gt
 from typing import Iterable, Iterator, Mapping
 
 from .errors import FdesError
-from .events import EPSILON, Alphabet, EventString, render_event_string, string_key
+from .events import EPSILON, Alphabet, EventString, event_string, render_event_string, string_error, string_key
 from .grades import ONE, ZERO, Grade, as_grade, join, meet
-
-
-def _str_key_error(s) -> FdesError:
-    return FdesError("MALFORMED_EVENT", f"event string {s!r} must be a tuple of event ids")
-
-
-def _as_tuple(s) -> EventString:
-    """A caller's string of events as a tuple; a str or a non-iterable is refused."""
-    try:
-        if not isinstance(s, str):
-            return tuple(s)
-    except TypeError:
-        pass
-    raise _str_key_error(s)
 
 
 class FuzzyLanguage:
@@ -55,7 +41,7 @@ class FuzzyLanguage:
         in_order, before, size = True, None, 0
         for s, g in grades.items():
             if not isinstance(s, tuple):
-                raise _str_key_error(s)
+                raise string_error(s)
             if not events.issuperset(s):
                 alphabet.check_string(s)
             # A positive Fraction within 1 is checked inline; as_grade coerces
@@ -113,8 +99,9 @@ class FuzzyLanguage:
         return not self._grades
 
     def grade(self, s: EventString) -> Grade:
-        """Stored grade, or 0 for strings outside the support."""
-        return self._grades.get(s, ZERO)
+        """Stored grade, or 0 outside the support, even over unknown events;
+        ``s`` is read by ``event_string``, which refuses a ``str``."""
+        return self._grades.get(s if s.__class__ is tuple else event_string(s), ZERO)
 
     def items(self) -> Iterator[tuple[EventString, Grade]]:
         return iter(self._grades.items())
@@ -144,15 +131,15 @@ def build_language(
     entries: Mapping[EventString, Grade] | Iterable[tuple[EventString, Grade]],
 ) -> FuzzyLanguage:
     """The validating constructor over a mapping or a pair list, which
-    must not repeat a string.  Any iterable of events is a string; a
-    ``str`` is refused, not split into events, as is a non-iterable."""
+    must not repeat a string.  Any iterable of events is a string; a ``str``
+    is refused, not split into events, as is a non-iterable (``event_string``)."""
     pairs = entries.items() if isinstance(entries, Mapping) else entries
     grades: dict[EventString, Grade] = {}
     for s, g in pairs:
-        if not isinstance(s, str):
-            s = _as_tuple(s)
-            if s in grades:
-                raise FdesError("DUPLICATE_STRING", f"duplicate string {render_event_string(s)}")
+        if s.__class__ is not tuple:
+            s = event_string(s)
+        if s in grades:
+            raise FdesError("DUPLICATE_STRING", f"duplicate string {render_event_string(s)}")
         grades[s] = g
     return FuzzyLanguage(alphabet, grades)
 
@@ -169,21 +156,22 @@ def union(a: FuzzyLanguage, b: FuzzyLanguage) -> FuzzyLanguage:
     _require_same_alphabet(a, b)
     if len(a.support) < len(b.support):
         a, b = b, a
-    big = a._grades
+    big, small = a._grades, b._grades
     if all(s in big for s in b.support):
         grades = dict(big)
         for s, g in b.items():
             grades[s] = join(grades[s], g)
     else:
-        strings = sorted({**big, **b._grades}, key=string_key)
-        grades = {s: join(a.grade(s), b.grade(s)) for s in strings}
+        strings = sorted({**big, **small}, key=string_key)
+        grades = {s: join(big.get(s, ZERO), small.get(s, ZERO)) for s in strings}
     return FuzzyLanguage._valid(a.alphabet, grades)
 
 
 def intersection(a: FuzzyLanguage, b: FuzzyLanguage) -> FuzzyLanguage:
     """Pointwise meet, in a's support order."""
     _require_same_alphabet(a, b)
-    grades = {s: m for s, g in a.items() if (m := meet(g, b.grade(s)))}
+    other = b._grades
+    grades = {s: m for s, g in a.items() if (m := meet(g, other.get(s, ZERO)))}
     return FuzzyLanguage._valid(a.alphabet, grades)
 
 
@@ -328,7 +316,7 @@ def prefix_close_repair(
     pairs = entries.items() if isinstance(entries, Mapping) else entries
     listed: dict[EventString, Grade] = {}
     for s, g in pairs:
-        s = alphabet.check_string(_as_tuple(s))
+        s = alphabet.check_string(s)
         g = as_grade(g)
         if g > ZERO:
             listed[s] = join(listed.get(s, ZERO), g)

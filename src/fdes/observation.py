@@ -39,9 +39,9 @@ def natural_projection(alphabet: Alphabet) -> Projection:
 
 
 def project_string(pr: Projection, s: EventString) -> EventString:
-    """Erase unobservable events."""
-    if not pr.alphabet.events.issuperset(s):
-        pr.alphabet.check_string(s)
+    """Erase unobservable events; ``s`` is checked by ``Alphabet.check_string``."""
+    if s.__class__ is not tuple or not pr.alphabet.events.issuperset(s):
+        s = pr.alphabet.check_string(s)
     return tuple(filter(pr.observable.__contains__, s))
 
 

@@ -31,6 +31,8 @@ DEFAULT_BUDGET = 20_000
 
 
 def _check_budget(count: int, budget: int) -> None:
+    if not isinstance(budget, int):
+        raise FdesError("OUT_OF_RANGE", f"budget {budget!r} must be an int")
     if count > budget:
         raise FdesError("BUDGET_EXCEEDED", f"enumeration of {count} candidates exceeds budget {budget}")
 

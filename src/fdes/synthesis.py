@@ -26,9 +26,9 @@ from __future__ import annotations
 from typing import Callable, Mapping, Sequence
 
 from .errors import ConditionViolated, FdesError
-from .events import EventId, EventString, Record, event_subset, render_event_string, string_key
+from .events import EventId, EventString, Record, event_string, event_subset, render_event_string, string_key
 from .grades import ONE, ZERO, Grade, as_grade
-from .language import FuzzyLanguage, Index, _str_key_error
+from .language import FuzzyLanguage, Index
 from .observation import Projection, projection_ids
 from .predicates import (
     Site,
@@ -63,9 +63,8 @@ class FuzzySupervisor(Record):
         order = sorted(events)
         dense_table: dict[EventString, Row] = {}
         for observed, row in table.items():
-            if isinstance(observed, str):
-                raise _str_key_error(observed)
-            observed = tuple(observed)
+            if observed.__class__ is not tuple:
+                observed = event_string(observed)
             if not observable.issuperset(observed):
                 alphabet.check_string(observed)
                 raise FdesError(
@@ -107,13 +106,17 @@ class FuzzySupervisor(Record):
         return supervisor
 
     def enable_grade(self, observed: EventString, event: EventId) -> Grade:
+        """The row's grade; a bad string, then a bad event, is refused before a missing row."""
         try:
             return self.table[observed][event]
-        except KeyError:
-            raise FdesError(
-                "SUPERVISOR_DOMAIN_GAP",
-                f"no row for observed string {render_event_string(observed)}",
-            ) from None
+        except (KeyError, TypeError):
+            pass
+        observed = self.projection.alphabet.check_string(observed)
+        self.projection.alphabet.check_string((event,))
+        if observed not in self.table:
+            raise FdesError("SUPERVISOR_DOMAIN_GAP",
+                            f"no row for observed string {render_event_string(observed)}")
+        return self.table[observed][event]
 
 
 def make_supervisor(

@@ -3,15 +3,21 @@ of a call must use the plant's alphabet, whatever the answer would be."""
 
 import pytest
 
+from fractions import Fraction as F
+
 from fdes import (
     Alphabet,
     FdesError,
+    FuzzyLanguage,
     FuzzySupervisor,
     Projection,
     SiteSpec,
     closed_loop_central,
     closed_loop_decentralized,
+    automaton_from_language,
+    build_language,
     empty_language,
+    extended_transition,
     infimal_co,
     is_controllable,
     is_coobservable,
@@ -21,6 +27,7 @@ from fdes import (
     is_sublanguage,
     make_supervisor,
     natural_projection,
+    prefix_close_repair,
     solve_scp,
     supremal_cn,
     synthesize_central,
@@ -33,6 +40,7 @@ from fdes.oracle import (
     brute_supervisor_exists,
     brute_supremal_cn,
 )
+from fdes.observation import project_string
 from helpers import lang, union_example
 
 ALPHABET, PLANT, K1, K2 = union_example()
@@ -181,6 +189,63 @@ def test_a_str_is_refused_wherever_a_set_of_events_is_expected():
     # Any other collection of event ids is still taken.
     assert Alphabet(["ab", "a"], controllable=("a",), observable=iter(["ab"])).observable == {"ab"}
     assert is_observable(plant, plant, pr, ["ab"]).holds
+
+
+# Over {a, b, ab}, the str "ab" read as a string of events would be a.b.
+WORDS = Alphabet({"a", "b", "ab"}, controllable={"a"}, observable={"a", "b", "ab"})
+WORDS_PR = natural_projection(WORDS)
+WORDS_PLANT = lang(WORDS, {"eps": "1", "a": "1", "a.b": "0.5"})
+HALF, QUARTER, A_B = F(1, 2), F(1, 4), ("a", "b")
+WORDS_SUPERVISOR = make_supervisor(WORDS_PR, {"a"}, {(): {}, A_B: {"a": QUARTER}})
+
+# name -> (call(s), what it makes of the string a.b, whether s must be a
+# dict key): every entry point that takes a string of events.
+STRING_ENTRY_POINTS = {
+    "build_language": (lambda s: build_language(WORDS, [((), 1), (("a",), 1), (s, HALF)]).grade(A_B), HALF, False),
+    "prefix_close_repair": (lambda s: prefix_close_repair(WORDS, [(s, HALF)]).grade(A_B), HALF, False),
+    "FuzzySupervisor": (
+        lambda s: FuzzySupervisor(WORDS_PR, {"a"}, {(): {}, s: {"a": QUARTER}}).enable_grade(A_B, "a"), QUARTER, True
+    ),
+    "make_supervisor": (
+        lambda s: make_supervisor(WORDS_PR, {"a"}, {(): {}, s: {"a": QUARTER}}).enable_grade(A_B, "a"), QUARTER, True
+    ),
+    "enable_grade": (lambda s: WORDS_SUPERVISOR.enable_grade(s, "a"), QUARTER, False),
+    "project_string": (lambda s: project_string(WORDS_PR, s), A_B, False),
+    "extended_transition": (
+        lambda s: extended_transition(automaton_from_language(WORDS_PLANT), "eps", s, "a.b"), HALF, False
+    ),
+    "grade": (lambda s: WORDS_PLANT.grade(s), HALF, False),
+}
+
+
+@pytest.mark.parametrize("entry", STRING_ENTRY_POINTS.values(), ids=STRING_ENTRY_POINTS)
+def test_every_entry_point_reads_a_string_of_events_alike(entry):
+    call, of_ab, keyed = entry
+    # A str, which would split into events, or a non-iterable is refused.
+    for value in ("ab", 5, None):
+        assert _error(lambda: call(value)) == (
+            "MALFORMED_EVENT", f"event string {value!r} must be a tuple of event ids"
+        )
+    # Any other iterable of events is that string; a list is no dict key.
+    assert call(A_B) == of_ab
+    assert call(iter(A_B)) == of_ab
+    if not keyed:
+        assert call(["a", "b"]) == of_ab
+    # The first stray is named; a language grades a string over it 0.
+    if call is STRING_ENTRY_POINTS["grade"][0]:
+        assert call(("a", "zz")) == 0
+    else:
+        assert _error(lambda: call(("a", "zz"))) == ("UNKNOWN_EVENT", "event 'zz' not in alphabet")
+
+
+def test_the_language_constructor_takes_tuple_keys_only():
+    for key in ("ab", 5, None, frozenset({"a"}), iter(("a",))):
+        assert _error(lambda: FuzzyLanguage(WORDS, {(): 1, key: 1})) == (
+            "MALFORMED_EVENT", f"event string {key!r} must be a tuple of event ids"
+        )
+    assert _error(lambda: FuzzyLanguage(WORDS, {(): 1, ("zz",): 1})) == (
+        "UNKNOWN_EVENT", "event 'zz' not in alphabet"
+    )
 
 
 def test_a_stray_controllable_event_is_refused_by_the_observability_checks():

@@ -268,3 +268,10 @@ def test_unrolling_refuses_a_negative_horizon():
     with pytest.raises(FdesError) as err:
         generated_language(two_step(), -1)
     assert (err.value.code, err.value.message) == ("OUT_OF_RANGE", "horizon must be >= 0")
+
+
+@pytest.mark.parametrize("horizon", [2.5, "3", None])
+def test_unrolling_refuses_a_horizon_that_is_no_int(horizon):
+    with pytest.raises(FdesError) as err:
+        generated_language(two_step(), horizon)
+    assert (err.value.code, err.value.message) == ("OUT_OF_RANGE", f"horizon {horizon!r} must be an int")

@@ -449,6 +449,17 @@ def test_oracle_command(capsys):
     )
 
 
+@pytest.mark.parametrize("op", ["infimal-co", "supremal-cn"])
+def test_each_oracle_writes_its_own_language_section(op, capsys):
+    plant_spec = ["--plant", UNION_PLANT, "--spec", UNION_SPEC]
+    assert run_command(["oracle", "--op", op, *plant_spec]) == 0
+    written = parse_fdl(capsys.readouterr().out).languages
+    name = op.replace("-", "_")
+    assert list(written) == [f"oracle_{name}"]
+    assert run_command([op, *plant_spec]) == 0
+    assert written[f"oracle_{name}"] == parse_fdl(capsys.readouterr().out).languages[name]
+
+
 def test_outputs_are_byte_identical_across_runs(tmp_path):
     first = tmp_path / "one.fdl"
     second = tmp_path / "two.fdl"

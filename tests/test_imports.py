@@ -84,6 +84,12 @@ def test_only_events_raises_unknown_event(path):
     assert bool(found) == (path.name == "events.py")
 
 
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_events_states_the_event_string_rule(path):
+    stated = "must be a tuple of event ids" in path.read_text(encoding="utf-8")
+    assert stated == (path.name == "events.py")
+
+
 def test_the_check_finds_an_unknown_event_error():
     source = "raise FdesError('UNKNOWN_EVENT', 'x')\nraise errors.FdesError(code='UNKNOWN_EVENT', message='y')\n"
     source += "raise FdesError('UNKNOWN_STATE', 'z')\nevent_subset(s, e, 'w', 'UNKNOWN_EVENT')\nFdesError(code)\n"

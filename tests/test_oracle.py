@@ -119,6 +119,15 @@ def test_supervisor_search_budget_guard():
     assert err.value.code == "BUDGET_EXCEEDED"
 
 
+@pytest.mark.parametrize("budget", ["x", None, 2.5])
+@pytest.mark.parametrize("search", [brute_infimal_co, brute_supremal_cn, brute_supervisor_exists])
+def test_every_search_refuses_a_budget_that_is_no_int(search, budget):
+    alphabet, plant, spec = central_example()
+    with pytest.raises(FdesError) as err:
+        search(spec, plant, natural_projection(alphabet), budget=budget)
+    assert (err.value.code, err.value.message) == ("OUT_OF_RANGE", f"budget {budget!r} must be an int")
+
+
 def test_supervisor_search_stable_under_extra_grades():
     # enlarging the enable-grade search set cannot change achievability
     alphabet, plant, k1, k2 = union_example()

@@ -121,6 +121,23 @@ def test_enable_grade_refuses_an_observed_string_without_a_row():
     assert err.value.message == "no row for observed string c"
 
 
+def test_enable_grade_checks_the_observed_string_and_the_event_before_the_row():
+    alphabet, plant, spec = central_example()
+    supervisor = synthesize_central(spec, plant, natural_projection(alphabet))
+    for observed, event, expected in (
+        ((), "zz", ("UNKNOWN_EVENT", "event 'zz' not in alphabet")),
+        (("zz",), "a", ("UNKNOWN_EVENT", "event 'zz' not in alphabet")),
+        ("", "a", ("MALFORMED_EVENT", "event string '' must be a tuple of event ids")),
+        ("a", "c", ("MALFORMED_EVENT", "event string 'a' must be a tuple of event ids")),
+        # The string is checked before the event.
+        (("zz",), "yy", ("UNKNOWN_EVENT", "event 'zz' not in alphabet")),
+    ):
+        with pytest.raises(FdesError) as err:
+            supervisor.enable_grade(observed, event)
+        assert (err.value.code, err.value.message) == expected
+    assert supervisor.enable_grade(["a"], "c") == F(2, 5)
+
+
 def test_supervisor_pins_unrestrictable_events():
     alphabet, plant, spec = central_example()
     pr = natural_projection(alphabet)
