@@ -23,11 +23,12 @@ from .observation import Projection, natural_projection, project_language
 from .predicates import CheckReport
 
 def _read(path: str) -> tuple[str, str]:
-    # newline="": lines are numbered at "\n" only, as parse_fdl numbers
-    # them; a "\r" stays in its line, where it is whitespace.
+    # Bytes decoded once, cheaper than a text read: no newline is translated,
+    # so lines are numbered at "\n" only, as parse_fdl numbers them, and a
+    # "\r" stays in its line as whitespace; a bad byte reads as in text mode.
     try:
-        with open(path, encoding="utf-8", newline="") as file:
-            return path, file.read()
+        with open(path, "rb") as file:
+            return path, file.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as err:
         raise FdesError("IO_ERROR", f"cannot read {path}: {err}") from None
 
@@ -180,6 +181,14 @@ def _cmd_scp(args) -> int:
     minimal = doc.single("language", args.min)[1]
     legal = doc.single("language", args.max)[1]
     result = approximation.solve_scp(minimal, legal, plant, natural_projection(plant.alphabet))
+    # A supervisor is emitted only where it is written: to --out, before
+    # anything is printed, as synthesize writes it; else to stdout after the
+    # verdict unless --json took it.
+    supervisor = None
+    if result.solvable and (args.out or not args.json):
+        supervisor = _emit_result(doc, "supervisors", {"S": result.supervisor}, plant.alphabet)
+        if args.out:
+            _write_out(supervisor, args.out)
     if args.json:
         payload = {
             "solvable": result.solvable,
@@ -195,10 +204,8 @@ def _cmd_scp(args) -> int:
               "superlanguage of the minimal behavior exceeds the legal bound")
         infimal = result.infimal
         print(_emit_result(doc, "languages", {"infimal_co": infimal}, infimal.alphabet), end="")
-    # A supervisor is emitted only where it is written: to --out, else to
-    # stdout unless --json took it.
-    if result.solvable and (args.out or not args.json):
-        _write_out(_emit_result(doc, "supervisors", {"S": result.supervisor}, plant.alphabet), args.out)
+    if supervisor and not args.out:
+        print(supervisor, end="")
     return 0 if result.solvable else 1
 
 
@@ -266,6 +273,10 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+# Each subcommand's parser by name, as _build_parser made them.
+_SUBCOMMANDS: dict[str, argparse.ArgumentParser] = {}
+
+
 # Built on the first command and reused by every later one in the process:
 # building the tree costs several times what parsing one command does.
 # parse_args leaves the parser as it found it.
@@ -281,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def command(name: str, help: str, func, *files: str, out: bool = True, **choose: list[str]):
         """A subcommand: its handler, a required option per keyword (listing its
         choices) and per flag of ``files``, then --out unless ``out`` is false."""
-        p = sub.add_parser(name, help=help)
+        p = _SUBCOMMANDS[name] = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
         for option, choices in choose.items():
             p.add_argument(f"--{option}", required=True, choices=choices)
@@ -333,10 +344,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_command(argv: list[str]) -> int:
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``_build_parser().parse_args(argv)``, but a command named first goes
+    straight to its subcommand's parser.  Any other argv, or one that leaves
+    an argument unread, goes through the top-level parser for its help and errors."""
     parser = _build_parser()
+    sub = _SUBCOMMANDS.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extra:
+            return args
+    return parser.parse_args(argv)
+
+
+def run_command(argv: list[str]) -> int:
+    """Run one command; its exit code.  Usage errors exit 2 and help 0,
+    each printed by argparse."""
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as err:
         return 2 if err.code else 0
     try:

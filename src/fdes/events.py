@@ -25,10 +25,16 @@ _IDENT = re.compile(r"[A-Za-z0-9_]+")
 def check_event_id(name: str) -> EventId:
     """Validate an event identifier: a str of letters, digits, underscores."""
     if not isinstance(name, str) or not _IDENT.fullmatch(name):
-        raise FdesError("MALFORMED_EVENT", f"bad event identifier: {name!r}")
+        raise event_id_error(name)
     if name == EPSILON_TEXT:
         raise FdesError("MALFORMED_EVENT", f"{EPSILON_TEXT!r} is reserved for the empty string")
     return name
+
+
+def event_id_error(name) -> FdesError:
+    """The refusal of a bad event identifier; also of an unhashable one,
+    which ``check_event_id``'s cache cannot take."""
+    return FdesError("MALFORMED_EVENT", f"bad event identifier: {name!r}")
 
 
 def event_set(value) -> frozenset[EventId]:
@@ -55,15 +61,27 @@ def event_subset(value, within: frozenset, message: str, code: str = "UNKNOWN_EV
 
 def event_string(value) -> EventString:
     """A caller's string of events: a tuple as is, any other iterable read as
-    one; a ``str``, which would split into characters, or a non-iterable is refused."""
-    if isinstance(value, tuple):
-        return value
+    one; a ``str``, which would split into characters, or a non-iterable is
+    refused, and so is a string holding an unhashable event, named as
+    ``check_event_id`` names a bad one."""
+    s = value
+    if not isinstance(s, tuple):
+        try:
+            s = None if isinstance(value, str) else tuple(value)
+        except TypeError:
+            s = None
+        if s is None:
+            raise string_error(value)
     try:
-        if not isinstance(value, str):
-            return tuple(value)
+        hash(s)
     except TypeError:
-        pass
-    raise string_error(value)
+        for event in s:
+            try:
+                hash(event)
+            except TypeError:
+                raise event_id_error(event) from None
+        raise
+    return s
 
 
 def string_error(value) -> FdesError:

@@ -17,9 +17,12 @@ so a parse holds one section's lines at a time.  One table per
 tuple, so equal strings in any section or file of the call are one
 object; the table dies with the call.  A text already in the table is
 looked up, not parsed again: a spec's strings after its plant's, and
-the later sections of an emitted document.  Emission, likewise, joins
-each section's lines as it emits them, and renders each grade object
-once per language or supervisor section.
+the later sections of an emitted document.  The same table maps each
+alphabet body (its events, controllable and observable sets) to its
+``Alphabet``, so equal alphabet sections in one call, such as the plant
+file's and the spec file's, are one object, built and checked once.
+Emission, likewise, joins each section's lines as it emits them, and
+renders each grade object once per language or supervisor section.
 
 A language section is validated in the pass that reads it (the fast
 check): the alphabet line, then eps at 1, then each string after the one
@@ -167,7 +170,13 @@ def _build_alphabet(section: _RawSection, alphabets: dict[str, Alphabet], string
         if words[0] == "events":  # as Alphabet checks them, but located at this line
             for name in sorted(words[1:]):
                 check_event_id(name)
-    return Alphabet(*(frozenset(payloads.get(kind, ())) for kind in kinds))
+    # The call's table also maps each body, as its three sets, to its
+    # Alphabet: equal bodies are one object, which the merge finds equal at once.
+    key = tuple(frozenset(payloads.get(kind, ())) for kind in kinds)
+    alphabet = strings.get(key)
+    if alphabet is None:
+        alphabet = strings[key] = Alphabet(*key)
+    return alphabet
 
 
 def _build_sites(section: _RawSection, alphabets: dict[str, Alphabet], strings: dict) -> SitesDecl:
@@ -399,8 +408,9 @@ def _emit_supervisor(supervisor: FuzzySupervisor, doc: FdlDocument) -> list[str]
 
 # The one table of section kinds, in build and emission order: each kind's
 # FdlDocument table, its builder, which takes (section, alphabets built so
-# far, the call's string table), and its emitter, which takes (value, document), returns the lines
-# ``emit_fdl`` writes under the header and refuses what the builder would.
+# far, the call's string and alphabet table), and its emitter, which takes
+# (value, document), returns the lines ``emit_fdl`` writes under the header
+# and refuses what the builder would.
 _Kind = namedtuple("_Kind", "table build emit")
 _KINDS = {
     "alphabet": _Kind("alphabets", _build_alphabet, _emit_alphabet),
@@ -461,7 +471,8 @@ class FdlDocument:
 def parse_documents(named_texts: list[tuple[str, str]]) -> FdlDocument:
     """Parse and merge one document from (source name, text) pairs."""
     doc = FdlDocument()
-    strings: dict[str, EventString] = {}  # text -> event string, for this call alone
+    # Text -> event string, and alphabet body -> Alphabet, for this call alone.
+    strings: dict = {}
     sections: list[_RawSection] = []
     for source, text in named_texts:
         split = _split_sections(source, text)

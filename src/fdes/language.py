@@ -101,7 +101,10 @@ class FuzzyLanguage:
     def grade(self, s: EventString) -> Grade:
         """Stored grade, or 0 outside the support, even over unknown events;
         ``s`` is read by ``event_string``, which refuses a ``str``."""
-        return self._grades.get(s if s.__class__ is tuple else event_string(s), ZERO)
+        try:
+            return self._grades.get(s if s.__class__ is tuple else event_string(s), ZERO)
+        except TypeError:  # a tuple holding an unhashable event, which the gate names
+            return self._grades.get(event_string(s), ZERO)
 
     def items(self) -> Iterator[tuple[EventString, Grade]]:
         return iter(self._grades.items())
@@ -138,7 +141,11 @@ def build_language(
     for s, g in pairs:
         if s.__class__ is not tuple:
             s = event_string(s)
-        if s in grades:
+        try:
+            seen = s in grades
+        except TypeError:  # as in FuzzyLanguage.grade
+            seen = event_string(s) in grades
+        if seen:
             raise FdesError("DUPLICATE_STRING", f"duplicate string {render_event_string(s)}")
         grades[s] = g
     return FuzzyLanguage(alphabet, grades)

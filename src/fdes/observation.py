@@ -40,7 +40,10 @@ def natural_projection(alphabet: Alphabet) -> Projection:
 
 def project_string(pr: Projection, s: EventString) -> EventString:
     """Erase unobservable events; ``s`` is checked by ``Alphabet.check_string``."""
-    if s.__class__ is not tuple or not pr.alphabet.events.issuperset(s):
+    try:
+        if s.__class__ is not tuple or not pr.alphabet.events.issuperset(s):
+            s = pr.alphabet.check_string(s)
+    except TypeError:  # a tuple holding an unhashable event, which the gate names
         s = pr.alphabet.check_string(s)
     return tuple(filter(pr.observable.__contains__, s))
 

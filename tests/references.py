@@ -9,19 +9,22 @@ checks and the unrolling against them on desk-scale instances.
 
 It also keeps the closed-loop equation as the generator it was before
 ``fdes.predicates._equation`` became one loop, ``supremal_cn`` as the
-repeated sweeps it ran before its worklist, and a line-by-line FDL
+repeated sweeps it ran before its worklist, a line-by-line FDL
 splitter: each section's body as its lines' numbers and comment-stripped
 text, read from one split of the whole file, against which the parser's
-span splitter is held.
+span splitter is held, and the CLI's ``run_command`` as it ran before it
+dispatched on its first argument: every argv through the top-level parser.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from fdes.automaton import FuzzyAutomaton, _advance, _step_map
-from fdes.errors import FdesError
+from fdes.cli import _build_parser, _witness_text
+from fdes.errors import ConditionViolated, FdesError
 from fdes.events import EPSILON, Alphabet, EventId, EventString, string_key
 from fdes.fdl import _KINDS, _fail
 from fdes.grades import ONE, ZERO, Grade, meet
@@ -410,3 +413,25 @@ def equation_pairs(index: Index, P: list, grades: list, views):
                 if e in controllable:
                     rank = min(rank, joins.get((proj[p], e), 0))
         yield i, rank
+
+
+# The CLI's command runner with every argv parsed by the top-level parser,
+# against which ``fdes.cli.run_command``'s dispatch on argv[0] is held.
+
+
+def run_command_top_level(argv: list[str]) -> int:
+    parser = _build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as err:
+        return 2 if err.code else 0
+    try:
+        return args.func(args)
+    except ConditionViolated as err:
+        print(f"refused: {err.message}", file=sys.stderr)
+        for w in err.report.witnesses:
+            print(_witness_text(w), file=sys.stderr)
+        return 1
+    except FdesError as err:
+        print(f"error[{err.code}]: {err}", file=sys.stderr)
+        return 2

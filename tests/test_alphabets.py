@@ -266,3 +266,25 @@ def test_a_stray_controllable_event_is_refused_by_the_observability_checks():
     assert _error(lambda: is_observable(spec, plant, foreign, {"A"})) == stray
     assert _error(lambda: is_strongly_observable(spec, plant, foreign, {"A"})) == PROJECTION_MISMATCH
 
+
+
+# The entry points that take a string as no dict key: a dict takes no
+# unhashable key at all, so its own construction raises first.
+UNKEYED = {name: call for name, (call, _, keyed) in STRING_ENTRY_POINTS.items() if not keyed}
+
+
+@pytest.mark.parametrize("call", UNKEYED.values(), ids=UNKEYED)
+def test_a_string_holding_an_unhashable_event_is_refused_as_a_bad_event(call):
+    for value, bad in (
+        (("a", ["x"]), ["x"]),
+        (["a", ["x"]], ["x"]),
+        (("a", ("b", {"x"})), ("b", {"x"})),
+        ((["x"], {}), ["x"]),
+    ):
+        assert _error(lambda: call(value)) == ("MALFORMED_EVENT", f"bad event identifier: {bad!r}")
+
+
+def test_check_string_refuses_an_unhashable_event_as_a_bad_event():
+    assert _error(lambda: WORDS.check_string(("a", ["x"]))) == (
+        "MALFORMED_EVENT", "bad event identifier: ['x']"
+    )

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import references
 from fdes import cli
 from fdes.cli import run_command
 from fdes.fdl import parse_fdl
@@ -758,3 +759,135 @@ def test_python_m_entry_matches_run_command():
     code, out, err = entry(["bogus"])
     assert (code, out) == (2, "")
     assert "invalid choice: 'bogus'" in err
+
+
+def _run_captured(run, argv, out: Path):
+    """What one command does: exit code, stdout, stderr, and the text it
+    left at ``out``, which is removed first."""
+    out.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = run(argv)
+    written = out.read_text(encoding="utf-8") if out.exists() else None
+    return code, stdout.getvalue(), stderr.getvalue(), written
+
+
+def _parse_captured(parse, argv):
+    """The Namespace a parse gives, else the code it exits with; and what it printed."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        try:
+            parsed = parse(argv)
+        except SystemExit as err:
+            parsed = ("exit", err.code)
+    return parsed, stdout.getvalue(), stderr.getvalue()
+
+
+def dispatch_corpus(tmp_path: Path) -> list[list[str]]:
+    """Valid and faulty argvs for every subcommand and for the top level;
+    the supervisor files the closed-loop forms read are written here."""
+    out = str(tmp_path / "out.fdl")
+    central, decentralized = str(tmp_path / "S.fdl"), str(tmp_path / "S12.fdl")
+    assert run_command(["synthesize", "--mode", "central", "--plant", CENTRAL_PLANT,
+                        "--spec", CENTRAL_SPEC, "--out", central]) == 0
+    assert run_command(["synthesize", "--mode", "decentralized", "--plant", MEDICAL,
+                        "--spec", MEDICAL, "--out", decentralized]) == 0
+    machine = tmp_path / "machine.fdl"
+    machine.write_text("[alphabet E]\nevents a b\n\n[automaton G]\nalphabet E\nstates q0 q1\n"
+                       "initial q0\ntrans q0 a q1 0.9\ntrans q1 b q1 0.5\n", encoding="utf-8")
+    plant_spec = ["--plant", CENTRAL_PLANT, "--spec", CENTRAL_SPEC]
+    union = ["--plant", UNION_PLANT, "--spec", UNION_SPEC]
+    check = ["check", "--property", "controllable", *plant_spec]
+    return [
+        # Every subcommand's valid forms.
+        ["validate", CENTRAL_PLANT, CENTRAL_SPEC],
+        *(["check", "--property", p, *union, "--json"]
+          for p in ("controllable", "observable", "strongly-observable", "normal")),
+        ["check", "--property", "coobservable", "--plant", MEDICAL, "--spec", MEDICAL, "--sites", MEDICAL],
+        check,
+        ["check", "--property=observable", *plant_spec],
+        ["synthesize", "--mode", "central", *plant_spec, "--out", out],
+        ["synthesize", "--mode", "central", *union],
+        ["synthesize", "--mode", "central", *union, "--force"],
+        ["synthesize", "--mode", "decentralized", "--plant", MEDICAL, "--spec", MEDICAL, "--sites", MEDICAL],
+        ["closed-loop", "--plant", CENTRAL_PLANT, "--supervisor", central, "--out", out],
+        ["closed-loop", "--plant", MEDICAL, "--supervisor", decentralized],
+        ["infimal-co", *union, "--out", out],
+        ["supremal-cn", *plant_spec],
+        ["scp", "--plant", CENTRAL_PLANT, "--min", CENTRAL_SPEC, "--max", CENTRAL_PLANT],
+        ["scp", "--plant", CENTRAL_PLANT, "--min", CENTRAL_SPEC, "--max", CENTRAL_PLANT, "--json", "--out", out],
+        ["scp", "--plant", UNION_PLANT, "--min", UNION_SPEC, "--max", UNION_SPEC],
+        *(["lang", "--op", op, UNION_SPEC, UNION_PLANT] for op in ("union", "intersect", "concat", "sublanguage")),
+        ["lang", "--op", "project", "--observable", "a", UNION_PLANT],
+        ["lang", "--op", "grade", "--string", "a.b", CENTRAL_PLANT],
+        ["gen", "--plant", str(machine), "--horizon", "3", "--out", out],
+        ["gen", "--plant", str(machine)],
+        ["oracle", "--op", "infimal-co", *union, "--budget", "50000"],
+        ["oracle", "--op", "supervisor-exists", *union],
+        # Help at both levels.
+        ["-h"], ["--help"], ["check", "-h"], ["scp", "--help"], [*check, "--help"], ["--help", "check"],
+        # No command, or an unknown one.
+        [], ["bogus"], ["bogus", *plant_spec], ["--plant", CENTRAL_PLANT], ["chec", *check[1:]],
+        # Unknown, extra, missing and bad arguments.
+        ["check", "--bogus", "x", *check[1:]],
+        [*check, "extra"],
+        [*check, "--bogus"],
+        ["validate", CENTRAL_PLANT, "--out", out],
+        ["check", "--property", "controllable", "--plant", CENTRAL_PLANT],
+        ["check"],
+        ["check", "--property", "bogus", *plant_spec],
+        ["check", "--json=yes", *check[1:]],
+        ["gen", "--plant", str(machine), "--horizon", "x"],
+        ["lang", "--op", "union"],
+        # An abbreviated option, whole and with a value attached.
+        ["check", "--prop", "controllable", *plant_spec],
+        ["check", "--prop=controllable", *plant_spec],
+        ["scp", "--pl", CENTRAL_PLANT, "--mi", CENTRAL_SPEC, "--max", CENTRAL_PLANT, "--js"],
+        # "--" before, inside and after a command's arguments.
+        ["validate", "--", CENTRAL_PLANT, CENTRAL_SPEC],
+        ["lang", "--op", "union", "--", UNION_SPEC, UNION_PLANT],
+        [*check, "--"],
+        [*check, "--", "extra"],
+        ["check", "--", *check[1:]],
+        ["--", "validate", CENTRAL_PLANT],
+        ["--"],
+    ]
+
+
+def test_dispatch_on_the_first_argument_runs_as_the_top_level_parser_does(tmp_path):
+    # Each argv parses to the same Namespace, or exits with the same code,
+    # printing the same help, usage and message; then runs to the same
+    # exit code, output and written file.
+    parser, out = cli._build_parser(), tmp_path / "out.fdl"
+    for argv in dispatch_corpus(tmp_path):
+        assert _parse_captured(cli._parse_args, argv) == _parse_captured(parser.parse_args, argv), argv
+        expected = _run_captured(references.run_command_top_level, argv, out)
+        assert _run_captured(run_command, argv, out) == expected, argv
+
+
+def test_scp_writes_out_before_it_prints_anything(tmp_path, capsys):
+    # An --out that cannot be written leaves stdout empty, as synthesize does.
+    scp = ["scp", "--plant", CENTRAL_PLANT, "--min", CENTRAL_SPEC, "--max", CENTRAL_PLANT]
+    for extra in ([], ["--json"]):
+        assert run_command([*scp, *extra, "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error[IO_ERROR]: cannot write {tmp_path}: ")
+    # Written, the supervisor goes to --out alone, after the verdict went to stdout.
+    out = tmp_path / "S.fdl"
+    assert run_command([*scp, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "scp: solvable\n"
+    assert run_command(scp) == 0
+    assert capsys.readouterr().out == "scp: solvable\n" + out.read_text(encoding="utf-8")
+
+
+def test_an_undecodable_byte_past_the_first_read_reads_as_a_text_read_reports_it(tmp_path, capsys):
+    # The byte lies past 8 KiB, the size of a text-mode read's first chunk.
+    bad = tmp_path / "bad.fdl"
+    bad.write_bytes(b"[alphabet E]\nevents a\n" + b"# padding\n" * 1000 + b"\xff\n")
+    with pytest.raises(UnicodeDecodeError) as err:
+        with open(bad, encoding="utf-8", newline="") as file:
+            file.read()
+    assert "position 10022" in str(err.value)
+    assert run_command(["validate", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error[IO_ERROR]: cannot read {bad}: {err.value}\n"

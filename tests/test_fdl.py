@@ -789,3 +789,39 @@ def test_a_string_read_earlier_in_the_call_is_looked_up_not_rebuilt(monkeypatch)
     # The spec's strings were all read in the plant's section: no call for them.
     assert calls == alone and "a.b" not in calls
     assert dict(doc.languages["K"].items()) == {(): 1, ("a",): F(1, 2), ("a", "b"): F(1, 2)}
+
+
+def test_equal_alphabet_sections_of_one_call_are_one_alphabet(monkeypatch):
+    # The plant and spec files each carry [alphabet E]; one call builds it once.
+    from fdes import fdl
+
+    built = []
+
+    def counted(*sets):
+        built.append(sets)
+        return Alphabet(*sets)
+
+    monkeypatch.setattr(fdl, "Alphabet", counted)
+    plant = "[alphabet E]\nevents a b\ncontrollable a\nobservable b\n\n[language L]\nalphabet E\neps 1\na 1\n"
+    spec = "# the same alphabet, its lines and words reordered\n[alphabet E]\nobservable b\nevents b a\ncontrollable a\n\n" \
+           "[language K]\nalphabet E\neps 1\n"
+    doc = parse_documents([("plant.fdl", plant), ("spec.fdl", spec)])
+    assert len(built) == 1
+    assert doc.alphabets["E"] is doc.languages["L"].alphabet is doc.languages["K"].alphabet
+    # A second call builds its own.
+    assert parse_documents([("plant.fdl", plant)]).alphabets["E"] is not doc.alphabets["E"]
+    assert len(built) == 2
+    # An unequal redefinition is refused at its header, as before.
+    unequal = spec.replace("events b a", "events b a c")
+    with pytest.raises(FdesError) as err:
+        parse_documents([("plant.fdl", plant), ("spec.fdl", unequal)])
+    assert (err.value.code, str(err.value)) == (
+        "SYNTAX_ERROR", "spec.fdl:2: conflicting redefinition of alphabet 'E'"
+    )
+    # A bad event id in the second file's alphabet is reported at its line there.
+    bad = spec.replace("events b a", "events b a-c")
+    with pytest.raises(FdesError) as err:
+        parse_documents([("plant.fdl", plant), ("spec.fdl", bad)])
+    assert (err.value.code, str(err.value)) == (
+        "MALFORMED_EVENT", "spec.fdl:4: bad event identifier: 'a-c'"
+    )
