@@ -20,31 +20,30 @@ from .fdl import _KINDS, FdlDocument, emit_fdl, parse_documents
 from .grades import render_grade
 from .language import concatenation, intersection, is_sublanguage, union
 from .observation import Projection, natural_projection, project_language
-from .predicates import CheckReport
 
 def _read(path: str) -> tuple[str, str]:
     # Bytes decoded once, cheaper than a text read: no newline is translated,
     # so lines are numbered at "\n" only, as parse_fdl numbers them, and a
     # "\r" stays in its line as whitespace; a bad byte reads as in text mode.
+    # A leading byte-order mark is dropped, cheaper here than by "utf-8-sig".
     try:
         with open(path, "rb") as file:
-            return path, file.read().decode("utf-8")
+            return path, file.read().decode("utf-8").removeprefix("\ufeff")
     except (OSError, UnicodeDecodeError) as err:
         raise FdesError("IO_ERROR", f"cannot read {path}: {err}") from None
 
 
-def _load(paths: list[str]) -> FdlDocument:
-    """One document from the files named, each read and parsed once
-    however many options name it, in the order first named."""
-    return parse_documents([_read(p) for p in dict.fromkeys(paths)])
+def _language(doc: FdlDocument, path: str):
+    """The one language section of the file ``path``; every command picks its languages here."""
+    return doc.single("language", path)[1]
 
 
-def _load_plant_spec(args, sites: str | None = None):
-    """Load --plant, --spec and the sites file if given; pick the two languages."""
-    doc = _load([args.plant, args.spec] + ([sites] if sites else []))
-    plant = doc.single("language", args.plant)[1]
-    spec = doc.single("language", args.spec)[1]
-    return doc, plant, spec
+def _load(paths: list[str | None], *picks: str) -> tuple:
+    """One document from the files named, each read and parsed once however
+    many options name it, in the order first named (None names no file);
+    then the language of each file in ``picks``."""
+    doc = parse_documents([_read(p) for p in dict.fromkeys(paths) if p is not None])
+    return (doc, *[_language(doc, p) for p in picks])
 
 
 def _sites_pair(doc: FdlDocument, path: str | None):
@@ -65,15 +64,6 @@ def _witness_json(w: predicates.Witness) -> dict:
     }
 
 
-def _report_json(prop: str, report: CheckReport) -> str:
-    payload = {
-        "property": prop,
-        "holds": report.holds,
-        "witnesses": [_witness_json(w) for w in report.witnesses],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
 def _witness_text(w: predicates.Witness) -> str:
     fields = _witness_json(w)
     parts = [f"witness {w.kind}:", "strings=(" + ", ".join(fields["strings"]) + ")"]
@@ -81,16 +71,6 @@ def _witness_text(w: predicates.Witness) -> str:
     if fields["projection_class"]:
         parts.append("class={" + ", ".join(fields["projection_class"]) + "}")
     return " ".join(parts)
-
-
-def _print_report(prop: str, report: CheckReport, as_json: bool) -> int:
-    if as_json:
-        print(_report_json(prop, report))
-    else:
-        print(f"check {prop}: {'holds' if report.holds else 'fails'}")
-        for w in report.witnesses:
-            print(_witness_text(w))
-    return 0 if report.holds else 1
 
 
 def _emit_result(named: FdlDocument, table: str, sections: dict, alphabet) -> str:
@@ -111,8 +91,18 @@ def _write_out(text: str, out: str | None) -> None:
             raise FdesError("IO_ERROR", f"cannot write {out}: {err}") from None
 
 
+def _write_language(named: FdlDocument, name: str, language, out: str | None) -> None:
+    """Write ``language`` as the one section ``name`` of a result document."""
+    _write_out(_emit_result(named, "languages", {name: language}, language.alphabet), out)
+
+
+def _verdict(holds: bool, out: str | None) -> int:
+    _write_out("true\n" if holds else "false\n", out)
+    return 0 if holds else 1
+
+
 def _cmd_validate(args) -> int:
-    doc = _load(args.files)
+    (doc,) = _load(args.files)
     for kind, (table, _, _) in _KINDS.items():
         names = sorted(getattr(doc, table))
         if names:
@@ -122,23 +112,27 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    doc, plant, spec = _load_plant_spec(args, args.sites)
-    alphabet = plant.alphabet
+    doc, plant, spec = _load([args.plant, args.spec, args.sites], args.plant, args.spec)
     if args.property == "controllable":
         report = predicates.is_controllable(spec, plant)
-    elif args.property == "observable":
-        report = predicates.is_observable(spec, plant, natural_projection(alphabet))
-    elif args.property == "strongly-observable":
-        report = predicates.is_strongly_observable(spec, plant, natural_projection(alphabet))
-    elif args.property == "normal":
-        report = predicates.is_normal(spec, plant, natural_projection(alphabet))
-    else:
+    elif args.property == "coobservable":
         report = predicates.is_coobservable(spec, plant, *_sites_pair(doc, args.sites))
-    return _print_report(args.property, report, args.json)
+    else:  # is_observable, is_strongly_observable or is_normal
+        check = getattr(predicates, "is_" + args.property.replace("-", "_"))
+        report = check(spec, plant, natural_projection(plant.alphabet))
+    if args.json:
+        payload = {"property": args.property, "holds": report.holds,
+                   "witnesses": [_witness_json(w) for w in report.witnesses]}
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        print(f"check {args.property}: {'holds' if report.holds else 'fails'}")
+        for w in report.witnesses:
+            print(_witness_text(w))
+    return 0 if report.holds else 1
 
 
 def _cmd_synthesize(args) -> int:
-    doc, plant, spec = _load_plant_spec(args, args.sites)
+    doc, plant, spec = _load([args.plant, args.spec, args.sites], args.plant, args.spec)
     if args.mode == "central":
         supervisors = {"S": synthesis.synthesize_central(
             spec, plant, natural_projection(plant.alphabet), force=args.force
@@ -153,8 +147,7 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_closed_loop(args) -> int:
-    doc = _load([args.plant] + args.supervisor)
-    plant = doc.single("language", args.plant)[1]
+    doc, plant = _load([args.plant, *args.supervisor], args.plant)
     names = {name for path in args.supervisor for name in doc.names("supervisor", path)}
     supervisors = [doc.supervisors[name] for name in sorted(names)]
     if len(supervisors) == 1:
@@ -163,23 +156,20 @@ def _cmd_closed_loop(args) -> int:
         result = synthesis.closed_loop_decentralized(plant, supervisors[0], supervisors[1])
     else:
         raise FdesError("SYNTAX_ERROR", "closed-loop needs one or two supervisor sections")
-    _write_out(_emit_result(doc, "languages", {"closed_loop": result}, result.alphabet), args.out)
+    _write_language(doc, "closed_loop", result, args.out)
     return 0
 
 
 def _cmd_extremal(args) -> int:
-    doc, plant, spec = _load_plant_spec(args)
+    doc, plant, spec = _load([args.plant, args.spec], args.plant, args.spec)
     name = args.command.replace("-", "_")  # the function, and the section it writes
     result = getattr(approximation, name)(spec, plant, natural_projection(plant.alphabet))
-    _write_out(_emit_result(doc, "languages", {name: result}, result.alphabet), args.out)
+    _write_language(doc, name, result, args.out)
     return 0
 
 
 def _cmd_scp(args) -> int:
-    doc = _load([args.plant, args.min, args.max])
-    plant = doc.single("language", args.plant)[1]
-    minimal = doc.single("language", args.min)[1]
-    legal = doc.single("language", args.max)[1]
+    doc, plant, minimal, legal = _load([args.plant, args.min, args.max], args.plant, args.min, args.max)
     result = approximation.solve_scp(minimal, legal, plant, natural_projection(plant.alphabet))
     # A supervisor is emitted only where it is written: to --out, before
     # anything is printed, as synthesize writes it; else to stdout after the
@@ -202,74 +192,59 @@ def _cmd_scp(args) -> int:
     else:
         print("scp: no solution; the infimal controllable and observable "
               "superlanguage of the minimal behavior exceeds the legal bound")
-        infimal = result.infimal
-        print(_emit_result(doc, "languages", {"infimal_co": infimal}, infimal.alphabet), end="")
+        _write_language(doc, "infimal_co", result.infimal, None)
     if supervisor and not args.out:
         print(supervisor, end="")
     return 0 if result.solvable else 1
 
 
 def _cmd_lang(args) -> int:
-    doc = _load(args.files)
+    (doc,) = _load(args.files)
     # A file without a language section only lends definitions, such as an alphabet.
-    files = [p for p in args.files if doc.names("language", p)]
-    languages = [doc.single("language", path)[1] for path in files]
-
-    def operands(count: int):
-        if len(languages) != count:
-            need = "needs two language files" if count == 2 else "takes one language file"
-            raise FdesError("SYNTAX_ERROR", f"--op {args.op} {need}")
-        return languages
-
+    languages = [_language(doc, p) for p in args.files if doc.names("language", p)]
+    if args.op == "grade" and args.string is None:
+        raise FdesError("SYNTAX_ERROR", "--op grade needs --string")
+    unary = args.op in ("project", "grade")
+    if len(languages) != (1 if unary else 2):
+        need = "takes one language file" if unary else "needs two language files"
+        raise FdesError("SYNTAX_ERROR", f"--op {args.op} {need}")
     if args.op in ("union", "intersect", "concat"):
-        a, b = operands(2)
         ops = {"union": union, "intersect": intersection, "concat": concatenation}
-        result = ops[args.op](a, b)
-        _write_out(_emit_result(doc, "languages", {"result": result}, result.alphabet), args.out)
+        _write_language(doc, "result", ops[args.op](*languages), args.out)
         return 0
     if args.op == "sublanguage":
-        a, b = operands(2)
-        verdict = is_sublanguage(a, b)
-        print("true" if verdict else "false")
-        return 0 if verdict else 1
+        return _verdict(is_sublanguage(*languages), args.out)
+    (language,) = languages
     if args.op == "project":
-        (language,) = operands(1)
         if args.observable is not None:
             observable = frozenset(e for e in args.observable.split(",") if e)
         else:
             observable = language.alphabet.observable
-        pr = Projection(language.alphabet, observable)
-        result = project_language(pr, language)
+        result = project_language(Projection(language.alphabet, observable), language)
         # The image lives over E_o, which no input names.
-        named = FdlDocument(alphabets={"E_o": result.alphabet})
-        _write_out(_emit_result(named, "languages", {"result": result}, result.alphabet), args.out)
+        _write_language(FdlDocument(alphabets={"E_o": result.alphabet}), "result", result, args.out)
         return 0
     # Only grade is left: the argparse choices allow no other op.
-    if args.string is None:
-        raise FdesError("SYNTAX_ERROR", "--op grade needs --string")
-    (language,) = operands(1)
     s = language.alphabet.check_string(parse_event_string(args.string))
-    print(render_grade(language.grade(s)))
+    _write_out(render_grade(language.grade(s)) + "\n", args.out)
     return 0
 
 
 def _cmd_gen(args) -> int:
-    doc = _load([args.plant])
+    (doc,) = _load([args.plant])
     automaton = doc.single("automaton", args.plant)[1]
-    result = generated_language(automaton, args.horizon)
-    _write_out(_emit_result(doc, "languages", {"generated": result}, result.alphabet), args.out)
+    _write_language(doc, "generated", generated_language(automaton, args.horizon), args.out)
     return 0
 
 
 def _cmd_oracle(args) -> int:
-    doc, plant, spec = _load_plant_spec(args)
+    doc, plant, spec = _load([args.plant, args.spec], args.plant, args.spec)
     op = args.op.replace("-", "_")  # brute_<op>, and the section oracle_<op> it writes
     pr = natural_projection(plant.alphabet)
     result = getattr(oracle, f"brute_{op}")(spec, plant, pr, budget=args.budget)
     if op == "supervisor_exists":
-        print("true" if result else "false")
-        return 0 if result else 1
-    _write_out(_emit_result(doc, "languages", {f"oracle_{op}": result}, result.alphabet), args.out)
+        return _verdict(result, args.out)
+    _write_language(doc, f"oracle_{op}", result, args.out)
     return 0
 
 

@@ -288,3 +288,11 @@ def test_check_string_refuses_an_unhashable_event_as_a_bad_event():
     assert _error(lambda: WORDS.check_string(("a", ["x"]))) == (
         "MALFORMED_EVENT", "bad event identifier: ['x']"
     )
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_an_alphabet_takes_exactly_two_sites(count):
+    site = SiteSpec({"a"}, {"a"})
+    with pytest.raises(FdesError) as err:
+        Alphabet({"a"}, controllable={"a"}, observable={"a"}, sites=(site,) * count)
+    assert (err.value.code, err.value.message) == ("SITE_COVER_VIOLATION", "exactly two sites are supported")

@@ -891,3 +891,38 @@ def test_an_undecodable_byte_past_the_first_read_reads_as_a_text_read_reports_it
     assert "position 10022" in str(err.value)
     assert run_command(["validate", str(bad)]) == 2
     assert capsys.readouterr().err == f"error[IO_ERROR]: cannot read {bad}: {err.value}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, line, code",
+    [
+        (["lang", "--op", "sublanguage", UNION_PLANT, UNION_SPEC], "false\n", 1),
+        (["lang", "--op", "grade", "--string", "a.c", CENTRAL_PLANT], "0.6\n", 0),
+        (["oracle", "--op", "supervisor-exists", "--plant", UNION_PLANT, "--spec", UNION_SPEC], "false\n", 1),
+    ],
+    ids=["lang-sublanguage", "lang-grade", "oracle-supervisor-exists"],
+)
+def test_a_verdict_op_writes_its_line_to_out(tmp_path, capsys, argv, line, code):
+    assert run_command(argv) == code
+    assert capsys.readouterr() == (line, "")
+    out = tmp_path / "verdict.txt"
+    assert run_command([*argv, "--out", str(out)]) == code
+    assert capsys.readouterr() == ("", "")
+    assert out.read_bytes() == line.encode()
+
+
+def test_a_byte_order_mark_is_read_past(tmp_path, capsys):
+    bom = tmp_path / "central_plant.fdl"
+    bom.write_bytes(b"\xef\xbb\xbf" + Path(CENTRAL_PLANT).read_bytes())
+    outputs = []
+    for plant in (CENTRAL_PLANT, str(bom)):
+        assert run_command(["check", "--property", "observable", "--plant", plant, "--spec", CENTRAL_SPEC]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[1] == outputs[0] and outputs[0].err == ""
+    # Emitted files carry no mark.
+    written = []
+    for plant in (CENTRAL_PLANT, str(bom)):
+        out = tmp_path / f"K{len(written)}.fdl"
+        assert run_command(["infimal-co", "--plant", plant, "--spec", CENTRAL_SPEC, "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[1] == written[0] and written[0].startswith(b"[alphabet E]\n")

@@ -303,3 +303,11 @@ def test_concatenation_associative_and_matches_triple_enumeration(a, b, c):
         assert direct.get(s, F(0)) == g
     for s, g in direct.items():
         assert left.grade(s) == g
+
+
+def test_a_language_attribute_cannot_be_assigned():
+    _, plant, _ = central_example()
+    for name in ("alphabet", "support", "extra"):
+        with pytest.raises(AttributeError, match="^FuzzyLanguage is immutable$"):
+            setattr(plant, name, None)
+    assert plant.grade(("a", "c")) == F(3, 5)

@@ -317,3 +317,13 @@ def test_witness_order_on_random_failing_specs():
                 }
             longest["observable"] = max(longest["observable"], len(keys))
     assert min(longest.values()) >= 3
+
+
+@pytest.mark.parametrize("call", [is_coobservable, synthesize_decentralized])
+def test_one_site_alone_is_refused(call):
+    alphabet, plant, spec = central_example()
+    site = (natural_projection(alphabet), alphabet.controllable)
+    for sites in ((site,), (None, site)):
+        with pytest.raises(FdesError) as err:
+            call(spec, plant, *sites)
+        assert (err.value.code, err.value.message) == ("SITE_COVER_VIOLATION", "exactly two sites are required")

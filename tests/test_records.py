@@ -97,3 +97,13 @@ def test_fdl_document_contract():
         hash(doc)
     empty = "sites={}, languages={}, automata={}, supervisors={}"
     assert repr(twin) == f"FdlDocument(alphabets={{'E': {alphabet!r}}}, {empty})"
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_a_record_field_cannot_be_deleted(name):
+    make, fields, _ = RECORDS[name]
+    record = make()
+    for field in fields:
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            delattr(record, field)
+        getattr(record, field)
