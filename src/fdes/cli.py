@@ -3,14 +3,17 @@
 Exit codes partition outcomes exactly: 0 when the command succeeds or the
 checked property holds, 1 when a property fails or no solution exists,
 2 for usage and input errors.
+
+The grammar is one table, ``_COMMANDS``.  A well-formed command is read
+straight from it; argparse is loaded only for help, usage and errors, from
+a parser built on the same table.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
-import json
 import sys
+from types import SimpleNamespace
 
 from . import approximation, oracle, predicates, synthesis
 from .automaton import generated_language
@@ -121,6 +124,8 @@ def _cmd_check(args) -> int:
         check = getattr(predicates, "is_" + args.property.replace("-", "_"))
         report = check(spec, plant, natural_projection(plant.alphabet))
     if args.json:
+        import json  # loaded only for --json
+
         payload = {"property": args.property, "holds": report.holds,
                    "witnesses": [_witness_json(w) for w in report.witnesses]}
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -180,6 +185,8 @@ def _cmd_scp(args) -> int:
         if args.out:
             _write_out(supervisor, args.out)
     if args.json:
+        import json  # loaded only for --json
+
         payload = {
             "solvable": result.solvable,
             "infimal_co": {
@@ -224,7 +231,7 @@ def _cmd_lang(args) -> int:
         # The image lives over E_o, which no input names.
         _write_language(FdlDocument(alphabets={"E_o": result.alphabet}), "result", result, args.out)
         return 0
-    # Only grade is left: the argparse choices allow no other op.
+    # Only grade is left: the command table's choices allow no other op.
     s = language.alphabet.check_string(parse_event_string(args.string))
     _write_out(render_grade(language.grade(s)) + "\n", args.out)
     return 0
@@ -248,93 +255,130 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-# Each subcommand's parser by name, as _build_parser made them.
-_SUBCOMMANDS: dict[str, argparse.ArgumentParser] = {}
+_NEEDED = {"required": True}
+_FLAG = {"action": "store_true"}
+_OUT = {"--out": {}}
+_PLANT_SPEC = {"--plant": _NEEDED, "--spec": _NEEDED}
+
+# The command grammar, one entry per subcommand: its help, its handler,
+# whether it takes files, and each option's add_argument keywords in the
+# order its help lists them.  _parse_args reads a well-formed command from
+# it; _build_parser builds the argparse tree from it for help and errors.
+_COMMANDS = {
+    "validate": ("parse and validate FDL files", _cmd_validate, True, {}),
+    "check": ("check a property of a specification against a plant", _cmd_check, False, {
+        "--property": {"required": True, "choices": [
+            "controllable", "observable", "strongly-observable", "normal", "coobservable"]},
+        **_PLANT_SPEC, "--sites": {}, "--json": _FLAG}),
+    "synthesize": ("synthesize a supervisor for a specification", _cmd_synthesize, False, {
+        "--mode": {"required": True, "choices": ["central", "decentralized"]},
+        **_PLANT_SPEC, **_OUT, "--sites": {},
+        "--force": {**_FLAG, "help": "emit the formula supervisor even when the preconditions fail"}}),
+    "closed-loop": ("compute the supervised behavior", _cmd_closed_loop, False, {
+        "--plant": _NEEDED, **_OUT, "--supervisor": {"required": True, "action": "append"}}),
+    "infimal-co": ("least controllable and observable superlanguage", _cmd_extremal, False,
+                   {**_PLANT_SPEC, **_OUT}),
+    "supremal-cn": ("greatest controllable and normal sublanguage", _cmd_extremal, False,
+                    {**_PLANT_SPEC, **_OUT}),
+    "scp": ("supervisor between minimal and legal bounds", _cmd_scp, False, {
+        "--plant": _NEEDED, "--min": _NEEDED, "--max": _NEEDED, **_OUT, "--json": _FLAG}),
+    "lang": ("language algebra on FDL files", _cmd_lang, True, {
+        "--op": {"required": True, "choices": [
+            "union", "intersect", "concat", "sublanguage", "project", "grade"]},
+        **_OUT, "--string": {"help": "event string for --op grade"},
+        "--observable": {"help": "comma-separated events overriding --op project"}}),
+    "gen": ("extract the generated language of an automaton", _cmd_gen, False, {
+        "--plant": _NEEDED, **_OUT, "--horizon": {"type": int, "default": 8}}),
+    "oracle": ("brute-force reference computations", _cmd_oracle, False, {
+        "--op": {"required": True, "choices": ["infimal-co", "supremal-cn", "supervisor-exists"]},
+        **_PLANT_SPEC, **_OUT, "--budget": {"type": int, "default": oracle.DEFAULT_BUDGET}}),
+}
 
 
-# Built on the first command and reused by every later one in the process:
-# building the tree costs several times what parsing one command does.
-# parse_args leaves the parser as it found it.
+# Built on the first command that needs help or an error, and reused by
+# every later one in the process.  parse_args leaves the parser as it found it.
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    import argparse  # loaded only here: a well-formed command never needs it
+
     parser = argparse.ArgumentParser(
         prog="fdes",
         description="Supervisory control of fuzzy discrete-event systems "
         "under partial observation, in exact rational arithmetic.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, help: str, func, *files: str, out: bool = True, **choose: list[str]):
-        """A subcommand: its handler, a required option per keyword (listing its
-        choices) and per flag of ``files``, then --out unless ``out`` is false."""
-        p = _SUBCOMMANDS[name] = sub.add_parser(name, help=help)
+    for name, (help, func, files, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
-        for option, choices in choose.items():
-            p.add_argument(f"--{option}", required=True, choices=choices)
-        for flag in files:
-            p.add_argument(flag, required=True)
-        if out:
-            p.add_argument("--out")
-        return p
-
-    p = command("validate", "parse and validate FDL files", _cmd_validate, out=False)
-    p.add_argument("files", nargs="+")
-
-    p = command("check", "check a property of a specification against a plant", _cmd_check,
-                "--plant", "--spec", out=False,
-                property=["controllable", "observable", "strongly-observable", "normal", "coobservable"])
-    p.add_argument("--sites")
-    p.add_argument("--json", action="store_true")
-
-    p = command("synthesize", "synthesize a supervisor for a specification", _cmd_synthesize,
-                "--plant", "--spec", mode=["central", "decentralized"])
-    p.add_argument("--sites")
-    p.add_argument("--force", action="store_true",
-                   help="emit the formula supervisor even when the preconditions fail")
-
-    p = command("closed-loop", "compute the supervised behavior", _cmd_closed_loop, "--plant")
-    p.add_argument("--supervisor", required=True, action="append")
-
-    command("infimal-co", "least controllable and observable superlanguage", _cmd_extremal,
-            "--plant", "--spec")
-    command("supremal-cn", "greatest controllable and normal sublanguage", _cmd_extremal,
-            "--plant", "--spec")
-
-    p = command("scp", "supervisor between minimal and legal bounds", _cmd_scp, "--plant", "--min", "--max")
-    p.add_argument("--json", action="store_true")
-
-    p = command("lang", "language algebra on FDL files", _cmd_lang,
-                op=["union", "intersect", "concat", "sublanguage", "project", "grade"])
-    p.add_argument("files", nargs="+")
-    p.add_argument("--string", help="event string for --op grade")
-    p.add_argument("--observable", help="comma-separated events overriding --op project")
-
-    p = command("gen", "extract the generated language of an automaton", _cmd_gen, "--plant")
-    p.add_argument("--horizon", type=int, default=8)
-
-    p = command("oracle", "brute-force reference computations", _cmd_oracle, "--plant", "--spec",
-                op=["infimal-co", "supremal-cn", "supervisor-exists"])
-    p.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
-
+        for flag, keywords in options.items():
+            p.add_argument(flag, **keywords)
+        if files:  # usage and help list positionals after the options wherever they are added
+            p.add_argument("files", nargs="+")
     return parser
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """``_build_parser().parse_args(argv)``, but a command named first goes
-    straight to its subcommand's parser.  Any other argv, or one that leaves
-    an argument unread, goes through the top-level parser for its help and errors."""
-    parser = _build_parser()
-    sub = _SUBCOMMANDS.get(argv[0]) if argv else None
-    if sub is not None:
-        args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not extra:
-            return args
-    return parser.parse_args(argv)
+def _read_command(argv: list[str]) -> SimpleNamespace | None:
+    """The attributes argparse gives a well-formed command, read from
+    _COMMANDS: a known command first, each option by its exact flag (an
+    append option as often as wanted, any other once) with a value that
+    does not start with "-", flags alone, one run of files where the
+    command takes them, every choice and int read and every required
+    option given.  None for any other argv."""
+    entry = _COMMANDS.get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    _, func, takes_files, options = entry
+    given, files, files_end, i = {}, [], None, 1
+    while i < len(argv):
+        token = argv[i]
+        if not token.startswith("-"):
+            if not takes_files or files and files_end != i:
+                return None
+            files.append(token)
+            i = files_end = i + 1
+            continue
+        keywords = options.get(token)
+        if keywords is None:
+            return None
+        action = keywords.get("action")
+        if token in given and action != "append":
+            return None
+        if action == "store_true":
+            given[token] = True
+            i += 1
+            continue
+        if i + 1 == len(argv) or argv[i + 1].startswith("-"):
+            return None
+        value = argv[i + 1]
+        if "type" in keywords:
+            try:
+                value = keywords["type"](value)
+            except ValueError:
+                return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        given[token] = [*given.get(token, ()), value] if action == "append" else value
+        i += 2
+    if takes_files and not files or any(k.get("required") and f not in given for f, k in options.items()):
+        return None
+    args = SimpleNamespace(command=argv[0], func=func, **({"files": files} if takes_files else {}))
+    for flag, keywords in options.items():
+        default = keywords.get("default", False if keywords.get("action") == "store_true" else None)
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, default))
+    return args
+
+
+def _parse_args(argv: list[str]):
+    """``_build_parser().parse_args(argv)``: a well-formed command is read
+    straight from _COMMANDS, and only any other argv loads argparse, for
+    its help, usage and errors."""
+    return _read_command(argv) or _build_parser().parse_args(argv)
 
 
 def run_command(argv: list[str]) -> int:
-    """Run one command; its exit code.  Usage errors exit 2 and help 0,
-    each printed by argparse."""
+    """Run one command; its exit code.  A well-formed command is read from
+    the command table; any other loads argparse, which prints help (exit 0)
+    or usage and the error (exit 2)."""
     try:
         args = _parse_args(argv)
     except SystemExit as err:

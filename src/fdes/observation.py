@@ -73,7 +73,7 @@ def projection_ids(index: Index, pr: Projection) -> tuple[tuple[int, ...], tuple
     erases the unobservable events of the plant's own alphabet.
     """
     if pr.alphabet != index.alphabet:
-        raise FdesError("ALPHABET_MISMATCH", "site projection uses a different alphabet")
+        raise FdesError("ALPHABET_MISMATCH", "projection and plant use different alphabets")
     if not index.strings:
         return (), ()
     observable = pr.observable

@@ -47,7 +47,7 @@ ALPHABET, PLANT, K1, K2 = union_example()
 OWN = natural_projection(ALPHABET)
 OWN_SUPERVISOR = synthesize_central(PLANT, PLANT, OWN)
 
-PROJECTION_MISMATCH = ("ALPHABET_MISMATCH", "site projection uses a different alphabet")
+PROJECTION_MISMATCH = ("ALPHABET_MISMATCH", "projection and plant use different alphabets")
 LANGUAGE_MISMATCH = ("ALPHABET_MISMATCH", "operands use different alphabets")
 
 FOREIGN = {

@@ -4,6 +4,7 @@ import argparse
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -225,7 +226,7 @@ def test_a_sites_section_is_used_over_its_own_alphabet(tmp_path, capsys):
         assert run_command(command) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "error[ALPHABET_MISMATCH]: site projection uses a different alphabet" in captured.err
+        assert "error[ALPHABET_MISMATCH]: projection and plant use different alphabets" in captured.err
 
 
 def test_synthesize_decentralized_and_joint_loop(tmp_path):
@@ -773,18 +774,75 @@ def _run_captured(run, argv, out: Path):
 
 
 def _parse_captured(parse, argv):
-    """The Namespace a parse gives, else the code it exits with; and what it printed."""
+    """The attributes a parse gives (``vars``, which ``Namespace.__eq__``
+    compares), else the code it exits with; and what it printed."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with redirect_stdout(stdout), redirect_stderr(stderr):
         try:
-            parsed = parse(argv)
+            parsed = vars(parse(argv))
         except SystemExit as err:
             parsed = ("exit", err.code)
     return parsed, stdout.getvalue(), stderr.getvalue()
 
 
+def _units(argv: list[str]) -> list[list[str]]:
+    """The arguments after the command: each option with its value, each
+    flag alone and each file alone, in order."""
+    options = cli._COMMANDS[argv[0]][3]
+    units, i = [], 1
+    while i < len(argv):
+        width = 2 if argv[i] in options and options[argv[i]].get("action") != "store_true" else 1
+        units.append(argv[i:i + width])
+        i += width
+    return units
+
+
+def mutated_argvs(canonical: list[list[str]], seed: int) -> list[list[str]]:
+    """Seeded mutations of each subcommand's well-formed ``canonical`` argv:
+    every form the command table leaves to argparse (help at every position,
+    an unknown command, an abbreviation, --opt=value, "--", a repeated
+    option or flag, a missing or dash-led value, a bad choice or int, a
+    missing required option, a second run of files), and forms it reads
+    itself (options before and after the files, empty values)."""
+    rng = random.Random(seed)
+    wrong = {"choices": ["bogus"], "type": ["x", "1.5", " 3 ", "-3"]}  # values by add_argument keyword
+    corpus = []
+    for argv in canonical:
+        name, units = argv[0], _units(argv)
+        options = cli._COMMANDS[name][3]
+
+        def join(parts):
+            return [name, *(token for unit in parts for token in unit)]
+
+        corpus += [[*argv[:i], rng.choice(["-h", "--help"]), *argv[i:]] for i in range(len(argv) + 1)]
+        corpus += [["bogus", *argv[1:]], [name[:-1], *argv[1:]], argv[1:]]
+        at = rng.randrange(1, len(argv) + 1)
+        corpus += [[*argv[:at], "--", *argv[at:]], [*argv, "--"], [*argv, "-"], [*argv, "extra"],
+                   [name, "extra", *argv[1:]], [*argv, "--bogus"]]
+        for _ in range(4):  # options before, between and after the files
+            corpus.append(join(rng.sample(units, len(units))))
+        for k, unit in enumerate(units):
+            rest = units[:k] + units[k + 1:]
+            corpus += [join(rest), join([*units, unit]), join([*rest, unit[:1]])]
+            if not unit[0].startswith("-"):
+                continue
+            corpus += [join([*rest, [unit[0][:-1], *unit[1:]]]), join([[unit[0][:4], *unit[1:]], *rest])]
+            if len(unit) == 1:
+                corpus.append(join([*rest, [unit[0] + "=yes"]]))
+                continue
+            flag, value = unit
+            corpus += [join([*rest, [f"{flag}={value}"]]), join([*rest, [flag, ""]]),
+                       join([[flag], *rest])]
+            bad = [b for key in options[flag] for b in wrong.get(key, ())]
+            if flag != "--out":  # a dash-led --out argparse takes would be written in the working folder
+                bad += ["-", "-x"]
+            corpus += [join([*rest, [flag, b]]) for b in bad]
+    return corpus
+
+
 def dispatch_corpus(tmp_path: Path) -> list[list[str]]:
-    """Valid and faulty argvs for every subcommand and for the top level;
+    """Valid and faulty argvs for every subcommand and for the top level,
+    then the seeded mutations of one well-formed argv per subcommand;
     the supervisor files the closed-loop forms read are written here."""
     out = str(tmp_path / "out.fdl")
     central, decentralized = str(tmp_path / "S.fdl"), str(tmp_path / "S12.fdl")
@@ -798,6 +856,18 @@ def dispatch_corpus(tmp_path: Path) -> list[list[str]]:
     plant_spec = ["--plant", CENTRAL_PLANT, "--spec", CENTRAL_SPEC]
     union = ["--plant", UNION_PLANT, "--spec", UNION_SPEC]
     check = ["check", "--property", "controllable", *plant_spec]
+    canonical = [
+        ["validate", CENTRAL_PLANT, CENTRAL_SPEC],
+        [*check, "--sites", MEDICAL, "--json"],
+        ["synthesize", "--mode", "central", *union, "--force", "--out", out],
+        ["closed-loop", "--plant", CENTRAL_PLANT, "--supervisor", central, "--out", out],
+        ["infimal-co", *union, "--out", out],
+        ["supremal-cn", *plant_spec],
+        ["scp", "--plant", CENTRAL_PLANT, "--min", CENTRAL_SPEC, "--max", CENTRAL_PLANT, "--json", "--out", out],
+        ["lang", "--op", "union", UNION_SPEC, UNION_PLANT, "--out", out],
+        ["gen", "--plant", str(machine), "--horizon", "3", "--out", out],
+        ["oracle", "--op", "infimal-co", *union, "--budget", "50000"],
+    ]
     return [
         # Every subcommand's valid forms.
         ["validate", CENTRAL_PLANT, CENTRAL_SPEC],
@@ -851,6 +921,8 @@ def dispatch_corpus(tmp_path: Path) -> list[list[str]]:
         ["check", "--", *check[1:]],
         ["--", "validate", CENTRAL_PLANT],
         ["--"],
+        *canonical,
+        *mutated_argvs(canonical, seed=1),
     ]
 
 
@@ -859,7 +931,12 @@ def test_dispatch_on_the_first_argument_runs_as_the_top_level_parser_does(tmp_pa
     # printing the same help, usage and message; then runs to the same
     # exit code, output and written file.
     parser, out = cli._build_parser(), tmp_path / "out.fdl"
-    for argv in dispatch_corpus(tmp_path):
+    corpus = dispatch_corpus(tmp_path)
+    # Every subcommand has forms the command table reads and forms it leaves to argparse.
+    read = {argv[0] for argv in corpus if cli._read_command(argv) is not None}
+    left = {argv[0] for argv in corpus if argv and cli._read_command(argv) is None}
+    assert read == set(cli._COMMANDS) <= left
+    for argv in corpus:
         assert _parse_captured(cli._parse_args, argv) == _parse_captured(parser.parse_args, argv), argv
         expected = _run_captured(references.run_command_top_level, argv, out)
         assert _run_captured(run_command, argv, out) == expected, argv

@@ -6,8 +6,8 @@ re-exports through ``__all__`` are not uses of their own and are left out.
 The same reading checks that only ``events`` raises ``UNKNOWN_EVENT``, so
 every unknown event goes through its checks and is named alike, and that
 only ``language`` builds an ``Index`` directly, so every other module
-reads the one kept on the plant (``Index.of``).  A fresh interpreter
-checks what ``import fdes.cli`` loads.
+reads the one kept on the plant (``Index.of``).  Fresh interpreters
+check what ``import fdes.cli`` and a well-formed command load.
 """
 
 import ast
@@ -126,3 +126,24 @@ def test_the_cli_starts_without_dataclasses_or_inspect():
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                          encoding="utf-8", check=True).stdout
     assert out == "['fdes.oracle']\n"
+
+
+def test_a_well_formed_command_loads_neither_argparse_gettext_nor_json():
+    # The command is read from the CLI's command table and prints no JSON;
+    # help in the same process still loads argparse and prints its usage.
+    data = SRC.parent.parent / "tests" / "data"
+    check = ["check", "--property", "controllable",
+             "--plant", str(data / "central_plant.fdl"), "--spec", str(data / "central_spec.fdl")]
+    code = (
+        "import contextlib, io, sys\n"
+        "from fdes.cli import run_command\n"
+        f"assert run_command({check!r}) == 0\n"
+        "print(sorted({'argparse', 'gettext', 'json'} & set(sys.modules)))\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    code = run_command(['check', '--help'])\n"
+        "print(code, out.getvalue().startswith('usage: fdes check [-h]'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         encoding="utf-8", check=True).stdout
+    assert out == "check controllable: holds\n[]\n0 True\n"

@@ -172,7 +172,7 @@ def test_every_call_on_an_indexed_plant_matches_a_fresh_plant():
         other = Alphabet(alphabet.events | {"zz"}, alphabet.controllable, alphabet.observable)
         foreign = Projection(other, pr.observable)
         assert outcome(lambda: is_observable(spec, plant, foreign))[:2] == (
-            "ALPHABET_MISMATCH", "site projection uses a different alphabet"
+            "ALPHABET_MISMATCH", "projection and plant use different alphabets"
         )
     assert remapped > 100 and searched > 30
 

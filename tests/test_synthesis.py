@@ -436,7 +436,7 @@ def test_synthesis_rejects_a_projection_over_another_alphabet():
                 with pytest.raises(FdesError) as err:
                     synthesize(*args)
                 assert err.value.code == code
-            assert str(err.value) == "site projection uses a different alphabet"
+            assert str(err.value) == "projection and plant use different alphabets"
 
 
 def test_site_controllable_sets_may_be_lists():
