@@ -115,11 +115,12 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    doc, plant, spec = _load([args.plant, args.spec, args.sites], args.plant, args.spec)
+    sites = args.sites if args.property == "coobservable" else None
+    doc, plant, spec = _load([args.plant, args.spec, sites], args.plant, args.spec)
     if args.property == "controllable":
         report = predicates.is_controllable(spec, plant)
     elif args.property == "coobservable":
-        report = predicates.is_coobservable(spec, plant, *_sites_pair(doc, args.sites))
+        report = predicates.is_coobservable(spec, plant, *_sites_pair(doc, sites))
     else:  # is_observable, is_strongly_observable or is_normal
         check = getattr(predicates, "is_" + args.property.replace("-", "_"))
         report = check(spec, plant, natural_projection(plant.alphabet))
@@ -137,13 +138,14 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
-    doc, plant, spec = _load([args.plant, args.spec, args.sites], args.plant, args.spec)
+    sites = args.sites if args.mode == "decentralized" else None
+    doc, plant, spec = _load([args.plant, args.spec, sites], args.plant, args.spec)
     if args.mode == "central":
         supervisors = {"S": synthesis.synthesize_central(
             spec, plant, natural_projection(plant.alphabet), force=args.force
         )}
     else:
-        site1, site2 = _sites_pair(doc, args.sites)
+        site1, site2 = _sites_pair(doc, sites)
         s1, s2 = synthesis.synthesize_decentralized(spec, plant, site1, site2, force=args.force)
         supervisors = {"S1": s1, "S2": s2}
     # Synthesis refuses a site observing through any other alphabet than the plant's.

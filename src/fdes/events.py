@@ -1,8 +1,9 @@
 """Event identifiers, event strings, and control/observation alphabets; one
 gate checks every set of events a caller hands in (``event_subset``), one
-every string of events (``event_string``), and ``site_cover`` checks that
-two sites' sets cover E_c or E_o.  ``Record``, the immutable base of the
-package's records, lives here, the lowest module that defines one."""
+every string of events (``event_string``), and ``site_sets`` is the rule
+for the sites' sets, which callers pass beside an alphabet, never in it.
+``Record``, the immutable base of the package's records, lives here, the
+lowest module that defines one."""
 
 from __future__ import annotations
 
@@ -94,11 +95,17 @@ def _refuse_non_str(events: frozenset) -> None:
         check_event_id(event)
 
 
-def site_cover(whole: frozenset, parts, kind: str, name: str) -> None:
-    """Refuse site sets whose union misses events of ``whole``, naming them sorted."""
-    missing = ", ".join(sorted(whole.difference(*parts)))
+def site_sets(whole: frozenset, parts, kind: str) -> list[frozenset[EventId]]:
+    """The sites' ``kind`` (``controllable`` or ``observable``) sets, each refused unless within
+    ``whole``, naming its strays, and all unless they cover ``whole``, naming what they miss."""
+    verb = "controls" if kind == "controllable" else "observes"
+    sets = [event_subset(part, whole, f"site {i} {verb} events outside the {kind} set", "SITE_COVER_VIOLATION")
+            for i, part in enumerate(parts, start=1)]
+    missing = ", ".join(sorted(whole.difference(*sets)))
     if missing:
-        raise FdesError("SITE_COVER_VIOLATION", f"site {kind} sets do not cover {name}: missing {missing}")
+        message = f"site {kind} sets do not cover E_{kind[0]}: missing {missing}"
+        raise FdesError("SITE_COVER_VIOLATION", message)
+    return sets
 
 
 def parse_event_string(text: str) -> EventString:
@@ -177,19 +184,18 @@ class SiteSpec(Record):
 class Alphabet(Record):
     """Finite event set with controllable/observable subsets.
 
-    ``sites``, when present, holds exactly two local site specifications
-    whose controllable (resp. observable) sets cover the global ones.
     The uncontrollable and unobservable sets are derived, never stored.
+    Local sites are no part of an alphabet: each decentralized call takes
+    its two sites explicitly, checked by ``site_sets``.
     """
 
-    __slots__ = ("events", "controllable", "observable", "sites")
+    __slots__ = ("events", "controllable", "observable")
 
     def __init__(
         self,
         events: frozenset[EventId],
         controllable: frozenset[EventId] = frozenset(),
         observable: frozenset[EventId] = frozenset(),
-        sites: tuple[SiteSpec, SiteSpec] | None = None,
     ):
         events, controllable, observable = event_set(events), event_set(controllable), event_set(observable)
         # Sorted, so the bad id reported is not the hash's pick; by str, lest a non-str compare.
@@ -197,19 +203,7 @@ class Alphabet(Record):
             check_event_id(name)
         event_subset(controllable, events, "controllable events not in alphabet")
         event_subset(observable, events, "observable events not in alphabet")
-        if sites is not None:
-            sites = tuple(sites)
-            if len(sites) != 2:
-                raise FdesError("SITE_COVER_VIOLATION", "exactly two sites are supported")
-            kinds = (("controllable", "controls", "E_c", controllable),
-                     ("observable", "observes", "E_o", observable))
-            for i, site in enumerate(sites, start=1):
-                for kind, verb, _, own in kinds:
-                    outside = f"site {i} {verb} events outside the {kind} set"
-                    event_subset(getattr(site, kind), own, outside, "SITE_COVER_VIOLATION")
-            for kind, _, name, own in kinds:
-                site_cover(own, [getattr(site, kind) for site in sites], kind, name)
-        self._set(events, controllable, observable, sites)
+        self._set(events, controllable, observable)
 
     @property
     def uncontrollable(self) -> frozenset[EventId]:
@@ -218,9 +212,6 @@ class Alphabet(Record):
     @property
     def unobservable(self) -> frozenset[EventId]:
         return self.events - self.observable
-
-    def with_sites(self, site1: SiteSpec, site2: SiteSpec) -> "Alphabet":
-        return Alphabet(self.events, self.controllable, self.observable, (site1, site2))
 
     def check_string(self, s) -> EventString:
         """``event_string(s)``, refused at its first event outside the alphabet."""

@@ -55,6 +55,7 @@ from .events import (
     check_event_id,
     parse_event_string,
     render_event_string,
+    site_sets,
     string_key,
 )
 from .grades import ONE, Grade, parse_grade, render_grade
@@ -69,6 +70,12 @@ class SitesDecl(Record):
 
     def __init__(self, alphabet_name: str, site1: SiteSpec, site2: SiteSpec):
         self._set(alphabet_name, site1, site2)
+
+
+def _check_sites(alphabet: Alphabet, decl: SitesDecl) -> None:
+    """The site rule for both kinds, as the reader and the writer apply it."""
+    for kind in ("controllable", "observable"):
+        site_sets(getattr(alphabet, kind), (getattr(decl.site1, kind), getattr(decl.site2, kind)), kind)
 
 
 class _RawSection:
@@ -197,14 +204,11 @@ def _build_sites(section: _RawSection, alphabets: dict[str, Alphabet], strings: 
         parts[key] = words[3:]
     if alphabet is None:
         raise FdesError("SYNTAX_ERROR", "sites section needs an alphabet line")
-    site1, site2 = (
-        SiteSpec(
-            frozenset(parts.get((i, "controllable"), [])), frozenset(parts.get((i, "observable"), []))
-        )
-        for i in ("1", "2")
-    )
-    alphabet.with_sites(site1, site2)
-    return SitesDecl(alphabet_name, site1, site2)
+    decl = SitesDecl(alphabet_name, *(
+        SiteSpec(parts.get((i, "controllable"), ()), parts.get((i, "observable"), ())) for i in ("1", "2")
+    ))
+    _check_sites(alphabet, decl)
+    return decl
 
 
 def _build_language(section: _RawSection, alphabets: dict[str, Alphabet], strings: dict) -> FuzzyLanguage:
@@ -338,8 +342,6 @@ def _word_line(*parts: str) -> str:
 
 
 def _emit_alphabet(alphabet: Alphabet, doc: FdlDocument) -> list[str]:
-    if alphabet.sites is not None:
-        raise FdesError("SYNTAX_ERROR", "FDL writes sites as a sites section, not on an alphabet")
     lines = [_word_line("events", " ".join(sorted(alphabet.events)))]
     if alphabet.controllable:
         lines.append("controllable " + " ".join(sorted(alphabet.controllable)))
@@ -351,7 +353,7 @@ def _emit_alphabet(alphabet: Alphabet, doc: FdlDocument) -> list[str]:
 def _emit_sites(decl: SitesDecl, doc: FdlDocument) -> list[str]:
     if decl.alphabet_name not in doc.alphabets:
         raise FdesError("SYNTAX_ERROR", f"unknown alphabet {decl.alphabet_name!r}")
-    doc.alphabets[decl.alphabet_name].with_sites(decl.site1, decl.site2)  # as _build_sites checks them
+    _check_sites(doc.alphabets[decl.alphabet_name], decl)
     lines = [f"alphabet {decl.alphabet_name}"]
     for i, site in ((1, decl.site1), (2, decl.site2)):
         lines.append(_word_line(f"site {i} controllable", " ".join(sorted(site.controllable))))

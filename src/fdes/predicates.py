@@ -28,7 +28,7 @@ from __future__ import annotations
 from operator import gt
 
 from .errors import FdesError
-from .events import Alphabet, EventId, EventString, Record, event_subset, site_cover, string_key
+from .events import Alphabet, EventId, EventString, Record, event_subset, site_sets, string_key
 from .grades import Grade
 from .language import FuzzyLanguage, Index
 from .observation import Projection, class_joins, projection_ids
@@ -270,18 +270,12 @@ def is_normal(spec: FuzzyLanguage, plant: FuzzyLanguage, pr: Projection) -> Chec
 
 
 def _resolve_sites(alphabet: Alphabet, site1: Site | None, site2: Site | None) -> tuple[Site, Site]:
-    if site1 is None and site2 is None:
-        if alphabet.sites is None:
-            raise FdesError("SITE_COVER_VIOLATION", "no sites given and alphabet declares none")
-        site1, site2 = ((Projection(alphabet, s.observable), s.controllable) for s in alphabet.sites)
+    """Both (projection, controllables) sites, their controllable sets checked by ``site_sets``."""
     if site1 is None or site2 is None:
         raise FdesError("SITE_COVER_VIOLATION", "exactly two sites are required")
-    sites = []
-    for i, (pr, ctrl) in enumerate((site1, site2), start=1):
-        outside = f"site {i} controls events outside the controllable set"
-        sites.append((pr, event_subset(ctrl, alphabet.controllable, outside, "SITE_COVER_VIOLATION")))
-    site_cover(alphabet.controllable, [ctrl for _, ctrl in sites], "controllable", "E_c")
-    return tuple(sites)
+    (pr1, ctrl1), (pr2, ctrl2) = site1, site2
+    ctrl1, ctrl2 = site_sets(alphabet.controllable, (ctrl1, ctrl2), "controllable")
+    return (pr1, ctrl1), (pr2, ctrl2)
 
 
 def is_coobservable(

@@ -237,7 +237,8 @@ def synthesize_decentralized(
 ) -> tuple[FuzzySupervisor, FuzzySupervisor]:
     """Local supervisor pair achieving a controllable, co-observable spec.
 
-    Site specifications default to the alphabet's own.  Each local
+    Both sites are required, (projection, controllables) pairs checked by
+    ``events.site_sets``.  Each local
     supervisor restricts only its site's controllable events and observes
     through its site's projection.
     """

@@ -9,7 +9,6 @@ from fdes import (
     Alphabet,
     FuzzyLanguage,
     Projection,
-    SiteSpec,
     build_language,
     empty_language,
     make_supervisor,
@@ -70,14 +69,17 @@ def union_example():
 
 def medical_example():
     """Drug/symptom treatment plan controlled by two physicians, each
-    blind to one symptom; co-observable as its own plant."""
-    site1 = SiteSpec(controllable={"a1", "a2"}, observable={"a1", "b1", "a2", "b3"})
-    site2 = SiteSpec(controllable={"a1", "a2"}, observable={"a1", "b2", "a2", "b3"})
+    blind to one symptom; co-observable as its own plant.  Returns the
+    alphabet, the spec and the physicians' two sites, each a
+    (projection, controllables) pair."""
     alphabet = Alphabet(
         {"a1", "a2", "b1", "b2", "b3"},
         controllable={"a1", "a2"},
         observable={"a1", "a2", "b1", "b2", "b3"},
-        sites=(site1, site2),
+    )
+    sites = tuple(
+        (Projection(alphabet, frozenset(observable)), frozenset({"a1", "a2"}))
+        for observable in ({"a1", "b1", "a2", "b3"}, {"a1", "b2", "a2", "b3"})
     )
     spec = lang(
         alphabet,
@@ -100,7 +102,7 @@ def medical_example():
             "a1.a2.b3.a1.b3.b2": "0.2",
         },
     )
-    return alphabet, spec
+    return alphabet, spec, sites
 
 
 # ---------------------------------------------------------------------------

@@ -111,11 +111,11 @@ def test_criterion_3_union_instance():
 
 @criterion(4, "decentralized synthesis golden values", 1.0)
 def test_criterion_4_decentralized_golden():
-    _, spec = medical_example()
+    _, spec, sites = medical_example()
     plant = spec
     assert is_controllable(spec, plant).holds
-    assert is_coobservable(spec, plant).holds
-    s1, s2 = synthesize_decentralized(spec, plant)
+    assert is_coobservable(spec, plant, *sites).holds
+    s1, s2 = synthesize_decentralized(spec, plant, *sites)
     key = ("a1", "a2", "b3")
     assert s1.table[()]["a1"] == F(9, 10)
     assert s1.table[("a1",)]["a2"] == F(4, 5)

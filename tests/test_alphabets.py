@@ -290,9 +290,9 @@ def test_check_string_refuses_an_unhashable_event_as_a_bad_event():
     )
 
 
-@pytest.mark.parametrize("count", [1, 3])
-def test_an_alphabet_takes_exactly_two_sites(count):
-    site = SiteSpec({"a"}, {"a"})
-    with pytest.raises(FdesError) as err:
-        Alphabet({"a"}, controllable={"a"}, observable={"a"}, sites=(site,) * count)
-    assert (err.value.code, err.value.message) == ("SITE_COVER_VIOLATION", "exactly two sites are supported")
+def test_an_alphabet_is_its_three_event_sets():
+    """Sites are no part of an alphabet: it takes and holds only its three
+    event sets, and each decentralized call takes its sites explicitly."""
+    assert Alphabet.__slots__ == ("events", "controllable", "observable")
+    with pytest.raises(TypeError):
+        Alphabet({"a"}, {"a"}, {"a"}, (SiteSpec({"a"}, {"a"}),) * 2)

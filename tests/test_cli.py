@@ -146,6 +146,38 @@ def test_synthesize_decentralized_reads_sites_from_the_sites_file(tmp_path):
     assert doc.supervisors["S2"].projection.observable == {"a1", "a2", "b1", "b3"}
 
 
+_CENTRAL_INPUTS = ["--plant", CENTRAL_PLANT, "--spec", CENTRAL_SPEC]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "--property", prop, *_CENTRAL_INPUTS]
+     for prop in ("controllable", "observable", "strongly-observable", "normal")]
+    + [["synthesize", "--mode", "central", *_CENTRAL_INPUTS, "--out"]],
+    ids=["controllable", "observable", "strongly-observable", "normal", "synthesize-central"],
+)
+def test_a_command_that_takes_no_sites_never_reads_the_sites_file(tmp_path, argv):
+    """Only the co-observability check and decentralized synthesis read
+    --sites.  The medical file, whose K clashes with the central spec's,
+    changes no other command's exit code, output or written bytes."""
+    out = tmp_path / "out.fdl"
+    argv = argv + [str(out)] if argv[-1] == "--out" else argv
+    runs = []
+    for sites in ([], ["--sites", MEDICAL]):
+        out.unlink(missing_ok=True)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = run_command(argv + sites)
+        runs.append((code, stdout.getvalue(), stderr.getvalue(), out.read_bytes() if out.exists() else None))
+    assert runs[0] == runs[1] and runs[0][0] in (0, 1)  # a verdict, not an error
+
+
+def test_the_coobservable_check_still_reads_the_sites_file(capsys):
+    argv = ["check", "--property", "coobservable", *_CENTRAL_INPUTS, "--sites", MEDICAL]
+    assert run_command(argv) == 2
+    assert "medical.fdl:14: conflicting redefinition of language 'K'" in capsys.readouterr().err
+
+
 def test_check_usage_error_exit_2(capsys):
     assert run_command(["check", "--property", "bogus", "--plant", "x", "--spec", "y"]) == 2
     assert run_command(["check", "--property", "observable", "--plant", "missing.fdl", "--spec", "missing.fdl"]) == 2

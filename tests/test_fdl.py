@@ -19,8 +19,10 @@ from fdes import (
     FuzzySupervisor,
     SiteSpec,
     build_language,
+    closed_loop_decentralized,
     natural_projection,
     synthesize_central,
+    synthesize_decentralized,
 )
 from fdes.fdl import FdlDocument, SitesDecl, emit_fdl, parse_documents, parse_fdl
 from fdes.grades import parse_grade
@@ -45,11 +47,30 @@ def test_parse_central_files_matches_programmatic_instance():
 
 def test_parse_medical_sites():
     doc = load("medical.fdl")
-    alphabet, spec = medical_example()
+    alphabet, spec, sites = medical_example()
     decl = doc.sites["PHYSICIANS"]
-    with_sites = doc.alphabets["MED"].with_sites(decl.site1, decl.site2)
-    assert with_sites == alphabet
-    assert dict(doc.languages["K"].items()) == dict(spec.items())
+    assert doc.alphabets["MED"] == alphabet
+    assert [(s.observable, s.controllable) for s in (decl.site1, decl.site2)] == [
+        (pr.observable, ctrl) for pr, ctrl in sites
+    ]
+    assert doc.languages["K"] == spec
+
+
+def test_decentralized_supervisors_and_closed_loop_emit_beside_their_sites():
+    """Sites are no part of an alphabet, so the medical spec's local
+    supervisors and closed loop write under one alphabet section, beside
+    a sites section, and read back equal."""
+    alphabet, spec, sites = medical_example()
+    s1, s2 = synthesize_decentralized(spec, spec, *sites)
+    doc = FdlDocument(
+        alphabets={"MED": alphabet},
+        sites={"PHYSICIANS": SitesDecl("MED", *(SiteSpec(ctrl, pr.observable) for pr, ctrl in sites))},
+        languages={"K": spec, "KC": closed_loop_decentralized(spec, s1, s2)},
+        supervisors={"S1": s1, "S2": s2},
+    )
+    text = emit_fdl(doc)
+    assert text.count("[alphabet ") == 1 and text.count("[sites ") == 1
+    assert parse_fdl(text) == doc
 
 
 def test_language_without_eps_line_is_rejected():
@@ -461,7 +482,7 @@ def test_the_bad_event_reported_does_not_depend_on_the_string_hash():
 
 
 def _covering_sites(rng, alphabet):
-    """Two site specifications that pass ``Alphabet.with_sites``: each
+    """Two site specifications that pass the site rule (``site_sets``): each
     event of E_c (resp. E_o) goes to site 1, site 2 or both."""
     parts = []
     for whole in (alphabet.controllable, alphabet.observable):
@@ -586,9 +607,6 @@ def _bad_name(name):
          "[supervisor S]\nalphabet E\nobservable a b\ncontrollable a\n"),
         (FdlDocument(alphabets={"E": _E}, sites={"P": SitesDecl("F", *_SITES)}), "SYNTAX_ERROR",
          "sites 'P': unknown alphabet 'F'", "[alphabet E]\nevents a b\n\n[sites P]\nalphabet F\n"),
-        (FdlDocument(alphabets={"E": _E.with_sites(*_SITES)}), "SYNTAX_ERROR",
-         "alphabet 'E': FDL writes sites as a sites section, not on an alphabet",
-         "[alphabet E]\nevents a b\nsites P\n"),
         (FdlDocument(alphabets={"E": _E}, sites={"P": SitesDecl("E", _SITES[0], SiteSpec(set(), set()))}),
          "SITE_COVER_VIOLATION", "sites 'P': site observable sets do not cover E_o: missing b",
          "[alphabet E]\nevents a b\ncontrollable a\nobservable a b\n\n"
@@ -606,7 +624,7 @@ def _bad_name(name):
         (FdlDocument(alphabets={"E": _E, ("E", 0): _E}), "SYNTAX_ERROR",
          f"alphabet ('E', 0): {_bad_name(('E', 0))}", "[alphabet ('E', 0)]\nevents a b\n"),
     ],
-    ids=["language", "automaton", "supervisor", "sites", "alphabet-with-sites", "site-cover",
+    ids=["language", "automaton", "supervisor", "sites", "site-cover",
          "name-with-space", "name-with-hash", "state-with-space", "name-not-str"],
 )
 def test_emission_refuses_what_would_not_parse_back(doc, code, message, refused_text):

@@ -15,6 +15,7 @@ from fdes import (
     parse_event_string,
     render_event_string,
 )
+from fdes.fdl import SitesDecl, parse_fdl
 from fdes.grades import ONE, ZERO, join, meet, parse_grade, render_grade
 
 grades = st.fractions(min_value=0, max_value=1, max_denominator=20)
@@ -133,13 +134,12 @@ def test_alphabet_derived_sets():
 
 
 def test_site_cover_validation():
-    base = Alphabet({"a", "b"}, controllable={"a", "b"}, observable={"a", "b"})
-    good = base.with_sites(
-        SiteSpec({"a"}, {"a"}), SiteSpec({"b"}, {"a", "b"})
-    )
-    assert good.sites is not None
+    head = "[alphabet E]\nevents a b\ncontrollable a b\nobservable a b\n\n[sites S]\nalphabet E\n"
+    site1 = "site 1 controllable a\nsite 1 observable a\n"
+    good = parse_fdl(head + site1 + "site 2 controllable b\nsite 2 observable a b\n")
+    assert good.sites["S"] == SitesDecl("E", SiteSpec({"a"}, {"a"}), SiteSpec({"b"}, {"a", "b"}))
     with pytest.raises(FdesError) as err:
-        base.with_sites(SiteSpec({"a"}, {"a"}), SiteSpec({"a"}, {"a", "b"}))
+        parse_fdl(head + site1 + "site 2 controllable a\nsite 2 observable a b\n")
     assert err.value.code == "SITE_COVER_VIOLATION"
 
 

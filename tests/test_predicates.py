@@ -8,13 +8,13 @@ import pytest
 from fdes import (
     Alphabet,
     FdesError,
-    SiteSpec,
     empty_language,
     natural_projection,
     synthesize_decentralized,
     union,
 )
 from fdes.events import string_key
+from fdes.fdl import parse_fdl
 from fdes.observation import project_string
 from fdes.oracle import brute_decentralized_exists
 from fdes.predicates import (
@@ -164,9 +164,9 @@ def test_plant_is_normal_and_union_component_is_not():
 
 
 def test_coobservable_medical_instance():
-    _, spec = medical_example()
+    _, spec, sites = medical_example()
     assert is_controllable(spec, spec).holds
-    assert is_coobservable(spec, spec).holds
+    assert is_coobservable(spec, spec, *sites).holds
 
 
 def test_coobservable_trivial_when_spec_is_plant():
@@ -202,7 +202,7 @@ def test_coobservable_without_sites_anywhere():
     alphabet, plant, spec = central_example()
     with pytest.raises(FdesError) as err:
         is_coobservable(spec, plant)
-    assert err.value.code == "SITE_COVER_VIOLATION"
+    assert (err.value.code, err.value.message) == ("SITE_COVER_VIOLATION", "exactly two sites are required")
 
 
 def test_a_site_cover_fault_names_the_site_and_the_events():
@@ -217,12 +217,15 @@ def test_a_site_cover_fault_names_the_site_and_the_events():
             with pytest.raises(FdesError) as err:
                 call(k1, plant, (pr, ctrl1), (pr, ctrl2))
             assert (err.value.code, err.value.message) == ("SITE_COVER_VIOLATION", message)
-    for site, message in (
-        (SiteSpec({"a"}, {"b"}), "site controllable sets do not cover E_c: missing b"),
-        (SiteSpec({"a", "b"}, set()), "site observable sets do not cover E_o: missing b"),
+    # A sites section over the same alphabet names both kinds' faults alike.
+    head = "[alphabet E]\nevents a b\ncontrollable a b\nobservable b\n\n[sites S]\nalphabet E\n"
+    for ctrl, obs, message in (
+        ("a", "b", "site controllable sets do not cover E_c: missing b"),
+        ("a b", "", "site observable sets do not cover E_o: missing b"),
     ):
+        body = "".join(f"site {i} controllable {ctrl}\nsite {i} observable {obs}\n" for i in (1, 2))
         with pytest.raises(FdesError) as err:
-            alphabet.with_sites(site, site)
+            parse_fdl(head + body)
         assert (err.value.code, err.value.message) == ("SITE_COVER_VIOLATION", message)
 
 

@@ -416,19 +416,22 @@ def test_the_first_supervisor_fault_does_not_depend_on_the_string_hash():
 # Every call hands the event-set gate several strays; the error names them sorted.
 _STRAY_EVENTS = """
 from fdes import (
-    Alphabet, FdesError, FuzzyLanguage, FuzzySupervisor, Projection, SiteSpec,
+    Alphabet, FdesError, FuzzyLanguage, FuzzySupervisor, Projection,
     is_observable, is_strongly_observable, natural_projection,
 )
+from fdes.fdl import parse_fdl
 
 strays = {"zz", "m", "q", "x", "b2"}
 alphabet = Alphabet({"a", "b"}, controllable={"a"}, observable={"a", "b"})
 pr = natural_projection(alphabet)
 plant = FuzzyLanguage(alphabet, {(): 1, ("a",): 1})
+head = "[alphabet E]\\nevents a b\\ncontrollable a\\nobservable a b\\n\\n[sites S]\\nalphabet E\\n"
 for call in (
     lambda: Alphabet({"a"}, controllable={"a"} | strays),
     lambda: Alphabet({"a"}, observable=strays),
-    lambda: alphabet.with_sites(SiteSpec({"a"} | strays, set()), SiteSpec({"a"}, {"a", "b"})),
-    lambda: alphabet.with_sites(SiteSpec({"a"}, {"a", "b"}), SiteSpec(set(), strays | {"b"})),
+    lambda: parse_fdl(head + "site 1 controllable a " + " ".join(strays) + "\\nsite 2 observable a b\\n"),
+    lambda: parse_fdl(head + "site 1 controllable a\\nsite 1 observable a\\nsite 2 observable b "
+                      + " ".join(strays) + "\\n"),
     lambda: Projection(alphabet, strays),
     lambda: FuzzySupervisor(pr, strays, {}),
     lambda: FuzzySupervisor(pr, {"a"}, {(): dict.fromkeys(strays | {"a"}, 1)}),
@@ -438,7 +441,7 @@ for call in (
     try:
         call()
     except FdesError as error:
-        print(error.code, error)
+        print(error.code, error.message)
 """
 
 

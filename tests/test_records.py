@@ -39,7 +39,7 @@ def _witness():
 # dataclass.
 RECORDS = {
     "SiteSpec": (lambda: SiteSpec({"a"}, {"b"}), ("controllable", "observable"), True),
-    "Alphabet": (_alphabet, ("events", "controllable", "observable", "sites"), True),
+    "Alphabet": (_alphabet, ("events", "controllable", "observable"), True),
     "Projection": (lambda: Projection(_alphabet(), {"a"}), ("alphabet", "observable"), True),
     "Witness": (_witness, ("kind", "strings", "event", "lhs", "rhs", "projection_class"), True),
     "CheckReport": (lambda: CheckReport(False, (_witness(),)), ("holds", "witnesses"), True),

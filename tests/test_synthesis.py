@@ -150,8 +150,8 @@ def test_supervisor_pins_unrestrictable_events():
 
 
 def test_decentralized_golden_rows():
-    _, spec = medical_example()
-    s1, s2 = synthesize_decentralized(spec, spec)
+    _, spec, sites = medical_example()
+    s1, s2 = synthesize_decentralized(spec, spec, *sites)
     a1a2b3 = ("a1", "a2", "b3")
     assert s1.table[()]["a1"] == F(9, 10)
     assert s1.table[("a1",)]["a2"] == F(4, 5)
@@ -164,14 +164,14 @@ def test_decentralized_golden_rows():
 
 
 def test_decentralized_closed_loop_recovers_spec():
-    _, spec = medical_example()
-    s1, s2 = synthesize_decentralized(spec, spec)
+    _, spec, sites = medical_example()
+    s1, s2 = synthesize_decentralized(spec, spec, *sites)
     assert spec == closed_loop_decentralized(spec, s1, s2)
 
 
 def test_decentralized_single_step_value():
-    _, spec = medical_example()
-    s1, s2 = synthesize_decentralized(spec, spec)
+    _, spec, sites = medical_example()
+    s1, s2 = synthesize_decentralized(spec, spec, *sites)
     loop = closed_loop_decentralized(spec, s1, s2)
     assert loop.grade(("a1",)) == F(9, 10)
 
@@ -440,11 +440,11 @@ def test_synthesis_rejects_a_projection_over_another_alphabet():
 
 
 def test_site_controllable_sets_may_be_lists():
-    _, spec = medical_example()
+    _, spec, medical_sites = medical_example()
     union_alphabet, union_plant, k1, k2 = union_example()
     merged, pr = union(k1, k2), natural_projection(union_alphabet)
     for k, plant, sites in (
-        (spec, spec, [(Projection(spec.alphabet, s.observable), s.controllable) for s in spec.alphabet.sites]),
+        (spec, spec, medical_sites),
         (merged, union_plant, [(pr, frozenset({"a"})), (pr, frozenset({"b"}))]),
     ):
         listed = [(site_pr, sorted(ctrl)) for site_pr, ctrl in sites]
@@ -472,12 +472,12 @@ def test_checked_synthesis_and_scp_number_the_plant_support_once_each(monkeypatc
     monkeypatch.setattr(Index, "__init__", counting_init)
     alphabet, plant, spec = central_example()
     pr = natural_projection(alphabet)
-    _, medical = medical_example()
+    _, medical, sites = medical_example()
     union_alphabet, union_plant, k1, k2 = union_example()
     merged = union(k1, k2)
     calls = (
         lambda: synthesize_central(spec, plant, pr),
-        lambda: synthesize_decentralized(medical, medical),
+        lambda: synthesize_decentralized(medical, medical, *sites),
         lambda: solve_scp(spec, plant, plant, pr),
         lambda: solve_scp(spec, spec, plant, pr),
         lambda: solve_scp(merged, merged, union_plant, natural_projection(union_alphabet)),
