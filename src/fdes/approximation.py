@@ -39,7 +39,7 @@ def infimal_co(spec: FuzzyLanguage, plant: FuzzyLanguage, pr: Projection) -> Fuz
     is O(|supp(plant)| + |supp(spec)|) dictionary operations.
     """
     lattice, index, S, P = _require_spec_inside_plant(spec, plant)
-    view = _view(index, S, pr, None)[0]
+    view = _view(index, S, pr, spec.alphabet.controllable)[0]
     return spec if spec.is_empty else index.decode(lattice, _sweep(index, P, [view]))
 
 
@@ -136,7 +136,7 @@ def solve_scp(
     lattice, P, M, L = index.ranked(minimal, legal)
     if M is None or L is None or any(map(gt, M, L)) or any(map(gt, L, P)):
         raise FdesError("PRECONDITION_CHAIN", "need minimal <= legal <= plant containments")
-    view, observed = _view(index, M, pr, None)
+    view, observed = _view(index, M, pr, plant.alphabet.controllable)
     A = _sweep(index, P, [view])
     approx = index.decode(lattice, A)
     if any(map(gt, A, L)):

@@ -145,8 +145,7 @@ def _cmd_synthesize(args) -> int:
             spec, plant, natural_projection(plant.alphabet), force=args.force
         )}
     else:
-        site1, site2 = _sites_pair(doc, sites)
-        s1, s2 = synthesis.synthesize_decentralized(spec, plant, site1, site2, force=args.force)
+        s1, s2 = synthesis.synthesize_decentralized(spec, plant, *_sites_pair(doc, sites), force=args.force)
         supervisors = {"S1": s1, "S2": s2}
     # Synthesis refuses a site observing through any other alphabet than the plant's.
     _write_out(_emit_result(doc, "supervisors", supervisors, plant.alphabet), args.out)

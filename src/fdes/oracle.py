@@ -123,13 +123,11 @@ def brute_supremal_cn(
 
 
 def _cell_candidates(
-    spec: FuzzyLanguage,
-    pr: Projection,
-    observed: EventString,
-    event: EventId,
-    extra: tuple[Grade, ...],
+    spec: FuzzyLanguage, pr: Projection, observed: EventString, event: EventId
 ) -> tuple[Grade, ...]:
-    """Enable grades worth trying for one (observed string, event) cell.
+    """The enable grades tried for one (observed string, event) cell: 0, 1
+    and the positive grades spec(sa) over the support strings s of the
+    cell's class, sorted; no search tries any other.
 
     Sound by a rounding argument: the closed loop combines an enable grade
     only through meets against plant and prefix grades, and must reproduce
@@ -138,7 +136,6 @@ def _cell_candidates(
     without changing a single closed-loop grade.
     """
     values = {ZERO, ONE}
-    values.update(extra)
     for s, _ in spec.items():
         if project_string(pr, s) == observed:
             grade = spec.grade(s + (event,))
@@ -152,7 +149,6 @@ def _brute_sites_exist(
     plant: FuzzyLanguage,
     sites: Sequence[Site],
     budget: int,
-    extra_grades: tuple[Grade, ...],
 ) -> bool:
     """Exhaustively search one supervisor per site for a joint closed loop
     equal to the spec; every (site, observed string, event) cell ranges
@@ -169,7 +165,7 @@ def _brute_sites_exist(
         for t in observed:
             for e in sorted(ctrl):
                 cells.append((n, t, e))
-                options.append(_cell_candidates(spec, pr, t, e, extra_grades))
+                options.append(_cell_candidates(spec, pr, t, e))
     _check_budget(math.prod(map(len, options)), budget)
     for choice in itertools.product(*options):
         rows = [{t: {} for t in observed} for observed in site_observed]
@@ -186,27 +182,22 @@ def brute_supervisor_exists(
     plant: FuzzyLanguage,
     pr: Projection,
     budget: int = DEFAULT_BUDGET,
-    extra_grades: tuple[Grade, ...] = (),
 ) -> bool:
     """Exhaustively search supervisors whose closed loop equals the spec.
 
-    ``extra_grades`` widens every cell's candidate set; by the rounding
-    argument in ``_cell_candidates`` this can never change the verdict,
-    which the test suite spot checks with lattice midpoints.
+    Each cell tries exactly its ``_cell_candidates``; by the rounding
+    argument there, a wider set could never change the verdict, which the
+    test suite spot checks with lattice midpoints.
     """
     _require_spec_inside_plant(spec, plant)
-    sites = [(pr, spec.alphabet.controllable)]
-    return _brute_sites_exist(spec, plant, sites, budget, extra_grades)
+    return _brute_sites_exist(spec, plant, [(pr, spec.alphabet.controllable)], budget)
 
 
 def brute_decentralized_exists(
-    spec: FuzzyLanguage,
-    plant: FuzzyLanguage,
-    site1: Site | None = None,
-    site2: Site | None = None,
-    budget: int = DEFAULT_BUDGET,
+    spec: FuzzyLanguage, plant: FuzzyLanguage, *sites: Site, budget: int = DEFAULT_BUDGET
 ) -> bool:
-    """Two-supervisor analog of the exhaustive achievability search."""
+    """Two-supervisor analog of the exhaustive achievability search; the
+    two sites are checked by ``predicates._resolve_sites``, and ``budget``
+    is keyword-only."""
     _require_spec_inside_plant(spec, plant)
-    sites = _resolve_sites(spec.alphabet, site1, site2)
-    return _brute_sites_exist(spec, plant, sites, budget, ())
+    return _brute_sites_exist(spec, plant, _resolve_sites(spec.alphabet, sites), budget)

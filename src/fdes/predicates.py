@@ -20,15 +20,17 @@ numbers supp(plant), ranks its grades and projects its classes
 (``observation.projection_ids``) once per plant, and runs on rank lists
 over its ids, the spec's kept on it for the next check (``Index.ranked``);
 strings are decoded only for witnesses.
-A ``controllables`` argument must lie in the alphabet, like E_c itself.
+Observability is checked against the alphabet's E_c, co-observability
+against each site's controllable set (``_resolve_sites``).
 """
 
 from __future__ import annotations
 
 from operator import gt
+from typing import Sequence
 
 from .errors import FdesError
-from .events import Alphabet, EventId, EventString, Record, event_subset, site_sets, string_key
+from .events import Alphabet, EventId, EventString, Record, site_sets, string_key
 from .grades import Grade
 from .language import FuzzyLanguage, Index
 from .observation import Projection, class_joins, projection_ids
@@ -89,17 +91,13 @@ def _require_spec_inside_plant(spec: FuzzyLanguage, plant: FuzzyLanguage) -> tup
     return lattice, index, S, P
 
 
-def _controllables(alphabet: Alphabet, given) -> frozenset:
-    given = alphabet.controllable if given is None else given
-    return event_subset(given, alphabet.events, "controllable events not in alphabet")
-
-
-def _view(index: Index, S: list, pr: Projection, controllables) -> tuple:
+def _view(index: Index, S: list, pr: Projection, ctrl: frozenset) -> tuple:
     """A site's formula-supervisor view for ``_equation``: (each id's class,
-    the site's controllable events as a frozenset, E_c if None, the spec's
-    class joins), and each class's observed string.  ``projection_ids``
-    refuses a site projection over another alphabet than the plant's."""
-    ctrl = _controllables(index.alphabet, controllables)
+    the site's controllable events ``ctrl``, the spec's class joins), and
+    each class's observed string.  ``ctrl`` is a frozenset already checked
+    against the alphabet: E_c itself, or a set ``site_sets`` returned.
+    ``projection_ids`` refuses a site projection over another alphabet
+    than the plant's."""
     proj, observed = projection_ids(index, pr)
     return (proj, ctrl, class_joins(index, S, proj, ctrl)), observed
 
@@ -165,12 +163,7 @@ def is_controllable(spec: FuzzyLanguage, plant: FuzzyLanguage) -> CheckReport:
     return CheckReport.of(witnesses)
 
 
-def is_observable(
-    spec: FuzzyLanguage,
-    plant: FuzzyLanguage,
-    pr: Projection,
-    controllables: frozenset | None = None,
-) -> CheckReport:
+def is_observable(spec: FuzzyLanguage, plant: FuzzyLanguage, pr: Projection) -> CheckReport:
     """One shared enable degree per projection class must explain each grade.
 
     For each class C of supp(spec) and controllable event a, the only
@@ -181,7 +174,7 @@ def is_observable(
     classes ordered by their observed strings.
     """
     lattice, index, S, P = _require_spec_inside_plant(spec, plant)
-    (proj, ctrl, joins), observed = _view(index, S, pr, controllables)
+    (proj, ctrl, joins), observed = _view(index, S, pr, spec.alphabet.controllable)
     parent, event = index.parent, index.event
     first: dict[tuple[int, EventId], tuple] = {}
     for i, lhs, rhs in _mismatches(index, S, P, [(proj, ctrl, joins)], ctrl):
@@ -196,12 +189,7 @@ def is_observable(
     return CheckReport.of(witnesses)
 
 
-def is_strongly_observable(
-    spec: FuzzyLanguage,
-    plant: FuzzyLanguage,
-    pr: Projection,
-    controllables: frozenset | None = None,
-) -> CheckReport:
+def is_strongly_observable(spec: FuzzyLanguage, plant: FuzzyLanguage, pr: Projection) -> CheckReport:
     """Every admissible enable degree must work, forcing equal grades.
 
     For same-class s, s' and a controllable event a with both sa and s'a
@@ -218,7 +206,7 @@ def is_strongly_observable(
     """
     lattice, index, S, P = _require_spec_inside_plant(spec, plant)
     proj, observed = projection_ids(index, pr)
-    ctrl = _controllables(spec.alphabet, controllables)
+    ctrl = spec.alphabet.controllable
     strings, parent, event = index.strings, index.parent, index.event
     eligible: dict[tuple[int, EventId], list[int]] = {}
     for i in range(1, len(P)):
@@ -269,21 +257,17 @@ def is_normal(spec: FuzzyLanguage, plant: FuzzyLanguage, pr: Projection) -> Chec
     return CheckReport.of(witnesses)
 
 
-def _resolve_sites(alphabet: Alphabet, site1: Site | None, site2: Site | None) -> tuple[Site, Site]:
-    """Both (projection, controllables) sites, their controllable sets checked by ``site_sets``."""
-    if site1 is None or site2 is None:
+def _resolve_sites(alphabet: Alphabet, sites: Sequence[Site]) -> list[Site]:
+    """The (projection, controllables) sites, their controllable sets checked
+    by ``site_sets``.  Any count but two, or a None site, is refused: the
+    one place a decentralized call checks how many sites it was given."""
+    if len(sites) != 2 or None in sites:
         raise FdesError("SITE_COVER_VIOLATION", "exactly two sites are required")
-    (pr1, ctrl1), (pr2, ctrl2) = site1, site2
-    ctrl1, ctrl2 = site_sets(alphabet.controllable, (ctrl1, ctrl2), "controllable")
-    return (pr1, ctrl1), (pr2, ctrl2)
+    ctrls = site_sets(alphabet.controllable, [ctrl for _, ctrl in sites], "controllable")
+    return [(pr, ctrl) for (pr, _), ctrl in zip(sites, ctrls)]
 
 
-def is_coobservable(
-    spec: FuzzyLanguage,
-    plant: FuzzyLanguage,
-    site1: Site | None = None,
-    site2: Site | None = None,
-) -> CheckReport:
+def is_coobservable(spec: FuzzyLanguage, plant: FuzzyLanguage, *sites: Site) -> CheckReport:
     """Two-site analog of observability with case split by controlling site.
 
     For each support string s and controllable event a, the grade of sa
@@ -294,7 +278,7 @@ def is_coobservable(
     case 3, and report the first violation per (class pair, event).
     """
     lattice, index, S, P = _require_spec_inside_plant(spec, plant)
-    views = [_view(index, S, pr, ctrl)[0] for pr, ctrl in _resolve_sites(spec.alphabet, site1, site2)]
+    views = [_view(index, S, pr, ctrl)[0] for pr, ctrl in _resolve_sites(spec.alphabet, sites)]
     (proj1, ctrl1, _), (proj2, ctrl2, _) = views
     parent, event = index.parent, index.event
     first: dict[tuple[int, int, EventId], tuple] = {}

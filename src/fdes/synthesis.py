@@ -149,7 +149,7 @@ def _synthesize(
     if not force and _sweep(index, P, [view for view, _ in views]) != S:
         name, report = "controllable", is_controllable(spec, plant)
         if report.holds and len(sites) == 1:
-            name, report = "observable", is_observable(spec, plant, *sites[0])
+            name, report = "observable", is_observable(spec, plant, sites[0][0])
         elif report.holds:
             name, report = "co-observable", is_coobservable(spec, plant, *sites)
         raise ConditionViolated(f"specification is not {name}", report)
@@ -229,20 +229,16 @@ def closed_loop_central(plant: FuzzyLanguage, supervisor: FuzzySupervisor) -> Fu
 
 
 def synthesize_decentralized(
-    spec: FuzzyLanguage,
-    plant: FuzzyLanguage,
-    site1: Site | None = None,
-    site2: Site | None = None,
-    force: bool = False,
+    spec: FuzzyLanguage, plant: FuzzyLanguage, *sites: Site, force: bool = False
 ) -> tuple[FuzzySupervisor, FuzzySupervisor]:
     """Local supervisor pair achieving a controllable, co-observable spec.
 
-    Both sites are required, (projection, controllables) pairs checked by
-    ``events.site_sets``.  Each local
-    supervisor restricts only its site's controllable events and observes
-    through its site's projection.
+    ``sites`` are exactly two (projection, controllables) pairs, checked by
+    ``predicates._resolve_sites``; ``force`` is keyword-only and acts as in
+    ``synthesize_central``.  Each local supervisor restricts only its
+    site's controllable events and observes through its site's projection.
     """
-    return tuple(_synthesize(spec, plant, lambda: _resolve_sites(spec.alphabet, site1, site2), force))
+    return tuple(_synthesize(spec, plant, lambda: _resolve_sites(spec.alphabet, sites), force))
 
 
 def closed_loop_decentralized(

@@ -48,12 +48,7 @@ def _solution_interval(
     return low, tight
 
 
-def observable_pairwise(
-    spec: FuzzyLanguage,
-    plant: FuzzyLanguage,
-    pr: Projection,
-    controllables: frozenset | None = None,
-) -> bool:
+def observable_pairwise(spec: FuzzyLanguage, plant: FuzzyLanguage, pr: Projection) -> bool:
     """Literal pairwise reading of observability.
 
     For each ordered same-class pair (s, s') and controllable event with
@@ -62,7 +57,7 @@ def observable_pairwise(
     existential reduces to an interval intersection test.
     """
     _require_spec_inside_plant(spec, plant)
-    events = sorted(spec.alphabet.controllable if controllables is None else controllables)
+    events = sorted(spec.alphabet.controllable)
     for members in projection_classes(pr, spec.support).values():
         for event in events:
             for s in members:
@@ -83,19 +78,14 @@ def observable_pairwise(
     return True
 
 
-def strongly_observable_direct(
-    spec: FuzzyLanguage,
-    plant: FuzzyLanguage,
-    pr: Projection,
-    controllables: frozenset | None = None,
-) -> bool:
+def strongly_observable_direct(spec: FuzzyLanguage, plant: FuzzyLanguage, pr: Projection) -> bool:
     """Literal reading of strong observability: every admissible x works.
 
     The solution set for s is {low} or [low, 1]; since the partner's
     equation is monotone in x it suffices to test the endpoint values.
     """
     _require_spec_inside_plant(spec, plant)
-    events = sorted(spec.alphabet.controllable if controllables is None else controllables)
+    events = sorted(spec.alphabet.controllable)
     for members in projection_classes(pr, spec.support).values():
         for event in events:
             for s in members:
@@ -207,7 +197,7 @@ def crisp_reference(
         observable = pr.observable if pr is not None else alphabet.observable
         return crisp_normal(spec_supp, plant_supp, observable)
     if kind == "coobservability":
-        (pr1, ctrl1), (pr2, ctrl2) = _resolve_sites(alphabet, site1, site2)
+        (pr1, ctrl1), (pr2, ctrl2) = _resolve_sites(alphabet, (site1, site2))
         return crisp_coobservable(
             spec_supp, plant_supp, pr1.observable, ctrl1, pr2.observable, ctrl2
         )

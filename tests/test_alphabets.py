@@ -167,8 +167,6 @@ def test_a_str_is_refused_wherever_a_set_of_events_is_expected():
         lambda: Projection(words, "ab"),
         lambda: FuzzySupervisor(pr, "ab", {}),
         lambda: make_supervisor(pr, "ab", {}),
-        lambda: is_observable(plant, plant, pr, "ab"),
-        lambda: is_strongly_observable(plant, plant, pr, "ab"),
         lambda: is_coobservable(plant, plant, (pr, "ab"), (pr, everything)),
         lambda: synthesize_decentralized(plant, plant, (pr, everything), (pr, "ab")),
     ):
@@ -181,14 +179,12 @@ def test_a_str_is_refused_wherever_a_set_of_events_is_expected():
         (lambda: FuzzySupervisor(pr, [2], {}), "bad event identifier: 2"),
         (lambda: SiteSpec([1], ()), "bad event identifier: 1"),
         (lambda: SiteSpec({"a"}, ["b", 4]), "bad event identifier: 4"),
-        (lambda: is_observable(plant, plant, pr, [3]), "bad event identifier: 3"),
         (lambda: Projection(words, None), "event set None must be a collection of event ids"),
         (lambda: SiteSpec(None, ()), "event set None must be a collection of event ids"),
     ):
         assert _error(call) == ("MALFORMED_EVENT", message)
     # Any other collection of event ids is still taken.
     assert Alphabet(["ab", "a"], controllable=("a",), observable=iter(["ab"])).observable == {"ab"}
-    assert is_observable(plant, plant, pr, ["ab"]).holds
 
 
 # Over {a, b, ab}, the str "ab" read as a string of events would be a.b.
@@ -246,26 +242,6 @@ def test_the_language_constructor_takes_tuple_keys_only():
     assert _error(lambda: FuzzyLanguage(WORDS, {(): 1, ("zz",): 1})) == (
         "UNKNOWN_EVENT", "event 'zz' not in alphabet"
     )
-
-
-def test_a_stray_controllable_event_is_refused_by_the_observability_checks():
-    # Over {a, b} with E_c = E_o = {a} the spec fails observability; with
-    # the stray "A" dropped, the check would run on no event and hold.
-    alphabet = Alphabet({"a", "b"}, controllable={"a"}, observable={"a"})
-    pr = natural_projection(alphabet)
-    spec = lang(alphabet, {"eps": "1", "a": "1", "b": "1"})
-    plant = lang(alphabet, {"eps": "1", "a": "1", "b": "1", "b.a": "1"})
-    stray = ("UNKNOWN_EVENT", "controllable events not in alphabet: A")
-    for check in (is_observable, is_strongly_observable):
-        assert not check(spec, plant, pr, {"a"}).holds
-        assert _error(lambda: check(spec, plant, pr, {"A"})) == stray
-        assert _error(lambda: check(spec, plant, pr, {"a", "A"})) == stray
-    # Observability checks the events before the projection's alphabet,
-    # strong observability after it.
-    foreign = FOREIGN["same-events"]
-    assert _error(lambda: is_observable(spec, plant, foreign, {"A"})) == stray
-    assert _error(lambda: is_strongly_observable(spec, plant, foreign, {"A"})) == PROJECTION_MISMATCH
-
 
 
 # The entry points that take a string as no dict key: a dict takes no

@@ -24,7 +24,7 @@ from fdes import (
     synthesize_central,
     synthesize_decentralized,
 )
-from fdes.fdl import FdlDocument, SitesDecl, emit_fdl, parse_documents, parse_fdl
+from fdes.fdl import FdlDocument, SitesDecl, emit_fdl, parse_documents, parse_fdl, section_names
 from fdes.grades import parse_grade
 from helpers import central_example, lang, medical_example, random_lattice, random_plant, random_supervisor
 from theorems import make_instance
@@ -96,6 +96,23 @@ def test_syntax_errors_carry_locations():
     with pytest.raises(FdesError) as err:
         parse_fdl("[alphabet E]\nevents a\n\n[language L]\nalphabet E\neps 1\nbogus line here\n")
     assert err.value.code == "SYNTAX_ERROR"
+
+
+def test_section_names_lists_one_kind_in_file_order_without_building():
+    text = (
+        "[alphabet E]\nevents a\n\n[language K]\nnot a valid line at all\n\n"
+        "[language G]\nalphabet E\neps 1\n\n[alphabet F]\nevents b\n"
+    )
+    assert section_names("x", text, "language") == ["K", "G"]
+    assert section_names("x", text, "alphabet") == ["E", "F"]
+    assert section_names("x", text, "sites") == []
+    # A header fault is the parser's own, located error.
+    with pytest.raises(FdesError) as err:
+        section_names("x", "[language K]\neps 1\n[bogus K]\n", "language")
+    assert (err.value.code, str(err.value)) == ("SYNTAX_ERROR", "x:3: unknown section kind 'bogus'")
+    with pytest.raises(FdesError) as err:
+        parse_documents([("x", "[language K]\neps 1\n[bogus K]\n")])
+    assert (err.value.code, str(err.value)) == ("SYNTAX_ERROR", "x:3: unknown section kind 'bogus'")
 
 
 def test_unknown_alphabet_reference():

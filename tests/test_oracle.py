@@ -17,6 +17,7 @@ from fdes import (
     supremal_cn,
     union,
 )
+from fdes import oracle
 from fdes.oracle import (
     brute_decentralized_exists,
     brute_infimal_co,
@@ -128,14 +129,18 @@ def test_every_search_refuses_a_budget_that_is_no_int(search, budget):
     assert (err.value.code, err.value.message) == ("OUT_OF_RANGE", f"budget {budget!r} must be an int")
 
 
-def test_supervisor_search_stable_under_extra_grades():
+def test_supervisor_search_stable_under_extra_grades(monkeypatch):
     # enlarging the enable-grade search set cannot change achievability
     alphabet, plant, k1, k2 = union_example()
     pr = natural_projection(alphabet)
     merged = union(k1, k2)
     midpoints = (F(3, 4), F(17, 20), F(9, 10))
-    assert not brute_supervisor_exists(merged, plant, pr, extra_grades=midpoints)
-    assert brute_supervisor_exists(k1, plant, pr, extra_grades=midpoints)
+    candidates = oracle._cell_candidates
+    monkeypatch.setattr(
+        oracle, "_cell_candidates", lambda *cell: tuple(sorted({*candidates(*cell), *midpoints}))
+    )
+    assert not brute_supervisor_exists(merged, plant, pr)
+    assert brute_supervisor_exists(k1, plant, pr)
 
 
 def test_decentralized_search_agrees_with_predicate_pair():

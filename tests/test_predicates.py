@@ -306,27 +306,27 @@ def test_witness_order_on_random_failing_specs():
             keys = [(string_key(w.strings[0]), w.event) for w in report.witnesses]
             assert keys == sorted(set(keys)), name
             longest[name] = max(longest[name], len(keys))
-        for controllables in (None, alphabet.events):
-            report = is_observable(spec, plant, pr, controllables)
-            keys = [
-                (string_key(project_string(pr, w.strings[0])), w.event)
-                for w in report.witnesses
-            ]
-            assert keys == sorted(set(keys))
-            for w in report.witnesses:
-                assert w.strings[0] in w.projection_class
-                assert {project_string(pr, t) for t in w.projection_class} == {
-                    project_string(pr, w.strings[0])
-                }
-            longest["observable"] = max(longest["observable"], len(keys))
+        report = is_observable(spec, plant, pr)
+        keys = [
+            (string_key(project_string(pr, w.strings[0])), w.event)
+            for w in report.witnesses
+        ]
+        assert keys == sorted(set(keys))
+        for w in report.witnesses:
+            assert w.strings[0] in w.projection_class
+            assert {project_string(pr, t) for t in w.projection_class} == {
+                project_string(pr, w.strings[0])
+            }
+        longest["observable"] = max(longest["observable"], len(keys))
     assert min(longest.values()) >= 3
 
 
-@pytest.mark.parametrize("call", [is_coobservable, synthesize_decentralized])
+@pytest.mark.parametrize("call", [is_coobservable, synthesize_decentralized, brute_decentralized_exists])
 def test_one_site_alone_is_refused(call):
+    # A third positional argument is a third site, never ``force`` or ``budget``.
     alphabet, plant, spec = central_example()
     site = (natural_projection(alphabet), alphabet.controllable)
-    for sites in ((site,), (None, site)):
+    for sites in ((site,), (None, site), (site, site, site), (site, site, True)):
         with pytest.raises(FdesError) as err:
             call(spec, plant, *sites)
         assert (err.value.code, err.value.message) == ("SITE_COVER_VIOLATION", "exactly two sites are required")

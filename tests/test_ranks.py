@@ -243,7 +243,7 @@ def test_the_equation_loop_equals_the_generator_it_replaced():
         sites = random_sites(rng, alphabet)
         for name, views in (
             ("none", []),
-            ("one view", [_view(index, S, pr, None)[0]]),
+            ("one view", [_view(index, S, pr, alphabet.controllable)[0]]),
             ("two sites", [_view(index, S, site_pr, ctrl)[0] for site_pr, ctrl in sites]),
         ):
             expected = [0] * len(P)
@@ -416,8 +416,7 @@ def test_the_first_supervisor_fault_does_not_depend_on_the_string_hash():
 # Every call hands the event-set gate several strays; the error names them sorted.
 _STRAY_EVENTS = """
 from fdes import (
-    Alphabet, FdesError, FuzzyLanguage, FuzzySupervisor, Projection,
-    is_observable, is_strongly_observable, natural_projection,
+    Alphabet, FdesError, FuzzyLanguage, FuzzySupervisor, Projection, natural_projection,
 )
 from fdes.fdl import parse_fdl
 
@@ -435,8 +434,6 @@ for call in (
     lambda: Projection(alphabet, strays),
     lambda: FuzzySupervisor(pr, strays, {}),
     lambda: FuzzySupervisor(pr, {"a"}, {(): dict.fromkeys(strays | {"a"}, 1)}),
-    lambda: is_observable(plant, plant, pr, strays),
-    lambda: is_strongly_observable(plant, plant, pr, strays | {"a"}),
 ):
     try:
         call()
@@ -464,6 +461,4 @@ def test_stray_events_are_named_alike_under_every_string_hash():
         "UNKNOWN_EVENT observable events not in alphabet",
         "UNKNOWN_EVENT supervisor controls events outside the alphabet",
         "UNKNOWN_EVENT supervisor row grades events outside the alphabet",
-        "UNKNOWN_EVENT controllable events not in alphabet",
-        "UNKNOWN_EVENT controllable events not in alphabet",
     ))}

@@ -10,8 +10,10 @@ from __future__ import annotations
 from fractions import Fraction as F
 
 from fdes import (
+    Alphabet,
     ConditionViolated,
     FuzzyLanguage,
+    Projection,
     closed_loop_central,
     closed_loop_decentralized,
     empty_language,
@@ -175,10 +177,13 @@ def check_normal_union_closure(k1, k2, plant, pr):
 
 def check_normal_implies_observable(spec, plant, pr):
     if is_normal(spec, plant, pr).holds:
+        assert is_observable(spec, plant, pr).holds
         # normality is independent of the controllable set, so observability
         # must follow even when every event is controllable
-        assert is_observable(spec, plant, pr, controllables=plant.alphabet.events).holds
-        assert is_observable(spec, plant, pr).holds
+        events, observable = plant.alphabet.events, plant.alphabet.observable
+        every = Alphabet(events, events, observable)
+        spec, plant = (FuzzyLanguage(every, dict(k.items())) for k in (spec, plant))
+        assert is_observable(spec, plant, Projection(every, pr.observable)).holds
 
 
 def check_observable_controllable_implies_normal_when_ec_observable(spec, plant, pr):
